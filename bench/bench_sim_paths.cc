@@ -12,12 +12,18 @@
 // --engine=instrumented|clean|threaded pins the hook-free side to one tier
 // for A/B comparisons (strict parse: anything else exits 2).
 //
+// Per workload it also records injection_over_clean: the median
+// Campaign::run_single of an IOV single-bit campaign (device set-up, the
+// hooked launch and the output check) over the median hook-free launch on
+// the same tier: the premium one injection pays over a fault-free launch.
+//
 // Measurement is noise-hardened: each workload runs several alternating
 // hook-free/instrumented trials and each side keeps its best trial rate, so
 // frequency drift or a transient neighbor hits both sides alike instead
 // of deciding the gate.
 //
 // GFI_BENCH_MIN_MS=<n> sets the per-workload time floor (default 300).
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -28,6 +34,7 @@
 
 #include "arch/arch.h"
 #include "common/simd.h"
+#include "fi/campaign.h"
 #include "sassim/device.h"
 #include "sassim/exec_threaded.h"
 #include "workloads/workload.h"
@@ -38,6 +45,7 @@ using namespace gfi;
 
 constexpr double kGateSpeedup = 1.5;
 constexpr int kTrials = 3;
+constexpr int kInjectionSamples = 41;  ///< run_single calls (and launches)
 
 // The empty-hook inner-loop throughput of the engine before the decode/
 // execute split (bench_perf_sim, gemm on the A100 model, this machine
@@ -50,6 +58,12 @@ double min_ms() {
     if (parsed > 0) return static_cast<double>(parsed);
   }
   return 300.0;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
 }
 
 struct Bench {
@@ -72,35 +86,80 @@ struct Bench {
     spec = setup.value();
   }
 
+  /// One hook-free launch on `tier`; returns its warp instructions.
+  u64 launch(sim::EngineTier tier) {
+    sim::LaunchOptions options;
+    options.engine = tier;
+    auto launch = device.launch(workload->program(), spec.grid, spec.block,
+                                spec.params, options);
+    if (!launch.is_ok() || !launch.value().ok()) {
+      std::fprintf(stderr, "launch failed\n");
+      std::exit(1);
+    }
+    return launch.value().dyn_warp_instrs;
+  }
+
   /// One timed window of hook-free launches on `tier`; returns
   /// warp-instrs/sec.
   double timed_window(sim::EngineTier tier, double window_s) {
-    sim::LaunchOptions options;
-    options.engine = tier;
     u64 instrs = 0;
     u64 launches = 0;
     const auto start = std::chrono::steady_clock::now();
     double elapsed = 0.0;
     do {
-      auto launch = device.launch(workload->program(), spec.grid, spec.block,
-                                  spec.params, options);
-      if (!launch.is_ok() || !launch.value().ok()) {
-        std::fprintf(stderr, "launch failed\n");
-        std::exit(1);
-      }
-      instrs += launch.value().dyn_warp_instrs;
+      instrs += launch(tier);
       ++launches;
-      elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              start)
-                    .count();
+      elapsed = seconds_since(start);
     } while (elapsed < window_s || launches < 2);
     return static_cast<double>(instrs) / elapsed;
   }
 };
 
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+/// Median run_single of a seeded IOV campaign over the median hook-free
+/// launch of `bench`'s workload, both on `tier`.
+double injection_over_clean(Bench& bench, const std::string& name,
+                            const sim::MachineConfig& machine,
+                            sim::EngineTier tier) {
+  fi::CampaignConfig config;
+  config.workload = name;
+  config.machine = machine;
+  config.engine = tier;
+  config.seed = 2025;
+  auto golden = fi::Campaign::golden_run(config);
+  if (!golden.is_ok()) {
+    std::fprintf(stderr, "golden run failed for '%s': %s\n", name.c_str(),
+                 golden.status().to_string().c_str());
+    std::exit(1);
+  }
+  std::vector<double> injection_s;
+  std::vector<double> launch_s;
+  for (int i = 0; i < kInjectionSamples; ++i) {
+    auto start = std::chrono::steady_clock::now();
+    auto record = fi::Campaign::run_single(config, golden.value().profile,
+                                           golden.value().dyn_instrs,
+                                           static_cast<std::size_t>(i));
+    injection_s.push_back(seconds_since(start));
+    if (!record.is_ok()) {
+      std::fprintf(stderr, "injection failed for '%s': %s\n", name.c_str(),
+                   record.status().to_string().c_str());
+      std::exit(1);
+    }
+    start = std::chrono::steady_clock::now();
+    (void)bench.launch(tier);
+    launch_s.push_back(seconds_since(start));
+  }
+  return median(injection_s) / median(launch_s);
+}
+
 struct PathRates {
   double clean = 0.0;  ///< the hook-free side (selected tier)
   double instrumented = 0.0;
+  double injection_over_clean = 0.0;
 
   [[nodiscard]] double speedup() const {
     return instrumented > 0.0 ? clean / instrumented : 0.0;
@@ -119,6 +178,7 @@ PathRates measure(const std::string& name, const sim::MachineConfig& machine,
         best.instrumented,
         bench.timed_window(sim::EngineTier::kInstrumented, window_s));
   }
+  best.injection_over_clean = injection_over_clean(bench, name, machine, tier);
   return best;
 }
 
@@ -160,23 +220,24 @@ int main(int argc, char** argv) {
   std::printf("Simulator path throughput (A100 model, hook-free launches)\n");
   std::printf("simd backend: %s, dispatch backend: %s, engine: %s\n",
               simd::backend(), sim::exec::dispatch_backend(), tier_name);
-  std::printf("%-12s %15s %15s %9s\n", "workload", "hook-free (wi/s)",
-              "instrumented", "speedup");
+  std::printf("%-12s %15s %15s %9s %10s\n", "workload", "hook-free (wi/s)",
+              "instrumented", "speedup", "inj/clean");
 
   std::string rows;
   double log_speedup_sum = 0.0;
   double gemm_clean = 0.0;
   for (const std::string& name : workloads) {
     const PathRates rates = measure(name, machine, tier);
-    std::printf("%-12s %15.0f %15.0f %8.2fx\n", name.c_str(), rates.clean,
-                rates.instrumented, rates.speedup());
+    std::printf("%-12s %15.0f %15.0f %8.2fx %9.2fx\n", name.c_str(),
+                rates.clean, rates.instrumented, rates.speedup(),
+                rates.injection_over_clean);
     char row[512];
     std::snprintf(row, sizeof(row),
                   "    {\"workload\": \"%s\", \"clean_warp_instrs_per_sec\": "
                   "%.0f, \"instrumented_warp_instrs_per_sec\": %.0f, "
-                  "\"speedup\": %.3f},\n",
+                  "\"speedup\": %.3f, \"injection_over_clean\": %.3f},\n",
                   name.c_str(), rates.clean, rates.instrumented,
-                  rates.speedup());
+                  rates.speedup(), rates.injection_over_clean);
     rows += row;
     log_speedup_sum += std::log(rates.speedup());
     if (name == "gemm") gemm_clean = rates.clean;

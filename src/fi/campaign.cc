@@ -186,7 +186,7 @@ Result<Campaign::Golden> Campaign::golden_run(const CampaignConfig& config) {
   if (!spec.is_ok()) return spec.status();
 
   // Profile natively (LaunchOptions::profile) instead of via ProfilerHook:
-  // with no hooks attached the golden run takes the clean execution path.
+  // with no hooks attached the golden run stays on the hook-free tier.
   // The engine's counts are identical to the hook's.
   sim::Profile profile;
   sim::LaunchOptions options;
@@ -355,11 +355,6 @@ Result<InjectionRecord> Campaign::run_single(
   u64 first_launch_sbe = 0;
   std::optional<wl::Workload::Checked> final_check;
 
-  // Path-selection telemetry: resolved once, bumped per launch attempt.
-  obs::Counter* path_instrumented =
-      metrics ? &metrics->counter("campaign.path.instrumented") : nullptr;
-  obs::Counter* path_clean =
-      metrics ? &metrics->counter("campaign.path.clean") : nullptr;
   // Dispatch-tier telemetry, keyed on what the engine actually ran
   // (LaunchResult::tier_used) rather than what the launch requested.
   // Purely additive: counters go only to --metrics-out snapshots, never
@@ -392,12 +387,6 @@ Result<InjectionRecord> Campaign::run_single(
       }
     } else if (armed) {
       options.hooks.push_back(&injector);
-    }
-    // Hooks attached selects the instrumented engine; memory-mode and
-    // unarmed retry launches run clean (sassim decides the same way).
-    if (obs::Counter* path = options.hooks.empty() ? path_clean
-                                                   : path_instrumented) {
-      path->inc();
     }
 
     auto launch = device.launch(workload->program(), spec.value().grid,

@@ -275,7 +275,7 @@ class Campaign {
   /// and the sampled site is prunable, the record is filled analytically
   /// without simulating (and `*pruned_out` is set when provided) — the
   /// record is field-identical to what the simulation would produce.
-  /// `metrics`, when given, receives execution-path selection counters; it
+  /// `metrics`, when given, receives the engine.dispatch.* tier counters; it
   /// never influences the record produced. `stratum`, when given, pins the
   /// sampled instruction group (stratified campaigns assign each index its
   /// group from the journaled allocation; the pinned path consumes no group

@@ -33,6 +33,21 @@ bool InjectorHook::is_target(const sim::InstrContext& ctx) const {
   return false;
 }
 
+std::optional<sim::StrikeRequest> InjectorHook::strike_request() const {
+  if (site_.model.mode == InjectionMode::kMemory) return std::nullopt;
+  sim::StrikeRequest request;
+  request.occurrence = site_.target_occurrence;
+  for (int g = 0; g < sim::kInstrGroupCount; ++g) {
+    const auto group = static_cast<sim::InstrGroup>(g);
+    const bool eligible =
+        site_.model.mode == InjectionMode::kRf ||
+        (mode_targets_group(site_.model.mode, group) &&
+         (!site_.group || *site_.group == group));
+    if (eligible) request.groups |= 1u << g;
+  }
+  return request;
+}
+
 u32 InjectorHook::pick_lane(u32 exec_mask, u32 lane_sel) {
   const u32 lanes = static_cast<u32>(std::popcount(exec_mask));
   u32 n = lane_sel % lanes;

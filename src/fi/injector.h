@@ -53,9 +53,20 @@ class InjectorHook final : public sim::InstrumentHook {
 
   /// One-shot: after the fault has fired (and any armed store-address
   /// strike has landed) the hook is inert for the rest of the launch, so
-  /// the engine may downgrade to the clean execution path.
+  /// an instrumented-tier launch may downgrade to the hook-free tier.
   [[nodiscard]] bool done_observing() const override {
     return fired_ && armed_store_dyn_ == ~0ULL;
+  }
+
+  /// The eligible groups and occurrence of the site: every group for kRf,
+  /// the mode's targetable groups (narrowed to site.group) otherwise. The
+  /// engine then counts occurrences and calls on_strike_slot() on the
+  /// struck one; attached to an instrumented-tier launch the hook counts
+  /// them itself.
+  [[nodiscard]] std::optional<sim::StrikeRequest> strike_request()
+      const override;
+  void on_strike_slot() override {
+    eligible_seen_ = site_.target_occurrence;
   }
 
   [[nodiscard]] const InjectionEffect& effect() const { return effect_; }

@@ -30,6 +30,12 @@
 // warp's state between its own two consecutive slots on the hook-free path,
 // so a matching stash is never stale.
 //
+// Armed runs (a strike pending, see armed_dispatch) differ in two ways: the
+// struck slot itself runs on the instrumented tier after dropping its
+// warp's stash, and FFMA-chain heads run unfused, because that head
+// computes its tail's result, and a strike on the tail must see (IOV) or
+// corrupt the sources of (RF) the tail's own computation.
+//
 // Everything here is duck-typed over the engine type (templates over
 // EngineT/CtaT): Simulator::Engine and Simulator::Cta are private nested
 // types of Simulator, reachable only by deduction. The engine provides
@@ -566,5 +572,19 @@ inline TrapKind threaded_dispatch(EngineT& eng, CtaT& cta, WarpState& warp,
 }
 
 #undef GFI_THREADED_DISPATCH_LIST
+
+/// threaded_dispatch for a run with a strike pending. Whether a chain
+/// head's tail will be the struck slot is unknown when the head issues
+/// (other warps' eligible issues interleave), so every FFMA-chain head runs
+/// as a plain FFMA; its tail then finds no stash and executes itself. The
+/// other heads only stash proofs or masks, which the struck slot drops.
+template <typename EngineT, typename CtaT>
+inline TrapKind armed_dispatch(EngineT& eng, CtaT& cta, WarpState& warp,
+                               const DecodedInstr& instr) {
+  if (instr.handler == Handler::kFFmaChainHead) {
+    return thr::h_ffma(eng, cta, warp, instr);
+  }
+  return threaded_dispatch(eng, cta, warp, instr);
+}
 
 }  // namespace gfi::sim::exec

@@ -6,6 +6,7 @@
 // InstrumentHook implementations.
 #pragma once
 
+#include <optional>
 #include <span>
 
 #include "common/types.h"
@@ -30,6 +31,16 @@ struct InstrContext {
   /// A hook may request a synchronous trap (e.g. modeling an RF ECC
   /// double-bit detection); the executor aborts the launch with it.
   TrapKind requested_trap = TrapKind::kNone;
+};
+
+/// A one-shot hook's single point of interest: occurrence `occurrence`
+/// (counted from 0) among the dynamic warp instructions whose group has its
+/// bit set in `groups` (bit i = InstrGroup i). A hook that declares one lets
+/// the engine run the launch on the threaded tier, count eligible issues
+/// natively, and run only that one slot instrumented.
+struct StrikeRequest {
+  u32 groups = 0;
+  u64 occurrence = 0;
 };
 
 /// Callback interface invoked by the simulator around every instruction.
@@ -58,12 +69,28 @@ class InstrumentHook {
 
   /// True once this hook no longer needs to observe or mutate anything for
   /// the rest of the launch. When every attached hook reports done, the
-  /// engine downgrades mid-launch from the instrumented to the clean
-  /// execution path (NVBitFI's detach-after-strike optimisation); the
-  /// remaining callbacks — including on_launch_end — are still delivered.
+  /// engine downgrades mid-launch from the instrumented tier to the
+  /// hook-free tier the launch would otherwise run on (NVBitFI's
+  /// detach-after-strike optimisation); on_launch_end is still delivered.
   /// Hooks that observe the whole launch (profiler, tracer) keep the
   /// default.
   [[nodiscard]] virtual bool done_observing() const { return false; }
+
+  /// The hook's strike point, when it only ever acts on one dynamic
+  /// instruction. When it is the launch's only hook and the engine is not
+  /// pinned to the instrumented or clean tier, the engine runs the launch
+  /// armed: threaded up to that instruction, which alone runs instrumented
+  /// (on_strike_slot, then the usual before/after callbacks and store-
+  /// address transforms), then hook-free to the end. No other callback but
+  /// on_launch_begin/end is delivered. Hooks that observe every instruction
+  /// keep the default.
+  [[nodiscard]] virtual std::optional<StrikeRequest> strike_request() const {
+    return std::nullopt;
+  }
+
+  /// Armed launches only: the engine has counted the eligible issues, and
+  /// the callbacks that follow are for the requested occurrence.
+  virtual void on_strike_slot() {}
 };
 
 /// RAII pairing of on_launch_begin / on_launch_end around a launch: every

@@ -7,6 +7,7 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <optional>
 
 #include "common/bitutil.h"
 #include "sassim/decoded.h"
@@ -88,26 +89,38 @@ f32 mufu_eval(MufuKind kind, f32 x) {
 // single guard-mask computation with a fast path for unguarded (@PT)
 // instructions. The Threaded instantiation replaces Clean's opcode switch
 // with direct dispatch on the predecoded handler ids (exec_threaded.h) —
-// same scheduler, same accounting, bit-identical observables.
+// same scheduler, same accounting, bit-identical observables. The Armed
+// instantiation is the threaded tier with a strike pending: it counts the
+// issues a StrikeRequest names and runs the requested one through the
+// Instrumented exec_instr (see Engine::exec_armed).
 
 struct CleanPolicy {
   static constexpr bool kInstrumented = false;
   static constexpr bool kThreaded = false;
+  static constexpr bool kArmed = false;
 };
 struct InstrumentedPolicy {
   static constexpr bool kInstrumented = true;
   static constexpr bool kThreaded = false;
+  static constexpr bool kArmed = false;
 };
 struct ThreadedPolicy {
   static constexpr bool kInstrumented = false;
   static constexpr bool kThreaded = true;
+  static constexpr bool kArmed = false;
+};
+struct ArmedThreadedPolicy {
+  static constexpr bool kInstrumented = false;
+  static constexpr bool kThreaded = true;
+  static constexpr bool kArmed = true;
 };
 
 /// How one engine run over the launch state ended.
 enum class RunExit : u8 {
   kCompleted,   ///< every CTA retired
   kTrapped,     ///< Engine::trap fired
-  kDowngraded,  ///< all hooks done observing: continue on the clean path
+  kDowngraded,  ///< hooks done (instrumented) or strike made (armed):
+                ///< continue on the hook-free tier
 };
 
 }  // namespace
@@ -162,6 +175,12 @@ struct Simulator::Engine {
   u64 dyn_thread = 0;
   u64 cycle = 0;
   Trap trap;
+
+  // Armed runs only: the pending strike, eligible issues counted so far,
+  // and whether the struck slot has run.
+  StrikeRequest strike;
+  u64 strike_seen = 0;
+  bool struck = false;
 
   Engine(const MachineConfig& cfg_in, GlobalMemory& mem_in,
          const Program& prog_in, Dim3 grid_in, Dim3 block_in,
@@ -325,6 +344,8 @@ struct Simulator::Engine {
         }
       }
       return TrapKind::kNone;
+    } else if constexpr (Policy::kArmed) {
+      return exec_armed(cta, warp, instr);
     } else if constexpr (Policy::kThreaded) {
       // Threaded tier: handlers do their own exec-mask computation and
       // accounting (fusion heads and tails must each count exactly once),
@@ -343,6 +364,23 @@ struct Simulator::Engine {
       if (opts.profile) count_profile(instr, exec);
       return dispatch<Policy>(cta, warp, instr, exec, nullptr);
     }
+  }
+
+  /// One slot of an armed run. Every issue whose group the strike names is
+  /// counted; the requested one runs instrumented, everything else threaded.
+  /// The struck slot first drops its warp's fusion stash: a head's proof
+  /// (in-bounds address row, branch mask) does not survive a strike on its
+  /// tail's sources, and the instrumented dispatch never consumes a stash,
+  /// so one left behind could later meet a branch into the tail.
+  TrapKind exec_armed(Cta& cta, WarpState& warp, const DecodedInstr& instr) {
+    if (((strike.groups >> static_cast<int>(instr.group)) & 1u) != 0 &&
+        strike_seen++ == strike.occurrence) {
+      warp.fuse_pc = WarpState::kFuseInvalid;
+      struck = true;
+      opts.hooks.front()->on_strike_slot();
+      return exec_instr<InstrumentedPolicy>(cta, warp, instr);
+    }
+    return exec::armed_dispatch(*this, cta, warp, instr);
   }
 
   /// Non-template entry into the generic clean dispatcher for the threaded
@@ -1029,7 +1067,8 @@ struct Simulator::Engine {
   // ---- the scheduler loop -------------------------------------------------
 
   // Runs the launch state forward under one instrumentation policy until it
-  // completes, traps, or (instrumented only) every hook is done observing.
+  // completes, traps, (instrumented) every hook is done observing, or
+  // (armed) the cycle of the strike has finished.
   template <typename Policy>
   RunExit run() {
     // Per-opcode issue latencies with the memory/shared overrides baked in,
@@ -1084,6 +1123,9 @@ struct Simulator::Engine {
           }
           if (all_done) return RunExit::kDowngraded;
         }
+      }
+      if constexpr (Policy::kArmed) {
+        if (struck) return RunExit::kDowngraded;
       }
 
       bool issued_any = false;
@@ -1240,17 +1282,31 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
 
   for (u32 sm = 0; sm < config_.num_sms; ++sm) engine.admit(sm);
 
-  // Tier selection: hooks (or an explicit kInstrumented pin) take the
-  // instrumented engine; hook-free execution — golden runs included — runs
-  // the threaded tier unless pinned to clean. An instrumented run whose
-  // hooks all finish observing resumes hook-free from the identical launch
-  // state, landing on the same tier a hook-free launch would have used.
-  // All tiers are bit-identical in every architecturally observable way.
+  // Tier selection: a lone hook with a strike request runs armed on the
+  // threaded tier (unless pinned to instrumented or clean) and continues
+  // plain threaded once the struck slot's cycle is over. Other hooks (or an
+  // explicit kInstrumented pin) take the instrumented engine; hook-free
+  // execution — golden runs included — runs the threaded tier unless pinned
+  // to clean. An instrumented run whose hooks all finish observing resumes
+  // hook-free from the identical launch state, landing on the same tier a
+  // hook-free launch would have used. All tiers are bit-identical in every
+  // architecturally observable way.
   RunExit exit;
   EngineTier tier_used;
   bool downgraded = false;
   const bool pin_clean = options.engine == EngineTier::kClean;
-  if (!options.hooks.empty() || options.engine == EngineTier::kInstrumented) {
+  const bool pin_instrumented = options.engine == EngineTier::kInstrumented;
+  std::optional<StrikeRequest> strike;
+  if (options.hooks.size() == 1 && !pin_clean && !pin_instrumented) {
+    strike = options.hooks.front()->strike_request();
+  }
+  if (strike) {
+    engine.strike = *strike;
+    exit = engine.run<ArmedThreadedPolicy>();
+    if (exit == RunExit::kDowngraded) exit = engine.run<ThreadedPolicy>();
+    tier_used = EngineTier::kThreaded;
+    downgraded = engine.struck;
+  } else if (!options.hooks.empty() || pin_instrumented) {
     exit = engine.run<InstrumentedPolicy>();
     tier_used = EngineTier::kInstrumented;
     if (exit == RunExit::kDowngraded) {

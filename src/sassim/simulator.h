@@ -25,14 +25,15 @@ namespace gfi::sim {
 
 struct Profile;
 
-/// Execution tier the engine runs a launch on. Hooked launches always need
-/// the instrumented template; the tier choice governs what hook-free
-/// execution (including the post-downgrade remainder of a hooked launch)
-/// runs on. All tiers are bit-identical in every architecturally observable
-/// way — results, traps, cycles, dynamic-instruction counts, journals —
-/// differing only in speed.
+/// Execution tier the engine runs a launch on. Instructions a hook observes
+/// run on the instrumented template; the tier choice governs what the rest
+/// runs on: hook-free launches, the post-downgrade remainder of a hooked
+/// launch, and all but the struck slot of an armed one (a lone hook with a
+/// StrikeRequest). All tiers are bit-identical in every architecturally
+/// observable way — results, traps, cycles, dynamic-instruction counts,
+/// journals — differing only in speed.
 enum class EngineTier : u8 {
-  kAuto,          ///< fastest correct tier: threaded when hook-free
+  kAuto,          ///< fastest correct tier: threaded, armed for a strike
   kInstrumented,  ///< always the instrumented template (no downgrade)
   kClean,         ///< templated clean path for hook-free execution
   kThreaded,      ///< lowered computed-goto/switch interpreter (default)
@@ -56,21 +57,25 @@ struct LaunchOptions {
   /// 0 selects the default (256M).
   u64 watchdog_instrs = 0;
   /// Instrumentation hooks, invoked in order around every instruction.
-  /// A launch with no hooks runs on the clean (uninstrumented) execution
-  /// path; any hook selects the instrumented path.
+  /// A launch with no hooks runs on the hook-free tier (threaded unless
+  /// pinned to clean). A lone hook with a StrikeRequest runs armed: only
+  /// its struck instruction runs instrumented. Any other hook selects the
+  /// instrumented tier until every hook is done observing.
   std::vector<InstrumentHook*> hooks;
   /// When set, the engine accumulates a dynamic-instruction Profile here
-  /// natively — no ProfilerHook needed, so a profile-only launch still
-  /// takes the clean path. Counts match ProfilerHook's exactly.
+  /// natively — no ProfilerHook needed, so a profile-only launch stays on
+  /// the hook-free tier. Counts match ProfilerHook's exactly.
   Profile* profile = nullptr;
-  /// Dispatch-tier selection (replaces the old bool force_instrumented).
-  /// kAuto picks the fastest correct tier per launch: threaded when
-  /// hook-free, instrumented while hooks observe, threaded again after a
-  /// mid-launch downgrade. kInstrumented pins the exact pre-refactor inner
-  /// loop (context construction, double guard-mask computation, hook walks)
-  /// and never downgrades — benchmark/equivalence baseline. kClean and
-  /// kThreaded pin the hook-free side to one implementation for debugging
-  /// and tier-equivalence testing.
+  /// Dispatch-tier selection. kAuto (and kThreaded) pick the fastest
+  /// correct tier per launch: threaded when hook-free, armed threaded for a
+  /// strike request, otherwise instrumented while hooks observe and
+  /// threaded again after a mid-launch downgrade. kInstrumented pins the
+  /// exact pre-refactor inner loop (context construction, double guard-mask
+  /// computation, hook walks) and never downgrades — benchmark/equivalence
+  /// baseline. kClean pins the hook-free side to the templated clean path
+  /// and runs a hooked launch instrumented until its hooks are done
+  /// observing (an injector then counts its own occurrences). Both pins
+  /// are for debugging and tier-equivalence testing.
   EngineTier engine = EngineTier::kAuto;
 };
 
@@ -82,10 +87,11 @@ struct LaunchResult {
   u64 cycles = 0;             ///< timing-model cycles
   ecc::EccCounters ecc;       ///< ECC events observed during the launch
   /// Concrete tier the launch finished on (never kAuto); after a mid-launch
-  /// downgrade this is the tier the remainder ran on.
+  /// downgrade this is the tier the remainder ran on, and an armed launch
+  /// reports kThreaded.
   EngineTier tier_used = EngineTier::kClean;
   /// True when an instrumented launch downgraded mid-run because every hook
-  /// finished observing.
+  /// finished observing, or an armed launch reached its struck slot.
   bool downgraded = false;
 
   [[nodiscard]] bool ok() const { return !trap.fired(); }

@@ -45,8 +45,8 @@ class TracerHook final : public InstrumentHook {
 
   /// Declares that nothing after dynamic index `last_dyn` is of interest
   /// (pair with `window`): once the stream passes it the tracer reports
-  /// done_observing() and the engine may finish the launch on the clean
-  /// path. Without this the tracer observes the whole launch.
+  /// done_observing() and the engine may finish the launch on the hook-free
+  /// tier. Without this the tracer observes the whole launch.
   void stop_after(u64 last_dyn) { stop_after_ = last_dyn; }
   [[nodiscard]] bool done_observing() const override {
     return seen_ > stop_after_;
