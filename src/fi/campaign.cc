@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <thread>
 
 #include "common/bitutil.h"
@@ -283,13 +284,124 @@ void credit_pruned(const sa::PruneMap& map, const sa::PruneEntry& entry,
                                              : Outcome::kMaskedTolerated;
 }
 
-}  // namespace
+using Snapshot = sim::GlobalMemory::Snapshot;
 
-Result<InjectionRecord> Campaign::run_single(
+/// A workload set up once on its own device. `start` is the post-setup
+/// device state, checkpoint 0 of every injection run on it: a run restores
+/// it before launching (unless it resumes from a later checkpoint), and
+/// trap-and-retry restores it before every relaunch.
+struct InjectionContext {
+  explicit InjectionContext(const sim::MachineConfig& machine)
+      : device(machine) {}
+
+  std::unique_ptr<wl::Workload> workload;
+  sim::Device device;
+  wl::LaunchSpec spec;
+  std::shared_ptr<const Snapshot> start;
+  bool fresh = true;  ///< nothing has run since setup
+};
+
+/// Sets a context up. Setup is deterministic, so every context of a
+/// campaign shares one checkpoint 0: pass the first context's `start` to
+/// the others instead of keeping a copy per worker.
+Result<std::unique_ptr<InjectionContext>> make_context(
+    const CampaignConfig& config,
+    std::shared_ptr<const Snapshot> start = nullptr) {
+  auto context = std::make_unique<InjectionContext>(config.machine);
+  context->workload = wl::make_workload(config.workload);
+  if (!context->workload) {
+    return Status::not_found("unknown workload '" + config.workload + "'");
+  }
+  auto spec = context->workload->setup(context->device);
+  if (!spec.is_ok()) return spec.status();
+  context->spec = std::move(spec).take();
+  context->start = start ? std::move(start)
+                         : std::make_shared<const Snapshot>(
+                               context->device.snapshot());
+  return context;
+}
+
+/// Campaign-scoped fast-forward state, shared by the workers of one
+/// Campaign::run: a free-list of injection contexts (at most one per
+/// worker), their shared checkpoint 0, and the golden-prefix checkpoint
+/// table their armed launches fill and resume from. Sized by the first
+/// context: see fast_forward_checkpoints().
+class FastForward {
+ public:
+  FastForward(const CampaignConfig& config, u64 golden_dyn_instrs,
+              std::size_t workers, obs::Registry& reg)
+      : config_(config),
+        golden_dyn_instrs_(golden_dyn_instrs),
+        workers_(workers),
+        checkpoints_(reg.counter("campaign.fast_forward.checkpoints")),
+        skipped_(reg.counter("campaign.fast_forward.skipped_warp_instrs")) {}
+
+  /// A context for one injection run; give it back with release().
+  Result<std::unique_ptr<InjectionContext>> acquire() {
+    std::shared_ptr<const Snapshot> start;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!free_.empty()) {
+        auto context = std::move(free_.back());
+        free_.pop_back();
+        return context;
+      }
+      start = start_;
+    }
+    auto made = make_context(config_, std::move(start));
+    if (!made.is_ok()) return made.status();
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!start_) start_ = made.value()->start;
+    if (!table_) {
+      const InjectionContext& context = *made.value();
+      const u64 state = sim::launch_state_bytes(
+          config_.machine, context.workload->program(), context.spec.grid,
+          context.spec.block, context.device.memory().bytes_allocated());
+      table_ = std::make_unique<sim::CheckpointTable>(
+          sim::CheckpointTable::even_marks(
+              golden_dyn_instrs_, fast_forward_checkpoints(state, workers_)),
+          workers_ > 1);
+    }
+    return made;
+  }
+
+  void release(std::unique_ptr<InjectionContext> context) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    free_.push_back(std::move(context));
+  }
+
+  /// Valid once a context has been acquired.
+  [[nodiscard]] sim::CheckpointTable& table() { return *table_; }
+
+  /// Telemetry, never journaled: warp instructions a resumed launch did not
+  /// run, and (once the campaign is done) the checkpoints captured. Both
+  /// are per campaign: shards fill their own tables, and with several
+  /// workers what an injection skips depends on which checkpoints exist
+  /// when it starts.
+  void skipped(u64 warp_instrs) { skipped_.inc(warp_instrs); }
+  void publish() {
+    if (table_) checkpoints_.inc(table_->filled());
+  }
+
+ private:
+  const CampaignConfig& config_;
+  u64 golden_dyn_instrs_;
+  std::size_t workers_;
+  obs::Counter& checkpoints_;
+  obs::Counter& skipped_;
+  std::mutex mutex_;
+  std::vector<std::unique_ptr<InjectionContext>> free_;
+  std::shared_ptr<const Snapshot> start_;  ///< checkpoint 0, shared
+  std::unique_ptr<sim::CheckpointTable> table_;
+};
+
+/// One injection on `context`; `ff`, when given, is the campaign's
+/// fast-forward state (Campaign::run), null for standalone replays.
+Result<InjectionRecord> run_injection(
     const CampaignConfig& config, const sim::Profile& profile,
     u64 golden_dyn_instrs, std::size_t run_index,
     const sa::PruneMap* prune_map, bool* pruned_out, obs::Registry* metrics,
-    std::optional<sim::InstrGroup> stratum) {
+    std::optional<sim::InstrGroup> stratum, FastForward* ff) {
   Rng rng = Rng::for_stream(config.seed, run_index);
   auto site = sample_site(config, profile, golden_dyn_instrs, rng, stratum);
   if (!site.is_ok()) return site.status();
@@ -328,16 +440,41 @@ Result<InjectionRecord> Campaign::run_single(
     }
   }
 
-  auto workload = wl::make_workload(config.workload);
-  if (!workload) {
-    return Status::not_found("unknown workload '" + config.workload + "'");
-  }
-  sim::Device device(config.machine);
-  auto spec = workload->setup(device);
-  if (!spec.is_ok()) return spec.status();
+  auto acquired = ff ? ff->acquire() : make_context(config);
+  if (!acquired.is_ok()) return acquired.status();
+  std::unique_ptr<InjectionContext> context = std::move(acquired).take();
+  struct Release {
+    FastForward* ff;
+    std::unique_ptr<InjectionContext>& context;
+    ~Release() {
+      if (ff) ff->release(std::move(context));
+    }
+  } release{ff, context};
+  const wl::Workload& workload = *context->workload;
+  sim::Device& device = context->device;
+  const wl::LaunchSpec& spec = context->spec;
 
   InjectionRecord record;
   record.site = site.value();
+
+  // Fast-forward: an armed first attempt (hooked mode, engine not pinned)
+  // resumes from the latest golden-prefix checkpoint before its strike and
+  // fills the table's empty slots on its way there. Everything else starts
+  // from checkpoint 0, the post-setup snapshot.
+  const std::optional<sim::StrikeRequest> strike =
+      InjectorHook(site.value(), device.config()).strike_request();
+  const bool armed_tier = config.engine != sim::EngineTier::kClean &&
+                          config.engine != sim::EngineTier::kInstrumented;
+  sim::CheckpointTable* table =
+      ff && strike && armed_tier ? &ff->table() : nullptr;
+  std::shared_ptr<const sim::LaunchCheckpoint> resume;
+  if (table) resume = table->nearest(*strike);
+  if (resume) {
+    ff->skipped(resume->dyn_warp);
+  } else if (!context->fresh) {
+    device.restore(*context->start);
+  }
+  context->fresh = false;
 
   const bool memory_mode = config.model.mode == InjectionMode::kMemory;
   // Memory mode samples its struck word once, before any attempt, so a
@@ -388,10 +525,13 @@ Result<InjectionRecord> Campaign::run_single(
     } else if (armed) {
       options.hooks.push_back(&injector);
     }
+    if (attempt == 0) {
+      options.checkpoints = table;
+      options.resume_from = resume.get();
+    }
 
-    auto launch = device.launch(workload->program(), spec.value().grid,
-                                spec.value().block, spec.value().params,
-                                options);
+    auto launch = device.launch(workload.program(), spec.grid, spec.block,
+                                spec.params, options);
     if (!launch.is_ok()) return launch.status();
     if (metrics) {
       tier_counter[static_cast<int>(launch.value().tier_used)]->inc();
@@ -417,7 +557,7 @@ Result<InjectionRecord> Campaign::run_single(
       not_activated = true;  // site predicated off; output is golden
       return result;
     }
-    auto checked = workload->check(device);
+    auto checked = workload.check(device);
     if (!checked.is_ok()) return checked.status();
     final_check = checked.value();
     if (checked.value().trap != sim::TrapKind::kNone) {
@@ -428,7 +568,8 @@ Result<InjectionRecord> Campaign::run_single(
   };
 
   auto executed = recover::run_with_retry(
-      device, recover::RetryPolicy{config.max_retries}, attempt_fn);
+      device, *context->start, recover::RetryPolicy{config.max_retries},
+      attempt_fn);
   if (!executed.is_ok()) return executed.status();
   const recover::RetryResult& retry = executed.value();
   record.attempts = retry.attempts;
@@ -474,6 +615,23 @@ Result<InjectionRecord> Campaign::run_single(
   }
   record.pre_recovery = record.outcome;
   return record;
+}
+
+}  // namespace
+
+u32 fast_forward_checkpoints(u64 state_bytes, std::size_t workers) {
+  const u64 fit = kFastForwardBytes / std::max<u64>(state_bytes, 1);
+  if (fit <= workers) return 0;
+  return static_cast<u32>(std::min<u64>(fit - workers, kMaxCheckpoints));
+}
+
+Result<InjectionRecord> Campaign::run_single(
+    const CampaignConfig& config, const sim::Profile& profile,
+    u64 golden_dyn_instrs, std::size_t run_index,
+    const sa::PruneMap* prune_map, bool* pruned_out, obs::Registry* metrics,
+    std::optional<sim::InstrGroup> stratum) {
+  return run_injection(config, profile, golden_dyn_instrs, run_index,
+                       prune_map, pruned_out, metrics, stratum, nullptr);
 }
 
 Result<sa::PruneMap> Campaign::build_prune_map(const CampaignConfig& config) {
@@ -691,6 +849,7 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
   std::vector<Status> errors(result.run_indices.size());
   std::vector<u8> pruned_flags(result.run_indices.size(), 0);
   ThreadPool pool(config.threads);
+  FastForward ff(config, result.golden_dyn_instrs, pool.size(), reg);
 
   // One injection slot: sample, simulate (or credit), journal, measure.
   // `stratum` pins the instruction group under a stratified allocation.
@@ -705,11 +864,11 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
     attempted.inc();
     bool pruned = false;
     const auto started = std::chrono::steady_clock::now();
-    auto record = run_single(config, result.profile,
-                             result.golden_dyn_instrs,
-                             result.run_indices[slot],
-                             prune_map ? &*prune_map : nullptr, &pruned,
-                             &reg, stratum);
+    auto record = run_injection(config, result.profile,
+                                result.golden_dyn_instrs,
+                                result.run_indices[slot],
+                                prune_map ? &*prune_map : nullptr, &pruned,
+                                &reg, stratum, &ff);
     latency.observe(
         std::chrono::duration_cast<std::chrono::duration<f64, std::milli>>(
             std::chrono::steady_clock::now() - started)
@@ -933,6 +1092,7 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
     }
   }
 
+  ff.publish();
   for (const Status& status : errors) {
     if (!status.is_ok()) return status;
   }

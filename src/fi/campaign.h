@@ -1,10 +1,12 @@
 // Two-phase fault-injection campaign (NVBitFI style):
 //   Phase 1 — golden run with the profiler: dynamic instruction counts per
 //             group, golden output, watchdog budget.
-//   Phase 2 — N independent injection runs, each on a fresh simulated
-//             device, fanned out over a host thread pool; every run strikes
-//             exactly one fault at a uniformly sampled eligible site and is
-//             classified against the golden outcome.
+//   Phase 2 — N independent injection runs fanned out over a host thread
+//             pool; every run strikes exactly one fault at a uniformly
+//             sampled eligible site and is classified against the golden
+//             outcome. Each worker sets the workload up once and restores
+//             it before every run, which starts from the latest
+//             golden-prefix checkpoint before its strike (DESIGN.md §4.14).
 //
 // Injection i depends only on (config.seed, i), which makes runs resumable
 // (fi/journal.h), shardable (CampaignConfig::shard_*), and replayable
@@ -264,14 +266,31 @@ struct CampaignResult {
   [[nodiscard]] stats::Interval rate_interval(Outcome outcome) const;
 };
 
+/// Launch state (device memory plus resident registers and shared memory)
+/// a campaign may hold for fast-forward: its stored golden-prefix
+/// checkpoints plus one live launch per worker. One saxpy_swift injection
+/// alone holds 2.5 MiB, so with 2 MiB no campaign holds more launch state
+/// than such an injection already did before checkpoints existed.
+inline constexpr u64 kFastForwardBytes = u64{2} << 20;
+/// Upper bound on the mid-launch checkpoints of one campaign.
+inline constexpr u32 kMaxCheckpoints = 16;
+
+/// Mid-launch checkpoints a campaign keeps for a launch whose state takes
+/// `state_bytes` (sim::launch_state_bytes), run by `workers` threads: the
+/// largest K <= kMaxCheckpoints with (K + workers) * state_bytes within
+/// kFastForwardBytes, or 0.
+[[nodiscard]] u32 fast_forward_checkpoints(u64 state_bytes,
+                                           std::size_t workers);
+
 class Campaign {
  public:
   /// Runs the full two-phase campaign.
   static Result<CampaignResult> run(const CampaignConfig& config);
 
   /// Replays a single injection (used by tests and for debugging): returns
-  /// the record produced for global run index `i` of `config`. Sharding
-  /// never changes what a given index produces. When `prune_map` is given
+  /// the record produced for global run index `i` of `config`, on a device
+  /// set up for this call alone, launched from instruction 0. Sharding and
+  /// fast-forward never change what a given index produces. When `prune_map` is given
   /// and the sampled site is prunable, the record is filled analytically
   /// without simulating (and `*pruned_out` is set when provided) — the
   /// record is field-identical to what the simulation would produce.

@@ -232,7 +232,7 @@ class HardenedWorkload final : public wl::Workload {
   Result<wl::LaunchSpec> setup(sim::Device& device) override {
     return inner_->setup(device);
   }
-  Result<Checked> check(sim::Device& device) override {
+  Result<Checked> check(sim::Device& device) const override {
     return inner_->check(device);
   }
 

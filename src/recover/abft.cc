@@ -102,7 +102,7 @@ class GemmAbft final : public Workload {
     return spec;
   }
 
-  Result<Checked> check(Device& device) override {
+  Result<Checked> check(Device& device) const override {
     std::vector<f32> want(kDim * kDim);
     for (u32 row = 0; row < kDim; ++row) {
       for (u32 col = 0; col < kDim; ++col) {
@@ -225,7 +225,7 @@ class ReduceAbft final : public Workload {
     return spec;
   }
 
-  Result<Checked> check(Device& device) override {
+  Result<Checked> check(Device& device) const override {
     u32 want = 0;
     for (u32 v : x_) want += v;
     std::vector<u32> expect = {want};
@@ -369,7 +369,7 @@ class SpmvAbft final : public Workload {
     return spec;
   }
 
-  Result<Checked> check(Device& device) override {
+  Result<Checked> check(Device& device) const override {
     std::vector<f32> want(kRows);
     for (u32 row = 0; row < kRows; ++row) {
       f32 acc = 0.0f;

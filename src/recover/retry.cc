@@ -3,11 +3,9 @@
 namespace gfi::recover {
 
 Result<RetryResult> run_with_retry(sim::Device& device,
+                                   const sim::GlobalMemory::Snapshot& start,
                                    const RetryPolicy& policy,
                                    const AttemptFn& attempt) {
-  sim::GlobalMemory::Snapshot snapshot;
-  if (policy.max_retries > 0) snapshot = device.snapshot();
-
   auto first = attempt(0);
   if (!first.is_ok()) return first.status();
 
@@ -18,7 +16,7 @@ Result<RetryResult> run_with_retry(sim::Device& device,
 
   for (u32 retry = 1;
        retry <= policy.max_retries && result.last_trap.fired(); ++retry) {
-    device.restore(snapshot);
+    device.restore(start);
     auto rerun = attempt(retry);
     if (!rerun.is_ok()) return rerun.status();
     result.last_trap = rerun.value().trap;

@@ -2,12 +2,13 @@
 // kernel dies with an ECC DBE / illegal-address Xid or is killed by the
 // watchdog — tear the context down, restore application state, relaunch.
 //
-// The executor checkpoints the device before the first attempt
-// (Device::snapshot()), runs the caller's attempt callback, and while the
-// attempt reports a trap, restores the checkpoint and reruns it, up to
-// `max_retries` extra attempts. Whether the retry sees the same fault again
-// is the caller's business (FaultPersistence): the executor only guarantees
-// that every attempt starts from bit-identical device state.
+// The caller passes the device's pre-launch state (a Device::snapshot()
+// it keeps anyway: a campaign worker's post-setup checkpoint). The executor
+// runs the caller's attempt callback and, while the attempt reports a trap,
+// restores that snapshot and reruns it, up to `max_retries` extra attempts.
+// Whether the retry sees the same fault again is the caller's business
+// (FaultPersistence): the executor only guarantees that every retry starts
+// from bit-identical device state.
 #pragma once
 
 #include <functional>
@@ -20,8 +21,8 @@
 namespace gfi::recover {
 
 struct RetryPolicy {
-  /// Extra attempts after the first; 0 disables recovery entirely (no
-  /// snapshot is taken and the first attempt's result stands).
+  /// Extra attempts after the first; 0 disables recovery entirely (the
+  /// first attempt's result stands).
   u32 max_retries = 0;
 };
 
@@ -47,11 +48,13 @@ struct RetryResult {
   [[nodiscard]] bool gave_up() const { return last_trap.fired(); }
 };
 
-/// Runs `attempt(0)`, then restore+retry while the attempt traps and budget
-/// remains. The callback receives the attempt index (0 = original run) so a
-/// caller modeling a stuck-at fault can re-arm it on every attempt.
+/// Runs `attempt(0)`, then restores `start` into `device` and retries while
+/// the attempt traps and budget remains. The callback receives the attempt
+/// index (0 = original run) so a caller modeling a stuck-at fault can
+/// re-arm it on every attempt.
 using AttemptFn = std::function<Result<Attempt>(u32 attempt)>;
 Result<RetryResult> run_with_retry(sim::Device& device,
+                                   const sim::GlobalMemory::Snapshot& start,
                                    const RetryPolicy& policy,
                                    const AttemptFn& attempt);
 

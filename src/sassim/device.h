@@ -14,8 +14,10 @@
 
 namespace gfi::sim {
 
-/// One simulated GPU. Cheap to construct; fault-injection campaigns build a
-/// fresh Device per injection run so corrupted state never leaks across runs.
+/// One simulated GPU. Fault-injection campaigns set each worker's Device up
+/// once and restore its post-setup snapshot (or resume a launch from a
+/// golden-prefix checkpoint) before every injection run, so corrupted state
+/// never leaks across runs.
 class Device {
  public:
   explicit Device(MachineConfig config)
@@ -24,6 +26,7 @@ class Device {
 
   [[nodiscard]] const MachineConfig& config() const { return config_; }
   [[nodiscard]] GlobalMemory& memory() { return memory_; }
+  [[nodiscard]] const GlobalMemory& memory() const { return memory_; }
 
   /// Allocates `count` elements of T; returns the device address.
   template <typename T>

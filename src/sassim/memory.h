@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstring>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -111,13 +112,24 @@ class GlobalMemory {
   [[nodiscard]] Snapshot snapshot() const {
     return Snapshot{brk_, data_, faults_, counters_};
   }
+  /// snapshot() less the backing bytes, for restore(snap, data).
+  [[nodiscard]] Snapshot snapshot_without_bytes() const {
+    return Snapshot{brk_, {}, faults_, counters_};
+  }
 
-  void restore(const Snapshot& snap) {
+  void restore(const Snapshot& snap) { restore(snap, snap.data); }
+
+  /// restore() from a snapshot whose backing bytes are kept apart from it
+  /// (`snap.data` is ignored): LaunchCheckpoint keeps them in its image.
+  void restore(const Snapshot& snap, std::span<const u8> data) {
     brk_ = snap.brk;
-    data_ = snap.data;
+    data_.assign(data.begin(), data.end());
     faults_ = snap.faults;
     counters_ = snap.counters;
   }
+
+  /// The backing bytes of [kBaseAddress, brk).
+  [[nodiscard]] std::span<const u8> bytes() const { return data_; }
 
   [[nodiscard]] std::size_t fault_count() const { return faults_.size(); }
   /// True while no upsets are pending — the executor's hoisted load fast

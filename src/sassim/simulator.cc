@@ -7,7 +7,11 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <new>
 #include <optional>
+#include <utility>
+
+#include <sys/mman.h>
 
 #include "common/bitutil.h"
 #include "sassim/decoded.h"
@@ -141,6 +145,43 @@ struct Simulator::Cta {
     }
     return true;
   }
+
+  // Flat image (LaunchCheckpoint storage): id, shared memory, then warps.
+  static constexpr std::size_t kHeaderWords = 6;
+  static std::size_t words_for(std::size_t bytes) {
+    return (bytes + sizeof(u32) - 1) / sizeof(u32);
+  }
+  [[nodiscard]] std::size_t image_words() const {
+    std::size_t words = kHeaderWords + words_for(shared.size());
+    for (const auto& warp : warps) words += warp.image_words();
+    return words;
+  }
+  u32* save_image(u32* out) const {
+    *out++ = linear_id;
+    *out++ = ctaid.x;
+    *out++ = ctaid.y;
+    *out++ = ctaid.z;
+    *out++ = static_cast<u32>(shared.size());
+    *out++ = static_cast<u32>(warps.size());
+    if (!shared.empty()) std::memcpy(out, shared.data(), shared.size());
+    out += words_for(shared.size());
+    for (const auto& warp : warps) out = warp.save_image(out);
+    return out;
+  }
+  static std::unique_ptr<Cta> load_image(const u32*& in) {
+    auto cta = std::make_unique<Cta>();
+    cta->linear_id = in[0];
+    cta->ctaid = Dim3(in[1], in[2], in[3]);
+    const u8* shared = reinterpret_cast<const u8*>(in + kHeaderWords);
+    cta->shared.assign(shared, shared + in[4]);
+    const u32 warps = in[5];
+    in += kHeaderWords + words_for(cta->shared.size());
+    cta->warps.reserve(warps);
+    for (u32 w = 0; w < warps; ++w) {
+      cta->warps.push_back(WarpState::load_image(in));
+    }
+    return cta;
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -177,10 +218,18 @@ struct Simulator::Engine {
   Trap trap;
 
   // Armed runs only: the pending strike, eligible issues counted so far,
-  // and whether the struck slot has run.
+  // whether the struck slot has run, and the issues of every group (the
+  // strike counter of any other request, kept for checkpoints).
   StrikeRequest strike;
   u64 strike_seen = 0;
   bool struck = false;
+  std::array<u64, kInstrGroupCount> group_issues{};
+
+  // Armed runs with a checkpoint table: the next grid mark to capture and
+  // its dynamic-instruction threshold (u64 max once none is left).
+  CheckpointTable* table = nullptr;
+  std::size_t next_mark = 0;
+  u64 next_mark_at = std::numeric_limits<u64>::max();
 
   Engine(const MachineConfig& cfg_in, GlobalMemory& mem_in,
          const Program& prog_in, Dim3 grid_in, Dim3 block_in,
@@ -220,6 +269,74 @@ struct Simulator::Engine {
       resident[sm].push_back(make_cta(next_cta++));
       ++resident_count;
     }
+  }
+
+  // ---- fast-forward -------------------------------------------------------
+
+  LaunchCheckpoint checkpoint() const {
+    LaunchCheckpoint cp;
+    cp.grid = grid;
+    cp.block = block;
+    const std::span<const u8> memory = mem.bytes();
+    std::size_t words = Cta::words_for(memory.size());
+    cp.pool_sizes.reserve(resident.size());
+    for (const auto& pool : resident) {
+      cp.pool_sizes.push_back(static_cast<u32>(pool.size()));
+      for (const auto& cta : pool) words += cta->image_words();
+    }
+    cp.image = ImageBuffer(words, table->map_pages());
+    u32* out = cp.image.data();
+    for (const auto& pool : resident) {
+      for (const auto& cta : pool) out = cta->save_image(out);
+    }
+    if (!memory.empty()) std::memcpy(out, memory.data(), memory.size());
+    cp.resident_count = resident_count;
+    cp.next_cta = next_cta;
+    cp.dyn_warp = dyn_warp;
+    cp.dyn_thread = dyn_thread;
+    cp.cycle = cycle;
+    cp.group_issues = group_issues;
+    cp.memory = mem.snapshot_without_bytes();
+    return cp;
+  }
+
+  void restore(const LaunchCheckpoint& cp) {
+    const u32* in = cp.image.data();
+    for (std::size_t sm = 0; sm < resident.size(); ++sm) {
+      for (u32 i = 0; i < cp.pool_sizes[sm]; ++i) {
+        resident[sm].push_back(Cta::load_image(in));
+      }
+    }
+    resident_count = cp.resident_count;
+    next_cta = cp.next_cta;
+    dyn_warp = cp.dyn_warp;
+    dyn_thread = cp.dyn_thread;
+    cycle = cp.cycle;
+    group_issues = cp.group_issues;
+    mem.restore(cp.memory,
+                {reinterpret_cast<const u8*>(in),
+                 static_cast<std::size_t>(cp.memory.brk -
+                                          GlobalMemory::kBaseAddress)});
+  }
+
+  /// Points next_mark at the first grid mark above the current count.
+  void seek_mark() {
+    const std::vector<u64>& marks = table->marks();
+    while (next_mark < marks.size() && marks[next_mark] <= dyn_warp) {
+      ++next_mark;
+    }
+    next_mark_at = next_mark < marks.size()
+                       ? marks[next_mark]
+                       : std::numeric_limits<u64>::max();
+  }
+
+  /// At the first boundary at or past one or more marks: the state belongs
+  /// to the last of them (the earlier ones share this boundary and stay
+  /// empty), then the cursor moves past them all.
+  void capture_mark() {
+    seek_mark();
+    const std::size_t slot = next_mark - 1;
+    if (table->wants(slot)) table->offer(slot, checkpoint());
   }
 
   // ---- operand access -----------------------------------------------------
@@ -373,7 +490,9 @@ struct Simulator::Engine {
   /// tail's sources, and the instrumented dispatch never consumes a stash,
   /// so one left behind could later meet a branch into the tail.
   TrapKind exec_armed(Cta& cta, WarpState& warp, const DecodedInstr& instr) {
-    if (((strike.groups >> static_cast<int>(instr.group)) & 1u) != 0 &&
+    const int group = static_cast<int>(instr.group);
+    ++group_issues[group];
+    if (((strike.groups >> group) & 1u) != 0 &&
         strike_seen++ == strike.occurrence) {
       warp.fuse_pc = WarpState::kFuseInvalid;
       struck = true;
@@ -1125,7 +1244,10 @@ struct Simulator::Engine {
         }
       }
       if constexpr (Policy::kArmed) {
+        // Up to the struck slot an armed run is the same for every strike
+        // request, so its state here is the golden prefix's: a checkpoint.
         if (struck) return RunExit::kDowngraded;
+        if (dyn_warp >= next_mark_at) capture_mark();
       }
 
       bool issued_any = false;
@@ -1269,6 +1391,32 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
                                     program.name() + ")");
   }
 
+  const bool pin_clean = options.engine == EngineTier::kClean;
+  const bool pin_instrumented = options.engine == EngineTier::kInstrumented;
+  std::optional<StrikeRequest> strike;
+  if (options.hooks.size() == 1 && !pin_clean && !pin_instrumented) {
+    strike = options.hooks.front()->strike_request();
+  }
+  const LaunchCheckpoint* resume = options.resume_from;
+  if (resume) {
+    if (!strike) {
+      return Status::invalid_argument(
+          "only an armed launch can resume from a checkpoint");
+    }
+    if (options.profile) {
+      return Status::invalid_argument(
+          "a resumed launch cannot profile the prefix it skips");
+    }
+    if (resume->grid != grid || resume->block != block ||
+        resume->pool_sizes.size() != config_.num_sms) {
+      return Status::invalid_argument(
+          "checkpoint was taken from a different launch");
+    }
+    if (resume->issues(strike->groups) > strike->occurrence) {
+      return Status::invalid_argument("checkpoint lies past the strike");
+    }
+  }
+
   Engine engine(config_, memory_, program, grid, block, params, options);
   engine.threads_per_cta = threads_per_cta;
   engine.warps_per_cta = (threads_per_cta + kWarpSize - 1) / kWarpSize;
@@ -1280,7 +1428,11 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
 
   LaunchScope scope(options.hooks, program);
 
-  for (u32 sm = 0; sm < config_.num_sms; ++sm) engine.admit(sm);
+  if (resume) {
+    engine.restore(*resume);
+  } else {
+    for (u32 sm = 0; sm < config_.num_sms; ++sm) engine.admit(sm);
+  }
 
   // Tier selection: a lone hook with a strike request runs armed on the
   // threaded tier (unless pinned to instrumented or clean) and continues
@@ -1294,14 +1446,13 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
   RunExit exit;
   EngineTier tier_used;
   bool downgraded = false;
-  const bool pin_clean = options.engine == EngineTier::kClean;
-  const bool pin_instrumented = options.engine == EngineTier::kInstrumented;
-  std::optional<StrikeRequest> strike;
-  if (options.hooks.size() == 1 && !pin_clean && !pin_instrumented) {
-    strike = options.hooks.front()->strike_request();
-  }
   if (strike) {
     engine.strike = *strike;
+    if (resume) engine.strike_seen = resume->issues(strike->groups);
+    if (options.checkpoints) {
+      engine.table = options.checkpoints;
+      engine.seek_mark();
+    }
     exit = engine.run<ArmedThreadedPolicy>();
     if (exit == RunExit::kDowngraded) exit = engine.run<ThreadedPolicy>();
     tier_used = EngineTier::kThreaded;
@@ -1333,6 +1484,114 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
   result.tier_used = tier_used;
   result.downgraded = downgraded;
   return result;
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoints
+// ---------------------------------------------------------------------------
+
+u64 launch_state_bytes(const MachineConfig& config, const Program& program,
+                       Dim3 grid, Dim3 block, u64 memory_bytes) {
+  const u32 threads = static_cast<u32>(block.count());
+  const u64 resident_ctas = std::min<u64>(
+      grid.count(),
+      static_cast<u64>(config.num_sms) *
+          config.ctas_per_sm(threads, program.num_regs(),
+                             program.shared_bytes()));
+  const u64 warps = (threads + kWarpSize - 1) / kWarpSize;
+  const u64 cta_bytes =
+      warps * program.num_regs() * kWarpSize * sizeof(u32) +
+      program.shared_bytes();
+  return memory_bytes + resident_ctas * cta_bytes;
+}
+
+ImageBuffer::ImageBuffer(std::size_t words, bool map_pages)
+    : words_(words), mapped_(map_pages) {
+  if (words == 0) return;
+  if (!mapped_) {
+    data_ = new u32[words];
+    return;
+  }
+  void* pages = mmap(nullptr, words * sizeof(u32), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (pages == MAP_FAILED) throw std::bad_alloc();
+  data_ = static_cast<u32*>(pages);
+}
+
+ImageBuffer::~ImageBuffer() { release(); }
+
+ImageBuffer::ImageBuffer(ImageBuffer&& other) noexcept
+    : data_(std::exchange(other.data_, nullptr)),
+      words_(std::exchange(other.words_, 0)),
+      mapped_(other.mapped_) {}
+
+ImageBuffer& ImageBuffer::operator=(ImageBuffer&& other) noexcept {
+  if (this != &other) {
+    release();
+    data_ = std::exchange(other.data_, nullptr);
+    words_ = std::exchange(other.words_, 0);
+    mapped_ = other.mapped_;
+  }
+  return *this;
+}
+
+void ImageBuffer::release() {
+  if (!data_) return;
+  if (mapped_) {
+    munmap(data_, words_ * sizeof(u32));
+  } else {
+    delete[] data_;
+  }
+  data_ = nullptr;
+}
+
+CheckpointTable::CheckpointTable(std::vector<u64> marks, bool map_pages)
+    : marks_(std::move(marks)), map_pages_(map_pages), slots_(marks_.size()) {}
+
+std::vector<u64> CheckpointTable::even_marks(u64 golden_dyn_instrs,
+                                             u32 count) {
+  std::vector<u64> marks;
+  const u64 step = golden_dyn_instrs / (static_cast<u64>(count) + 1);
+  if (step == 0) return marks;
+  for (u32 i = 1; i <= count; ++i) marks.push_back(step * i);
+  return marks;
+}
+
+bool CheckpointTable::wants(std::size_t slot) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return slots_[slot] == nullptr;
+}
+
+void CheckpointTable::offer(std::size_t slot, LaunchCheckpoint checkpoint) {
+  auto stored =
+      std::make_shared<const LaunchCheckpoint>(std::move(checkpoint));
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (slots_[slot] == nullptr) slots_[slot] = std::move(stored);
+}
+
+std::shared_ptr<const LaunchCheckpoint> CheckpointTable::nearest(
+    const StrikeRequest& strike) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (std::size_t slot = slots_.size(); slot-- > 0;) {
+    if (slots_[slot] &&
+        slots_[slot]->issues(strike.groups) <= strike.occurrence) {
+      return slots_[slot];
+    }
+  }
+  return nullptr;
+}
+
+std::shared_ptr<const LaunchCheckpoint> CheckpointTable::at(
+    std::size_t slot) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return slots_[slot];
+}
+
+std::size_t CheckpointTable::filled() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::size_t count = 0;
+  for (const auto& slot : slots_) count += slot != nullptr;
+  return count;
 }
 
 }  // namespace gfi::sim

@@ -1,5 +1,8 @@
 #include "sassim/warp.h"
 
+#include <algorithm>
+#include <cstring>
+
 namespace gfi::sim {
 
 void WarpState::retire_lanes(u32 lanes) {
@@ -16,6 +19,66 @@ void WarpState::retire_lanes(u32 lanes) {
     pc = entry.pc;
     break;
   }
+}
+
+namespace {
+
+/// Image words of the fixed fields, the predicate bytes and one SIMT stack
+/// entry (mask, pc, kind).
+constexpr std::size_t kHeaderWords = 11;
+constexpr std::size_t kPredWords = kWarpSize / sizeof(u32);
+constexpr std::size_t kEntryWords = 3;
+
+}  // namespace
+
+std::size_t WarpState::image_words() const {
+  return kHeaderWords + regs_.size() + kPredWords +
+         stack_.size() * kEntryWords;
+}
+
+u32* WarpState::save_image(u32* out) const {
+  *out++ = warp_in_cta_;
+  *out++ = num_regs_;
+  *out++ = active_;
+  *out++ = exited_;
+  *out++ = pc;
+  *out++ = lo32(ready_cycle);
+  *out++ = hi32(ready_cycle);
+  *out++ = at_barrier ? 1u : 0u;
+  *out++ = fuse_pc;
+  *out++ = fuse_mask;
+  *out++ = static_cast<u32>(stack_.size());
+  out = std::copy(regs_.begin(), regs_.end(), out);
+  std::memcpy(out, preds_, sizeof(preds_));
+  out += kPredWords;
+  for (const StackEntry& entry : stack_) {
+    *out++ = entry.mask;
+    *out++ = entry.pc;
+    *out++ = static_cast<u32>(entry.kind);
+  }
+  return out;
+}
+
+WarpState WarpState::load_image(const u32*& in) {
+  const u32* header = in;
+  WarpState warp(header[0], header[1], header[2], header + kHeaderWords);
+  warp.exited_ = header[3];
+  warp.pc = header[4];
+  warp.ready_cycle = make64(header[5], header[6]);
+  warp.at_barrier = header[7] != 0;
+  warp.fuse_pc = header[8];
+  warp.fuse_mask = header[9];
+  in += kHeaderWords + warp.regs_.size();
+  std::memcpy(warp.preds_, in, sizeof(warp.preds_));
+  in += kPredWords;
+  warp.stack_.resize(header[10]);
+  for (StackEntry& entry : warp.stack_) {
+    entry.mask = in[0];
+    entry.pc = in[1];
+    entry.kind = static_cast<StackEntry::Kind>(in[2]);
+    in += kEntryWords;
+  }
+  return warp;
 }
 
 }  // namespace gfi::sim

@@ -51,7 +51,10 @@ class WarpState {
   /// downgrade — safely falls back to the unfused handler. Nothing else on
   /// the warp can run between a head's slot and its tail's slot, so a
   /// matching stash is never stale. Purely an interpreter latch: not
-  /// architectural state, never snapshotted or observed by hooks.
+  /// architectural state and never observed by hooks, but part of a
+  /// LaunchCheckpoint, which stores whole warps: a launch resumed at a
+  /// boundary between a head and its tail consumes the stash exactly as
+  /// the uninterrupted launch would have.
   static constexpr u32 kFuseInvalid = ~u32{0};
   u32 fuse_pc = kFuseInvalid;
   u32 fuse_mask = 0;
@@ -155,7 +158,22 @@ class WarpState {
   [[nodiscard]] u8 pred_bits(u32 lane) const { return preds_[lane]; }
   void set_pred_bits(u32 lane, u8 bits) { preds_[lane] = bits; }
 
+  // --- flat image (LaunchCheckpoint storage) -------------------------------
+  /// Words save_image() writes: every field, registers and stack included.
+  [[nodiscard]] std::size_t image_words() const;
+  /// Writes the warp to `out`; returns the word after it.
+  u32* save_image(u32* out) const;
+  /// Rebuilds a warp save_image() wrote at `in`, advancing `in` past it.
+  [[nodiscard]] static WarpState load_image(const u32*& in);
+
  private:
+  /// load_image(): the register file copied from `regs`, not zeroed first.
+  WarpState(u32 warp_in_cta, u32 num_regs, u32 active, const u32* regs)
+      : warp_in_cta_(warp_in_cta),
+        num_regs_(num_regs),
+        active_(active),
+        regs_(regs, regs + static_cast<std::size_t>(num_regs) * kWarpSize) {}
+
   [[nodiscard]] std::size_t index_of(u32 lane, u16 r) const {
     assert(lane < kWarpSize && r < num_regs_);
     return static_cast<std::size_t>(r) * kWarpSize + lane;

@@ -52,7 +52,7 @@ class Conv2d final : public Workload {
     return spec;
   }
 
-  Result<Checked> check(Device& device) override {
+  Result<Checked> check(Device& device) const override {
     const u32 ow = width_ - 2;
     const u32 oh = height_ - 2;
     std::vector<f32> want(static_cast<std::size_t>(ow) * oh);

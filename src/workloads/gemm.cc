@@ -51,7 +51,7 @@ class Gemm final : public Workload {
     return spec;
   }
 
-  Result<Checked> check(Device& device) override {
+  Result<Checked> check(Device& device) const override {
     std::vector<f32> want(static_cast<std::size_t>(m_) * n_);
     for (u32 row = 0; row < m_; ++row) {
       for (u32 col = 0; col < n_; ++col) {

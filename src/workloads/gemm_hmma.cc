@@ -53,7 +53,7 @@ class GemmHmma final : public Workload {
     return spec;
   }
 
-  Result<Checked> check(Device& device) override {
+  Result<Checked> check(Device& device) const override {
     const bool tf32 = device.config().tensor_core_tf32;
     auto in = [&](f32 v) { return tf32 ? to_tf32(v) : v; };
     std::vector<f32> want(static_cast<std::size_t>(m_) * n_);

@@ -52,7 +52,7 @@ class HistogramWl final : public Workload {
     return spec;
   }
 
-  Result<Checked> check(Device& device) override {
+  Result<Checked> check(Device& device) const override {
     std::vector<u32> want(kBins, 0);
     for (u32 v : data_) ++want[v % kBins];
     return fetch_and_check<u32>(

@@ -51,7 +51,7 @@ class LayerNorm final : public Workload {
     return spec;
   }
 
-  Result<Checked> check(Device& device) override {
+  Result<Checked> check(Device& device) const override {
     constexpr f32 kInvN = 1.0f / kColsN;
     std::vector<f32> want(x_.size());
     std::vector<f32> scratch(kColsN);

@@ -50,7 +50,7 @@ class McPi final : public Workload {
     return spec;
   }
 
-  Result<Checked> check(Device& device) override {
+  Result<Checked> check(Device& device) const override {
     // The device computation is integer-exact and fully deterministic, so
     // the reference replays the same LCG streams on the host.
     u32 want = 0;

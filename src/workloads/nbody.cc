@@ -57,7 +57,7 @@ class NBody final : public Workload {
     return spec;
   }
 
-  Result<Checked> check(Device& device) override {
+  Result<Checked> check(Device& device) const override {
     std::vector<f32> want_ax(kBodies);
     std::vector<f32> want_ay(kBodies);
     for (u32 i = 0; i < kBodies; ++i) {

@@ -49,7 +49,7 @@ class Pathfinder final : public Workload {
     return spec;
   }
 
-  Result<Checked> check(Device& device) override {
+  Result<Checked> check(Device& device) const override {
     // Reference DP with strip-local neighbour clamping (each CTA only sees
     // its own 64-column strip, matching the kernel).
     std::vector<u32> prev(kCols);

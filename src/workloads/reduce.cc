@@ -59,7 +59,7 @@ class ReduceU32 final : public Workload {
     return spec;
   }
 
-  Result<Checked> check(Device& device) override {
+  Result<Checked> check(Device& device) const override {
     u32 want = 0;
     for (u32 v : x_) want += v;
     std::vector<u32> expect = {want};
@@ -164,7 +164,7 @@ class DotProd final : public Workload {
     return spec;
   }
 
-  Result<Checked> check(Device& device) override {
+  Result<Checked> check(Device& device) const override {
     f64 sum = 0.0;
     for (u32 i = 0; i < n_; ++i) {
       sum += static_cast<f64>(x_[i]) * static_cast<f64>(y_[i]);

@@ -47,7 +47,7 @@ class Scan final : public Workload {
     return spec;
   }
 
-  Result<Checked> check(Device& device) override {
+  Result<Checked> check(Device& device) const override {
     std::vector<u32> want(n_);
     for (u32 seg = 0; seg < kGrid; ++seg) {
       u32 running = 0;

@@ -52,7 +52,7 @@ class Softmax final : public Workload {
     return spec;
   }
 
-  Result<Checked> check(Device& device) override {
+  Result<Checked> check(Device& device) const override {
     std::vector<f32> want(x_.size());
     std::vector<f32> scratch(kColsN);
     for (u32 row = 0; row < kRowsN; ++row) {

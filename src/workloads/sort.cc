@@ -46,7 +46,7 @@ class BitonicSort final : public Workload {
     return spec;
   }
 
-  Result<Checked> check(Device& device) override {
+  Result<Checked> check(Device& device) const override {
     std::vector<u32> want = keys_;
     std::sort(want.begin(), want.end());
     return fetch_and_check<u32>(

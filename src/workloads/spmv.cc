@@ -64,7 +64,7 @@ class Spmv final : public Workload {
     return spec;
   }
 
-  Result<Checked> check(Device& device) override {
+  Result<Checked> check(Device& device) const override {
     std::vector<f32> want(kRows);
     for (u32 row = 0; row < kRows; ++row) {
       f32 acc = 0.0f;

@@ -46,7 +46,7 @@ class Stencil final : public Workload {
     return spec;
   }
 
-  Result<Checked> check(Device& device) override {
+  Result<Checked> check(Device& device) const override {
     std::vector<f64> want = input_;
     for (u32 y = 1; y + 1 < height_; ++y) {
       for (u32 x = 1; x + 1 < width_; ++x) {

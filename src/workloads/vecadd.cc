@@ -50,7 +50,7 @@ class VecAdd final : public Workload {
     return spec;
   }
 
-  Result<Checked> check(Device& device) override {
+  Result<Checked> check(Device& device) const override {
     std::vector<f32> want(n_);
     for (u32 i = 0; i < n_; ++i) want[i] = a_[i] + b_[i];
     return fetch_and_check<f32>(
@@ -119,7 +119,7 @@ class Saxpy final : public Workload {
     return spec;
   }
 
-  Result<Checked> check(Device& device) override {
+  Result<Checked> check(Device& device) const override {
     std::vector<f32> want(n_);
     for (u32 i = 0; i < n_; ++i) want[i] = std::fmaf(alpha_, x_[i], y_[i]);
     return fetch_and_check<f32>(

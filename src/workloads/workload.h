@@ -35,10 +35,13 @@ struct CheckResult {
 
 /// One benchmark kernel with deterministic inputs and a golden check.
 ///
-/// Instances are single-use per device: construct, setup(device),
-/// launch via spec(), then check(device). Construction and the CPU
-/// reference must be deterministic (seeded) so every injection run of a
-/// campaign sees identical inputs.
+/// Set up once: construct, setup(device), then launch from the returned
+/// spec and check(device) as often as needed. check() is repeatable after
+/// Device::restore: it reads only the device and the instance's inputs (it
+/// is const), so a campaign worker restores its post-setup snapshot, or
+/// resumes a launch from a golden-prefix checkpoint, and checks again.
+/// Construction and the CPU reference must be deterministic (seeded) so
+/// every injection run of a campaign sees identical inputs.
 class Workload {
  public:
   virtual ~Workload() = default;
@@ -56,7 +59,7 @@ class Workload {
     sim::TrapKind trap = sim::TrapKind::kNone;  ///< d2h ECC trap, if any
     CheckResult result;
   };
-  virtual Result<Checked> check(sim::Device& device) = 0;
+  virtual Result<Checked> check(sim::Device& device) const = 0;
 
   /// Relative-error tolerance for within_tolerance (0 = exact match only).
   [[nodiscard]] virtual f64 tolerance() const { return 0.0; }

@@ -124,7 +124,7 @@ TEST(Retry, CleanFirstAttemptRunsOnce) {
   Device device(arch::toy());
   u32 calls = 0;
   auto result = recover::run_with_retry(
-      device, {.max_retries = 3}, [&](u32) -> Result<recover::Attempt> {
+      device, device.snapshot(), {.max_retries = 3}, [&](u32) -> Result<recover::Attempt> {
         ++calls;
         return recover::Attempt{.trap = {}, .dyn_instrs = 100};
       });
@@ -139,7 +139,7 @@ TEST(Retry, CleanFirstAttemptRunsOnce) {
 TEST(Retry, TransientTrapRecoversOnSecondAttempt) {
   Device device(arch::toy());
   auto result = recover::run_with_retry(
-      device, {.max_retries = 3}, [&](u32 attempt) -> Result<recover::Attempt> {
+      device, device.snapshot(), {.max_retries = 3}, [&](u32 attempt) -> Result<recover::Attempt> {
         return recover::Attempt{
             .trap = attempt == 0 ? fake_trap(TrapKind::kEccDoubleBit)
                                  : sim::Trap{},
@@ -156,7 +156,7 @@ TEST(Retry, TransientTrapRecoversOnSecondAttempt) {
 TEST(Retry, PersistentTrapExhaustsBudget) {
   Device device(arch::toy());
   auto result = recover::run_with_retry(
-      device, {.max_retries = 3}, [&](u32) -> Result<recover::Attempt> {
+      device, device.snapshot(), {.max_retries = 3}, [&](u32) -> Result<recover::Attempt> {
         return recover::Attempt{.trap = fake_trap(TrapKind::kWatchdogTimeout),
                                 .dyn_instrs = 10};
       });
@@ -171,7 +171,7 @@ TEST(Retry, ZeroBudgetDisablesRecovery) {
   Device device(arch::toy());
   u32 calls = 0;
   auto result = recover::run_with_retry(
-      device, {.max_retries = 0}, [&](u32) -> Result<recover::Attempt> {
+      device, device.snapshot(), {.max_retries = 0}, [&](u32) -> Result<recover::Attempt> {
         ++calls;
         return recover::Attempt{.trap = fake_trap(TrapKind::kEccDoubleBit)};
       });
@@ -190,7 +190,7 @@ TEST(Retry, EveryAttemptStartsFromCheckpointState) {
                                std::span<const u32>(zero)).is_ok());
 
   auto result = recover::run_with_retry(
-      device, {.max_retries = 2}, [&](u32 attempt) -> Result<recover::Attempt> {
+      device, device.snapshot(), {.max_retries = 2}, [&](u32 attempt) -> Result<recover::Attempt> {
         // A pristine checkpoint means every attempt reads back 0 even
         // though every attempt also dirties the word.
         std::vector<u32> host(1);

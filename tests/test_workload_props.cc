@@ -3,8 +3,16 @@
 // and per-workload structural invariants.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "arch/arch.h"
 #include "fi/campaign.h"
+#include "harden/swift.h"
+#include "recover/abft.h"
 #include "sassim/profiler.h"
 #include "workloads/workload.h"
 
@@ -73,12 +81,60 @@ TEST_P(WorkloadProps, CheckIsRepeatableAfterOneLaunch) {
   ASSERT_TRUE(launch.is_ok());
   ASSERT_TRUE(launch.value().ok());
   auto first = workload->check(device);
-  auto second = workload->check(device);  // check() must not mutate state
+  auto second = workload->check(device);  // check() is const: repeatable
   ASSERT_TRUE(first.is_ok());
   ASSERT_TRUE(second.is_ok());
   EXPECT_EQ(first.value().result.passed(), second.value().result.passed());
   EXPECT_EQ(first.value().result.bitwise_equal,
             second.value().result.bitwise_equal);
+}
+
+/// The reuse contract campaign workers rely on: set up once, then launch
+/// and check, restore the post-setup snapshot, launch and check again. Run
+/// for the workload, its SWIFT variant and its ABFT variant (where those
+/// exist); both rounds must agree in every field.
+TEST_P(WorkloadProps, CheckIsRepeatableAfterRestore) {
+  const std::map<std::string, std::function<std::unique_ptr<wl::Workload>()>>
+      abft = {{"gemm", recover::make_gemm_abft},
+              {"reduce_u32", recover::make_reduce_abft},
+              {"spmv", recover::make_spmv_abft}};
+  std::vector<std::unique_ptr<wl::Workload>> variants;
+  variants.push_back(wl::make_workload(GetParam()));
+  variants.push_back(harden::make_hardened(GetParam()));
+  if (abft.count(GetParam()) != 0) variants.push_back(abft.at(GetParam())());
+  for (const auto& workload : variants) {
+    if (!workload) continue;  // no SWIFT variant
+    sim::Device device(arch::a100());
+    auto spec = workload->setup(device);
+    ASSERT_TRUE(spec.is_ok()) << spec.status().to_string();
+    const sim::GlobalMemory::Snapshot start = device.snapshot();
+    std::vector<sim::LaunchResult> launches;
+    std::vector<wl::Workload::Checked> checks;
+    for (int round = 0; round < 2; ++round) {
+      if (round > 0) device.restore(start);
+      auto launch = device.launch(workload->program(), spec.value().grid,
+                                  spec.value().block, spec.value().params);
+      ASSERT_TRUE(launch.is_ok()) << launch.status().to_string();
+      auto checked = workload->check(device);
+      ASSERT_TRUE(checked.is_ok()) << checked.status().to_string();
+      launches.push_back(launch.value());
+      checks.push_back(checked.value());
+    }
+    const std::string what = workload->name();
+    EXPECT_TRUE(launches[0].ok()) << what;
+    EXPECT_EQ(launches[0].dyn_warp_instrs, launches[1].dyn_warp_instrs)
+        << what;
+    EXPECT_EQ(launches[0].cycles, launches[1].cycles) << what;
+    EXPECT_EQ(checks[0].trap, checks[1].trap) << what;
+    EXPECT_EQ(checks[0].result.bitwise_equal, checks[1].result.bitwise_equal)
+        << what;
+    EXPECT_EQ(checks[0].result.within_tolerance,
+              checks[1].result.within_tolerance)
+        << what;
+    EXPECT_EQ(checks[0].result.max_rel_err, checks[1].result.max_rel_err)
+        << what;
+    EXPECT_TRUE(checks[1].result.passed()) << what;
+  }
 }
 
 TEST_P(WorkloadProps, DetectsDeliberateOutputCorruption) {
