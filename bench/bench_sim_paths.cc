@@ -1,21 +1,18 @@
 // Hook-free vs instrumented-path simulator throughput.
 //
-// The tiered dispatch architecture promises that a hook-free launch — by
-// default the threaded tier: predecoded handler ids, computed-goto/switch
-// dispatch, superinstruction fusion — is substantially faster than the
-// instrumented inner loop it replaced. This bench measures both sides on
-// the same workloads — the instrumented side via EngineTier::kInstrumented,
-// which preserves the pre-refactor per-instruction semantics with an empty
-// hook vector — writes BENCH_sim.json, and exits 1 when the geomean
-// hook-free speedup drops below the 1.5x CI gate.
-//
-// --engine=instrumented|clean|threaded pins the hook-free side to one tier
-// for A/B comparisons (strict parse: anything else exits 2).
+// The two-tier engine promises that a hook-free launch on the threaded tier
+// (predecoded handler ids, computed-goto/switch dispatch, superinstruction
+// fusion) is substantially faster than the instrumented inner loop it
+// replaced. This bench measures both tiers on the same workloads — the
+// instrumented side via EngineTier::kInstrumented, which preserves the
+// pre-refactor per-instruction semantics with an empty hook vector — writes
+// BENCH_sim.json, and exits 1 when the geomean hook-free speedup drops
+// below the 1.5x CI gate. It takes no arguments (anything else exits 2).
 //
 // Per workload it also records injection_over_clean: the median
 // Campaign::run_single of an IOV single-bit campaign (device set-up, the
-// hooked launch and the output check) over the median hook-free launch on
-// the same tier: the premium one injection pays over a fault-free launch.
+// hooked launch and the output check) over the median hook-free launch:
+// the premium one injection pays over a fault-free launch.
 // campaign_injection_over_clean is the same premium inside Campaign::run
 // (24-injection IOV campaigns, one worker, golden cache warm), where the
 // worker reuses its device and resumes injections from golden-prefix
@@ -32,7 +29,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -53,6 +49,7 @@ constexpr int kTrials = 3;
 constexpr int kInjectionSamples = 41;  ///< run_single calls (and launches)
 constexpr int kCampaignSamples = 9;    ///< timed Campaign::run calls
 constexpr std::size_t kCampaignInjections = 24;
+constexpr sim::EngineTier kTier = sim::EngineTier::kThreaded;
 
 // The empty-hook inner-loop throughput of the engine before the decode/
 // execute split (bench_perf_sim, gemm on the A100 model, this machine
@@ -93,7 +90,7 @@ struct Bench {
     spec = setup.value();
   }
 
-  /// One hook-free launch on `tier`; returns its warp instructions.
+  /// One launch on `tier` with no hooks; returns its warp instructions.
   u64 launch(sim::EngineTier tier) {
     sim::LaunchOptions options;
     options.engine = tier;
@@ -106,7 +103,7 @@ struct Bench {
     return launch.value().dyn_warp_instrs;
   }
 
-  /// One timed window of hook-free launches on `tier`; returns
+  /// One timed window of launches on `tier` with no hooks; returns
   /// warp-instrs/sec.
   double timed_window(sim::EngineTier tier, double window_s) {
     u64 instrs = 0;
@@ -128,14 +125,12 @@ double median(std::vector<double> values) {
 }
 
 /// Median run_single of a seeded IOV campaign over the median hook-free
-/// launch of `bench`'s workload, both on `tier`.
+/// launch of `bench`'s workload.
 double injection_over_clean(Bench& bench, const std::string& name,
-                            const sim::MachineConfig& machine,
-                            sim::EngineTier tier) {
+                            const sim::MachineConfig& machine) {
   fi::CampaignConfig config;
   config.workload = name;
   config.machine = machine;
-  config.engine = tier;
   config.seed = 2025;
   auto golden = fi::Campaign::golden_run(config);
   if (!golden.is_ok()) {
@@ -157,23 +152,20 @@ double injection_over_clean(Bench& bench, const std::string& name,
       std::exit(1);
     }
     start = std::chrono::steady_clock::now();
-    (void)bench.launch(tier);
+    (void)bench.launch(kTier);
     launch_s.push_back(seconds_since(start));
   }
   return median(injection_s) / median(launch_s);
 }
 
 /// Campaign::run time per injection of seeded kCampaignInjections-injection
-/// IOV campaigns over the median hook-free launch of `bench`'s workload,
-/// both on `tier`.
+/// IOV campaigns over the median hook-free launch of `bench`'s workload.
 double campaign_injection_over_clean(Bench& bench, const std::string& name,
-                                     const sim::MachineConfig& machine,
-                                     sim::EngineTier tier) {
+                                     const sim::MachineConfig& machine) {
   obs::Registry metrics;  // keeps the campaigns' counters out of the global one
   fi::CampaignConfig config;
   config.workload = name;
   config.machine = machine;
-  config.engine = tier;
   config.num_injections = kCampaignInjections;
   config.threads = 1;
   config.metrics = &metrics;
@@ -192,14 +184,14 @@ double campaign_injection_over_clean(Bench& bench, const std::string& name,
     if (i < 0) continue;
     injection_s.push_back(elapsed / static_cast<double>(kCampaignInjections));
     start = std::chrono::steady_clock::now();
-    (void)bench.launch(tier);
+    (void)bench.launch(kTier);
     launch_s.push_back(seconds_since(start));
   }
   return median(injection_s) / median(launch_s);
 }
 
 struct PathRates {
-  double clean = 0.0;  ///< the hook-free side (selected tier)
+  double clean = 0.0;  ///< the hook-free side (threaded tier)
   double instrumented = 0.0;
   double injection_over_clean = 0.0;
   double campaign_injection_over_clean = 0.0;
@@ -209,48 +201,29 @@ struct PathRates {
   }
 };
 
-PathRates measure(const std::string& name, const sim::MachineConfig& machine,
-                  sim::EngineTier tier) {
+PathRates measure(const std::string& name, const sim::MachineConfig& machine) {
   Bench bench(name, machine);
-  (void)bench.timed_window(tier, 0.0);  // warm-up: decode cache + allocator
+  (void)bench.timed_window(kTier, 0.0);  // warm-up: decode cache + allocator
   const double window_s = min_ms() / 1e3 / (2 * kTrials);
   PathRates best;
   for (int trial = 0; trial < kTrials; ++trial) {
-    best.clean = std::max(best.clean, bench.timed_window(tier, window_s));
+    best.clean = std::max(best.clean, bench.timed_window(kTier, window_s));
     best.instrumented = std::max(
         best.instrumented,
         bench.timed_window(sim::EngineTier::kInstrumented, window_s));
   }
-  best.injection_over_clean = injection_over_clean(bench, name, machine, tier);
+  best.injection_over_clean = injection_over_clean(bench, name, machine);
   best.campaign_injection_over_clean =
-      campaign_injection_over_clean(bench, name, machine, tier);
+      campaign_injection_over_clean(bench, name, machine);
   return best;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  sim::EngineTier tier = sim::EngineTier::kAuto;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--engine=", 9) == 0) {
-      const char* value = arg + 9;
-      if (std::strcmp(value, "instrumented") == 0) {
-        tier = sim::EngineTier::kInstrumented;
-      } else if (std::strcmp(value, "clean") == 0) {
-        tier = sim::EngineTier::kClean;
-      } else if (std::strcmp(value, "threaded") == 0) {
-        tier = sim::EngineTier::kThreaded;
-      } else {
-        std::fprintf(stderr,
-                     "invalid --engine '%s' (instrumented|clean|threaded)\n",
-                     value);
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr, "unknown argument '%s'\n", arg);
-      return 2;
-    }
+  if (argc > 1) {
+    std::fprintf(stderr, "unknown argument '%s'\n", argv[1]);
+    return 2;
   }
 
   // gemm dominates (deep FP inner loop); the others add divergence-, guard-,
@@ -259,8 +232,7 @@ int main(int argc, char** argv) {
   const std::vector<std::string> workloads = {"gemm", "scan", "reduce_u32",
                                               "saxpy"};
   const sim::MachineConfig machine = arch::a100();
-  const char* tier_name = sim::engine_tier_name(
-      tier == sim::EngineTier::kAuto ? sim::EngineTier::kThreaded : tier);
+  const char* tier_name = sim::engine_tier_name(kTier);
 
   std::printf("Simulator path throughput (A100 model, hook-free launches)\n");
   std::printf("simd backend: %s, dispatch backend: %s, engine: %s\n",
@@ -273,7 +245,7 @@ int main(int argc, char** argv) {
   double log_speedup_sum = 0.0;
   double gemm_clean = 0.0;
   for (const std::string& name : workloads) {
-    const PathRates rates = measure(name, machine, tier);
+    const PathRates rates = measure(name, machine);
     std::printf("%-12s %15.0f %15.0f %8.2fx %9.2fx %9.2fx\n", name.c_str(),
                 rates.clean, rates.instrumented, rates.speedup(),
                 rates.injection_over_clean,

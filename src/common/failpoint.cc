@@ -1,15 +1,16 @@
 #include "common/failpoint.h"
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/parse.h"
 
 namespace gfi::fp {
 namespace {
@@ -46,15 +47,13 @@ Registry& registry() {
 // Fast-path gate: true iff at least one non-off clause is installed.
 std::atomic<bool> g_enabled{false};
 
-Status parse_u64_strict(const std::string& text, u64* out) {
-  if (text.empty()) return Status(StatusCode::kInvalidArgument, "empty number");
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 0);
-  if (errno != 0 || end != text.c_str() + text.size()) {
+/// Trigger counts, keys and action arguments: decimal or 0x hex.
+Status parse_number(const std::string& text, u64* out) {
+  const std::optional<u64> value = parse_u64(text, /*allow_hex=*/true);
+  if (!value) {
     return Status(StatusCode::kInvalidArgument, "bad number '" + text + "'");
   }
-  *out = static_cast<u64>(v);
+  *out = *value;
   return Status::ok();
 }
 
@@ -79,7 +78,7 @@ Status parse_clause(const std::string& text, Clause* out) {
     }
     const std::string kind = trig.substr(0, teq);
     u64 value = 0;
-    if (Status s = parse_u64_strict(trig.substr(teq + 1), &value); !s.is_ok()) {
+    if (Status s = parse_number(trig.substr(teq + 1), &value); !s.is_ok()) {
       return s;
     }
     if (kind == "hit") {
@@ -126,7 +125,7 @@ Status parse_clause(const std::string& text, Clause* out) {
       return Status(StatusCode::kInvalidArgument,
                     "failpoint action '" + rest + "' takes no argument");
     }
-    if (Status s = parse_u64_strict(arg_text, &out->arg); !s.is_ok()) return s;
+    if (Status s = parse_number(arg_text, &out->arg); !s.is_ok()) return s;
   } else if (out->action == Action::kStall) {
     return Status(StatusCode::kInvalidArgument,
                   "failpoint action 'stall' needs :<ms>");

@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <string_view>
+
+#include "common/parse.h"
 
 namespace gfi::jsonl {
 
@@ -111,14 +114,22 @@ bool parse_fields(const std::string& line, Fields* out) {
       std::vector<u64> values;
       if (!skip_ws(line, pos)) return false;
       while (line[pos] != ']') {
-        char* end = nullptr;
-        values.push_back(std::strtoull(line.c_str() + pos, &end, 10));
-        if (end == line.c_str() + pos) return false;
-        pos = static_cast<std::size_t>(end - line.c_str());
+        const std::size_t start = pos;
+        while (pos < line.size() && line[pos] != ',' && line[pos] != ']' &&
+               !std::isspace(static_cast<unsigned char>(line[pos]))) {
+          ++pos;
+        }
+        const std::optional<u64> value =
+            parse_u64(std::string_view(line).substr(start, pos - start));
+        if (!value) return false;
+        values.push_back(*value);
         if (!skip_ws(line, pos)) return false;
         if (line[pos] == ',') {
           ++pos;
-          if (!skip_ws(line, pos)) return false;
+          // A comma needs a value after it: "[1,]" is malformed.
+          if (!skip_ws(line, pos) || line[pos] == ']') return false;
+        } else if (line[pos] != ']') {
+          return false;
         }
       }
       ++pos;  // ']'
@@ -147,19 +158,17 @@ bool parse_fields(const std::string& line, Fields* out) {
 std::optional<u64> get_u64(const Fields& fields, const char* key) {
   auto it = fields.scalars.find(key);
   if (it == fields.scalars.end()) return std::nullopt;
-  char* end = nullptr;
-  const u64 value = std::strtoull(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str()) return std::nullopt;
-  return value;
+  return parse_u64(it->second);
 }
 
 std::optional<f64> get_f64(const Fields& fields, const char* key) {
   auto it = fields.scalars.find(key);
   if (it == fields.scalars.end()) return std::nullopt;
   if (it->second == "null") return std::numeric_limits<f64>::quiet_NaN();
+  const std::string& text = it->second;
   char* end = nullptr;
-  const f64 value = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str()) return std::nullopt;
+  const f64 value = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size()) return std::nullopt;
   return value;
 }
 

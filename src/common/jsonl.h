@@ -61,10 +61,12 @@ struct Fields {
 /// (including a truncated line — the caller's torn-tail case).
 bool parse_fields(const std::string& line, Fields* out);
 
+/// The whole value as a decimal gfi::parse_u64 (common/parse.h); array
+/// elements are held to the same grammar by parse_fields.
 std::optional<u64> get_u64(const Fields& fields, const char* key);
 
-/// Numbers parse normally (±1e999 overflows to ±inf, matching append_f64's
-/// infinity encoding); a `null` value comes back as quiet NaN.
+/// The whole value must be a number (±1e999 overflows to ±inf, matching
+/// append_f64's infinity encoding); a `null` value comes back as quiet NaN.
 std::optional<f64> get_f64(const Fields& fields, const char* key);
 
 std::optional<std::string> get_str(const Fields& fields, const char* key);

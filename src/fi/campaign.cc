@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -463,8 +464,7 @@ Result<InjectionRecord> run_injection(
   // from checkpoint 0, the post-setup snapshot.
   const std::optional<sim::StrikeRequest> strike =
       InjectorHook(site.value(), device.config()).strike_request();
-  const bool armed_tier = config.engine != sim::EngineTier::kClean &&
-                          config.engine != sim::EngineTier::kInstrumented;
+  const bool armed_tier = config.engine != sim::EngineTier::kInstrumented;
   sim::CheckpointTable* table =
       ff && strike && armed_tier ? &ff->table() : nullptr;
   std::shared_ptr<const sim::LaunchCheckpoint> resume;
@@ -496,15 +496,12 @@ Result<InjectionRecord> run_injection(
   // (LaunchResult::tier_used) rather than what the launch requested.
   // Purely additive: counters go only to --metrics-out snapshots, never
   // journals, so tier pins cannot perturb journal diffs.
-  obs::Counter* tier_counter[static_cast<int>(sim::EngineTier::kThreaded) + 1] =
-      {};
+  obs::Counter* tier_counter[std::size(sim::kEngineTierNames)] = {};
   obs::Counter* tier_downgrades = nullptr;
   if (metrics) {
-    for (const sim::EngineTier tier :
-         {sim::EngineTier::kInstrumented, sim::EngineTier::kClean,
-          sim::EngineTier::kThreaded}) {
-      tier_counter[static_cast<int>(tier)] = &metrics->counter(
-          std::string("engine.dispatch.") + sim::engine_tier_name(tier));
+    for (const auto& [tier, name] : sim::kEngineTierNames) {
+      tier_counter[static_cast<int>(tier)] =
+          &metrics->counter(std::string("engine.dispatch.") + name);
     }
     tier_downgrades = &metrics->counter("engine.dispatch.downgrades");
   }

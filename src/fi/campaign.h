@@ -122,14 +122,14 @@ struct CampaignConfig {
   std::string workload;            ///< registry name
   sim::MachineConfig machine;      ///< arch preset (a100() / h100() / toy())
   FaultModel model;
-  /// Dispatch-tier pin forwarded to every launch of the campaign (golden
-  /// run included). kAuto — the default — lets the simulator pick the
-  /// fastest correct tier per launch; the explicit values exist for
-  /// debugging and tier-equivalence CI, which diffs paired-seed journals
-  /// across pins byte-for-byte. Like `quarantine`, deliberately NOT part
-  /// of the journal header: all tiers are bit-identical, so a journal is
-  /// resumable under a different pin.
-  sim::EngineTier engine = sim::EngineTier::kAuto;
+  /// Dispatch tier forwarded to every launch of the campaign (golden run
+  /// included). kThreaded — the default — runs injections armed and
+  /// resumes them from golden-prefix checkpoints; kInstrumented runs every
+  /// launch instrumented from instruction 0, the reference tier-equivalence
+  /// CI diffs paired-seed journals against byte-for-byte. Like
+  /// `quarantine`, deliberately NOT part of the journal header: both tiers
+  /// are bit-identical, so a journal is resumable under either.
+  sim::EngineTier engine = sim::EngineTier::kThreaded;
   /// Instruction-group filter for IOV/PRED/IOA. nullopt = sample across all
   /// groups the mode can target, weighted by dynamic frequency.
   std::optional<sim::InstrGroup> group;

@@ -51,13 +51,6 @@ class InjectorHook final : public sim::InstrumentHook {
   u64 transform_store_address(u64 addr, const sim::InstrContext& ctx,
                               u32 lane) override;
 
-  /// One-shot: after the fault has fired (and any armed store-address
-  /// strike has landed) the hook is inert for the rest of the launch, so
-  /// an instrumented-tier launch may downgrade to the hook-free tier.
-  [[nodiscard]] bool done_observing() const override {
-    return fired_ && armed_store_dyn_ == ~0ULL;
-  }
-
   /// The eligible groups and occurrence of the site: every group for kRf,
   /// the mode's targetable groups (narrowed to site.group) otherwise. The
   /// engine then counts occurrences and calls on_strike_slot() on the

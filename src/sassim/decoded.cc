@@ -3,10 +3,10 @@
 namespace gfi::sim {
 namespace {
 
-/// True when `d` is decode-proven eligible for the exec_vec full-warp row
-/// kernels: the static half of the clean dispatcher's `vec_srcs &&
-/// exec::vec_alu(...)` check, mirroring vec_alu's per-op early-outs. The
-/// runtime half (full active mask) stays in the threaded handlers.
+/// The exec_vec full-warp row kernel `d` is decode-proven eligible for, or
+/// kGeneric: register/immediate sources (vec_srcs) plus the per-op dtype and
+/// width each kernel covers. The runtime half (full active mask) stays in
+/// the threaded handlers; everything else runs Engine::dispatch's lane loop.
 Handler lower_alu(const DecodedInstr& d) {
   if (!d.vec_srcs) return Handler::kGeneric;
   switch (d.op) {
@@ -41,8 +41,7 @@ Handler lower_alu(const DecodedInstr& d) {
 
 /// Static eligibility for the row-wise memory kernels: width-4 accesses
 /// with a live register base and a live register destination/data operand.
-/// These mirror the gate the clean dispatcher applies before exec::ldg_row
-/// and friends; the runtime mask/fault checks remain in the handlers.
+/// The runtime mask/fault checks remain in the handlers.
 bool row_mem_eligible(const DecodedInstr& d) {
   if (d.mem_width != 4) return false;
   if (d.src[0].kind != OperandKind::kReg || d.src[0].index == kRegZ)

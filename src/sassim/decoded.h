@@ -27,14 +27,14 @@ namespace gfi::sim {
 /// Assigned once per pc by DecodedProgram's lowering pass, so the hook-free
 /// interpreter jumps straight to a specialized handler instead of switching
 /// on the opcode and then re-validating vector-path eligibility per dynamic
-/// instruction. kGeneric delegates to the templated clean dispatcher and is
+/// instruction. kGeneric delegates to the generic dispatcher and is
 /// always a correct (if slower) assignment; every other id encodes a
 /// decode-time proof (operand kinds, dtype, width) that the corresponding
 /// fast path applies whenever the runtime mask/fault preconditions hold.
 enum class Handler : u8 {
-  kGeneric,       ///< no specialization: clean dispatch switch
+  kGeneric,       ///< no specialization: generic dispatch switch
 
-  // Control flow (bodies mirror the clean dispatcher's cases exactly).
+  // Control flow (bodies mirror the generic dispatcher's cases exactly).
   kExit,
   kBra,
   kSync,
@@ -109,18 +109,18 @@ struct DecodedInstr {
   bool guard_negated = false;
   /// True when the guard can mask lanes off (anything but plain @PT). An
   /// unguarded instruction's exec mask is exactly the warp's active mask,
-  /// so the clean path skips the per-lane guard scan entirely.
+  /// so the threaded tier skips the per-lane guard scan entirely.
   bool guarded = false;
   bool wide = false;       ///< dtype spans a register pair (U64/F64)
   /// No source is a predicate: every consulted operand is a register,
-  /// an immediate, or absent. Precondition of the executor's full-warp
-  /// vector ALU fast path (operand fetch becomes a row load/broadcast).
+  /// an immediate, or absent. Precondition of the threaded tier's full-warp
+  /// ALU row kernels (operand fetch becomes a row load/broadcast).
   bool vec_srcs = false;
   OperandKind dst_kind = OperandKind::kNone;
   u16 dst_index = 0;
   /// Threaded-tier direct dispatch target; see Handler. Lowered in a second
-  /// pass over the decoded stream (fusion inspects pc+1). The templated
-  /// clean/instrumented paths never read this field.
+  /// pass over the decoded stream (fusion inspects pc+1). The instrumented
+  /// tier never reads this field.
   Handler handler = Handler::kGeneric;
 };
 

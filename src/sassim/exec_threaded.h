@@ -1,16 +1,15 @@
 // Threaded-code dispatch tier: the hook-free interpreter over the handler
 // ids DecodedProgram's lowering pass assigned per pc.
 //
-// The templated clean path (simulator.cc) pays two switches per dynamic
-// instruction: the opcode switch in Engine::dispatch and, for vector-
-// eligible ALU ops, a second opcode switch inside exec::vec_alu — plus the
-// per-op eligibility re-checks both perform. This tier jumps straight from
-// the predecoded handler id to a specialized handler that already knows the
-// op shape (decode-proven dtype/width/operand kinds) and only validates the
-// runtime half of each precondition (full active mask, empty fault map).
-// Handlers reuse the exec_vec.h SIMD row kernels, so lane arithmetic is the
-// same expression-identical code the clean tier runs: results, traps,
-// cycles, and dynamic-instruction counts are bit-identical across tiers
+// Each slot jumps straight from the predecoded handler id to a specialized
+// handler that already knows the op shape (decode-proven dtype/width/
+// operand kinds) and only validates the runtime half of each precondition
+// (full active mask, empty fault map). Full-mask rows run the exec_vec.h
+// SIMD row kernels, whose lane arithmetic is expression-identical to the
+// generic per-lane loop in Engine::dispatch; every other shape (guard-
+// masked lanes, a row that could trap, a pending memory fault, an op no
+// handler covers) falls back to that loop. Results, traps, cycles, and
+// dynamic-instruction counts are bit-identical to the instrumented tier
 // (tests/test_exec_paths.cc asserts it per workload; CI diffs campaign
 // journals byte-for-byte).
 //
@@ -25,10 +24,10 @@
 // are untouched) and additionally precomputes its tail's work into the
 // warp's fuse_pc/fuse_mask stash. The tail still occupies its own slot but
 // reduces to a stash check when the head just ran; with the stash invalid
-// (branch into the tail, resume after a mid-launch downgrade, partial mask
-// at the head) it falls back to its unfused handler. Nothing can touch a
-// warp's state between its own two consecutive slots on the hook-free path,
-// so a matching stash is never stale.
+// (branch into the tail, a strike on the tail, partial mask at the head) it
+// falls back to its unfused handler. Nothing can touch a warp's state
+// between its own two consecutive slots on the hook-free path, so a
+// matching stash is never stale.
 //
 // Armed runs (a strike pending, see armed_dispatch) differ in two ways: the
 // struck slot itself runs on the instrumented tier after dropping its
@@ -40,7 +39,7 @@
 // EngineT/CtaT): Simulator::Engine and Simulator::Cta are private nested
 // types of Simulator, reachable only by deduction. The engine provides
 // mem/dec/opts, dyn_warp/dyn_thread, count_profile(), fire(), and the
-// dispatch_clean() wrapper the generic fallback delegates to.
+// generic dispatch() the fallbacks delegate to.
 #pragma once
 
 #include <bit>
@@ -78,8 +77,9 @@ namespace thr {
 
 inline constexpr u32 kFullMask = 0xffffffffu;
 
-/// The clean tier's exec-mask computation, verbatim: one guard scan for
-/// guarded instructions, the active mask outright for @PT.
+/// Exec mask of a hook-free slot: nothing can mutate predicates between
+/// issue and execute, so one guard scan suffices for guarded instructions,
+/// and @PT executes the active mask outright.
 [[gnu::always_inline]] inline u32 exec_mask(const WarpState& warp,
                                             const DecodedInstr& instr) {
   return instr.guarded
@@ -87,9 +87,10 @@ inline constexpr u32 kFullMask = 0xffffffffu;
              : warp.active();
 }
 
-/// Per-slot accounting, identical to the clean tier's exec_instr preamble.
-/// Every handler runs this exactly once before touching state, so dynamic
-/// counts and native profiles cannot drift across tiers — fused or not.
+/// Per-slot accounting, identical to the instrumented tier's exec_instr
+/// preamble. Every handler runs this exactly once before touching state, so
+/// dynamic counts and native profiles cannot drift across tiers — fused or
+/// not.
 template <typename EngineT>
 [[gnu::always_inline]] inline void account(EngineT& eng,
                                            const DecodedInstr& instr,
@@ -101,7 +102,7 @@ template <typename EngineT>
 
 /// Shared ALU handler shape: full-mask rows run the decode-proven exec_vec
 /// kernel; anything else (guard-masked lanes) delegates to the generic
-/// clean dispatcher, which recomputes nothing observable.
+/// dispatcher, which recomputes nothing observable.
 template <typename EngineT, typename CtaT, typename RowKernel>
 [[gnu::always_inline]] inline TrapKind alu(EngineT& eng, CtaT& cta,
                                            WarpState& warp,
@@ -114,10 +115,10 @@ template <typename EngineT, typename CtaT, typename RowKernel>
     ++warp.pc;
     return TrapKind::kNone;
   }
-  return eng.dispatch_clean(cta, warp, instr, exec);
+  return eng.dispatch(cta, warp, instr, exec);
 }
 
-/// BRA body, mirroring the clean dispatcher's case exactly.
+/// BRA body, mirroring the generic dispatcher's case exactly.
 [[gnu::always_inline]] inline TrapKind bra_body(WarpState& warp,
                                                 const DecodedInstr& instr,
                                                 u32 exec) {
@@ -142,11 +143,11 @@ template <typename EngineT, typename CtaT>
     EngineT& eng, CtaT& cta, WarpState& warp, const DecodedInstr& instr,
     u32 exec) {
   if (exec == kFullMask && eng.mem.fault_free() &&
-      ldg_row(warp, instr, eng.mem).state == RowMem::kDone) {
+      ldg_row(warp, instr, eng.mem)) {
     ++warp.pc;
     return TrapKind::kNone;
   }
-  return eng.dispatch_clean(cta, warp, instr, exec);
+  return eng.dispatch(cta, warp, instr, exec);
 }
 
 template <typename EngineT, typename CtaT>
@@ -154,11 +155,11 @@ template <typename EngineT, typename CtaT>
     EngineT& eng, CtaT& cta, WarpState& warp, const DecodedInstr& instr,
     u32 exec) {
   if (exec == kFullMask && eng.mem.fault_free() &&
-      stg_row(warp, instr, eng.mem).state == RowMem::kDone) {
+      stg_row(warp, instr, eng.mem)) {
     ++warp.pc;
     return TrapKind::kNone;
   }
-  return eng.dispatch_clean(cta, warp, instr, exec);
+  return eng.dispatch(cta, warp, instr, exec);
 }
 
 // ---- handlers --------------------------------------------------------------
@@ -168,7 +169,7 @@ inline TrapKind h_generic(EngineT& eng, CtaT& cta, WarpState& warp,
                           const DecodedInstr& instr) {
   const u32 exec = exec_mask(warp, instr);
   account(eng, instr, exec);
-  return eng.dispatch_clean(cta, warp, instr, exec);
+  return eng.dispatch(cta, warp, instr, exec);
 }
 
 template <typename EngineT, typename CtaT>
@@ -360,12 +361,11 @@ inline TrapKind h_lds_row(EngineT& eng, CtaT& cta, WarpState& warp,
   const u32 exec = exec_mask(warp, instr);
   account(eng, instr, exec);
   if (exec == kFullMask &&
-      lds_row(warp, instr, cta.shared.data(), cta.shared.size()).state ==
-          RowMem::kDone) {
+      lds_row(warp, instr, cta.shared.data(), cta.shared.size())) {
     ++warp.pc;
     return TrapKind::kNone;
   }
-  return eng.dispatch_clean(cta, warp, instr, exec);
+  return eng.dispatch(cta, warp, instr, exec);
 }
 
 template <typename EngineT, typename CtaT>
@@ -374,12 +374,11 @@ inline TrapKind h_sts_row(EngineT& eng, CtaT& cta, WarpState& warp,
   const u32 exec = exec_mask(warp, instr);
   account(eng, instr, exec);
   if (exec == kFullMask &&
-      sts_row(warp, instr, cta.shared.data(), cta.shared.size()).state ==
-          RowMem::kDone) {
+      sts_row(warp, instr, cta.shared.data(), cta.shared.size())) {
     ++warp.pc;
     return TrapKind::kNone;
   }
-  return eng.dispatch_clean(cta, warp, instr, exec);
+  return eng.dispatch(cta, warp, instr, exec);
 }
 
 // ---- fusion heads and tails ------------------------------------------------
@@ -389,7 +388,7 @@ inline TrapKind h_cmp_bra_head(EngineT& eng, CtaT& cta, WarpState& warp,
                                const DecodedInstr& instr) {
   const u32 exec = warp.active();  // lowering: head is unguarded
   account(eng, instr, exec);
-  if (exec != kFullMask) return eng.dispatch_clean(cta, warp, instr, exec);
+  if (exec != kFullMask) return eng.dispatch(cta, warp, instr, exec);
   const u32 lanes = vec_isetp(warp, instr);
   // The ISETP just wrote the BRA's whole guard row, so the branch guard is
   // exactly these lanes (negated per the tail) masked to the active set.
@@ -423,7 +422,7 @@ inline TrapKind h_addr_head(EngineT& eng, CtaT& cta, WarpState& warp,
                             const DecodedInstr& instr) {
   const u32 exec = warp.active();  // lowering: head is unguarded
   account(eng, instr, exec);
-  if (exec != kFullMask) return eng.dispatch_clean(cta, warp, instr, exec);
+  if (exec != kFullMask) return eng.dispatch(cta, warp, instr, exec);
   const DecodedInstr& tail = eng.dec.at(warp.pc + 1);
   AddrProbe probe;
   probe.off = tail.src[1].is_imm() ? tail.src[1].imm : 0;
@@ -470,7 +469,7 @@ inline TrapKind h_ffma_chain_head(EngineT& eng, CtaT& cta, WarpState& warp,
                                   const DecodedInstr& instr) {
   const u32 exec = warp.active();  // lowering: head is unguarded
   account(eng, instr, exec);
-  if (exec != kFullMask) return eng.dispatch_clean(cta, warp, instr, exec);
+  if (exec != kFullMask) return eng.dispatch(cta, warp, instr, exec);
   vec_ffma(warp, instr);
   // Run the tail's row kernel now, in program order — its inputs may
   // include this head's destination and vice versa, and no other
@@ -498,7 +497,7 @@ inline TrapKind h_ffma_chain_tail(EngineT& eng, CtaT& cta, WarpState& warp,
     ++warp.pc;
     return TrapKind::kNone;
   }
-  return eng.dispatch_clean(cta, warp, instr, exec);
+  return eng.dispatch(cta, warp, instr, exec);
 }
 
 }  // namespace thr
@@ -542,9 +541,9 @@ inline TrapKind h_ffma_chain_tail(EngineT& eng, CtaT& cta, WarpState& warp,
   X(kFFmaChainTail, h_ffma_chain_tail)
 
 /// One dynamic warp instruction on the threaded tier: direct dispatch on
-/// the predecoded handler id. Replaces exec_instr's clean branch wholesale —
-/// each handler does its own exec-mask computation and accounting, so fused
-/// pairs keep per-instruction counts exact.
+/// the predecoded handler id. Each handler does its own exec-mask
+/// computation and accounting, so fused pairs keep per-instruction counts
+/// exact.
 template <typename EngineT, typename CtaT>
 inline TrapKind threaded_dispatch(EngineT& eng, CtaT& cta, WarpState& warp,
                                   const DecodedInstr& instr) {

@@ -1,21 +1,18 @@
-// Full-warp vector fast paths of the execution core, over common/simd.h.
+// Full-warp row kernels of the threaded tier, over common/simd.h.
 //
-// Extracted from the engine's dispatch loop (simulator.cc) so the row
-// kernels are directly testable and so the SIMD backend swap stays local
-// to this file. Every function here runs only on the shapes the caller has
-// proven safe — all 32 lanes executing, register/immediate operands only
+// The threaded handlers (exec_threaded.h) run these; keeping them here makes
+// them directly testable and keeps the SIMD backend swap local to this
+// file. Every function runs only on the shapes the caller has proven safe —
+// all 32 lanes executing, register/immediate operands only
 // (DecodedInstr::vec_srcs), no pending memory faults for the global-memory
 // paths — and every lane's arithmetic is expression-identical to the
 // generic per-lane switch in Engine::dispatch, so scalar and SIMD builds
 // produce bit-identical campaign journals (CI diffs them).
 //
-// Trap discipline: a fast path either (a) proves no trap can fire before
-// touching any state and then runs branch-free, bailing to the generic
-// loop (kNotApplicable) when it cannot prove it — the generic loop then
-// reproduces the exact lane-order trap and partial progress — or (b)
-// performs checks lane-by-lane in the generic loop's order (global-memory
-// segment lookups), reporting the first failure with identical partial
-// progress.
+// Trap discipline: a memory row kernel proves that no lane can trap before
+// it touches any state, and otherwise returns false with nothing touched;
+// the generic lane loop then reproduces the exact lane-order trap and
+// partial progress.
 #pragma once
 
 #include <bit>
@@ -106,9 +103,8 @@ inline u32* dst_row(WarpState& warp, const DecodedInstr& instr, u32* sink) {
 // 32-element loops lowered onto simd::u32xN / simd::f32xN chunks. Callers
 // guarantee the matching Handler's preconditions: every lane executes, no
 // source is a predicate (instr.vec_srcs), and the dtype/width restriction
-// vec_alu() re-checks below. vec_alu() is the opcode-switch front end used
-// by the templated clean path; the threaded tier (exec_threaded.h) jumps
-// straight to the kernel its lowering pass proved applicable.
+// the lowering pass (decoded.cc, lower_alu) proved when it picked the
+// kernel.
 
 inline void vec_mov(WarpState& warp, const DecodedInstr& instr) {
   u32 sink[kWarpSize];
@@ -390,105 +386,9 @@ inline void vec_i2f(WarpState& warp, const DecodedInstr& instr) {
   }
 }
 
-/// Opcode-switch front end over the row kernels for the templated clean
-/// path. Caller guarantees every lane executes and no source is a predicate
-/// (instr.vec_srcs). Returns false for shapes the kernels do not cover
-/// (caller falls through to the generic loop). The dtype/width early-outs
-/// here are exactly what DecodedProgram's lowering pass proves statically
-/// when it assigns a per-op Handler.
-inline bool vec_alu(WarpState& warp, const DecodedInstr& instr) {
-  switch (instr.op) {
-    case Opcode::kMov:
-      if (instr.wide) return false;
-      vec_mov(warp, instr);
-      return true;
-    case Opcode::kSel:
-      if (instr.wide) return false;
-      vec_sel(warp, instr);
-      return true;
-    case Opcode::kIAdd:
-      if (instr.wide) return false;
-      vec_iadd(warp, instr);
-      return true;
-    case Opcode::kIMul:
-      if (instr.wide) return false;
-      vec_imul(warp, instr);
-      return true;
-    case Opcode::kIMad:
-      if (instr.dtype == DType::kU64) {
-        vec_imad_wide(warp, instr);
-        return true;
-      }
-      if (instr.wide) return false;
-      vec_imad32(warp, instr);
-      return true;
-    case Opcode::kIMnmx:
-      if (instr.wide) return false;
-      vec_imnmx(warp, instr);
-      return true;
-    case Opcode::kISetp:
-      // int_compare treats every dtype except kS32 as an unsigned compare
-      // of the zero-extended u32 row, so kU32 covers them; restrict to the
-      // two dtypes the decoder emits to keep that equivalence airtight.
-      if (instr.wide ||
-          (instr.dtype != DType::kS32 && instr.dtype != DType::kU32)) {
-        return false;
-      }
-      vec_isetp(warp, instr);
-      return true;
-    case Opcode::kLop:
-      if (instr.wide) return false;
-      vec_lop(warp, instr);
-      return true;
-    case Opcode::kShf:
-      if (instr.wide) return false;
-      vec_shf(warp, instr);
-      return true;
-    case Opcode::kPopc:
-      if (instr.wide) return false;
-      vec_popc(warp, instr);
-      return true;
-    case Opcode::kFAdd:
-    case Opcode::kFMul:
-    case Opcode::kFMnmx:
-      if (instr.dtype != DType::kF32) return false;
-      vec_farith(warp, instr);
-      return true;
-    case Opcode::kFFma:
-      if (instr.dtype != DType::kF32) return false;
-      vec_ffma(warp, instr);
-      return true;
-    case Opcode::kFSetp:
-      if (instr.dtype != DType::kF32) return false;
-      vec_fsetp(warp, instr);
-      return true;
-    case Opcode::kI2F:
-      if (instr.dtype == DType::kF64) return false;
-      vec_i2f(warp, instr);
-      return true;
-    default:
-      return false;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Width-4 full-warp memory row paths
 // ---------------------------------------------------------------------------
-
-/// How a row memory fast path ended. Every current row path proves all its
-/// preconditions before touching any state, so kTrap is no longer produced;
-/// it stays for callers that still handle the historical mid-row case.
-enum class RowMem : u8 {
-  kNotApplicable,  ///< nothing touched; caller runs the generic lane loop
-  kDone,           ///< all 32 lanes serviced
-  kTrap,           ///< trap fired mid-row (partial progress, generic order)
-};
-
-struct RowMemResult {
-  RowMem state = RowMem::kNotApplicable;
-  TrapKind trap = TrapKind::kNone;
-  u64 addr = 0;
-};
 
 namespace detail {
 
@@ -527,15 +427,15 @@ inline u32 row_max(const u32* base_row) {
 /// width 4, a real register base and destination, and mem.fault_free().
 /// Alignment and bounds are proven for the whole row up front — the arena
 /// is one contiguous extent, so checking the row's min/max addresses covers
-/// every lane — and the serviced row then runs with no per-lane checks. A
-/// row that cannot be proven safe bails untouched; the generic lane loop
-/// reproduces the exact trap lane order and partial progress.
-inline RowMemResult ldg_row(WarpState& warp, const DecodedInstr& instr,
-                            const GlobalMemory& mem) {
+/// every lane — and the serviced row then runs with no per-lane checks.
+/// Returns false, with nothing touched, for a row that cannot be proven
+/// safe.
+inline bool ldg_row(WarpState& warp, const DecodedInstr& instr,
+                    const GlobalMemory& mem) {
   const u32* alo = warp.row(instr.src[0].index);
   const u32* ahi = warp.row(static_cast<u16>(instr.src[0].index + 1));
   const u64 off = instr.src[1].is_imm() ? instr.src[1].imm : 0;
-  if (!detail::row_aligned4(alo, off)) return {};
+  if (!detail::row_aligned4(alo, off)) return false;
   u64 addrs[kWarpSize];
   u64 lo = ~u64{0};
   u64 hi = 0;
@@ -545,21 +445,21 @@ inline RowMemResult ldg_row(WarpState& warp, const DecodedInstr& instr,
     lo = addr < lo ? addr : lo;
     hi = addr > hi ? addr : hi;
   }
-  if (!mem.row_u32_in_bounds(lo, hi)) return {};
+  if (!mem.row_u32_in_bounds(lo, hi)) return false;
   u32* d = warp.row(instr.dst_index);
   for (u32 lane = 0; lane < kWarpSize; ++lane) {
     d[lane] = mem.read_u32_raw(addrs[lane]);
   }
-  return {RowMem::kDone, TrapKind::kNone, 0};
+  return true;
 }
 
 /// Matching full-warp 32-bit global store (value row src[2]).
-inline RowMemResult stg_row(WarpState& warp, const DecodedInstr& instr,
-                            GlobalMemory& mem) {
+inline bool stg_row(WarpState& warp, const DecodedInstr& instr,
+                    GlobalMemory& mem) {
   const u32* alo = warp.row(instr.src[0].index);
   const u32* ahi = warp.row(static_cast<u16>(instr.src[0].index + 1));
   const u64 off = instr.src[1].is_imm() ? instr.src[1].imm : 0;
-  if (!detail::row_aligned4(alo, off)) return {};
+  if (!detail::row_aligned4(alo, off)) return false;
   u64 addrs[kWarpSize];
   u64 lo = ~u64{0};
   u64 hi = 0;
@@ -569,12 +469,12 @@ inline RowMemResult stg_row(WarpState& warp, const DecodedInstr& instr,
     lo = addr < lo ? addr : lo;
     hi = addr > hi ? addr : hi;
   }
-  if (!mem.row_u32_in_bounds(lo, hi)) return {};
+  if (!mem.row_u32_in_bounds(lo, hi)) return false;
   const u32* v = warp.row(instr.src[2].index);
   for (u32 lane = 0; lane < kWarpSize; ++lane) {
     mem.write_u32_raw(addrs[lane], v[lane]);
   }
-  return {RowMem::kDone, TrapKind::kNone, 0};
+  return true;
 }
 
 /// Check-free fused-tail variants: an IMAD.WIDE fusion head just proved
@@ -607,34 +507,34 @@ inline void stg_row_fused(WarpState& warp, const DecodedInstr& instr,
 
 /// Full-warp 32-bit shared load. Alignment and bounds are both provable up
 /// front (shared memory is one flat extent), so the serviced row runs with
-/// no per-lane checks at all; any potential trap bails to the generic loop.
-inline RowMemResult lds_row(WarpState& warp, const DecodedInstr& instr,
-                            const u8* shared, std::size_t shared_size) {
+/// no per-lane checks at all; any potential trap returns false untouched.
+inline bool lds_row(WarpState& warp, const DecodedInstr& instr,
+                    const u8* shared, std::size_t shared_size) {
   const u32* a = warp.row(instr.src[0].index);
   const u64 off = instr.src[1].is_imm() ? instr.src[1].imm : 0;
-  if (!detail::row_aligned4(a, off)) return {};
+  if (!detail::row_aligned4(a, off)) return false;
   const u64 max_addr = static_cast<u64>(detail::row_max(a)) + off;
-  if (max_addr + 4 > shared_size) return {};
+  if (max_addr + 4 > shared_size) return false;
   u32* d = warp.row(instr.dst_index);
   for (u32 lane = 0; lane < kWarpSize; ++lane) {
     std::memcpy(&d[lane], shared + a[lane] + off, 4);
   }
-  return {RowMem::kDone, TrapKind::kNone, 0};
+  return true;
 }
 
 /// Matching full-warp 32-bit shared store (value row src[2]).
-inline RowMemResult sts_row(WarpState& warp, const DecodedInstr& instr,
-                            u8* shared, std::size_t shared_size) {
+inline bool sts_row(WarpState& warp, const DecodedInstr& instr,
+                    u8* shared, std::size_t shared_size) {
   const u32* a = warp.row(instr.src[0].index);
   const u64 off = instr.src[1].is_imm() ? instr.src[1].imm : 0;
-  if (!detail::row_aligned4(a, off)) return {};
+  if (!detail::row_aligned4(a, off)) return false;
   const u64 max_addr = static_cast<u64>(detail::row_max(a)) + off;
-  if (max_addr + 4 > shared_size) return {};
+  if (max_addr + 4 > shared_size) return false;
   const u32* v = warp.row(instr.src[2].index);
   for (u32 lane = 0; lane < kWarpSize; ++lane) {
     std::memcpy(shared + a[lane] + off, &v[lane], 4);
   }
-  return {RowMem::kDone, TrapKind::kNone, 0};
+  return true;
 }
 
 }  // namespace gfi::sim::exec

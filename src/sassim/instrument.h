@@ -67,19 +67,10 @@ class InstrumentHook {
     return addr;
   }
 
-  /// True once this hook no longer needs to observe or mutate anything for
-  /// the rest of the launch. When every attached hook reports done, the
-  /// engine downgrades mid-launch from the instrumented tier to the
-  /// hook-free tier the launch would otherwise run on (NVBitFI's
-  /// detach-after-strike optimisation); on_launch_end is still delivered.
-  /// Hooks that observe the whole launch (profiler, tracer) keep the
-  /// default.
-  [[nodiscard]] virtual bool done_observing() const { return false; }
-
   /// The hook's strike point, when it only ever acts on one dynamic
   /// instruction. When it is the launch's only hook and the engine is not
-  /// pinned to the instrumented or clean tier, the engine runs the launch
-  /// armed: threaded up to that instruction, which alone runs instrumented
+  /// pinned to the instrumented tier, the engine runs the launch armed:
+  /// threaded up to that instruction, which alone runs instrumented
   /// (on_strike_slot, then the usual before/after callbacks and store-
   /// address transforms), then hook-free to the end. No other callback but
   /// on_launch_begin/end is delivered. Hooks that observe every instruction

@@ -16,7 +16,6 @@
 #include "common/bitutil.h"
 #include "sassim/decoded.h"
 #include "sassim/exec_threaded.h"
-#include "sassim/exec_vec.h"
 #include "sassim/profiler.h"
 
 namespace gfi::sim {
@@ -84,38 +83,29 @@ f32 mufu_eval(MufuKind kind, f32 x) {
 // Instrumentation policies
 // ---------------------------------------------------------------------------
 //
-// The execution core is templated over one of these tags. The Instrumented
+// The scheduler loop is templated over one of these tags. The Instrumented
 // instantiation reproduces the historical inner loop bit-for-bit:
 // InstrContext built per dynamic instruction, guard mask computed before
 // *and* after the on_before hooks (predicate injection must take effect),
-// store addresses routed through transform_store_address. The Clean
-// instantiation strips every one of those: no context, no hook dispatch, a
-// single guard-mask computation with a fast path for unguarded (@PT)
-// instructions. The Threaded instantiation replaces Clean's opcode switch
-// with direct dispatch on the predecoded handler ids (exec_threaded.h) —
-// same scheduler, same accounting, bit-identical observables. The Armed
-// instantiation is the threaded tier with a strike pending: it counts the
-// issues a StrikeRequest names and runs the requested one through the
-// Instrumented exec_instr (see Engine::exec_armed).
+// store addresses routed through transform_store_address. The Threaded
+// instantiation strips every one of those and dispatches on the predecoded
+// handler ids (exec_threaded.h), falling back to the generic dispatcher for
+// shapes no handler covers — same scheduler, same accounting, bit-identical
+// observables. The Armed instantiation is the threaded tier with a strike
+// pending: it counts the issues a StrikeRequest names and runs the
+// requested one through the Instrumented exec_instr (see
+// Engine::exec_armed).
 
-struct CleanPolicy {
-  static constexpr bool kInstrumented = false;
-  static constexpr bool kThreaded = false;
-  static constexpr bool kArmed = false;
-};
 struct InstrumentedPolicy {
   static constexpr bool kInstrumented = true;
-  static constexpr bool kThreaded = false;
   static constexpr bool kArmed = false;
 };
 struct ThreadedPolicy {
   static constexpr bool kInstrumented = false;
-  static constexpr bool kThreaded = true;
   static constexpr bool kArmed = false;
 };
 struct ArmedThreadedPolicy {
   static constexpr bool kInstrumented = false;
-  static constexpr bool kThreaded = true;
   static constexpr bool kArmed = true;
 };
 
@@ -123,8 +113,7 @@ struct ArmedThreadedPolicy {
 enum class RunExit : u8 {
   kCompleted,   ///< every CTA retired
   kTrapped,     ///< Engine::trap fired
-  kDowngraded,  ///< hooks done (instrumented) or strike made (armed):
-                ///< continue on the hook-free tier
+  kDowngraded,  ///< strike made (armed): continue on the threaded tier
 };
 
 }  // namespace
@@ -189,9 +178,9 @@ struct Simulator::Cta {
 // ---------------------------------------------------------------------------
 
 // All mutable launch progress lives here — resident CTA pools, grid cursor,
-// cycle and instruction counters — so a run can stop mid-launch (RunExit::
-// kDowngraded), and a second run under a different policy resumes from the
-// identical architectural state.
+// cycle and instruction counters — so an armed run can stop mid-launch
+// (RunExit::kDowngraded), and a threaded run resumes from the identical
+// architectural state.
 struct Simulator::Engine {
   const MachineConfig& cfg;
   GlobalMemory& mem;
@@ -342,7 +331,7 @@ struct Simulator::Engine {
   // ---- operand access -----------------------------------------------------
 
   // Hot enough that the out-of-line call overhead is measurable on the
-  // clean path; force both into their (many) call sites.
+  // generic path; force both into their (many) call sites.
   [[gnu::always_inline]] u64 read_operand(const WarpState& warp, u32 lane,
                                           const DecodedOperand& operand,
                                           DType dtype) const {
@@ -451,7 +440,7 @@ struct Simulator::Engine {
       const u32 exec = warp.guard_mask(instr.guard_pred, instr.guard_negated);
       ctx.exec_mask = exec;
 
-      TrapKind result = dispatch<Policy>(cta, warp, instr, exec, &ctx);
+      TrapKind result = dispatch(cta, warp, instr, exec, &ctx);
       if (result != TrapKind::kNone) return result;
 
       for (InstrumentHook* hook : opts.hooks) {
@@ -463,23 +452,11 @@ struct Simulator::Engine {
       return TrapKind::kNone;
     } else if constexpr (Policy::kArmed) {
       return exec_armed(cta, warp, instr);
-    } else if constexpr (Policy::kThreaded) {
+    } else {
       // Threaded tier: handlers do their own exec-mask computation and
       // accounting (fusion heads and tails must each count exactly once),
       // so the whole slot is one direct-dispatched call.
       return exec::threaded_dispatch(*this, cta, warp, instr);
-    } else {
-      // Clean path: nothing can mutate predicates between issue and
-      // execute, so one guard-mask computation suffices — and an unguarded
-      // (@PT) instruction executes exactly the active set.
-      const u32 exec =
-          instr.guarded
-              ? warp.guard_mask_fast(instr.guard_pred, instr.guard_negated)
-              : warp.active();
-      ++dyn_warp;
-      dyn_thread += static_cast<u64>(std::popcount(exec));
-      if (opts.profile) count_profile(instr, exec);
-      return dispatch<Policy>(cta, warp, instr, exec, nullptr);
     }
   }
 
@@ -502,31 +479,12 @@ struct Simulator::Engine {
     return exec::armed_dispatch(*this, cta, warp, instr);
   }
 
-  /// Non-template entry into the generic clean dispatcher for the threaded
-  /// tier's fallbacks (exec_threaded.h is duck-typed over Engine and cannot
-  /// name the policy tags in this anonymous namespace). `exec` is already
-  /// accounted by the caller.
-  TrapKind dispatch_clean(Cta& cta, WarpState& warp, const DecodedInstr& instr,
-                          u32 exec) {
-    return dispatch<CleanPolicy>(cta, warp, instr, exec, nullptr);
-  }
-
-  // Executes `instr` for lanes in `exec`; manages the PC. `ctx` is non-null
-  // only on the instrumented path (store-address transforms).
-  template <typename Policy>
+  // Executes `instr` for lanes in `exec`, already accounted by the caller;
+  // manages the PC. The instrumented tier runs every instruction here, the
+  // threaded tier the shapes its handlers decline. `ctx` is non-null only
+  // on the instrumented tier (store-address transforms).
   TrapKind dispatch(Cta& cta, WarpState& warp, const DecodedInstr& instr,
-                    u32 exec, [[maybe_unused]] InstrContext* ctx) {
-    // Full-warp vector fast path: pure register/immediate ALU ops with all
-    // 32 lanes executing skip the per-lane operand machinery entirely and
-    // run on simd rows (exec_vec.h). Clean policy only: the instrumented
-    // path keeps the generic per-lane loop below, whose cost is part of the
-    // preserved pre-refactor inner loop it stands in for.
-    if (!Policy::kInstrumented && exec == kFullMask && instr.vec_srcs &&
-        exec::vec_alu(warp, instr)) {
-      ++warp.pc;
-      return TrapKind::kNone;
-    }
-
+                    u32 exec, InstrContext* ctx = nullptr) {
     auto for_each_lane = [&](auto&& body) {
       // Bit-scan over the executed set: lane order preserved, no per-lane
       // test for the (common) sparse and full masks alike.
@@ -872,48 +830,13 @@ struct Simulator::Engine {
       case Opcode::kLdg:
       case Opcode::kStg: {
         const u32 width = instr.mem_width;
-        // Hoisted full-warp 32-bit load: register-pair base plus immediate
-        // offset, destination written row-wise. Lane order, trap checks and
-        // partial progress on a trap match the generic loop exactly; any
-        // pending upset bails to the generic loop so ECC classification is
-        // never skipped.
-        if (!Policy::kInstrumented && instr.op == Opcode::kLdg &&
-            exec == kFullMask && width == 4 &&
-            instr.src[0].kind == OperandKind::kReg &&
-            instr.src[0].index != kRegZ && instr.dst_index != kRegZ &&
-            mem.fault_free()) {
-          const exec::RowMemResult row = exec::ldg_row(warp, instr, mem);
-          if (row.state == exec::RowMem::kTrap) {
-            return fire(row.trap, cta, warp, row.addr);
-          }
-          if (row.state == exec::RowMem::kDone) break;
-          // kNotApplicable: a lane would trap on alignment; the generic
-          // loop below reproduces the exact lane-order trap.
-        }
-        // Matching full-warp 32-bit store. Clean policy only (which implies
-        // no hooks): store-address transforms must see every lane
-        // individually, and the instrumented baseline keeps the lane loop.
-        if (!Policy::kInstrumented && instr.op == Opcode::kStg &&
-            exec == kFullMask && width == 4 && mem.fault_free() &&
-            instr.src[0].kind == OperandKind::kReg &&
-            instr.src[0].index != kRegZ &&
-            instr.src[2].kind == OperandKind::kReg &&
-            instr.src[2].index != kRegZ) {
-          const exec::RowMemResult row = exec::stg_row(warp, instr, mem);
-          if (row.state == exec::RowMem::kTrap) {
-            return fire(row.trap, cta, warp, row.addr);
-          }
-          if (row.state == exec::RowMem::kDone) break;
-        }
         for (u32 lane = 0; lane < kWarpSize; ++lane) {
           if (!((exec >> lane) & 1u)) continue;
           u64 addr = read_operand(warp, lane, instr.src[0], DType::kU64);
           if (instr.src[1].is_imm()) addr += instr.src[1].imm;
-          if constexpr (Policy::kInstrumented) {
-            if (instr.op == Opcode::kStg) {
-              for (InstrumentHook* hook : opts.hooks) {
-                addr = hook->transform_store_address(addr, *ctx, lane);
-              }
+          if (ctx && instr.op == Opcode::kStg) {
+            for (InstrumentHook* hook : opts.hooks) {
+              addr = hook->transform_store_address(addr, *ctx, lane);
             }
           }
           if (addr % width != 0) {
@@ -949,30 +872,6 @@ struct Simulator::Engine {
       case Opcode::kLds:
       case Opcode::kSts: {
         const u32 width = instr.mem_width;
-        // Hoisted full-warp 32-bit shared accesses, mirroring the LDG fast
-        // path: address rows read once, identical trap checks in lane order.
-        if (!Policy::kInstrumented && exec == kFullMask && width == 4 &&
-            instr.src[0].kind == OperandKind::kReg &&
-            instr.src[0].index != kRegZ) {
-          if (instr.op == Opcode::kLds && instr.dst_index != kRegZ) {
-            if (exec::lds_row(warp, instr, cta.shared.data(),
-                              cta.shared.size())
-                    .state == exec::RowMem::kDone) {
-              break;
-            }
-          }
-          if (instr.op == Opcode::kSts &&
-              instr.src[2].kind == OperandKind::kReg &&
-              instr.src[2].index != kRegZ) {
-            if (exec::sts_row(warp, instr, cta.shared.data(),
-                              cta.shared.size())
-                    .state == exec::RowMem::kDone) {
-              break;
-            }
-          }
-          // Row path declined (a lane would trap): the generic loop below
-          // reproduces the exact lane-order trap and partial progress.
-        }
         for (u32 lane = 0; lane < kWarpSize; ++lane) {
           if (!((exec >> lane) & 1u)) continue;
           u64 addr = static_cast<u32>(read_operand(warp, lane, instr.src[0],
@@ -1186,8 +1085,7 @@ struct Simulator::Engine {
   // ---- the scheduler loop -------------------------------------------------
 
   // Runs the launch state forward under one instrumentation policy until it
-  // completes, traps, (instrumented) every hook is done observing, or
-  // (armed) the cycle of the strike has finished.
+  // completes, traps, or (armed) the cycle of the strike has finished.
   template <typename Policy>
   RunExit run() {
     // Per-opcode issue latencies with the memory/shared overrides baked in,
@@ -1217,7 +1115,7 @@ struct Simulator::Engine {
     // fast-forward, and an SM whose pool drains can never wake again —
     // admit() backfills only from the SM's own retirement scan, so once
     // `resident[sm]` is empty (grid exhausted) it stays empty. Holds on
-    // re-entry after a mid-launch downgrade for the same reason.
+    // re-entry after an armed run's strike for the same reason.
     std::vector<u32> busy;
     busy.reserve(cfg.num_sms);
     for (u32 sm = 0; sm < cfg.num_sms; ++sm) {
@@ -1225,24 +1123,6 @@ struct Simulator::Engine {
     }
 
     while (resident_count > 0) {
-      if constexpr (Policy::kInstrumented) {
-        // Mid-launch downgrade: once every attached hook has finished
-        // observing (e.g. a one-shot injector whose fault has fired), the
-        // remaining instructions cannot be affected by instrumentation, so
-        // the caller re-enters on a hook-free tier. Checked at a cycle
-        // boundary; an explicitly pinned instrumented engine never
-        // downgrades (benchmark/equivalence baseline).
-        if (!opts.hooks.empty() && opts.engine != EngineTier::kInstrumented) {
-          bool all_done = true;
-          for (InstrumentHook* hook : opts.hooks) {
-            if (!hook->done_observing()) {
-              all_done = false;
-              break;
-            }
-          }
-          if (all_done) return RunExit::kDowngraded;
-        }
-      }
       if constexpr (Policy::kArmed) {
         // Up to the struck slot an armed run is the same for every strike
         // request, so its state here is the golden prefix's: a checkpoint.
@@ -1391,10 +1271,9 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
                                     program.name() + ")");
   }
 
-  const bool pin_clean = options.engine == EngineTier::kClean;
   const bool pin_instrumented = options.engine == EngineTier::kInstrumented;
   std::optional<StrikeRequest> strike;
-  if (options.hooks.size() == 1 && !pin_clean && !pin_instrumented) {
+  if (options.hooks.size() == 1 && !pin_instrumented) {
     strike = options.hooks.front()->strike_request();
   }
   const LaunchCheckpoint* resume = options.resume_from;
@@ -1435,16 +1314,12 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
   }
 
   // Tier selection: a lone hook with a strike request runs armed on the
-  // threaded tier (unless pinned to instrumented or clean) and continues
-  // plain threaded once the struck slot's cycle is over. Other hooks (or an
-  // explicit kInstrumented pin) take the instrumented engine; hook-free
-  // execution — golden runs included — runs the threaded tier unless pinned
-  // to clean. An instrumented run whose hooks all finish observing resumes
-  // hook-free from the identical launch state, landing on the same tier a
-  // hook-free launch would have used. All tiers are bit-identical in every
-  // architecturally observable way.
-  RunExit exit;
-  EngineTier tier_used;
+  // threaded tier (unless pinned to instrumented) and continues plain
+  // threaded once the struck slot's cycle is over. Other hooks (or an
+  // explicit kInstrumented pin) take the instrumented engine to the end;
+  // hook-free execution — golden runs included — runs the threaded tier.
+  // Both tiers are bit-identical in every architecturally observable way.
+  EngineTier tier_used = EngineTier::kThreaded;
   bool downgraded = false;
   if (strike) {
     engine.strike = *strike;
@@ -1453,27 +1328,16 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
       engine.table = options.checkpoints;
       engine.seek_mark();
     }
-    exit = engine.run<ArmedThreadedPolicy>();
-    if (exit == RunExit::kDowngraded) exit = engine.run<ThreadedPolicy>();
-    tier_used = EngineTier::kThreaded;
+    if (engine.run<ArmedThreadedPolicy>() == RunExit::kDowngraded) {
+      (void)engine.run<ThreadedPolicy>();
+    }
     downgraded = engine.struck;
   } else if (!options.hooks.empty() || pin_instrumented) {
-    exit = engine.run<InstrumentedPolicy>();
+    (void)engine.run<InstrumentedPolicy>();
     tier_used = EngineTier::kInstrumented;
-    if (exit == RunExit::kDowngraded) {
-      downgraded = true;
-      exit = pin_clean ? engine.run<CleanPolicy>()
-                       : engine.run<ThreadedPolicy>();
-      tier_used = pin_clean ? EngineTier::kClean : EngineTier::kThreaded;
-    }
-  } else if (pin_clean) {
-    exit = engine.run<CleanPolicy>();
-    tier_used = EngineTier::kClean;
   } else {
-    exit = engine.run<ThreadedPolicy>();
-    tier_used = EngineTier::kThreaded;
+    (void)engine.run<ThreadedPolicy>();
   }
-  (void)exit;
 
   LaunchResult result;
   result.trap = engine.trap;

@@ -32,28 +32,33 @@ struct LaunchCheckpoint;
 
 /// Execution tier the engine runs a launch on. Instructions a hook observes
 /// run on the instrumented template; the tier choice governs what the rest
-/// runs on: hook-free launches, the post-downgrade remainder of a hooked
-/// launch, and all but the struck slot of an armed one (a lone hook with a
-/// StrikeRequest). All tiers are bit-identical in every architecturally
-/// observable way — results, traps, cycles, dynamic-instruction counts,
-/// journals — differing only in speed.
+/// runs on: hook-free launches and all but the struck slot of an armed one
+/// (a lone hook with a StrikeRequest). Both tiers are bit-identical in every
+/// architecturally observable way — results, traps, cycles, dynamic-
+/// instruction counts, journals — differing only in speed.
 enum class EngineTier : u8 {
-  kAuto,          ///< fastest correct tier: threaded, armed for a strike
-  kInstrumented,  ///< always the instrumented template (no downgrade)
-  kClean,         ///< templated clean path for hook-free execution
   kThreaded,      ///< lowered computed-goto/switch interpreter (default)
+  kInstrumented,  ///< always the instrumented template: the reference
+  /// Former name of kThreaded; new code spells kThreaded.
+  kAuto = kThreaded,
 };
 
-/// Tier name for metrics/CLI ("auto" never appears in results: kAuto
-/// resolves to a concrete tier at launch).
+/// The one tier name table: metrics counter suffixes, CLI parsing and its
+/// error text all read it.
+struct EngineTierName {
+  EngineTier tier;
+  const char* name;
+};
+inline constexpr EngineTierName kEngineTierNames[] = {
+    {EngineTier::kThreaded, "threaded"},
+    {EngineTier::kInstrumented, "instrumented"},
+};
+
 [[nodiscard]] constexpr const char* engine_tier_name(EngineTier tier) {
-  switch (tier) {
-    case EngineTier::kAuto: return "auto";
-    case EngineTier::kInstrumented: return "instrumented";
-    case EngineTier::kClean: return "clean";
-    case EngineTier::kThreaded: return "threaded";
+  for (const EngineTierName& entry : kEngineTierNames) {
+    if (entry.tier == tier) return entry.name;
   }
-  return "auto";
+  return "threaded";
 }
 
 /// Per-launch options.
@@ -62,26 +67,20 @@ struct LaunchOptions {
   /// 0 selects the default (256M).
   u64 watchdog_instrs = 0;
   /// Instrumentation hooks, invoked in order around every instruction.
-  /// A launch with no hooks runs on the hook-free tier (threaded unless
-  /// pinned to clean). A lone hook with a StrikeRequest runs armed: only
-  /// its struck instruction runs instrumented. Any other hook selects the
-  /// instrumented tier until every hook is done observing.
+  /// A launch with no hooks runs on the threaded tier. A lone hook with a
+  /// StrikeRequest runs armed: only its struck instruction runs
+  /// instrumented. Any other hooked launch runs instrumented to the end.
   std::vector<InstrumentHook*> hooks;
   /// When set, the engine accumulates a dynamic-instruction Profile here
   /// natively — no ProfilerHook needed, so a profile-only launch stays on
   /// the hook-free tier. Counts match ProfilerHook's exactly.
   Profile* profile = nullptr;
-  /// Dispatch-tier selection. kAuto (and kThreaded) pick the fastest
-  /// correct tier per launch: threaded when hook-free, armed threaded for a
-  /// strike request, otherwise instrumented while hooks observe and
-  /// threaded again after a mid-launch downgrade. kInstrumented pins the
-  /// exact pre-refactor inner loop (context construction, double guard-mask
-  /// computation, hook walks) and never downgrades — benchmark/equivalence
-  /// baseline. kClean pins the hook-free side to the templated clean path
-  /// and runs a hooked launch instrumented until its hooks are done
-  /// observing (an injector then counts its own occurrences). Both pins
-  /// are for debugging and tier-equivalence testing.
-  EngineTier engine = EngineTier::kAuto;
+  /// Dispatch-tier selection. kThreaded runs hook-free launches threaded
+  /// and a strike request armed; other hooked launches run instrumented.
+  /// kInstrumented pins the exact pre-refactor inner loop (context
+  /// construction, double guard-mask computation, hook walks) for the whole
+  /// launch — the reference tests and CI diff the threaded tier against.
+  EngineTier engine = EngineTier::kThreaded;
   /// Fast-forward, armed launches only (a lone hook with a StrikeRequest,
   /// engine not pinned). The launch fills every empty slot of this table
   /// whose grid mark it crosses before its strike fires.
@@ -102,12 +101,10 @@ struct LaunchResult {
   u64 dyn_thread_instrs = 0;  ///< sum of active lanes over those
   u64 cycles = 0;             ///< timing-model cycles
   ecc::EccCounters ecc;       ///< ECC events observed during the launch
-  /// Concrete tier the launch finished on (never kAuto); after a mid-launch
-  /// downgrade this is the tier the remainder ran on, and an armed launch
-  /// reports kThreaded.
-  EngineTier tier_used = EngineTier::kClean;
-  /// True when an instrumented launch downgraded mid-run because every hook
-  /// finished observing, or an armed launch reached its struck slot.
+  /// Tier the launch finished on: an armed launch reports kThreaded.
+  EngineTier tier_used = EngineTier::kThreaded;
+  /// True when an armed launch reached its struck slot and finished on the
+  /// plain threaded tier.
   bool downgraded = false;
 
   [[nodiscard]] bool ok() const { return !trap.fired(); }

@@ -43,15 +43,6 @@ class TracerHook final : public InstrumentHook {
   static Filter only_group(InstrGroup group);
   static Filter window(u64 first_dyn, u64 last_dyn);
 
-  /// Declares that nothing after dynamic index `last_dyn` is of interest
-  /// (pair with `window`): once the stream passes it the tracer reports
-  /// done_observing() and the engine may finish the launch on the hook-free
-  /// tier. Without this the tracer observes the whole launch.
-  void stop_after(u64 last_dyn) { stop_after_ = last_dyn; }
-  [[nodiscard]] bool done_observing() const override {
-    return seen_ > stop_after_;
-  }
-
   void on_before_instr(InstrContext& ctx) override;
 
   [[nodiscard]] const std::vector<TraceEntry>& entries() const {
@@ -69,7 +60,6 @@ class TracerHook final : public InstrumentHook {
   Filter filter_;
   std::vector<TraceEntry> entries_;
   u64 seen_ = 0;
-  u64 stop_after_ = ~0ULL;  ///< dynamic index bound set via stop_after()
   bool truncated_ = false;
 };
 

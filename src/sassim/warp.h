@@ -83,7 +83,7 @@ class WarpState {
   /// Bit-identical to guard_mask(), evaluated bit-parallel over the packed
   /// predicate bytes instead of lane by lane (simd::testbit_mask32: one
   /// byte-compare + movemask under AVX2, the multiply trick in the scalar
-  /// backend). The clean execution path's per-instruction guard evaluation;
+  /// backend). The threaded tier's per-instruction guard evaluation;
   /// the instrumented path keeps the per-lane walk above, whose cost is
   /// part of the preserved pre-refactor inner loop it stands in for.
   [[nodiscard]] u32 guard_mask_fast(u8 p, bool negated) const {

@@ -1,10 +1,9 @@
-// Execution-path equivalence tests for the tiered engine: the threaded and
-// clean tiers must be bit-identical to the instrumented tier, concurrent
-// launches must safely share one Program's decode cache (lowering included),
-// the mid-launch downgrade must land on the threaded tier without perturbing
-// results, pending faults must route the threaded tier onto the checked
-// paths, and the hook contract (invocation order, launch_end on every exit
-// path) is pinned here.
+// Execution-path equivalence tests for the two-tier engine: the threaded
+// tier must be bit-identical to the instrumented tier, concurrent launches
+// must safely share one Program's decode cache (lowering included), a hooked
+// launch must run instrumented without perturbing results, pending faults
+// must route the threaded tier onto the checked paths, and the hook
+// contract (invocation order, launch_end on every exit path) is pinned here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -74,46 +73,26 @@ RunOutput run_workload(const std::string& workload_name,
 }
 
 // Workloads with guards, divergence, loops, atomics, and FP — the shapes
-// where the clean path's single guard-mask computation could diverge from
-// the instrumented path's if either were wrong.
+// where the threaded tier's single guard-mask computation could diverge
+// from the instrumented tier's if either were wrong.
 const char* const kPathWorkloads[] = {"vecadd", "scan", "reduce_u32", "spmv"};
-
-TEST(ExecPaths, CleanMatchesForcedInstrumentedBitExact) {
-  for (const char* name : kPathWorkloads) {
-    LaunchOptions clean;
-    clean.engine = sim::EngineTier::kClean;
-    LaunchOptions forced;
-    forced.engine = sim::EngineTier::kInstrumented;
-    const RunOutput a = run_workload(name, nullptr, clean);
-    const RunOutput b = run_workload(name, nullptr, forced);
-    EXPECT_TRUE(identical(a, b)) << name;
-    EXPECT_EQ(a.result.tier_used, sim::EngineTier::kClean) << name;
-    EXPECT_EQ(b.result.tier_used, sim::EngineTier::kInstrumented) << name;
-  }
-}
 
 TEST(ExecPaths, AllTiersBitIdenticalOnEveryWorkload) {
   // The acceptance bar for the threaded tier: every built-in workload —
   // fusion-heavy gemm included — produces byte-identical memory and
-  // identical counters on threaded, clean, and instrumented execution.
+  // identical counters on threaded and instrumented execution.
   for (const std::string& name : wl::workload_names()) {
     LaunchOptions instrumented;
     instrumented.engine = sim::EngineTier::kInstrumented;
     const RunOutput reference = run_workload(name, nullptr, instrumented);
-    for (const sim::EngineTier tier :
-         {sim::EngineTier::kAuto, sim::EngineTier::kClean,
-          sim::EngineTier::kThreaded}) {
-      LaunchOptions options;
-      options.engine = tier;
-      const RunOutput out = run_workload(name, nullptr, options);
-      EXPECT_TRUE(identical(reference, out))
-          << name << " tier=" << sim::engine_tier_name(tier);
-      if (tier != sim::EngineTier::kClean) {
-        // kAuto resolves to threaded on a hook-free launch.
-        EXPECT_EQ(out.result.tier_used, sim::EngineTier::kThreaded) << name;
-      }
-      EXPECT_FALSE(out.result.downgraded) << name;
-    }
+    EXPECT_EQ(reference.result.tier_used, sim::EngineTier::kInstrumented)
+        << name;
+    LaunchOptions threaded;
+    threaded.engine = sim::EngineTier::kThreaded;
+    const RunOutput out = run_workload(name, nullptr, threaded);
+    EXPECT_TRUE(identical(reference, out)) << name;
+    EXPECT_EQ(out.result.tier_used, sim::EngineTier::kThreaded) << name;
+    EXPECT_FALSE(out.result.downgraded) << name;
   }
 }
 
@@ -125,8 +104,7 @@ TEST(ExecPaths, PendingFaultRoutesThreadedTierOntoCheckedPaths) {
   ASSERT_NE(workload, nullptr);
   std::vector<RunOutput> outputs;
   for (const sim::EngineTier tier :
-       {sim::EngineTier::kInstrumented, sim::EngineTier::kClean,
-        sim::EngineTier::kThreaded}) {
+       {sim::EngineTier::kInstrumented, sim::EngineTier::kThreaded}) {
     Device device(arch::toy());
     auto spec = workload->setup(device);
     ASSERT_TRUE(spec.is_ok()) << spec.status().to_string();
@@ -140,50 +118,24 @@ TEST(ExecPaths, PendingFaultRoutesThreadedTierOntoCheckedPaths) {
     ASSERT_TRUE(launch.is_ok()) << launch.status().to_string();
     outputs.push_back(RunOutput{launch.value(), device.snapshot()});
   }
-  for (size_t i = 1; i < outputs.size(); ++i) {
-    EXPECT_TRUE(identical(outputs[0], outputs[i])) << "tier index " << i;
-  }
+  EXPECT_TRUE(identical(outputs[0], outputs[1]));
 }
 
 TEST(ExecPaths, EmptyHookVectorTakesSameResultsAsInstrumented) {
-  // No hooks and hooks-that-all-finished must agree on every counter the
-  // paper's experiments read, whichever tier the remainder runs on.
+  // A hooked launch that is not armed (a plain tracer observing every
+  // instruction) runs instrumented to the end and must agree with the
+  // hook-free launch on every counter the paper's experiments read.
   for (const char* name : kPathWorkloads) {
-    LaunchOptions clean;
-    const RunOutput a = run_workload(name, nullptr, clean);
+    const RunOutput a = run_workload(name, nullptr, LaunchOptions{});
 
     sim::TracerHook tracer(/*max_entries=*/4);
-    tracer.stop_after(0);  // done_observing after the first instruction
-    LaunchOptions downgrading;
-    downgrading.hooks.push_back(&tracer);
-    const RunOutput c = run_workload(name, nullptr, downgrading);
-    EXPECT_TRUE(identical(a, c)) << name << " (mid-launch downgrade)";
-    // The downgrade must land on the threaded tier (fastest correct choice)
-    // and report itself.
-    EXPECT_TRUE(c.result.downgraded) << name;
-    EXPECT_EQ(c.result.tier_used, sim::EngineTier::kThreaded) << name;
-
-    // Pinning kClean keeps the downgrade but lands on the templated path.
-    sim::TracerHook tracer2(/*max_entries=*/4);
-    tracer2.stop_after(0);
-    LaunchOptions pinned;
-    pinned.hooks.push_back(&tracer2);
-    pinned.engine = sim::EngineTier::kClean;
-    const RunOutput d = run_workload(name, nullptr, pinned);
-    EXPECT_TRUE(identical(a, d)) << name << " (downgrade into clean)";
-    EXPECT_TRUE(d.result.downgraded) << name;
-    EXPECT_EQ(d.result.tier_used, sim::EngineTier::kClean) << name;
-
-    // Pinning kInstrumented suppresses the downgrade entirely.
-    sim::TracerHook tracer3(/*max_entries=*/4);
-    tracer3.stop_after(0);
-    LaunchOptions no_downgrade;
-    no_downgrade.hooks.push_back(&tracer3);
-    no_downgrade.engine = sim::EngineTier::kInstrumented;
-    const RunOutput e = run_workload(name, nullptr, no_downgrade);
-    EXPECT_TRUE(identical(a, e)) << name << " (downgrade suppressed)";
-    EXPECT_FALSE(e.result.downgraded) << name;
-    EXPECT_EQ(e.result.tier_used, sim::EngineTier::kInstrumented) << name;
+    LaunchOptions hooked;
+    hooked.hooks.push_back(&tracer);
+    const RunOutput c = run_workload(name, nullptr, hooked);
+    EXPECT_TRUE(identical(a, c)) << name;
+    EXPECT_EQ(c.result.tier_used, sim::EngineTier::kInstrumented) << name;
+    EXPECT_FALSE(c.result.downgraded) << name;
+    EXPECT_EQ(tracer.seen(), c.result.dyn_warp_instrs) << name;
   }
 }
 
@@ -194,8 +146,7 @@ TEST(ExecPaths, ConcurrentLaunchesShareOneDecodeCache) {
   ASSERT_NE(workload, nullptr);
   const sim::Program shared = workload->program();  // copy: fresh cache
 
-  LaunchOptions clean;
-  const RunOutput reference = run_workload("scan", &shared, clean);
+  const RunOutput reference = run_workload("scan", &shared, LaunchOptions{});
 
   constexpr int kThreads = 8;
   std::vector<RunOutput> outputs(kThreads);
@@ -205,11 +156,10 @@ TEST(ExecPaths, ConcurrentLaunchesShareOneDecodeCache) {
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
         LaunchOptions options;
-        // Mix all three tiers so the racing first decode (lowering and
-        // fusion included) serves every consumer.
-        options.engine = (t % 3 == 0)   ? sim::EngineTier::kThreaded
-                         : (t % 3 == 1) ? sim::EngineTier::kClean
-                                        : sim::EngineTier::kInstrumented;
+        // Mix both tiers so the racing first decode (lowering and fusion
+        // included) serves every consumer.
+        options.engine = t % 2 == 0 ? sim::EngineTier::kThreaded
+                                    : sim::EngineTier::kInstrumented;
         outputs[t] = run_workload("scan", &shared, options);
       });
     }
@@ -227,10 +177,9 @@ TEST(ExecPaths, NativeProfileMatchesProfilerHook) {
   // pairs; each fused half must still count as its own opcode).
   for (const std::string& name : wl::workload_names()) {
     sim::Profile native;
-    LaunchOptions clean;
-    clean.profile = &native;
-    clean.engine = sim::EngineTier::kThreaded;
-    const RunOutput threaded_run = run_workload(name, nullptr, clean);
+    LaunchOptions threaded;
+    threaded.profile = &native;
+    const RunOutput threaded_run = run_workload(name, nullptr, threaded);
     EXPECT_EQ(threaded_run.result.tier_used, sim::EngineTier::kThreaded)
         << name;
 

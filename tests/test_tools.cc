@@ -1,9 +1,25 @@
 // Tests for the tooling layer: instruction tracer, XID mapping, the
-// statistical comparison helpers, and the strict CLI value parsers.
+// statistical comparison helpers, the strict CLI value parsers and the
+// unsigned-integer grammar they share with failpoint specs and JSONL files,
+// and the gpufi --engine flag.
 #include <gtest/gtest.h>
+
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "analysis/compare.h"
 #include "arch/arch.h"
+#include "common/failpoint.h"
+#include "common/jsonl.h"
+#include "common/parse.h"
 #include "sassim/tracer.h"
 #include "sassim/xid.h"
 #include "sim_test_util.h"
@@ -151,19 +167,19 @@ TEST(Compare, ComposedRateEmptyProfile) {
 // completely or the flag is rejected — no strtoull "10k means 10" leniency.
 
 TEST(CliArgs, ParseU64AcceptsWholeStringsOnly) {
-  EXPECT_EQ(cli::parse_u64("0"), 0u);
-  EXPECT_EQ(cli::parse_u64("42"), 42u);
-  EXPECT_EQ(cli::parse_u64("18446744073709551615"), ~0ULL);
-  EXPECT_EQ(cli::parse_u64("0x1f", 0), 0x1fu);  // base 0: hex seeds
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("42"), 42u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), ~0ULL);
+  EXPECT_EQ(parse_u64("0x1f", /*allow_hex=*/true), 0x1fu);  // hex seeds
 
-  EXPECT_FALSE(cli::parse_u64(""));
-  EXPECT_FALSE(cli::parse_u64("10k"));
-  EXPECT_FALSE(cli::parse_u64("abc"));
-  EXPECT_FALSE(cli::parse_u64("-1"));
-  EXPECT_FALSE(cli::parse_u64("+5"));
-  EXPECT_FALSE(cli::parse_u64(" 7"));
-  EXPECT_FALSE(cli::parse_u64("18446744073709551616"));  // 2^64: ERANGE
-  EXPECT_FALSE(cli::parse_u64("0x1f"));  // hex needs base 0
+  EXPECT_FALSE(parse_u64(""));
+  EXPECT_FALSE(parse_u64("10k"));
+  EXPECT_FALSE(parse_u64("abc"));
+  EXPECT_FALSE(parse_u64("-1"));
+  EXPECT_FALSE(parse_u64("+5"));
+  EXPECT_FALSE(parse_u64(" 7"));
+  EXPECT_FALSE(parse_u64("18446744073709551616"));  // 2^64: out of range
+  EXPECT_FALSE(parse_u64("0x1f"));  // hex needs allow_hex
 }
 
 TEST(CliArgs, ParseU32EnforcesRange) {
@@ -190,6 +206,128 @@ TEST(CliArgs, ParseShardValidatesIndexAgainstCount) {
   EXPECT_FALSE(cli::parse_shard("1/"));
   EXPECT_FALSE(cli::parse_shard("-1/4"));
   EXPECT_FALSE(cli::parse_shard("1/4/2"));  // trailing garbage
+}
+
+/// Runs the gpufi binary with `args` (shell-quoted by the caller); returns
+/// its exit status and, when `err` is given, what it wrote to stderr.
+int run_gpufi(const std::string& args, std::string* err = nullptr) {
+  // One file per test process: ctest runs tests in parallel processes.
+  const std::string err_path =
+      ::testing::TempDir() + "gpufi_stderr_" + std::to_string(getpid());
+  const std::string command =
+      std::string(GFI_GPUFI_BIN) + " " + args + " >/dev/null 2>" + err_path;
+  const int status = std::system(command.c_str());
+  if (err) {
+    std::ifstream in(err_path);
+    err->assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  std::remove(err_path.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+// One grammar for every unsigned integer a user or a file supplies:
+// decimal, plus 0x hex where the reader allows it (CLI seeds, failpoint
+// specs); no octal spelling, sign, whitespace, trailing garbage or
+// overflow. Each row runs through the CLI (--heartbeat-ms is decimal,
+// --seed takes hex), the failpoint spec grammar (a key= trigger, which
+// fires only on the parsed value) and the JSONL scalar and array readers
+// (decimal).
+TEST(StrictUnsigned, CliFailpointsAndJsonlShareOneGrammar) {
+  struct Row {
+    const char* text;
+    std::optional<u64> decimal;  ///< what decimal readers must return
+    std::optional<u64> hex;      ///< what hex-allowing readers must return
+  };
+  const Row rows[] = {
+      {"0", 0, 0},
+      {"7", 7, 7},
+      {"18446744073709551615", ~0ULL, ~0ULL},
+      {"0x10", std::nullopt, 16},
+      {"0XfF", std::nullopt, 255},
+      {"0xffffffffffffffff", std::nullopt, ~0ULL},
+      {"010", std::nullopt, std::nullopt},  // octal 8 to strtoull base 0
+      {"09", std::nullopt, std::nullopt},
+      {"00", std::nullopt, std::nullopt},
+      {"-1", std::nullopt, std::nullopt},
+      {"+5", std::nullopt, std::nullopt},
+      {" 5", std::nullopt, std::nullopt},
+      {"1 2", std::nullopt, std::nullopt},
+      {"12abc", std::nullopt, std::nullopt},
+      {"0x", std::nullopt, std::nullopt},
+      {"0x-1", std::nullopt, std::nullopt},
+      {"99999999999999999999", std::nullopt, std::nullopt},
+      {"0x10000000000000000", std::nullopt, std::nullopt},
+      {"", std::nullopt, std::nullopt},
+  };
+  for (const Row& row : rows) {
+    const std::string text = row.text;
+    SCOPED_TRACE("'" + text + "'");
+
+    EXPECT_EQ(run_gpufi("version '--heartbeat-ms=" + text + "'"),
+              row.decimal ? 0 : 2);
+    EXPECT_EQ(run_gpufi("version '--seed=" + text + "'"), row.hex ? 0 : 2);
+
+    const Status spec = fp::set_spec("strict.site=err@key=" + text);
+    EXPECT_EQ(spec.is_ok(), row.hex.has_value()) << spec.to_string();
+    if (row.hex && *row.hex != fp::kAnyKey) {  // kAnyKey never matches
+      EXPECT_TRUE(fp::hit("strict.site", *row.hex));
+      EXPECT_FALSE(fp::hit("strict.site", *row.hex ^ 1));
+    }
+    EXPECT_TRUE(fp::set_spec("").is_ok());
+
+    // JSON allows whitespace around a value, so a leading space is the
+    // scanner's business there, not the number grammar's.
+    if (text.starts_with(' ')) continue;
+    jsonl::Fields scalar;
+    ASSERT_TRUE(jsonl::parse_fields("{\"v\":" + text + "}", &scalar));
+    EXPECT_EQ(jsonl::get_u64(scalar, "v"), row.decimal);
+    jsonl::Fields array;
+    const bool parsed = jsonl::parse_fields("{\"a\":[3," + text + "]}", &array);
+    EXPECT_EQ(parsed, row.decimal.has_value());
+    if (parsed && row.decimal) {
+      EXPECT_EQ(array.arrays["a"], (std::vector<u64>{3, *row.decimal}));
+    }
+  }
+}
+
+TEST(StrictUnsigned, JsonlWritersStillRoundTripAndFloatsNeedTheWholeToken) {
+  std::string line = "{";
+  jsonl::append_u64(line, "zero", 0);
+  jsonl::append_u64(line, "max", ~0ULL);
+  jsonl::append_u64_array(line, "a", {0, 42, ~0ULL});
+  jsonl::append_f64(line, "f", 0.1);
+  line += "}";
+  jsonl::Fields fields;
+  ASSERT_TRUE(jsonl::parse_fields(line, &fields));
+  EXPECT_EQ(jsonl::get_u64(fields, "zero"), 0u);
+  EXPECT_EQ(jsonl::get_u64(fields, "max"), ~0ULL);
+  EXPECT_EQ(fields.arrays["a"], (std::vector<u64>{0, 42, ~0ULL}));
+  EXPECT_EQ(jsonl::get_f64(fields, "f"), 0.1);
+
+  for (const char* bad : {"1.5x", "2e", "1.5 2", "0.1.2"}) {
+    const std::string garbage_line = "{\"f\":" + std::string(bad) + "}";
+    jsonl::Fields garbage;
+    ASSERT_TRUE(jsonl::parse_fields(garbage_line, &garbage));
+    EXPECT_FALSE(jsonl::get_f64(garbage, "f")) << bad;
+  }
+  jsonl::Fields dangling;
+  EXPECT_FALSE(jsonl::parse_fields("{\"a\":[1,]}", &dangling));
+}
+
+// --engine names the two tiers from the one table the metrics use; a
+// removed or unknown tier is a usage error naming both.
+TEST(CliEngine, AcceptsTheTwoTiersAndRejectsEverythingElse) {
+  EXPECT_EQ(run_gpufi("version --engine=threaded"), 0);
+  EXPECT_EQ(run_gpufi("version --engine=instrumented"), 0);
+  for (const char* bad : {"clean", "auto", "Threaded", ""}) {
+    const std::string flag = "'--engine=" + std::string(bad) + "'";
+    const std::string want =
+        "bad --engine '" + std::string(bad) + "' (want threaded|instrumented)";
+    std::string err;
+    EXPECT_EQ(run_gpufi("version " + flag, &err), 2) << bad;
+    EXPECT_EQ(err.substr(0, err.find('\n')), want);
+  }
 }
 
 }  // namespace

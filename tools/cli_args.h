@@ -4,7 +4,8 @@
 // 10 injections, "--seed=abc" becomes 0), which is poison for campaigns that
 // are supposed to be replayable from their flag line. These helpers accept a
 // value only if the ENTIRE string parses; anything else is a parse failure
-// the caller turns into a one-line error and a non-zero exit.
+// the caller turns into a one-line error and a non-zero exit. Integers use
+// the shared grammar of common/parse.h (gfi::parse_u64).
 #pragma once
 
 #include <cctype>
@@ -15,33 +16,14 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "common/types.h"
 
 namespace gfi::cli {
 
-/// Parses an unsigned integer, requiring the whole string to be consumed.
-/// `base` follows strtoull: 10 for decimal flags, 0 to also accept 0x hex
-/// (seeds). Rejects empty strings, leading '-', trailing garbage, and
-/// out-of-range values.
-inline std::optional<u64> parse_u64(const std::string& text, int base = 10) {
-  // strtoull skips leading whitespace and accepts sign prefixes; neither
-  // belongs in a flag value.
-  if (text.empty() || text[0] == '-' || text[0] == '+' ||
-      std::isspace(static_cast<unsigned char>(text[0]))) {
-    return std::nullopt;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, base);
-  if (errno == ERANGE || end != text.c_str() + text.size()) {
-    return std::nullopt;
-  }
-  return static_cast<u64>(value);
-}
-
-/// parse_u64 restricted to the u32 range.
-inline std::optional<u32> parse_u32(const std::string& text, int base = 10) {
-  auto value = parse_u64(text, base);
+/// Decimal gfi::parse_u64 restricted to the u32 range.
+inline std::optional<u32> parse_u32(const std::string& text) {
+  auto value = parse_u64(text);
   if (!value || *value > 0xffffffffULL) return std::nullopt;
   return static_cast<u32>(*value);
 }
@@ -49,8 +31,7 @@ inline std::optional<u32> parse_u32(const std::string& text, int base = 10) {
 /// Parses a comma-separated list of unsigned integers ("3,17,133"). The
 /// empty string is an empty list; any unparsable element fails the whole
 /// list. Used for --quarantine.
-inline std::optional<std::vector<u64>> parse_u64_list(const std::string& text,
-                                                      int base = 10) {
+inline std::optional<std::vector<u64>> parse_u64_list(const std::string& text) {
   std::vector<u64> values;
   if (text.empty()) return values;
   std::size_t start = 0;
@@ -59,7 +40,7 @@ inline std::optional<std::vector<u64>> parse_u64_list(const std::string& text,
     const std::string piece = comma == std::string::npos
                                   ? text.substr(start)
                                   : text.substr(start, comma - start);
-    auto value = parse_u64(piece, base);
+    auto value = parse_u64(piece);
     if (!value) return std::nullopt;
     values.push_back(*value);
     if (comma == std::string::npos) break;

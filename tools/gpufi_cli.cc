@@ -56,6 +56,8 @@
 //                            (dynamic warp instrs; default 3x golden + 10000)
 //   --threads=<n>            worker threads for the injection loop
 //                            (0 = hardware concurrency; default 0)
+//   --engine=<tier>          threaded (default) or instrumented, the
+//                            tier equivalence checks diff against
 //   --quarantine=<i,j,...>   global injection indices to journal as
 //                            Quarantined instead of executing (the
 //                            supervisor passes this to relaunched workers)
@@ -201,7 +203,7 @@ struct Options {
   std::optional<u32> max_retries;
   std::string persist = "transient";
   std::string prune = "none";
-  std::string engine = "auto";  ///< --engine dispatch-tier pin (campaign)
+  sim::EngineTier engine = sim::EngineTier::kThreaded;  ///< --engine (campaign)
   bool json = false;
   std::optional<std::string> sarif;  ///< --sarif=<file> (lint)
   std::optional<std::string> metrics_out;
@@ -249,11 +251,21 @@ int cmd_version() {
   return 0;
 }
 
-sim::EngineTier engine_for(const std::string& name) {
-  if (name == "instrumented") return sim::EngineTier::kInstrumented;
-  if (name == "clean") return sim::EngineTier::kClean;
-  if (name == "threaded") return sim::EngineTier::kThreaded;
-  return sim::EngineTier::kAuto;  // parse() already validated the string
+std::optional<sim::EngineTier> engine_for(const std::string& name) {
+  for (const auto& [tier, tier_name] : sim::kEngineTierNames) {
+    if (name == tier_name) return tier;
+  }
+  return std::nullopt;
+}
+
+/// "threaded|instrumented", for the --engine error line.
+std::string engine_names() {
+  std::string names;
+  for (const auto& [tier, name] : sim::kEngineTierNames) {
+    if (!names.empty()) names += '|';
+    names += name;
+  }
+  return names;
 }
 
 bool parse_flag(const std::string& arg, const std::string& name,
@@ -288,7 +300,7 @@ std::optional<Options> parse(int argc, char** argv) {
       continue;
     }
     if (parse_flag(arg, "injections", &value)) {
-      auto parsed = cli::parse_u64(value);
+      auto parsed = parse_u64(value);
       if (!parsed || *parsed == 0) {
         std::fprintf(stderr, "bad --injections '%s' (want a positive integer)\n",
                      value.c_str());
@@ -298,7 +310,7 @@ std::optional<Options> parse(int argc, char** argv) {
       continue;
     }
     if (parse_flag(arg, "seed", &value)) {
-      auto parsed = cli::parse_u64(value, /*base=*/0);
+      auto parsed = parse_u64(value, /*allow_hex=*/true);
       if (!parsed) {
         std::fprintf(stderr, "bad --seed '%s' (want an integer, 0x hex ok)\n",
                      value.c_str());
@@ -354,7 +366,7 @@ std::optional<Options> parse(int argc, char** argv) {
       continue;
     }
     if (parse_flag(arg, "watchdog", &value)) {
-      auto parsed = cli::parse_u64(value);
+      auto parsed = parse_u64(value);
       if (!parsed) {
         std::fprintf(stderr, "bad --watchdog '%s' (want an integer)\n",
                      value.c_str());
@@ -364,7 +376,7 @@ std::optional<Options> parse(int argc, char** argv) {
       continue;
     }
     if (parse_flag(arg, "threads", &value)) {
-      auto parsed = cli::parse_u64(value);
+      auto parsed = parse_u64(value);
       if (!parsed) {
         std::fprintf(stderr,
                      "bad --threads '%s' (want a non-negative integer, "
@@ -414,14 +426,13 @@ std::optional<Options> parse(int argc, char** argv) {
       continue;
     }
     if (parse_flag(arg, "engine", &value)) {
-      if (value != "auto" && value != "instrumented" && value != "clean" &&
-          value != "threaded") {
-        std::fprintf(stderr,
-                     "bad --engine '%s' (want instrumented|clean|threaded)\n",
-                     value.c_str());
+      const std::optional<sim::EngineTier> tier = engine_for(value);
+      if (!tier) {
+        std::fprintf(stderr, "bad --engine '%s' (want %s)\n", value.c_str(),
+                     engine_names().c_str());
         return std::nullopt;
       }
-      options.engine = value;
+      options.engine = *tier;
       continue;
     }
     if (arg == "--json") {
@@ -437,7 +448,7 @@ std::optional<Options> parse(int argc, char** argv) {
       continue;
     }
     if (parse_flag(arg, "heartbeat-ms", &value)) {
-      auto parsed = cli::parse_u64(value);
+      auto parsed = parse_u64(value);
       if (!parsed) {
         std::fprintf(stderr,
                      "bad --heartbeat-ms '%s' (want a non-negative integer)\n",
@@ -452,7 +463,7 @@ std::optional<Options> parse(int argc, char** argv) {
       continue;
     }
     if (parse_flag(arg, "interval", &value)) {
-      auto parsed = cli::parse_u64(value);
+      auto parsed = parse_u64(value);
       if (!parsed || *parsed == 0) {
         std::fprintf(stderr, "bad --interval '%s' (want a positive integer)\n",
                      value.c_str());
@@ -523,7 +534,7 @@ std::optional<Options> parse(int argc, char** argv) {
     for (const auto& knob : u64_knobs) {
       if (!parse_flag(arg, knob.name, &value)) continue;
       matched = true;
-      auto parsed = cli::parse_u64(value);
+      auto parsed = parse_u64(value);
       if (!parsed || (knob.positive && *parsed == 0)) {
         std::fprintf(stderr, "bad --%s '%s' (want a%s integer)\n", knob.name,
                      value.c_str(),
@@ -589,7 +600,7 @@ std::optional<Options> parse(int argc, char** argv) {
       continue;
     }
     if (parse_flag(arg, "stop-min", &value)) {
-      auto parsed = cli::parse_u64(value);
+      auto parsed = parse_u64(value);
       if (!parsed) {
         std::fprintf(stderr,
                      "bad --stop-min '%s' (want a non-negative integer)\n",
@@ -600,7 +611,7 @@ std::optional<Options> parse(int argc, char** argv) {
       continue;
     }
     if (parse_flag(arg, "checkpoint-every", &value)) {
-      auto parsed = cli::parse_u64(value);
+      auto parsed = parse_u64(value);
       if (!parsed || *parsed == 0) {
         std::fprintf(stderr,
                      "bad --checkpoint-every '%s' (want a positive integer)\n",
@@ -686,7 +697,7 @@ std::optional<fi::CampaignConfig> campaign_config(const Options& options) {
                                  : fi::FaultPersistence::kTransient;
   fi::CampaignConfig config;
   config.workload = options.workload;
-  config.engine = engine_for(options.engine);
+  config.engine = options.engine;
   config.machine = *machine;
   config.model = {*mode, *flip, persistence};
   if (options.recover) {
@@ -1135,8 +1146,9 @@ int cmd_run(const Options& options, const char* argv0) {
   if (options.prune != "none") {
     config.worker_flags.push_back("--prune=" + options.prune);
   }
-  if (options.engine != "auto") {
-    config.worker_flags.push_back("--engine=" + options.engine);
+  if (options.engine != sim::EngineTier::kThreaded) {
+    config.worker_flags.push_back(std::string("--engine=") +
+                                  sim::engine_tier_name(options.engine));
   }
   if (options.watchdog) {
     config.worker_flags.push_back("--watchdog=" +
