@@ -1,10 +1,15 @@
 #include "common/jsonl.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <string_view>
 
 #include "common/parse.h"
@@ -176,6 +181,57 @@ std::optional<std::string> get_str(const Fields& fields, const char* key) {
   auto it = fields.scalars.find(key);
   if (it == fields.scalars.end()) return std::nullopt;
   return it->second;
+}
+
+Result<u64> read_log(const std::string& path, const LineParser& header,
+                     const LineParser& record, Rejected rejected) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) return Status::not_found("cannot open " + path);
+  std::ostringstream buffer;
+  buffer << file.rdbuf();
+  const std::string data = buffer.str();
+
+  bool need_header = static_cast<bool>(header);
+  u64 valid_bytes = 0;
+  u64 line_no = 0;
+  for (std::size_t pos = 0, newline;
+       (newline = data.find('\n', pos)) != std::string::npos;
+       pos = newline + 1) {
+    ++line_no;
+    const std::string line = data.substr(pos, newline - pos);
+    if (!line.empty()) {
+      if (need_header) {
+        if (Status parsed = header(line); !parsed.is_ok()) return parsed;
+        need_header = false;
+      } else if (Status parsed = record(line); !parsed.is_ok()) {
+        if (rejected == Rejected::kSkip) continue;
+        if (newline + 1 == data.size()) break;  // rejected last line: drop
+        return Status::internal(path + " is corrupt at line " +
+                                std::to_string(line_no) + ": " +
+                                parsed.message());
+      }
+    }
+    valid_bytes = newline + 1;
+  }
+  if (need_header) {
+    return Status::failed_precondition(path +
+                                       " has no complete header line");
+  }
+  return valid_bytes;
+}
+
+Result<std::FILE*> open_append(const std::string& path, u64 valid_bytes) {
+  std::error_code ec;
+  std::filesystem::resize_file(path, valid_bytes, ec);
+  if (ec) {
+    return Status::internal("cannot truncate " + path + ": " + ec.message());
+  }
+  std::FILE* file = std::fopen(path.c_str(), "ab");
+  if (!file) {
+    return Status::internal("cannot open " + path + ": " +
+                            std::strerror(errno));
+  }
+  return file;
 }
 
 }  // namespace gfi::jsonl

@@ -1,6 +1,19 @@
-// Flat one-line JSON (JSONL) writer/scanner shared by the campaign journal
-// (fi/journal.cc), the golden cache, and the observability heartbeat stream
-// (obs/heartbeat.cc). Supports exactly the shape those files emit: a single
+// Flat one-line JSON (JSONL): the line writer/scanner, and the one rule for
+// reading and appending the four append logs built from it — the campaign
+// journal (fi/journal.cc), the plan file (fi/planner.cc), the supervisor
+// state log (fi/supervisor.cc) and the heartbeat sidecar (obs/heartbeat.cc).
+// The golden cache and leases use the line format too, but they are
+// one-line files replaced by rename, not append logs.
+//
+// The log rule (read_log + open_append): a writer appends whole lines, so a
+// crash leaves at worst one unterminated last line, which readers drop. A
+// complete line the parser rejects is dropped only as the file's last line;
+// anywhere else it is corruption and fails the load with its line number.
+// Appending reopens the file cut back to the end of the last kept line, so
+// a torn tail is never glued onto the next line. The heartbeat's readers
+// race its writer, so it alone skips rejected lines anywhere.
+//
+// The line format supports exactly the shape those files emit: a single
 // non-nested object per line whose values are strings, numbers, nulls, and
 // arrays of unsigned integers.
 //
@@ -15,11 +28,14 @@
 #pragma once
 
 #include <array>
+#include <cstdio>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "common/types.h"
 
 namespace gfi::jsonl {
@@ -79,5 +95,33 @@ bool copy_array(const Fields& fields, const char* key,
   std::copy(it->second.begin(), it->second.end(), out->begin());
   return true;
 }
+
+// ----------------------------------------------------------- log files ---
+
+/// Parses one complete, non-empty log line; a non-ok status rejects it.
+using LineParser = std::function<Status(const std::string& line)>;
+
+/// What read_log does with a complete line `record` rejects.
+enum class Rejected : u8 {
+  kTailOnly,  ///< dropped as the last line; elsewhere the load fails
+  kSkip,      ///< skipped anywhere (heartbeat readers racing the writer)
+};
+
+/// Reads the log at `path` under the rule above, handing each complete
+/// line in file order to `header` (the first line, when set) or `record`.
+/// A rejected header fails the load with the parser's status, even as the
+/// last line: a file that does not start with the caller's header is not
+/// the caller's. A corrupt record is kInternal "<path> is corrupt at line
+/// N: <why>". Returns the end of the last kept line, where open_append
+/// resumes. kNotFound when `path` cannot be opened; kFailedPrecondition
+/// when `header` is set and no complete first line exists (its writer died
+/// before the line hit the disk, so the caller may recreate the file).
+Result<u64> read_log(const std::string& path, const LineParser& header,
+                     const LineParser& record,
+                     Rejected rejected = Rejected::kTailOnly);
+
+/// Cuts `path` back to `valid_bytes` (read_log's result) and opens it for
+/// appending. The caller owns the returned stream.
+Result<std::FILE*> open_append(const std::string& path, u64 valid_bytes);
 
 }  // namespace gfi::jsonl

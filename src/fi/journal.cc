@@ -9,7 +9,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <sstream>
 
 #include "common/failpoint.h"
 #include "common/jsonl.h"
@@ -422,65 +421,33 @@ Result<std::pair<u64, InjectionRecord>> Journal::parse_record(
 }
 
 Result<JournalContents> Journal::load(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return Status::not_found("cannot open journal " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  const std::string data = buffer.str();
-
   JournalContents contents;
-  std::size_t pos = 0;
-  bool have_header = false;
-  while (pos < data.size()) {
-    const std::size_t newline = data.find('\n', pos);
-    if (newline == std::string::npos) break;  // torn trailing record: drop
-    const std::string line = data.substr(pos, newline - pos);
-    if (!line.empty()) {
-      if (!have_header) {
-        auto header = parse_header(line);
-        if (!header.is_ok()) return header.status();
-        contents.header = std::move(header).take();
-        have_header = true;
-      } else if (is_plan_line(line)) {
-        auto event = parse_plan_event(line);
-        if (!event.is_ok()) {
-          // Same torn-tail tolerance as records below.
-          if (data.find('\n', newline + 1) == std::string::npos &&
-              newline + 1 >= data.size()) {
-            break;
-          }
-          return Status::internal("journal " + path + " is corrupt: " +
-                                  event.status().message());
-        }
-        contents.plan.push_back(event.value());
-      } else {
-        auto record = parse_record(line);
-        if (!record.is_ok()) {
-          // A malformed line is only tolerable as the file's torn tail.
-          if (data.find('\n', newline + 1) == std::string::npos &&
-              newline + 1 >= data.size()) {
-            break;
-          }
-          return Status::internal("journal " + path + " is corrupt: " +
-                                  record.status().message());
-        }
-        const FaultModel model{*mode_from_name(contents.header.mode),
-                               *flip_from_name(contents.header.flip),
-                               *persist_from_name(contents.header.persist)};
-        auto [index, parsed] = std::move(record).take();
-        parsed.site.model = model;
-        contents.records.emplace_back(index, parsed);
-      }
+  auto header = [&](const std::string& line) -> Status {
+    auto parsed = parse_header(line);
+    if (!parsed.is_ok()) return parsed.status();
+    contents.header = std::move(parsed).take();
+    return Status::ok();
+  };
+  auto record = [&](const std::string& line) -> Status {
+    if (is_plan_line(line)) {
+      auto event = parse_plan_event(line);
+      if (!event.is_ok()) return event.status();
+      contents.plan.push_back(event.value());
+      return Status::ok();
     }
-    pos = newline + 1;
-    contents.valid_bytes = pos;
-  }
-  if (!have_header) {
-    // Distinct code: the writer died before the header line hit the disk, so
-    // the file holds no data — callers may safely recreate it.
-    return Status::failed_precondition("journal " + path +
-                                       " has no complete header line");
-  }
+    auto parsed = parse_record(line);
+    if (!parsed.is_ok()) return parsed.status();
+    const FaultModel model{*mode_from_name(contents.header.mode),
+                           *flip_from_name(contents.header.flip),
+                           *persist_from_name(contents.header.persist)};
+    auto [index, value] = std::move(parsed).take();
+    value.site.model = model;
+    contents.records.emplace_back(index, value);
+    return Status::ok();
+  };
+  auto valid_bytes = jsonl::read_log(path, header, record);
+  if (!valid_bytes.is_ok()) return valid_bytes.status();
+  contents.valid_bytes = valid_bytes.value();
   return contents;
 }
 
@@ -506,18 +473,9 @@ Result<std::unique_ptr<JournalWriter>> JournalWriter::create(
 
 Result<std::unique_ptr<JournalWriter>> JournalWriter::open_append(
     const std::string& path, u64 valid_bytes) {
-  std::error_code ec;
-  std::filesystem::resize_file(path, valid_bytes, ec);
-  if (ec) {
-    return Status::internal("cannot truncate journal " + path + ": " +
-                            ec.message());
-  }
-  std::FILE* file = std::fopen(path.c_str(), "ab");
-  if (!file) {
-    return Status::internal("cannot open journal " + path + ": " +
-                            std::strerror(errno));
-  }
-  return std::unique_ptr<JournalWriter>(new JournalWriter(file));
+  auto file = jsonl::open_append(path, valid_bytes);
+  if (!file.is_ok()) return file.status();
+  return std::unique_ptr<JournalWriter>(new JournalWriter(file.value()));
 }
 
 Status JournalWriter::append(u64 index, const InjectionRecord& record) {

@@ -78,9 +78,11 @@ struct JournalContents {
 
 class Journal {
  public:
-  /// Loads a journal, tolerating a torn trailing record (a mid-record crash
-  /// leaves a partial last line, which is dropped). A malformed line in the
-  /// middle of the file is corruption and fails.
+  /// Loads a journal under the log rule of common/jsonl.h: a torn trailing
+  /// record (a mid-record crash leaves a partial last line) is dropped, a
+  /// malformed line before the last is corruption and fails, and so does a
+  /// first line that is not a journal header. kFailedPrecondition only when
+  /// no complete header line exists.
   static Result<JournalContents> load(const std::string& path);
 
   // Serialization primitives (exposed for tests and the merge tool).
@@ -98,9 +100,9 @@ class JournalWriter {
   static Result<std::unique_ptr<JournalWriter>> create(
       const std::string& path, const JournalHeader& header);
 
-  /// Opens an existing journal for appending, first truncating the file to
-  /// `valid_bytes` (from Journal::load) so a torn tail never corrupts the
-  /// next record.
+  /// Opens an existing journal for appending from `valid_bytes` (from
+  /// Journal::load) through jsonl::open_append, so a torn tail never
+  /// corrupts the next record.
   static Result<std::unique_ptr<JournalWriter>> open_append(
       const std::string& path, u64 valid_bytes);
 

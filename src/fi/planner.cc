@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "common/jsonl.h"
 
@@ -194,60 +192,41 @@ std::string plan_file_header(const CampaignConfig& config) {
 
 Result<PlanFileContents> load_plan_file(const std::string& path,
                                         const CampaignConfig& config) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return Status::not_found("no plan file at " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  const std::string data = buffer.str();
-
   PlanFileContents contents;
-  bool have_header = false;
-  std::size_t pos = 0;
-  while (pos < data.size()) {
-    const std::size_t newline = data.find('\n', pos);
-    if (newline == std::string::npos) break;  // torn trailing line: drop
-    const std::string line = data.substr(pos, newline - pos);
-    pos = newline + 1;
-    if (line.empty()) continue;
-    if (!have_header) {
-      jsonl::Fields fields;
-      if (!jsonl::parse_fields(line, &fields) ||
-          jsonl::get_str(fields, "plan").value_or("") != kPlanMagic) {
-        return Status::failed_precondition(path + " is not a gpufi plan file");
-      }
-      const u64 seed = jsonl::get_u64(fields, "seed").value_or(0);
-      const u64 num = jsonl::get_u64(fields, "num_injections").value_or(0);
-      const u64 ckpt = jsonl::get_u64(fields, "ckpt").value_or(0);
-      if (seed != config.seed || num != config.num_injections ||
-          ckpt != config.planner.checkpoint_every) {
-        return Status::failed_precondition(
-            path + " was written for a different campaign (seed " +
-            std::to_string(seed) + ", " + std::to_string(num) +
-            " injections, checkpoint " + std::to_string(ckpt) + ")");
-      }
-      contents.seed = seed;
-      contents.num_injections = num;
-      contents.checkpoint_every = ckpt;
-      have_header = true;
-      continue;
+  auto header = [&](const std::string& line) -> Status {
+    jsonl::Fields fields;
+    if (!jsonl::parse_fields(line, &fields) ||
+        jsonl::get_str(fields, "plan").value_or("") != kPlanMagic) {
+      return Status::failed_precondition(path + " is not a gpufi plan file");
     }
-    auto event = parse_plan_event(line);
-    if (!event.is_ok()) {
-      // Only a torn tail is tolerable; a malformed line with lines after
-      // it is corruption.
-      if (pos >= data.size()) break;
-      return Status::internal("plan file " + path + " is corrupt: " +
-                              event.status().message());
+    const u64 seed = jsonl::get_u64(fields, "seed").value_or(0);
+    const u64 num = jsonl::get_u64(fields, "num_injections").value_or(0);
+    const u64 ckpt = jsonl::get_u64(fields, "ckpt").value_or(0);
+    if (seed != config.seed || num != config.num_injections ||
+        ckpt != config.planner.checkpoint_every) {
+      return Status::failed_precondition(
+          path + " was written for a different campaign (seed " +
+          std::to_string(seed) + ", " + std::to_string(num) +
+          " injections, checkpoint " + std::to_string(ckpt) + ")");
     }
-    if (event.value().kind == PlanEvent::Kind::kAlloc) {
-      contents.allocs[event.value().checkpoint] = event.value();
+    contents.seed = seed;
+    contents.num_injections = num;
+    contents.checkpoint_every = ckpt;
+    return Status::ok();
+  };
+  auto event = [&](const std::string& line) -> Status {
+    auto parsed = parse_plan_event(line);
+    if (!parsed.is_ok()) return parsed.status();
+    if (parsed.value().kind == PlanEvent::Kind::kAlloc) {
+      contents.allocs[parsed.value().checkpoint] = parsed.value();
     } else {
-      contents.stop_at = event.value().stop_at;
+      contents.stop_at = parsed.value().stop_at;
     }
-  }
-  if (!have_header) {
-    return Status::failed_precondition(path + " has no plan header line");
-  }
+    return Status::ok();
+  };
+  auto valid_bytes = jsonl::read_log(path, header, event);
+  if (!valid_bytes.is_ok()) return valid_bytes.status();
+  contents.valid_bytes = valid_bytes.value();
   return contents;
 }
 

@@ -130,18 +130,21 @@ struct PlanFileContents {
   u64 checkpoint_every = 0;
   std::map<u64, PlanEvent> allocs;  ///< keyed by checkpoint ordinal
   std::optional<u64> stop_at;
+  u64 valid_bytes = 0;  ///< end of the last kept line (jsonl::read_log)
 };
 
 /// The plan-file header line for a campaign (no trailing newline).
 std::string plan_file_header(const CampaignConfig& config);
 
-/// Loads a plan file, tolerating a torn trailing line (the supervisor may
-/// die mid-append; everything before the tear is still authoritative).
+/// Loads a plan file under the log rule of common/jsonl.h (the supervisor
+/// may die mid-append; everything before the tear is still authoritative).
 /// kNotFound when the file does not exist yet.
 Result<PlanFileContents> load_plan_file(const std::string& path,
                                         const CampaignConfig& config);
 
-/// Appends one decision line (+ flush) to the plan file.
+/// Appends one decision line (+ flush) to the plan file. The file must end
+/// on a whole line: a resumed supervisor first cuts a torn tail off with
+/// jsonl::open_append.
 Status append_plan_event(const std::string& path, const PlanEvent& event);
 
 }  // namespace gfi::fi

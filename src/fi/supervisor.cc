@@ -16,7 +16,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <thread>
 
 #include "common/backoff.h"
@@ -42,6 +41,54 @@ std::string Supervisor::plan_path(const std::string& dir) {
   return dir + "/plan.jsonl";
 }
 
+namespace {
+
+constexpr const char* kStateMagic = "gpufi-run-v1";
+
+}  // namespace
+
+Result<SupervisorState> Supervisor::load_state(
+    const std::string& path, const SupervisorConfig& config) {
+  SupervisorState state;
+  auto header = [&](const std::string& line) -> Status {
+    jsonl::Fields fields;
+    if (!jsonl::parse_fields(line, &fields) ||
+        jsonl::get_str(fields, "supervisor").value_or("") != kStateMagic) {
+      return Status::failed_precondition(path +
+                                         " is not a gpufi run state file");
+    }
+    const std::string workload =
+        jsonl::get_str(fields, "workload").value_or("");
+    const u64 shards = jsonl::get_u64(fields, "shards").value_or(0);
+    const u64 num = jsonl::get_u64(fields, "num_injections").value_or(0);
+    const u64 seed = jsonl::get_u64(fields, "seed").value_or(0);
+    if (workload != config.workload || shards != config.shards ||
+        num != config.num_injections || seed != config.seed) {
+      return Status::failed_precondition(
+          path + " was written by a different campaign (workload '" +
+          workload + "', " + std::to_string(shards) + " shards, " +
+          std::to_string(num) + " injections, seed " + std::to_string(seed) +
+          ")");
+    }
+    return Status::ok();
+  };
+  auto event = [&](const std::string& line) -> Status {
+    jsonl::Fields fields;
+    if (!jsonl::parse_fields(line, &fields) || !jsonl::get_str(fields, "ev")) {
+      return Status::invalid_argument("not a state event");
+    }
+    if (jsonl::get_str(fields, "ev") != "quarantine") return Status::ok();
+    auto index = jsonl::get_u64(fields, "index");
+    if (!index) return Status::invalid_argument("quarantine without index");
+    state.quarantine.insert(*index);
+    return Status::ok();
+  };
+  auto valid_bytes = jsonl::read_log(path, header, event);
+  if (!valid_bytes.is_ok()) return valid_bytes.status();
+  state.valid_bytes = valid_bytes.value();
+  return state;
+}
+
 #ifdef _WIN32
 
 Result<SupervisorResult> Supervisor::run(const SupervisorConfig&) {
@@ -52,8 +99,6 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig&) {
 #else
 
 namespace {
-
-constexpr const char* kStateMagic = "gpufi-run-v1";
 
 enum class ShardPhase { kPending, kRunning, kDone, kFailed };
 
@@ -104,9 +149,16 @@ std::optional<u64> lowest_unjournaled(u64 n, u32 shards, u32 s,
 /// discipline: one self-contained JSONL line per supervisor decision.
 class StateLog {
  public:
-  static Result<std::unique_ptr<StateLog>> open(const std::string& path,
-                                                bool existing) {
-    std::FILE* file = std::fopen(path.c_str(), existing ? "ab" : "wb");
+  /// Creates `path`, or, resuming, cuts it back to `valid_bytes` (from
+  /// Supervisor::load_state) and appends to it.
+  static Result<std::unique_ptr<StateLog>> open(
+      const std::string& path, std::optional<u64> valid_bytes) {
+    if (valid_bytes) {
+      auto file = jsonl::open_append(path, *valid_bytes);
+      if (!file.is_ok()) return file.status();
+      return std::unique_ptr<StateLog>(new StateLog(file.value()));
+    }
+    std::FILE* file = std::fopen(path.c_str(), "wb");
     if (!file) {
       return Status::internal("cannot open supervisor state " + path + ": " +
                               std::strerror(errno));
@@ -119,12 +171,17 @@ class StateLog {
   }
 
   void write(const std::string& line) {
-    const std::string out = line + "\n";
     // State-log IO failure must not kill the campaign: the log exists to
-    // make --resume smarter, and the quarantine set is additionally
-    // re-derivable from worker journals.
-    if (std::fwrite(out.data(), 1, out.size(), file_) == out.size()) {
-      std::fflush(file_);
+    // make --resume smarter. But a short write leaves a partial line, and
+    // the next event glued onto it would be mid-file corruption that fails
+    // the next --resume; so the first failed write ends logging for the
+    // run, leaving a torn tail that resume drops.
+    if (!file_) return;
+    const std::string out = line + "\n";
+    if (std::fwrite(out.data(), 1, out.size(), file_) != out.size() ||
+        std::fflush(file_) != 0) {
+      std::fclose(file_);
+      file_ = nullptr;
     }
   }
 
@@ -153,53 +210,6 @@ std::string state_header_line(const SupervisorConfig& config) {
   jsonl::append_u64(out, "seed", config.seed);
   out += '}';
   return out;
-}
-
-/// Replays an existing state file: validates the header against `config`
-/// and reconstructs the quarantine set. Tolerates a torn trailing line.
-Status replay_state(const std::string& path, const SupervisorConfig& config,
-                    std::set<u64>* quarantine) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    return Status::internal("cannot read supervisor state " + path);
-  }
-  std::string line;
-  bool have_header = false;
-  while (std::getline(file, line)) {
-    if (line.empty()) continue;
-    jsonl::Fields fields;
-    if (!jsonl::parse_fields(line, &fields)) continue;  // torn tail
-    if (!have_header) {
-      if (jsonl::get_str(fields, "supervisor").value_or("") != kStateMagic) {
-        return Status::failed_precondition(
-            path + " is not a gpufi run state file");
-      }
-      const std::string workload =
-          jsonl::get_str(fields, "workload").value_or("");
-      const u64 shards = jsonl::get_u64(fields, "shards").value_or(0);
-      const u64 num = jsonl::get_u64(fields, "num_injections").value_or(0);
-      const u64 seed = jsonl::get_u64(fields, "seed").value_or(0);
-      if (workload != config.workload || shards != config.shards ||
-          num != config.num_injections || seed != config.seed) {
-        return Status::failed_precondition(
-            path + " was written by a different campaign (workload '" +
-            workload + "', " + std::to_string(shards) + " shards, " +
-            std::to_string(num) + " injections, seed " +
-            std::to_string(seed) + ")");
-      }
-      have_header = true;
-      continue;
-    }
-    if (jsonl::get_str(fields, "ev").value_or("") == "quarantine") {
-      if (auto index = jsonl::get_u64(fields, "index")) {
-        quarantine->insert(*index);
-      }
-    }
-  }
-  if (!have_header) {
-    return Status::failed_precondition(path + " has no state header");
-  }
-  return Status::ok();
 }
 
 std::string quarantine_flag(const std::set<u64>& quarantine) {
@@ -303,6 +313,7 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
   // --- supervisor state: refuse to silently clobber a previous run -------
   const std::string spath = state_path(config.dir);
   std::set<u64> quarantine;
+  std::optional<u64> state_bytes;  ///< set when resuming a state log
   const bool state_exists = std::filesystem::exists(spath, ec) &&
                             std::filesystem::file_size(spath, ec) > 0;
   if (state_exists && !config.resume) {
@@ -311,16 +322,19 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
         "--resume to continue it (or use a fresh --dir)");
   }
   if (state_exists) {
-    if (Status replayed = replay_state(spath, config, &quarantine);
-        !replayed.is_ok()) {
-      return replayed;
-    }
+    auto replayed = load_state(spath, config);
+    if (!replayed.is_ok()) return replayed.status();
+    quarantine = std::move(replayed.value().quarantine);
+    state_bytes = replayed.value().valid_bytes;
   }
-  auto log_opened = StateLog::open(spath, state_exists);
+  auto log_opened = StateLog::open(spath, state_bytes);
   if (!log_opened.is_ok()) return log_opened.status();
   std::unique_ptr<StateLog> log = std::move(log_opened).take();
-  if (!state_exists) log->write(state_header_line(config));
-  if (state_exists) log->event("resume", {});
+  if (state_bytes) {
+    log->event("resume", {});
+  } else {
+    log->write(state_header_line(config));
+  }
 
   char host[256] = "unknown";
   (void)::gethostname(host, sizeof(host) - 1);
@@ -371,6 +385,10 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
         published_allocs.insert(c);
       }
       plan_stop = existing.value().stop_at;
+      // Cut a torn tail off before append_plan_event adds to the file.
+      auto reopened = jsonl::open_append(ppath, existing.value().valid_bytes);
+      if (!reopened.is_ok()) return reopened.status();
+      std::fclose(reopened.value());
     } else {
       std::ofstream out(ppath, std::ios::binary | std::ios::trunc);
       out << plan_file_header(config.campaign) << '\n';

@@ -29,6 +29,7 @@
 // restarts converges to the same merged journal.
 #pragma once
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -101,6 +102,12 @@ struct SupervisorResult {
   MergedCampaign merged;
 };
 
+/// A replayed supervisor state log.
+struct SupervisorState {
+  std::set<u64> quarantine;  ///< every quarantine event it records
+  u64 valid_bytes = 0;       ///< where the next event goes (jsonl::read_log)
+};
+
 class Supervisor {
  public:
   /// Runs the campaign to completion (or to abandonment). Worker crashes,
@@ -115,6 +122,12 @@ class Supervisor {
   static std::string state_path(const std::string& dir);
   /// The published planner decisions: `<dir>/plan.jsonl`.
   static std::string plan_path(const std::string& dir);
+
+  /// Replays a state log under the log rule of common/jsonl.h, after
+  /// checking its header against `config` (kFailedPrecondition on a
+  /// mismatch).
+  static Result<SupervisorState> load_state(const std::string& path,
+                                            const SupervisorConfig& config);
 };
 
 }  // namespace gfi::fi

@@ -4,10 +4,8 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <optional>
-#include <sstream>
 
 #include "common/failpoint.h"
 #include "common/jsonl.h"
@@ -75,27 +73,18 @@ Result<HeartbeatState> parse_heartbeat(const std::string& line) {
 }
 
 Result<HeartbeatState> load_status_file(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return Status::not_found("cannot open status file " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  const std::string data = buffer.str();
-
   // Keep the last parseable line: a shard killed mid-write leaves a torn
   // tail, and a reader racing the writer can see a half-flushed line; both
   // must degrade to slightly stale progress, never to an error.
   std::optional<HeartbeatState> last;
-  std::size_t pos = 0;
-  while (pos < data.size()) {
-    std::size_t newline = data.find('\n', pos);
-    if (newline == std::string::npos) newline = data.size();
-    const std::string line = data.substr(pos, newline - pos);
-    if (!line.empty()) {
-      auto parsed = parse_heartbeat(line);
-      if (parsed.is_ok()) last = std::move(parsed).take();
-    }
-    pos = newline + 1;
-  }
+  auto beat = [&](const std::string& line) -> Status {
+    auto parsed = parse_heartbeat(line);
+    if (!parsed.is_ok()) return parsed.status();
+    last = std::move(parsed).take();
+    return Status::ok();
+  };
+  auto read = jsonl::read_log(path, nullptr, beat, jsonl::Rejected::kSkip);
+  if (!read.is_ok()) return read.status();
   if (!last) {
     return Status::failed_precondition("status file " + path +
                                        " has no complete heartbeat record");

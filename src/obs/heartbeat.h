@@ -9,8 +9,10 @@
 //    "t_s":9.8,"rate":12.2,"eta_s":10.6}
 //
 // The final line on completion carries ev:"done". The writer flushes every
-// line, so a killed shard leaves at worst one torn trailing line — readers
-// keep the last parseable record, mirroring the journal's resume rule.
+// line, so a killed shard leaves at worst one torn trailing line. Readers
+// follow the log rule of common/jsonl.h with its one exception for racing
+// the writer: a line that does not parse is skipped wherever it is, and the
+// last parseable record wins.
 // Heartbeats deliberately live in a sidecar, NOT interleaved in the journal:
 // the journal is the campaign's replayable source of truth and must stay a
 // dense record-per-injection log that merge/resume can validate; heartbeats
@@ -59,9 +61,9 @@ std::string heartbeat_line(const HeartbeatState& state);
 /// Parses one line; fails on malformed/torn input.
 Result<HeartbeatState> parse_heartbeat(const std::string& line);
 
-/// Loads a sidecar file and returns the LAST parseable record (a torn or
-/// corrupt tail never hides earlier progress). Fails only when no record
-/// parses at all.
+/// Loads a sidecar file and returns the LAST parseable complete record (a
+/// torn or corrupt line never hides other progress). Fails only when no
+/// record parses at all.
 Result<HeartbeatState> load_status_file(const std::string& path);
 
 /// The sidecar path for a journal: `<journal>.status.jsonl`.

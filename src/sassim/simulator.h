@@ -39,8 +39,6 @@ struct LaunchCheckpoint;
 enum class EngineTier : u8 {
   kThreaded,      ///< lowered computed-goto/switch interpreter (default)
   kInstrumented,  ///< always the instrumented template: the reference
-  /// Former name of kThreaded; new code spells kThreaded.
-  kAuto = kThreaded,
 };
 
 /// The one tier name table: metrics counter suffixes, CLI parsing and its

@@ -107,7 +107,7 @@ void campaign_sweep(const std::string& workload, InjectionMode mode) {
     const std::string what =
         workload + " " + to_string(mode) + " " + to_string(flip);
 
-    config.engine = EngineTier::kAuto;
+    config.engine = EngineTier::kThreaded;
     for (const std::size_t threads : {1, 3}) {
       obs::Registry metrics;
       config.threads = threads;
@@ -180,7 +180,7 @@ TEST(FastForwardRetry, RfGemmRetriesMatchInstrumentedPin) {
     }
     EXPECT_GT(retried, 0u) << "no injection trapped: the test is vacuous";
 
-    config.engine = EngineTier::kAuto;
+    config.engine = EngineTier::kThreaded;
     for (const std::size_t threads : {1, 3}) {
       obs::Registry metrics;
       config.threads = threads;

@@ -13,6 +13,7 @@
 
 #include "analysis/report.h"
 #include "arch/arch.h"
+#include "common/failpoint.h"
 #include "common/stats.h"
 #include "fi/campaign.h"
 #include "fi/golden_cache.h"
@@ -406,6 +407,50 @@ TEST(Supervisor, AdaptiveRunSurvivesWorkerKillsBitIdentically) {
   ASSERT_TRUE(
       fi::write_merged_journal(merged_path, ran.value().merged).is_ok());
   EXPECT_EQ(read_file(merged_path), read_file(*reference.journal_path));
+}
+
+TEST(Supervisor, ResumeCutsATornPlanFileTailBeforeAppending) {
+  const fs::path dir = scratch_dir("sup_torn_plan");
+  CampaignConfig reference = adaptive_config((dir / "ref.jsonl").string());
+  reference.planner.stratify = true;
+  auto config = planner_sup_config(dir / "run", reference, 3);
+  const std::string plan = Supervisor::plan_path(config.dir);
+  // A supervisor creates the plan file and dies on its first tick; its
+  // last plan append was torn mid-line.
+  ASSERT_TRUE(fp::set_spec("supervisor.tick=err@hit=1").is_ok());
+  auto first = Supervisor::run(config);
+  ASSERT_FALSE(first.is_ok());
+  ASSERT_NE(first.status().message().find("supervisor aborted"),
+            std::string::npos)
+      << first.status().to_string();
+  std::ofstream(plan, std::ios::binary | std::ios::app)
+      << "{\"plan\":\"alloc\",\"ck";
+
+  // A resumed supervisor takes the plan file over, then dies again before
+  // publishing; the decisions it would publish next must all load.
+  config.resume = true;
+  ASSERT_TRUE(fp::set_spec("supervisor.tick=err@hit=1").is_ok());
+  auto resumed = Supervisor::run(config);
+  (void)fp::set_spec("");
+  ASSERT_FALSE(resumed.is_ok());
+  ASSERT_NE(resumed.status().message().find("supervisor aborted"),
+            std::string::npos)
+      << resumed.status().to_string();
+  PlanEvent alloc;
+  alloc.kind = PlanEvent::Kind::kAlloc;
+  alloc.checkpoint = 0;
+  alloc.alloc[0] = 50;
+  PlanEvent stop;
+  stop.kind = PlanEvent::Kind::kStop;
+  stop.stop_at = 100;
+  ASSERT_TRUE(fi::append_plan_event(plan, alloc).is_ok());
+  ASSERT_TRUE(fi::append_plan_event(plan, stop).is_ok());
+  auto loaded = fi::load_plan_file(plan, config.campaign);
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  ASSERT_EQ(loaded.value().allocs.size(), 1u);
+  EXPECT_EQ(loaded.value().allocs.at(0), alloc);
+  ASSERT_TRUE(loaded.value().stop_at.has_value());
+  EXPECT_EQ(*loaded.value().stop_at, 100u);
 }
 
 }  // namespace

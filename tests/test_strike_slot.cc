@@ -192,7 +192,7 @@ FaultSite make_site(InjectionMode mode, BitFlipModel flip, u64 occurrence,
 /// Runs the flip x site sweep of one mode on one workload.
 void sweep(const std::string& name, const WorkloadMaker& make,
            InjectionMode mode) {
-  const Run golden = launch(make, nullptr, EngineTier::kAuto, 0);
+  const Run golden = launch(make, nullptr, EngineTier::kThreaded, 0);
   ASSERT_TRUE(golden.result.ok()) << name;
   const u64 watchdog = golden.result.dyn_warp_instrs * 3 + 10000;
   const auto workload = make();
@@ -214,7 +214,7 @@ void sweep(const std::string& name, const WorkloadMaker& make,
       const FaultSite site = make_site(mode, flip, occurrence, program.at(pc));
       const Run expected =
           inject(make, site, EngineTier::kInstrumented, watchdog);
-      const Run armed = inject(make, site, EngineTier::kAuto, watchdog);
+      const Run armed = inject(make, site, EngineTier::kThreaded, watchdog);
       const std::string what = name + " " + site.to_string();
       expect_identical(armed, expected, what);
       EXPECT_EQ(armed.result.tier_used, EngineTier::kThreaded) << what;
@@ -264,7 +264,7 @@ TEST_P(StrikeSlot, RunSingleRecordsMatchInstrumentedPin) {
     obs::Registry metrics;
     constexpr std::size_t kRuns = 3;
     for (std::size_t i = 0; i < kRuns; ++i) {
-      config.engine = EngineTier::kAuto;
+      config.engine = EngineTier::kThreaded;
       auto armed = fi::Campaign::run_single(config, profile,
                                             golden.value().dyn_instrs, i,
                                             nullptr, nullptr, &metrics);
@@ -326,7 +326,7 @@ void expect_chain_tail_strike_matches(const WorkloadMaker& make,
   const sim::Instr& instr = workload->program().at(tail.pc);
   const FaultSite site =
       make_site(mode, BitFlipModel::kSingle, tail.occurrence, instr);
-  const Run armed = inject(make, site, EngineTier::kAuto, 0);
+  const Run armed = inject(make, site, EngineTier::kThreaded, 0);
   const Run expected = inject(make, site, EngineTier::kInstrumented, 0);
   EXPECT_TRUE(armed.effect.activated);
   EXPECT_EQ(armed.effect.struck_opcode, sim::Opcode::kFFma);

@@ -16,6 +16,7 @@
 
 #include "arch/arch.h"
 #include "common/failpoint.h"
+#include "common/jsonl.h"
 #include "fi/campaign.h"
 #include "fi/golden_cache.h"
 #include "fi/journal.h"
@@ -350,6 +351,71 @@ TEST(Supervisor, DiesMidCampaignThenResumeIsBitIdentical) {
   fi::SupervisorResult result;
   const std::string merged = merged_bytes(config, &result);
   EXPECT_EQ(merged, read_file(reference));
+}
+
+/// A state-log header for sup_config(dir, 24, 2), as `gpufi run` writes it.
+constexpr const char* kStateHeader =
+    R"({"supervisor":"gpufi-run-v1","workload":"vecadd","shards":2,)"
+    R"("num_injections":24,"seed":7})";
+
+TEST(Supervisor, ResumeRefusesAStateLogCorruptBeforeItsLastLine) {
+  const fs::path dir = scratch_dir("corrupt_state");
+  auto config = sup_config(dir / "run", 24, 2);
+  fs::create_directories(config.dir);
+  const std::string state = Supervisor::state_path(config.dir);
+  // Line 2 is damaged; line 3 convicts injection 19. Replaying past the
+  // damage would be fine here, but the damaged line could have been the
+  // quarantine itself: resume must stop, not forget.
+  std::ofstream(state, std::ios::binary)
+      << kStateHeader << "\n"
+      << R"({"ev":"crash","sha)" << "\n"
+      << R"({"ev":"quarantine","shard":1,"index":19})" << "\n";
+  config.resume = true;
+  auto ran = Supervisor::run(config);
+  ASSERT_FALSE(ran.is_ok());
+  EXPECT_NE(ran.status().message().find(state + " is corrupt at line 2"),
+            std::string::npos)
+      << ran.status().to_string();
+}
+
+TEST(Supervisor, ResumeDropsATornStateLogTailAndKeepsItsQuarantine) {
+  const fs::path dir = scratch_dir("torn_state");
+  const std::string reference = write_reference_journal(dir, 24);
+  auto config = sup_config(dir / "run", 24, 2);
+  fs::create_directories(config.dir);
+  const std::string state = Supervisor::state_path(config.dir);
+  // A supervisor died mid-write, after convicting injection 19.
+  std::ofstream(state, std::ios::binary)
+      << kStateHeader << "\n"
+      << R"({"ev":"quarantine","shard":1,"index":19})" << "\n"
+      << R"({"ev":"cra)";
+  config.resume = true;
+  fi::SupervisorResult result;
+  const std::string merged = merged_bytes(config, &result);
+  EXPECT_EQ(result.quarantined, std::vector<u64>{19});
+  auto merged_lines = lines_by_index(config.dir + "/merged.jsonl");
+  auto reference_lines = lines_by_index(reference);
+  ASSERT_EQ(merged_lines.size(), reference_lines.size());
+  for (const auto& [index, line] : reference_lines) {
+    if (index == "19") {
+      EXPECT_NE(merged_lines.at(index).find("\"outcome\":\"Quarantined\""),
+                std::string::npos);
+    } else {
+      EXPECT_EQ(merged_lines.at(index), line) << "record " << index;
+    }
+  }
+
+  // The torn tail was cut, not glued onto: every line of the log parses...
+  std::istringstream log(read_file(state));
+  std::string line;
+  while (std::getline(log, line)) {
+    jsonl::Fields fields;
+    EXPECT_TRUE(jsonl::parse_fields(line, &fields)) << line;
+  }
+  // ...so a second resume replays the same quarantine to the same merge.
+  fi::SupervisorResult again;
+  EXPECT_EQ(merged_bytes(config, &again), merged);
+  EXPECT_EQ(again.quarantined, std::vector<u64>{19});
 }
 
 TEST(Supervisor, AbandonsAShardAfterMaxNoProgressAttempts) {
