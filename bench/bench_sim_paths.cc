@@ -1,11 +1,11 @@
 // Hook-free vs instrumented-path simulator throughput.
 //
 // The two-tier engine promises that a hook-free launch on the threaded tier
-// (predecoded handler ids, computed-goto/switch dispatch, superinstruction
-// fusion) is substantially faster than the instrumented inner loop it
-// replaced. This bench measures both tiers on the same workloads — the
-// instrumented side via EngineTier::kInstrumented, which preserves the
-// pre-refactor per-instruction semantics with an empty hook vector — writes
+// (predecoded handler ids, switch dispatch, full-warp row kernels) is
+// substantially faster than the instrumented inner loop it replaced. This
+// bench measures both tiers on the same workloads — the instrumented side
+// via EngineTier::kInstrumented, which preserves the pre-refactor
+// per-instruction semantics with an empty hook vector — writes
 // BENCH_sim.json, and exits 1 when the geomean hook-free speedup drops
 // below the 1.5x CI gate. It takes no arguments (anything else exits 2).
 //
@@ -37,7 +37,6 @@
 #include "fi/campaign.h"
 #include "obs/registry.h"
 #include "sassim/device.h"
-#include "sassim/exec_threaded.h"
 #include "workloads/workload.h"
 
 namespace {
@@ -235,8 +234,7 @@ int main(int argc, char** argv) {
   const char* tier_name = sim::engine_tier_name(kTier);
 
   std::printf("Simulator path throughput (A100 model, hook-free launches)\n");
-  std::printf("simd backend: %s, dispatch backend: %s, engine: %s\n",
-              simd::backend(), sim::exec::dispatch_backend(), tier_name);
+  std::printf("simd backend: %s, engine: %s\n", simd::backend(), tier_name);
   std::printf("%-12s %15s %15s %9s %10s %10s\n", "workload",
               "hook-free (wi/s)", "instrumented", "speedup", "inj/clean",
               "camp/clean");
@@ -281,7 +279,6 @@ int main(int argc, char** argv) {
   std::fprintf(out,
                "{\n  \"bench\": \"sim_paths\",\n  \"arch\": \"%s\",\n"
                "  \"simd\": \"%s\",\n"
-               "  \"dispatch\": \"%s\",\n"
                "  \"engine\": \"%s\",\n"
                "  \"workloads\": [\n%s  ],\n"
                "  \"geomean_speedup\": %.3f,\n"
@@ -289,10 +286,9 @@ int main(int argc, char** argv) {
                "  \"gemm_clean_warp_instrs_per_sec\": %.0f,\n"
                "  \"gemm_pre_refactor_empty_hook_warp_instrs_per_sec\": %.0f,\n"
                "  \"gemm_clean_speedup_vs_pre_refactor\": %.3f\n}\n",
-               machine.name.c_str(), simd::backend(),
-               sim::exec::dispatch_backend(), tier_name, rows.c_str(), geomean,
-               kGateSpeedup,
-               gemm_clean, kPreRefactorGemmRate, vs_pre_refactor);
+               machine.name.c_str(), simd::backend(), tier_name, rows.c_str(),
+               geomean, kGateSpeedup, gemm_clean, kPreRefactorGemmRate,
+               vs_pre_refactor);
   std::fclose(out);
 
   if (geomean < kGateSpeedup) {

@@ -10,24 +10,32 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/report.h"
 #include "arch/arch.h"
+#include "common/parse.h"
 #include "common/table.h"
 #include "fi/campaign.h"
 #include "workloads/workload.h"
 
 namespace gfi::benchx {
 
-/// Injection count per campaign, overridable via GFI_INJECTIONS.
+/// Injection count per campaign, overridable via GFI_INJECTIONS: a positive
+/// decimal integer, else the bench exits 2 before running anything.
 inline std::size_t injections() {
-  if (const char* env = std::getenv("GFI_INJECTIONS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) return static_cast<std::size_t>(parsed);
+  const char* env = std::getenv("GFI_INJECTIONS");
+  if (env == nullptr) return 300;
+  const std::optional<u64> parsed = parse_u64(env);
+  if (!parsed || *parsed == 0) {
+    std::fprintf(stderr,
+                 "bad GFI_INJECTIONS '%s' (want a positive decimal integer)\n",
+                 env);
+    std::exit(2);
   }
-  return 300;
+  return static_cast<std::size_t>(*parsed);
 }
 
 /// Runs a campaign, aborting the bench with a message on harness errors.

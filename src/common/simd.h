@@ -509,16 +509,12 @@ using f32xN = active::f32xN;
 using active::testbit_mask32;
 
 /// Name of the compiled backend, for --version / status / bench artifacts.
-/// GFI_SIMD_BACKEND_NAME is injected by CMake ("avx2" or "native"); a build
-/// whose compiler did not actually deliver __AVX2__ reports "off" no matter
-/// what was requested, because that is the code path that will run.
+/// A build whose compiler did not actually deliver __AVX2__ reports "off"
+/// no matter what was requested, because that is the code path that will
+/// run.
 constexpr const char* backend() {
 #ifdef GFI_SIMD_ACTIVE_AVX2
-#ifdef GFI_SIMD_BACKEND_NAME
-  return GFI_SIMD_BACKEND_NAME;
-#else
   return "avx2";
-#endif
 #else
   return "off";
 #endif

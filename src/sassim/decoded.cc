@@ -70,61 +70,6 @@ Handler lower_one(const DecodedInstr& d) {
   }
 }
 
-/// Fusion pairing over adjacent pcs. A head keeps its own scheduler slot —
-/// fusion changes neither cycle accounting nor dynamic-instruction counts —
-/// but precomputes the tail's work into the warp's stash, which the tail
-/// consumes iff control flow actually fell through from the head. Every
-/// tail handler degrades to its unfused behavior when the stash is invalid,
-/// so branching into a tail (or resuming there after an instrumented-tier
-/// downgrade) is always correct.
-void fuse_pairs(std::vector<DecodedInstr>& instrs) {
-  for (std::size_t pc = 0; pc + 1 < instrs.size(); ++pc) {
-    DecodedInstr& head = instrs[pc];
-    DecodedInstr& tail = instrs[pc + 1];
-
-    // ISETP + @P BRA: the ISETP's full-warp lane mask doubles as the BRA's
-    // guard, saving the tail's predicate-row scan. Requires an unguarded
-    // vector ISETP writing a real predicate that is exactly the BRA guard.
-    if (head.handler == Handler::kISetp && !head.guarded &&
-        head.dst_index < kPredT && tail.handler == Handler::kBra &&
-        tail.guarded && tail.guard_pred == head.dst_index) {
-      head.handler = Handler::kCmpBraHead;
-      tail.handler = Handler::kBraFusedTail;
-      ++pc;  // a tail never doubles as the next pair's head
-      continue;
-    }
-
-    // IMAD.WIDE + LDG/STG on the freshly computed address pair: the head's
-    // per-lane product loop also proves 4-byte alignment and min/max global
-    // bounds for the tail, which then runs a check-free row copy. Both must
-    // be unguarded so the head's full mask carries over to the tail.
-    if (head.handler == Handler::kIMadWide && !head.guarded &&
-        head.dst_kind == OperandKind::kReg && head.dst_index != kRegZ &&
-        (tail.handler == Handler::kLdgRow ||
-         tail.handler == Handler::kStgRow) &&
-        !tail.guarded && tail.src[0].index == head.dst_index) {
-      head.handler = tail.handler == Handler::kLdgRow
-                         ? Handler::kAddrLdgHead
-                         : Handler::kAddrStgHead;
-      tail.handler = tail.handler == Handler::kLdgRow
-                         ? Handler::kLdgFusedTail
-                         : Handler::kStgFusedTail;
-      ++pc;
-      continue;
-    }
-
-    // FFMA chains: two adjacent unguarded f32 vector FFMAs issue both row
-    // kernels from the head's slot; the tail reduces to a stash check.
-    if (head.handler == Handler::kFFma && !head.guarded &&
-        tail.handler == Handler::kFFma && !tail.guarded) {
-      head.handler = Handler::kFFmaChainHead;
-      tail.handler = Handler::kFFmaChainTail;
-      ++pc;
-      continue;
-    }
-  }
-}
-
 }  // namespace
 
 DecodedProgram::DecodedProgram(std::span<const Instr> code) {
@@ -155,14 +100,10 @@ DecodedProgram::DecodedProgram(std::span<const Instr> code) {
                  d.src[2].kind != OperandKind::kPred;
     d.dst_kind = instr.dst.kind;
     d.dst_index = instr.dst.index;
+    d.handler = lower_one(d);
     instrs_.push_back(d);
     defuse_.push_back(sim::def_use(instr));
   }
-  // Lowering for the threaded tier: direct handler ids first (purely local
-  // per-instruction facts), then fusion, which looks one pc ahead and so
-  // needs the whole stream decoded.
-  for (DecodedInstr& d : instrs_) d.handler = lower_one(d);
-  fuse_pairs(instrs_);
 }
 
 }  // namespace gfi::sim

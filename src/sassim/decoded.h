@@ -65,24 +65,7 @@ enum class Handler : u8 {
   kStgRow,
   kLdsRow,
   kStsRow,
-
-  // Superinstruction fusion. Heads keep their own scheduler slot (cycles,
-  // issue budget, and per-instruction accounting are untouched) but
-  // precompute the tail's work into a per-warp stash; tails consume the
-  // stash when valid and fall back to their unfused behavior otherwise
-  // (branch into the tail, downgrade resume, partial mask at the head).
-  kCmpBraHead,    ///< vec ISETP whose dst pred guards the next BRA
-  kBraFusedTail,  ///< BRA consuming the stashed taken-mask
-  kAddrLdgHead,   ///< IMAD.WIDE feeding the next LDG's address pair
-  kLdgFusedTail,  ///< LDG with head-proven alignment + bounds
-  kAddrStgHead,   ///< IMAD.WIDE feeding the next STG's address pair
-  kStgFusedTail,  ///< STG with head-proven alignment + bounds
-  kFFmaChainHead, ///< f32 FFMA pair executed in one handler
-  kFFmaChainTail, ///< second FFMA of a fused chain (skips when stashed)
 };
-
-inline constexpr int kHandlerCount =
-    static_cast<int>(Handler::kFFmaChainTail) + 1;
 
 /// One resolved operand: the payload of `Operand` without any need to
 /// consult the opcode again. kNone reads as 0, matching the executor.
@@ -118,8 +101,7 @@ struct DecodedInstr {
   bool vec_srcs = false;
   OperandKind dst_kind = OperandKind::kNone;
   u16 dst_index = 0;
-  /// Threaded-tier direct dispatch target; see Handler. Lowered in a second
-  /// pass over the decoded stream (fusion inspects pc+1). The instrumented
+  /// Threaded-tier direct dispatch target; see Handler. The instrumented
   /// tier never reads this field.
   Handler handler = Handler::kGeneric;
 };

@@ -454,29 +454,23 @@ struct Simulator::Engine {
       return exec_armed(cta, warp, instr);
     } else {
       // Threaded tier: handlers do their own exec-mask computation and
-      // accounting (fusion heads and tails must each count exactly once),
-      // so the whole slot is one direct-dispatched call.
+      // accounting, so the whole slot is one direct-dispatched call.
       return exec::threaded_dispatch(*this, cta, warp, instr);
     }
   }
 
   /// One slot of an armed run. Every issue whose group the strike names is
   /// counted; the requested one runs instrumented, everything else threaded.
-  /// The struck slot first drops its warp's fusion stash: a head's proof
-  /// (in-bounds address row, branch mask) does not survive a strike on its
-  /// tail's sources, and the instrumented dispatch never consumes a stash,
-  /// so one left behind could later meet a branch into the tail.
   TrapKind exec_armed(Cta& cta, WarpState& warp, const DecodedInstr& instr) {
     const int group = static_cast<int>(instr.group);
     ++group_issues[group];
     if (((strike.groups >> group) & 1u) != 0 &&
         strike_seen++ == strike.occurrence) {
-      warp.fuse_pc = WarpState::kFuseInvalid;
       struck = true;
       opts.hooks.front()->on_strike_slot();
       return exec_instr<InstrumentedPolicy>(cta, warp, instr);
     }
-    return exec::armed_dispatch(*this, cta, warp, instr);
+    return exec::threaded_dispatch(*this, cta, warp, instr);
   }
 
   // Executes `instr` for lanes in `exec`, already accounted by the caller;

@@ -37,7 +37,7 @@ struct LaunchCheckpoint;
 /// architecturally observable way — results, traps, cycles, dynamic-
 /// instruction counts, journals — differing only in speed.
 enum class EngineTier : u8 {
-  kThreaded,      ///< lowered computed-goto/switch interpreter (default)
+  kThreaded,      ///< lowered handler-id interpreter (default)
   kInstrumented,  ///< always the instrumented template: the reference
 };
 
@@ -137,7 +137,7 @@ class ImageBuffer {
 };
 
 /// The whole engine state of an armed launch at a cycle boundary before its
-/// strike: resident CTAs (warps with their fusion stashes, shared memory),
+/// strike: resident CTAs (warps and shared memory),
 /// the grid cursor, counters and the timing-model cycle, the issue count of
 /// every instruction group, and device memory. Resuming from it reproduces
 /// the launch from that boundary on bit for bit (DESIGN.md §4.14). The CTAs

@@ -25,7 +25,7 @@ namespace {
 
 /// Image words of the fixed fields, the predicate bytes and one SIMT stack
 /// entry (mask, pc, kind).
-constexpr std::size_t kHeaderWords = 11;
+constexpr std::size_t kHeaderWords = 9;
 constexpr std::size_t kPredWords = kWarpSize / sizeof(u32);
 constexpr std::size_t kEntryWords = 3;
 
@@ -45,8 +45,6 @@ u32* WarpState::save_image(u32* out) const {
   *out++ = lo32(ready_cycle);
   *out++ = hi32(ready_cycle);
   *out++ = at_barrier ? 1u : 0u;
-  *out++ = fuse_pc;
-  *out++ = fuse_mask;
   *out++ = static_cast<u32>(stack_.size());
   out = std::copy(regs_.begin(), regs_.end(), out);
   std::memcpy(out, preds_, sizeof(preds_));
@@ -66,12 +64,10 @@ WarpState WarpState::load_image(const u32*& in) {
   warp.pc = header[4];
   warp.ready_cycle = make64(header[5], header[6]);
   warp.at_barrier = header[7] != 0;
-  warp.fuse_pc = header[8];
-  warp.fuse_mask = header[9];
   in += kHeaderWords + warp.regs_.size();
   std::memcpy(warp.preds_, in, sizeof(warp.preds_));
   in += kPredWords;
-  warp.stack_.resize(header[10]);
+  warp.stack_.resize(header[8]);
   for (StackEntry& entry : warp.stack_) {
     entry.mask = in[0];
     entry.pc = in[1];

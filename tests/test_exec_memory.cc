@@ -310,8 +310,6 @@ void bad_lane_offset(KernelBuilder& b, u32 offset) {
 
 /// out[lane] = in[lane] with params {in, out}: a full-warp LDG row, then a
 /// full-warp STG row. Lane 17's address in `bad` moves by `offset` bytes.
-/// A NOP separates each address from its access so neither is fused: the
-/// rows run on the plain LDG/STG row handlers.
 sim::Program global_row_kernel(BadAccess bad, u32 offset) {
   KernelBuilder b("global_row");
   b.s2r(0, sim::SpecialReg::kLaneId);
@@ -322,9 +320,7 @@ sim::Program global_row_kernel(BadAccess bad, u32 offset) {
   b.imad_wide(10, Operand::reg(0), Operand::imm_u(4), Operand::reg(4));
   const u16 moved = bad == kLoad ? 6 : 10;
   b.imad_wide(moved, Operand::reg(8), Operand::imm_u(1), Operand::reg(moved));
-  b.nop();
   b.ldg(12, 6);
-  b.nop();
   b.stg(10, 12);
   b.exit_();
   return must(b);

@@ -78,9 +78,9 @@ RunOutput run_workload(const std::string& workload_name,
 const char* const kPathWorkloads[] = {"vecadd", "scan", "reduce_u32", "spmv"};
 
 TEST(ExecPaths, AllTiersBitIdenticalOnEveryWorkload) {
-  // The acceptance bar for the threaded tier: every built-in workload —
-  // fusion-heavy gemm included — produces byte-identical memory and
-  // identical counters on threaded and instrumented execution.
+  // The acceptance bar for the threaded tier: every built-in workload
+  // produces byte-identical memory and identical counters on threaded and
+  // instrumented execution.
   for (const std::string& name : wl::workload_names()) {
     LaunchOptions instrumented;
     instrumented.engine = sim::EngineTier::kInstrumented;
@@ -156,7 +156,7 @@ TEST(ExecPaths, ConcurrentLaunchesShareOneDecodeCache) {
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
         LaunchOptions options;
-        // Mix both tiers so the racing first decode (lowering and fusion
+        // Mix both tiers so the racing first decode (handler lowering
         // included) serves every consumer.
         options.engine = t % 2 == 0 ? sim::EngineTier::kThreaded
                                     : sim::EngineTier::kInstrumented;
@@ -172,9 +172,7 @@ TEST(ExecPaths, ConcurrentLaunchesShareOneDecodeCache) {
 
 TEST(ExecPaths, NativeProfileMatchesProfilerHook) {
   // Profile-only launches must stay on the fastest tier — and the threaded
-  // tier's per-opcode counts must match ProfilerHook exactly, fused
-  // superinstructions included (gemm fuses IMAD.WIDE+LDG and ISETP+BRA
-  // pairs; each fused half must still count as its own opcode).
+  // tier's per-opcode counts must match ProfilerHook exactly.
   for (const std::string& name : wl::workload_names()) {
     sim::Profile native;
     LaunchOptions threaded;

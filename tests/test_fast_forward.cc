@@ -6,8 +6,8 @@
 // run_single on a fresh device, for every built-in workload and SWIFT
 // variant x the four hooked modes x the four flip models, with one worker
 // and with three. The sassim-level tests strike just before, at and after a
-// checkpoint's own count, and across an FFMA-chain head/tail pair split by
-// a checkpoint.
+// checkpoint's own count, and across an adjacent FFMA pair split by a
+// checkpoint.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -22,7 +22,6 @@
 #include "fi/journal.h"
 #include "harden/swift.h"
 #include "obs/registry.h"
-#include "sassim/decoded.h"
 #include "sassim/device.h"
 #include "workloads/workload.h"
 
@@ -482,25 +481,30 @@ TEST(FastForwardLaunch, ResumeRejectsMisuse) {
   EXPECT_TRUE(launch(options).is_ok());
 }
 
-// ---- FFMA-chain pair split by a checkpoint ----------------------------------
+// ---- FFMA pair split by a checkpoint ----------------------------------------
 //
-// An armed run issues FFMA-chain heads unfused. A checkpoint taken between a
-// head and its tail must leave the tail to run itself after the resume:
-// struck (IOV) or with its source struck (RF), exactly as on the
-// instrumented tier.
+// A checkpoint taken between the two FFMAs of an adjacent pair must leave
+// the second to run after the resume: struck (IOV) or with its source
+// struck (RF), exactly as on the instrumented tier.
+
+/// Whether the FFMA at `pc` is followed by another FFMA.
+bool ffma_pair_at(const sim::Program& program, u32 pc) {
+  return pc + 1 < program.size() &&
+         program.at(pc).op == sim::Opcode::kFFma &&
+         program.at(pc + 1).op == sim::Opcode::kFFma;
+}
 
 void expect_chain_straddle_matches(InjectionMode mode) {
   // Plain gemm has no FFMA pair; its SWIFT-hardened variant issues every
-  // FFMA next to its shadow copy, an accumulator chain the lowering fuses.
+  // FFMA next to its shadow copy.
   Bench bench([] { return harden::make_hardened("gemm"); });
-  const sim::DecodedProgram& decoded = bench.program().decoded();
   const std::vector<Issue>& issues = bench.issues();
   std::size_t head = 0;
   while (head < issues.size() &&
-         decoded.at(issues[head].pc).handler != sim::Handler::kFFmaChainHead) {
+         !ffma_pair_at(bench.program(), issues[head].pc)) {
     ++head;
   }
-  ASSERT_LT(head, issues.size()) << "no FFMA-chain head issued";
+  ASSERT_LT(head, issues.size()) << "no adjacent FFMA pair issued";
   std::size_t tail = head + 1;
   while (issues[tail].cta != issues[head].cta ||
          issues[tail].warp != issues[head].warp) {

@@ -4,9 +4,8 @@
 // the same injection run entirely on the instrumented tier. Swept over
 // every built-in workload (and its SWIFT-hardened variant) x the four
 // hooked injection modes x the four flip models, striking the first and
-// last eligible occurrence and one occurrence of every fused head and tail
-// pc, where the threaded tier's superinstruction stash could leak across
-// the strike.
+// last eligible occurrence, plus a strike on the second FFMA of an adjacent
+// FFMA pair.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -22,7 +21,6 @@
 #include "fi/journal.h"
 #include "harden/swift.h"
 #include "obs/registry.h"
-#include "sassim/decoded.h"
 #include "sassim/device.h"
 #include "workloads/workload.h"
 
@@ -33,7 +31,6 @@ using fi::BitFlipModel;
 using fi::FaultSite;
 using fi::InjectionMode;
 using sim::EngineTier;
-using sim::Handler;
 
 using WorkloadMaker = std::function<std::unique_ptr<wl::Workload>()>;
 
@@ -52,22 +49,6 @@ const sim::MachineConfig& machine() {
     return a100;
   }();
   return config;
-}
-
-bool is_fusion(Handler handler) {
-  switch (handler) {
-    case Handler::kCmpBraHead:
-    case Handler::kBraFusedTail:
-    case Handler::kAddrLdgHead:
-    case Handler::kLdgFusedTail:
-    case Handler::kAddrStgHead:
-    case Handler::kStgFusedTail:
-    case Handler::kFFmaChainHead:
-    case Handler::kFFmaChainTail:
-      return true;
-    default:
-      return false;
-  }
 }
 
 /// Counts the issues a strike mask names in one fault-free launch and
@@ -197,16 +178,14 @@ void sweep(const std::string& name, const WorkloadMaker& make,
   const u64 watchdog = golden.result.dyn_warp_instrs * 3 + 10000;
   const auto workload = make();
   const sim::Program& program = workload->program();
-  const sim::DecodedProgram& decoded = program.decoded();
 
   const Census census = take_census(make, mode);
   if (census.seen() == 0) return;  // nothing this mode can strike
 
-  // occurrence -> struck pc: the first, the last, and the first of every
-  // fused pc.
+  // occurrence -> struck pc: the first and the last.
   std::map<u64, u32> sites = {{census.seen() - 1, census.last_pc()}};
   for (const auto& [pc, first] : census.first()) {
-    if (first == 0 || is_fusion(decoded.at(pc).handler)) sites[first] = pc;
+    if (first == 0) sites[first] = pc;
   }
 
   for (const BitFlipModel flip : kFlips) {
@@ -292,40 +271,41 @@ INSTANTIATE_TEST_SUITE_P(
              fi::to_string(std::get<1>(info.param));
     });
 
-// ---- FFMA-chain hazard ------------------------------------------------------
+// ---- FFMA chains -------------------------------------------------------------
 //
-// A chain head computes its tail's result in its own slot. If it fused when
-// its tail is the struck slot, the instrumented tail would run a second
-// time on top of its own result (IOV), or the RF strike on its source would
-// come after the tail's value had been computed.
+// A strike on the second FFMA of an adjacent pair, whose sources may include
+// the first one's destination: the struck FFMA must run once, on the
+// instrumented tier, after its neighbour (IOV), and an RF strike must land
+// before its value is computed.
 
-/// First eligible occurrence (under `mode`) of the workload's first
-/// FFMA-chain tail pc, and that pc.
-struct ChainTail {
+/// First eligible occurrence (under `mode`) of the second FFMA of the
+/// workload's first adjacent FFMA pair, and that pc.
+struct SecondFfma {
   u64 occurrence = 0;
   u32 pc = 0;
 };
 
-ChainTail first_chain_tail(const WorkloadMaker& make, InjectionMode mode) {
+SecondFfma first_second_ffma(const WorkloadMaker& make, InjectionMode mode) {
   const auto workload = make();
-  const sim::DecodedProgram& decoded = workload->program().decoded();
+  const sim::Program& program = workload->program();
   const Census census = take_census(make, mode);
   for (const auto& [pc, first] : census.first()) {
-    if (decoded.at(pc).handler == Handler::kFFmaChainTail) {
-      return ChainTail{first, pc};
+    if (pc > 0 && program.at(pc - 1).op == sim::Opcode::kFFma &&
+        program.at(pc).op == sim::Opcode::kFFma) {
+      return SecondFfma{first, pc};
     }
   }
-  ADD_FAILURE() << "no FFMA-chain tail executed";
+  ADD_FAILURE() << "no adjacent FFMA pair executed";
   return {};
 }
 
-void expect_chain_tail_strike_matches(const WorkloadMaker& make,
-                                      InjectionMode mode) {
-  const ChainTail tail = first_chain_tail(make, mode);
+void expect_second_ffma_strike_matches(const WorkloadMaker& make,
+                                       InjectionMode mode) {
+  const SecondFfma second = first_second_ffma(make, mode);
   const auto workload = make();
-  const sim::Instr& instr = workload->program().at(tail.pc);
+  const sim::Instr& instr = workload->program().at(second.pc);
   const FaultSite site =
-      make_site(mode, BitFlipModel::kSingle, tail.occurrence, instr);
+      make_site(mode, BitFlipModel::kSingle, second.occurrence, instr);
   const Run armed = inject(make, site, EngineTier::kThreaded, 0);
   const Run expected = inject(make, site, EngineTier::kInstrumented, 0);
   EXPECT_TRUE(armed.effect.activated);
@@ -336,15 +316,15 @@ void expect_chain_tail_strike_matches(const WorkloadMaker& make,
 }
 
 // Plain gemm has no FFMA pair; its SWIFT-hardened variant issues every FFMA
-// next to its shadow copy, an accumulator chain the lowering fuses.
-TEST(StrikeSlotFfmaChain, IovOnChainTailMatchesInstrumented) {
-  expect_chain_tail_strike_matches([] { return harden::make_hardened("gemm"); },
-                                   InjectionMode::kIov);
+// next to its shadow copy.
+TEST(StrikeSlotFfmaChain, IovOnSecondFfmaMatchesInstrumented) {
+  expect_second_ffma_strike_matches(
+      [] { return harden::make_hardened("gemm"); }, InjectionMode::kIov);
 }
 
-TEST(StrikeSlotFfmaChain, RfOnChainTailSourceMatchesInstrumented) {
-  expect_chain_tail_strike_matches([] { return harden::make_hardened("gemm"); },
-                                   InjectionMode::kRf);
+TEST(StrikeSlotFfmaChain, RfOnSecondFfmaSourceMatchesInstrumented) {
+  expect_second_ffma_strike_matches(
+      [] { return harden::make_hardened("gemm"); }, InjectionMode::kRf);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for the tooling layer: instruction tracer, XID mapping, the
 // statistical comparison helpers, the strict CLI value parsers and the
 // unsigned-integer grammar they share with failpoint specs and JSONL files,
-// and the gpufi --engine flag.
+// and the gpufi name-table flags (--engine, --arch, --mode, --flip).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -327,6 +327,26 @@ TEST(CliEngine, AcceptsTheTwoTiersAndRejectsEverythingElse) {
     std::string err;
     EXPECT_EQ(run_gpufi("version " + flag, &err), 2) << bad;
     EXPECT_EQ(err.substr(0, err.find('\n')), want);
+  }
+}
+
+// --arch, --mode and --flip read one name table each; a bad spelling is a
+// usage error that lists every accepted one.
+TEST(CliEnums, BadSpellingsNameTheAcceptedOnes) {
+  const struct {
+    const char* flag;
+    const char* want;
+  } rows[] = {
+      {"arch", "a100|h100|toy"},
+      {"mode", "iov|ioa|pred|rf|mem"},
+      {"flip", "single|double|random|zero"},
+  };
+  for (const auto& row : rows) {
+    const std::string flag = std::string("--") + row.flag;
+    std::string err;
+    EXPECT_EQ(run_gpufi("golden vecadd " + flag + "=x", &err), 2) << row.flag;
+    EXPECT_EQ(err.substr(0, err.find('\n')),
+              "bad " + flag + " 'x' (want " + row.want + ")");
   }
 }
 

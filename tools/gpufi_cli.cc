@@ -165,7 +165,6 @@
 #include "recover/abft.h"
 #include "analysis/static_bound.h"
 #include "sa/lint.h"
-#include "sassim/exec_threaded.h"
 #include "sassim/simulator.h"
 #include "sassim/tracer.h"
 #include "workloads/workload.h"
@@ -175,8 +174,8 @@ namespace {
 using namespace gfi;
 
 /// Bumped per stacked PR; `gpufi version` pairs it with the compiled SIMD
-/// and dispatch backends so bug reports pin down which execution path
-/// produced a journal.
+/// backend so bug reports pin down which execution path produced a
+/// journal.
 constexpr const char* kVersion = "0.10.0";
 
 struct Options {
@@ -246,26 +245,45 @@ int usage() {
 }
 
 int cmd_version() {
-  std::printf("gpufi %s (simd=%s, dispatch=%s)\n", kVersion, simd::backend(),
-              sim::exec::dispatch_backend());
+  std::printf("gpufi %s (simd=%s)\n", kVersion, simd::backend());
   return 0;
 }
 
-std::optional<sim::EngineTier> engine_for(const std::string& name) {
-  for (const auto& [tier, tier_name] : sim::kEngineTierNames) {
-    if (name == tier_name) return tier;
-  }
-  return std::nullopt;
-}
+/// One spelling per value of a CLI enum.
+template <typename T>
+struct Named {
+  T value;
+  const char* name;
+};
 
-/// "threaded|instrumented", for the --engine error line.
-std::string engine_names() {
-  std::string names;
-  for (const auto& [tier, name] : sim::kEngineTierNames) {
-    if (!names.empty()) names += '|';
-    names += name;
+constexpr Named<sim::MachineConfig (*)()> kArchNames[] = {
+    {arch::a100, "a100"}, {arch::h100, "h100"}, {arch::toy, "toy"}};
+constexpr Named<fi::InjectionMode> kModeNames[] = {
+    {fi::InjectionMode::kIov, "iov"},
+    {fi::InjectionMode::kIoa, "ioa"},
+    {fi::InjectionMode::kPred, "pred"},
+    {fi::InjectionMode::kRf, "rf"},
+    {fi::InjectionMode::kMemory, "mem"}};
+constexpr Named<fi::BitFlipModel> kFlipNames[] = {
+    {fi::BitFlipModel::kSingle, "single"},
+    {fi::BitFlipModel::kDouble, "double"},
+    {fi::BitFlipModel::kRandomValue, "random"},
+    {fi::BitFlipModel::kZeroValue, "zero"}};
+
+/// The entry of a name table (any entry type with a `name` member) spelled
+/// `name`, or null after a one-line "bad --<flag> 'x' (want a|b|c)" error.
+template <typename Entry, std::size_t N>
+const Entry* find_name(const Entry (&table)[N], const char* flag,
+                       const std::string& name) {
+  std::string want;
+  for (const Entry& entry : table) {
+    if (name == entry.name) return &entry;
+    if (!want.empty()) want += '|';
+    want += entry.name;
   }
-  return names;
+  std::fprintf(stderr, "bad --%s '%s' (want %s)\n", flag, name.c_str(),
+               want.c_str());
+  return nullptr;
 }
 
 bool parse_flag(const std::string& arg, const std::string& name,
@@ -426,13 +444,9 @@ std::optional<Options> parse(int argc, char** argv) {
       continue;
     }
     if (parse_flag(arg, "engine", &value)) {
-      const std::optional<sim::EngineTier> tier = engine_for(value);
-      if (!tier) {
-        std::fprintf(stderr, "bad --engine '%s' (want %s)\n", value.c_str(),
-                     engine_names().c_str());
-        return std::nullopt;
-      }
-      options.engine = *tier;
+      const auto* tier = find_name(sim::kEngineTierNames, "engine", value);
+      if (tier == nullptr) return std::nullopt;
+      options.engine = tier->tier;
       continue;
     }
     if (arg == "--json") {
@@ -641,14 +655,9 @@ std::optional<Options> parse(int argc, char** argv) {
 }
 
 std::optional<sim::MachineConfig> machine_for(const Options& options) {
-  sim::MachineConfig config;
-  if (options.arch == "a100") config = arch::a100();
-  else if (options.arch == "h100") config = arch::h100();
-  else if (options.arch == "toy") config = arch::toy();
-  else {
-    std::fprintf(stderr, "unknown arch '%s'\n", options.arch.c_str());
-    return std::nullopt;
-  }
+  const auto* entry = find_name(kArchNames, "arch", options.arch);
+  if (entry == nullptr) return std::nullopt;
+  sim::MachineConfig config = entry->value();
   if (options.ecc_on) {
     const auto mode =
         *options.ecc_on ? ecc::EccMode::kSecded : ecc::EccMode::kDisabled;
@@ -656,25 +665,6 @@ std::optional<sim::MachineConfig> machine_for(const Options& options) {
     config.dram_ecc = mode;
   }
   return config;
-}
-
-std::optional<fi::InjectionMode> mode_for(const std::string& name) {
-  if (name == "iov") return fi::InjectionMode::kIov;
-  if (name == "ioa") return fi::InjectionMode::kIoa;
-  if (name == "pred") return fi::InjectionMode::kPred;
-  if (name == "rf") return fi::InjectionMode::kRf;
-  if (name == "mem") return fi::InjectionMode::kMemory;
-  std::fprintf(stderr, "unknown mode '%s'\n", name.c_str());
-  return std::nullopt;
-}
-
-std::optional<fi::BitFlipModel> flip_for(const std::string& name) {
-  if (name == "single") return fi::BitFlipModel::kSingle;
-  if (name == "double") return fi::BitFlipModel::kDouble;
-  if (name == "random") return fi::BitFlipModel::kRandomValue;
-  if (name == "zero") return fi::BitFlipModel::kZeroValue;
-  std::fprintf(stderr, "unknown flip model '%s'\n", name.c_str());
-  return std::nullopt;
 }
 
 std::optional<sim::InstrGroup> group_for(const std::string& name) {
@@ -689,9 +679,9 @@ std::optional<sim::InstrGroup> group_for(const std::string& name) {
 
 std::optional<fi::CampaignConfig> campaign_config(const Options& options) {
   auto machine = machine_for(options);
-  auto mode = mode_for(options.mode);
-  auto flip = flip_for(options.flip);
-  if (!machine || !mode || !flip) return std::nullopt;
+  const auto* mode = find_name(kModeNames, "mode", options.mode);
+  const auto* flip = find_name(kFlipNames, "flip", options.flip);
+  if (!machine || mode == nullptr || flip == nullptr) return std::nullopt;
   const fi::FaultPersistence persistence =
       options.persist == "stuck" ? fi::FaultPersistence::kStuckAt
                                  : fi::FaultPersistence::kTransient;
@@ -699,7 +689,7 @@ std::optional<fi::CampaignConfig> campaign_config(const Options& options) {
   config.workload = options.workload;
   config.engine = options.engine;
   config.machine = *machine;
-  config.model = {*mode, *flip, persistence};
+  config.model = {mode->value, flip->value, persistence};
   if (options.recover) {
     // Both strategies relaunch from checkpoint; `abft` additionally swaps in
     // the checksum-carrying kernel so SDCs surface as retryable traps.
@@ -965,8 +955,7 @@ int cmd_status(const Options& options) {
   const std::vector<std::string> names = outcome_names();
   // One line of engine provenance above the shard table (not repeated per
   // --watch refresh).
-  std::printf("engine: gpufi %s simd=%s dispatch=%s\n", kVersion,
-              simd::backend(), sim::exec::dispatch_backend());
+  std::printf("engine: gpufi %s simd=%s\n", kVersion, simd::backend());
   while (true) {
     auto shards = obs::load_status(options.workload);
     if (!shards.is_ok()) {
