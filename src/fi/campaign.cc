@@ -322,11 +322,21 @@ Result<std::unique_ptr<InjectionContext>> make_context(
   return context;
 }
 
+/// Whether a campaign's retries relaunch without the fault on the default
+/// tier: each is then the golden launch, which the checkpoint table's
+/// completion slot holds once one of them has run.
+bool resumes_retries(const CampaignConfig& config) {
+  return config.max_retries > 0 &&
+         config.model.persistence == FaultPersistence::kTransient &&
+         config.engine != sim::EngineTier::kInstrumented;
+}
+
 /// Campaign-scoped fast-forward state, shared by the workers of one
 /// Campaign::run: a free-list of injection contexts (at most one per
 /// worker), their shared checkpoint 0, and the golden-prefix checkpoint
-/// table their armed launches fill and resume from. Sized by the first
-/// context: see fast_forward_checkpoints().
+/// table their armed launches fill and resume from, whose completion slot
+/// transient retries fill and resume from. Sized by the first context: see
+/// fast_forward_checkpoints().
 class FastForward {
  public:
   FastForward(const CampaignConfig& config, u64 golden_dyn_instrs,
@@ -335,7 +345,9 @@ class FastForward {
         golden_dyn_instrs_(golden_dyn_instrs),
         workers_(workers),
         checkpoints_(reg.counter("campaign.fast_forward.checkpoints")),
-        skipped_(reg.counter("campaign.fast_forward.skipped_warp_instrs")) {}
+        skipped_(reg.counter("campaign.fast_forward.skipped_warp_instrs")),
+        resumed_retries_(
+            reg.counter("campaign.fast_forward.resumed_retries")) {}
 
   /// A context for one injection run; give it back with release().
   Result<std::unique_ptr<InjectionContext>> acquire() {
@@ -355,12 +367,15 @@ class FastForward {
     if (!start_) start_ = made.value()->start;
     if (!table_) {
       const InjectionContext& context = *made.value();
+      const u64 memory = context.device.memory().bytes_allocated();
       const u64 state = sim::launch_state_bytes(
           config_.machine, context.workload->program(), context.spec.grid,
-          context.spec.block, context.device.memory().bytes_allocated());
+          context.spec.block, memory);
+      const u64 completion = resumes_retries(config_) ? memory : 0;
       table_ = std::make_unique<sim::CheckpointTable>(
           sim::CheckpointTable::even_marks(
-              golden_dyn_instrs_, fast_forward_checkpoints(state, workers_)),
+              golden_dyn_instrs_,
+              fast_forward_checkpoints(state, workers_, completion)),
           workers_ > 1);
     }
     return made;
@@ -375,11 +390,15 @@ class FastForward {
   [[nodiscard]] sim::CheckpointTable& table() { return *table_; }
 
   /// Telemetry, never journaled: warp instructions a resumed launch did not
-  /// run, and (once the campaign is done) the checkpoints captured. Both
-  /// are per campaign: shards fill their own tables, and with several
-  /// workers what an injection skips depends on which checkpoints exist
-  /// when it starts.
+  /// run, retries resumed from the completion slot, and (once the campaign
+  /// is done) the mid-launch checkpoints captured. All are per campaign:
+  /// shards fill their own tables, and with several workers what an
+  /// injection skips depends on which checkpoints exist when it starts.
   void skipped(u64 warp_instrs) { skipped_.inc(warp_instrs); }
+  void resumed_retry(u64 warp_instrs) {
+    resumed_retries_.inc();
+    skipped_.inc(warp_instrs);
+  }
   void publish() {
     if (table_) checkpoints_.inc(table_->filled());
   }
@@ -390,6 +409,7 @@ class FastForward {
   std::size_t workers_;
   obs::Counter& checkpoints_;
   obs::Counter& skipped_;
+  obs::Counter& resumed_retries_;
   std::mutex mutex_;
   std::vector<std::unique_ptr<InjectionContext>> free_;
   std::shared_ptr<const Snapshot> start_;  ///< checkpoint 0, shared
@@ -522,9 +542,18 @@ Result<InjectionRecord> run_injection(
     } else if (armed) {
       options.hooks.push_back(&injector);
     }
+    // A transient retry relaunches the unfaulted kernel from checkpoint 0:
+    // it is the golden launch. The first one of the campaign fills the
+    // completion slot, later ones resume from it and run no instruction.
+    std::shared_ptr<const sim::LaunchCheckpoint> completion;
     if (attempt == 0) {
       options.checkpoints = table;
       options.resume_from = resume.get();
+    } else if (ff && resumes_retries(config)) {
+      options.checkpoints = &ff->table();
+      completion = ff->table().completion();
+      options.resume_from = completion.get();
+      if (completion) ff->resumed_retry(completion->dyn_warp);
     }
 
     auto launch = device.launch(workload.program(), spec.grid, spec.block,
@@ -616,8 +645,11 @@ Result<InjectionRecord> run_injection(
 
 }  // namespace
 
-u32 fast_forward_checkpoints(u64 state_bytes, std::size_t workers) {
-  const u64 fit = kFastForwardBytes / std::max<u64>(state_bytes, 1);
+u32 fast_forward_checkpoints(u64 state_bytes, std::size_t workers,
+                             u64 completion_bytes) {
+  const u64 budget =
+      kFastForwardBytes - std::min(completion_bytes, kFastForwardBytes);
+  const u64 fit = budget / std::max<u64>(state_bytes, 1);
   if (fit <= workers) return 0;
   return static_cast<u32>(std::min<u64>(fit - workers, kMaxCheckpoints));
 }

@@ -268,19 +268,25 @@ struct CampaignResult {
 
 /// Launch state (device memory plus resident registers and shared memory)
 /// a campaign may hold for fast-forward: its stored golden-prefix
-/// checkpoints plus one live launch per worker. One saxpy_swift injection
-/// alone holds 2.5 MiB, so with 2 MiB no campaign holds more launch state
-/// than such an injection already did before checkpoints existed.
+/// checkpoints, its completion checkpoint, and one live launch per worker.
+/// One saxpy_swift injection alone holds 2.5 MiB, so with 2 MiB no campaign
+/// holds more launch state than such an injection already did before
+/// checkpoints existed.
 inline constexpr u64 kFastForwardBytes = u64{2} << 20;
 /// Upper bound on the mid-launch checkpoints of one campaign.
 inline constexpr u32 kMaxCheckpoints = 16;
 
 /// Mid-launch checkpoints a campaign keeps for a launch whose state takes
-/// `state_bytes` (sim::launch_state_bytes), run by `workers` threads: the
-/// largest K <= kMaxCheckpoints with (K + workers) * state_bytes within
-/// kFastForwardBytes, or 0.
+/// `state_bytes` (sim::launch_state_bytes), run by `workers` threads, next
+/// to a completion checkpoint of `completion_bytes` (its device memory;
+/// 0 for a campaign without transient retries): the largest
+/// K <= kMaxCheckpoints with completion_bytes + (K + workers) * state_bytes
+/// within kFastForwardBytes, or 0. The completion checkpoint itself is
+/// always kept: it is no larger than one launch state, and every retry it
+/// serves skips a whole launch.
 [[nodiscard]] u32 fast_forward_checkpoints(u64 state_bytes,
-                                           std::size_t workers);
+                                           std::size_t workers,
+                                           u64 completion_bytes = 0);
 
 class Campaign {
  public:

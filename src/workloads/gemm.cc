@@ -44,6 +44,18 @@ class Gemm final : public Workload {
     if (auto s = device.to_device<f32>(a_dev_, a_); !s.is_ok()) return s;
     if (auto s = device.to_device<f32>(b_dev_, b_); !s.is_ok()) return s;
 
+    // The host reference, once per instance: check() runs per injection.
+    want_.assign(static_cast<std::size_t>(m_) * n_, 0.0f);
+    for (u32 row = 0; row < m_; ++row) {
+      for (u32 col = 0; col < n_; ++col) {
+        f32 acc = 0.0f;
+        for (u32 k = 0; k < k_; ++k) {
+          acc = std::fmaf(a_[row * k_ + k], b_[k * n_ + col], acc);
+        }
+        want_[row * n_ + col] = acc;
+      }
+    }
+
     LaunchSpec spec;
     spec.block = Dim3(16, 16);
     spec.grid = Dim3((n_ + 15) / 16, (m_ + 15) / 16);
@@ -52,19 +64,9 @@ class Gemm final : public Workload {
   }
 
   Result<Checked> check(Device& device) const override {
-    std::vector<f32> want(static_cast<std::size_t>(m_) * n_);
-    for (u32 row = 0; row < m_; ++row) {
-      for (u32 col = 0; col < n_; ++col) {
-        f32 acc = 0.0f;
-        for (u32 k = 0; k < k_; ++k) {
-          acc = std::fmaf(a_[row * k_ + k], b_[k * n_ + col], acc);
-        }
-        want[row * n_ + col] = acc;
-      }
-    }
     return fetch_and_check<f32>(
-        device, c_dev_, want.size(), [&](std::span<const f32> got) {
-          return compare_f32(got, want, tolerance());
+        device, c_dev_, want_.size(), [&](std::span<const f32> got) {
+          return compare_f32(got, want_, tolerance());
         });
   }
 
@@ -120,6 +122,7 @@ class Gemm final : public Workload {
   u32 m_, n_, k_;
   std::vector<f32> a_;
   std::vector<f32> b_;
+  std::vector<f32> want_;  ///< host reference, computed by setup()
   u64 a_dev_ = 0, b_dev_ = 0, c_dev_ = 0;
   Program program_;
 };

@@ -45,6 +45,10 @@ class HistogramWl final : public Workload {
     const std::vector<u32> zeros(kBins, 0);
     if (auto s = device.to_device<u32>(bins_dev_, zeros); !s.is_ok()) return s;
 
+    // The host reference, once per instance: check() runs per injection.
+    want_.assign(kBins, 0);
+    for (u32 v : data_) ++want_[v % kBins];
+
     LaunchSpec spec;
     spec.block = Dim3(kBlock);
     spec.grid = Dim3(kGrid);
@@ -53,11 +57,9 @@ class HistogramWl final : public Workload {
   }
 
   Result<Checked> check(Device& device) const override {
-    std::vector<u32> want(kBins, 0);
-    for (u32 v : data_) ++want[v % kBins];
     return fetch_and_check<u32>(
         device, bins_dev_, kBins,
-        [&](std::span<const u32> got) { return compare_u32(got, want); });
+        [&](std::span<const u32> got) { return compare_u32(got, want_); });
   }
 
  private:
@@ -108,6 +110,7 @@ class HistogramWl final : public Workload {
   std::string name_;
   u32 n_;
   std::vector<u32> data_;
+  std::vector<u32> want_;  ///< host reference, computed by setup()
   u64 data_dev_ = 0, bins_dev_ = 0;
   Program program_;
 };

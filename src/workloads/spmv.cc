@@ -57,6 +57,16 @@ class Spmv final : public Workload {
     if (auto s = device.to_device<f32>(va_dev_, vals_); !s.is_ok()) return s;
     if (auto s = device.to_device<f32>(x_dev_, x_); !s.is_ok()) return s;
 
+    // The host reference, once per instance: check() runs per injection.
+    want_.assign(kRows, 0.0f);
+    for (u32 row = 0; row < kRows; ++row) {
+      f32 acc = 0.0f;
+      for (u32 e = row_ptr_[row]; e < row_ptr_[row + 1]; ++e) {
+        acc = std::fmaf(vals_[e], x_[col_idx_[e]], acc);
+      }
+      want_[row] = acc;
+    }
+
     LaunchSpec spec;
     spec.block = Dim3(256);
     spec.grid = Dim3(kRows / 256);
@@ -65,17 +75,9 @@ class Spmv final : public Workload {
   }
 
   Result<Checked> check(Device& device) const override {
-    std::vector<f32> want(kRows);
-    for (u32 row = 0; row < kRows; ++row) {
-      f32 acc = 0.0f;
-      for (u32 e = row_ptr_[row]; e < row_ptr_[row + 1]; ++e) {
-        acc = std::fmaf(vals_[e], x_[col_idx_[e]], acc);
-      }
-      want[row] = acc;
-    }
     return fetch_and_check<f32>(
         device, y_dev_, kRows, [&](std::span<const f32> got) {
-          return compare_f32(got, want, tolerance());
+          return compare_f32(got, want_, tolerance());
         });
   }
 
@@ -121,6 +123,7 @@ class Spmv final : public Workload {
   std::vector<u32> col_idx_;
   std::vector<f32> vals_;
   std::vector<f32> x_;
+  std::vector<f32> want_;  ///< host reference, computed by setup()
   u64 rp_dev_ = 0, ci_dev_ = 0, va_dev_ = 0, x_dev_ = 0, y_dev_ = 0;
   Program program_;
 };

@@ -43,6 +43,10 @@ class VecAdd final : public Workload {
     if (auto s = device.to_device<f32>(a_dev_, a_); !s.is_ok()) return s;
     if (auto s = device.to_device<f32>(b_dev_, b_); !s.is_ok()) return s;
 
+    // The host reference, once per instance: check() runs per injection.
+    want_.resize(n_);
+    for (u32 i = 0; i < n_; ++i) want_[i] = a_[i] + b_[i];
+
     LaunchSpec spec;
     spec.block = Dim3(256);
     spec.grid = Dim3((n_ + 255) / 256);
@@ -51,11 +55,9 @@ class VecAdd final : public Workload {
   }
 
   Result<Checked> check(Device& device) const override {
-    std::vector<f32> want(n_);
-    for (u32 i = 0; i < n_; ++i) want[i] = a_[i] + b_[i];
     return fetch_and_check<f32>(
         device, c_dev_, n_, [&](std::span<const f32> got) {
-          return compare_f32(got, want, tolerance());
+          return compare_f32(got, want_, tolerance());
         });
   }
 
@@ -84,6 +86,7 @@ class VecAdd final : public Workload {
   u32 n_;
   std::vector<f32> a_;
   std::vector<f32> b_;
+  std::vector<f32> want_;  ///< host reference, computed by setup()
   u64 a_dev_ = 0, b_dev_ = 0, c_dev_ = 0;
   Program program_;
 };
@@ -112,6 +115,10 @@ class Saxpy final : public Workload {
     if (auto s = device.to_device<f32>(x_dev_, x_); !s.is_ok()) return s;
     if (auto s = device.to_device<f32>(y_dev_, y_); !s.is_ok()) return s;
 
+    // The host reference, once per instance: check() runs per injection.
+    want_.resize(n_);
+    for (u32 i = 0; i < n_; ++i) want_[i] = std::fmaf(alpha_, x_[i], y_[i]);
+
     LaunchSpec spec;
     spec.block = Dim3(256);
     spec.grid = Dim3((n_ + 255) / 256);
@@ -120,11 +127,9 @@ class Saxpy final : public Workload {
   }
 
   Result<Checked> check(Device& device) const override {
-    std::vector<f32> want(n_);
-    for (u32 i = 0; i < n_; ++i) want[i] = std::fmaf(alpha_, x_[i], y_[i]);
     return fetch_and_check<f32>(
         device, y_dev_, n_, [&](std::span<const f32> got) {
-          return compare_f32(got, want, tolerance());
+          return compare_f32(got, want_, tolerance());
         });
   }
 
@@ -153,6 +158,7 @@ class Saxpy final : public Workload {
   f32 alpha_;
   std::vector<f32> x_;
   std::vector<f32> y_;
+  std::vector<f32> want_;  ///< host reference, computed by setup()
   u64 x_dev_ = 0, y_dev_ = 0;
   Program program_;
 };

@@ -5,13 +5,19 @@
 // campaign (every launch from instruction 0, never armed) and of standalone
 // run_single on a fresh device, for every built-in workload and SWIFT
 // variant x the four hooked modes x the four flip models, with one worker
-// and with three. The sassim-level tests strike just before, at and after a
-// checkpoint's own count, and across an adjacent FFMA pair split by a
-// checkpoint.
+// and with three. Transient retries, the golden launch again, resume from
+// the table's completion slot: their journals must match the pin too, in
+// memory, IOV and RF modes and across a journal kill and resume. The
+// sassim-level tests strike just before, at and after a checkpoint's own
+// count, across an adjacent FFMA pair split by a checkpoint, and resume a
+// hook-free launch from its completion checkpoint.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -156,19 +162,21 @@ INSTANTIATE_TEST_SUITE_P(
              fi::to_string(std::get<1>(info.param));
     });
 
-/// Trap-and-retry relaunches from launch start (checkpoint 0), also when
-/// the first attempt resumed mid-launch.
-TEST(FastForwardRetry, RfGemmRetriesMatchInstrumentedPin) {
+u64 counter(obs::Registry& metrics, const std::string& name) {
+  return metrics.counter(name).value();
+}
+
+/// Retry campaigns of `config` under both persistences, with 1 and 3
+/// workers, against the instrumented pin. A transient retry relaunches the
+/// unfaulted kernel from checkpoint 0, so it is the golden launch: the
+/// first of a campaign fills the completion slot and later ones resume
+/// from it (with one worker, all but that first). A stuck-at retry re-arms
+/// the fault and never resumes; an armed first attempt still resumes
+/// mid-launch.
+void retry_sweep(fi::CampaignConfig config) {
   for (const fi::FaultPersistence persistence :
        {fi::FaultPersistence::kTransient, fi::FaultPersistence::kStuckAt}) {
-    fi::CampaignConfig config;
-    config.workload = "gemm";
-    config.machine = machine();
-    config.model = {InjectionMode::kRf, BitFlipModel::kRandomValue,
-                    persistence};
-    config.max_retries = 2;
-    config.num_injections = 40;
-    config.seed = 9;
+    config.model.persistence = persistence;
     config.engine = EngineTier::kInstrumented;
     config.threads = 1;
     auto pinned = fi::Campaign::run(config);
@@ -177,7 +185,10 @@ TEST(FastForwardRetry, RfGemmRetriesMatchInstrumentedPin) {
     for (const fi::InjectionRecord& record : pinned.value().records) {
       retried += record.attempts > 1;
     }
-    EXPECT_GT(retried, 0u) << "no injection trapped: the test is vacuous";
+    const std::string what = config.workload + " " +
+                             to_string(config.model.mode) + " " +
+                             to_string(persistence);
+    ASSERT_GT(retried, 1u) << what << ": too few retries, the test is vacuous";
 
     config.engine = EngineTier::kThreaded;
     for (const std::size_t threads : {1, 3}) {
@@ -185,18 +196,120 @@ TEST(FastForwardRetry, RfGemmRetriesMatchInstrumentedPin) {
       config.threads = threads;
       config.metrics = &metrics;
       auto fast = fi::Campaign::run(config);
+      config.metrics = nullptr;
       ASSERT_TRUE(fast.is_ok()) << fast.status().to_string();
       EXPECT_EQ(record_lines(fast.value()), record_lines(pinned.value()))
-          << to_string(persistence) << ", " << threads << " threads";
-      EXPECT_GT(
-          metrics.counter("campaign.fast_forward.skipped_warp_instrs").value(),
-          0u);
+          << what << ", " << threads << " threads";
+      const u64 resumed =
+          counter(metrics, "campaign.fast_forward.resumed_retries");
+      const u64 skipped =
+          counter(metrics, "campaign.fast_forward.skipped_warp_instrs");
+      if (persistence == fi::FaultPersistence::kStuckAt) {
+        EXPECT_EQ(resumed, 0u) << what;
+      } else if (threads == 1) {
+        EXPECT_EQ(resumed, counter(metrics, "campaign.retries") - 1) << what;
+      } else {
+        EXPECT_GT(resumed, 0u) << what << ", " << threads << " threads";
+      }
+      if (config.model.mode != InjectionMode::kMemory ||
+          persistence == fi::FaultPersistence::kTransient) {
+        EXPECT_GT(skipped, 0u) << what;
+      }
     }
   }
 }
 
-/// Memory mode never resumes mid-launch, but every injection after a
-/// worker's first runs on a restored, reused device.
+TEST(FastForwardRetry, MemoryRetriesMatchInstrumentedPin) {
+  for (const char* workload : {"saxpy", "spmv", "histogram"}) {
+    fi::CampaignConfig config;
+    config.workload = workload;
+    config.machine = machine();
+    config.model = {InjectionMode::kMemory, BitFlipModel::kDouble};
+    config.max_retries = 3;
+    config.num_injections = 30;
+    config.seed = 11;
+    retry_sweep(config);
+  }
+}
+
+fi::CampaignConfig gemm_retries(InjectionMode mode, BitFlipModel flip) {
+  fi::CampaignConfig config;
+  config.workload = "gemm";
+  config.machine = machine();
+  config.model = {mode, flip};
+  config.max_retries = 2;
+  config.num_injections = 40;
+  config.seed = 9;
+  return config;
+}
+
+TEST(FastForwardRetry, RfGemmRetriesMatchInstrumentedPin) {
+  retry_sweep(gemm_retries(InjectionMode::kRf, BitFlipModel::kRandomValue));
+}
+
+TEST(FastForwardRetry, IovGemmRetriesMatchInstrumentedPin) {
+  retry_sweep(gemm_retries(InjectionMode::kIov, BitFlipModel::kSingle));
+}
+
+/// A journaled transient-retry campaign killed mid-run resumes to the same
+/// journal. The completion slot is per Campaign::run, so the resumed run
+/// starts with it empty: its first retry simulates again.
+TEST(FastForwardRetry, JournalKillAndResumeStaysIdentical) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "gfi_ff_retry_resume";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "campaign.jsonl").string();
+  auto read = [&] {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+  };
+
+  fi::CampaignConfig config;
+  config.workload = "spmv";
+  config.machine = machine();
+  config.model = {InjectionMode::kMemory, BitFlipModel::kDouble};
+  config.max_retries = 3;
+  config.num_injections = 40;
+  config.seed = 13;
+  config.threads = 1;
+  config.engine = EngineTier::kInstrumented;
+  auto pinned = fi::Campaign::run(config);
+  ASSERT_TRUE(pinned.is_ok()) << pinned.status().to_string();
+
+  config.engine = EngineTier::kThreaded;
+  config.journal_path = path;
+  ASSERT_TRUE(fi::Campaign::run(config).is_ok());
+  const std::string full = read();
+
+  for (const double fraction : {0.5, 0.73}) {
+    const auto cut =
+        static_cast<std::size_t>(static_cast<double>(full.size()) * fraction);
+    std::ofstream(path, std::ios::trunc | std::ios::binary)
+        << full.substr(0, cut);
+    obs::Registry metrics;
+    config.metrics = &metrics;
+    auto resumed = fi::Campaign::run(config);
+    config.metrics = nullptr;
+    ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
+    EXPECT_GT(resumed.value().resumed, 0u);
+    EXPECT_EQ(read(), full) << "cut at " << cut;
+    EXPECT_EQ(record_lines(resumed.value()), record_lines(pinned.value()));
+    const u64 retries = counter(metrics, "campaign.retries");
+    const u64 resumed_retries =
+        counter(metrics, "campaign.fast_forward.resumed_retries");
+    ASSERT_GT(retries, 1u) << "cut at " << cut;
+    EXPECT_EQ(resumed_retries, retries - 1) << "cut at " << cut;
+  }
+  fs::remove_all(dir);
+}
+
+/// Memory mode never resumes mid-launch (no strike to arm), but every
+/// injection after a worker's first runs on a restored, reused device, and
+/// every transient retry but the campaign's first resumes from the
+/// completion slot.
 TEST(FastForwardMemory, ReusedDevicesMatchFreshOnes) {
   for (const char* workload : {"saxpy", "spmv", "histogram"}) {
     fi::CampaignConfig config;
@@ -224,8 +337,15 @@ TEST(FastForwardMemory, ReusedDevicesMatchFreshOnes) {
       ASSERT_TRUE(reused.is_ok()) << reused.status().to_string();
       EXPECT_EQ(record_lines(reused.value()), fresh)
           << workload << ", " << threads << " threads";
-      EXPECT_EQ(metrics.counter("campaign.fast_forward.checkpoints").value(),
-                0u);
+      const u64 resumed =
+          counter(metrics, "campaign.fast_forward.resumed_retries");
+      EXPECT_GT(resumed, 0u) << workload << ", " << threads << " threads";
+      EXPECT_LT(resumed, counter(metrics, "campaign.retries"));
+      // Every skipped instruction belongs to a whole golden launch.
+      const u64 skipped =
+          counter(metrics, "campaign.fast_forward.skipped_warp_instrs");
+      EXPECT_EQ(skipped, resumed * golden.value().dyn_instrs)
+          << workload << ", " << threads << " threads";
     }
   }
 }
@@ -357,6 +477,25 @@ class Bench {
     return Run{result.value(), device_.snapshot(), hook.effect()};
   }
 
+  /// Hook-free launch on the reused device, declared golden to `table`:
+  /// from launch start (after restoring checkpoint 0) or from `resume`.
+  Result<Run> golden(sim::CheckpointTable* table,
+                     const sim::LaunchCheckpoint* resume,
+                     u64 watchdog_instrs = 0) {
+    if (!resume) device_.restore(start_);
+    sim::LaunchOptions options;
+    options.checkpoints = table;
+    options.resume_from = resume;
+    options.watchdog_instrs = watchdog_instrs;
+    auto result = device_.launch(workload_->program(), spec_.grid,
+                                 spec_.block, spec_.params, options);
+    if (!result.is_ok()) return result.status();
+    return Run{result.value(), device_.snapshot(), {}};
+  }
+
+  /// A fault-free launch on a fresh device, instrumented from instruction 0.
+  Run reference() { return launch_fresh(nullptr, EngineTier::kInstrumented); }
+
   /// The same site on a fresh device, instrumented from instruction 0.
   Run reference(const FaultSite& site) {
     fi::InjectorHook hook(site, machine());
@@ -372,7 +511,7 @@ class Bench {
     auto spec = workload->setup(device);
     sim::LaunchOptions options;
     options.engine = tier;
-    options.hooks.push_back(hook);
+    if (hook) options.hooks.push_back(hook);
     auto result = device.launch(workload->program(), spec.value().grid,
                                 spec.value().block, spec.value().params,
                                 options);
@@ -466,7 +605,8 @@ TEST(FastForwardLaunch, ResumeRejectsMisuse) {
     return device.launch(workload->program(), spec.grid, spec.block,
                          spec.params, options);
   };
-  EXPECT_FALSE(launch({}).is_ok()) << "hook-free launch resumed";
+  EXPECT_EQ(launch({}).status().code(), StatusCode::kInvalidArgument)
+      << "hook-free launch resumed from a mid-launch mark";
   fi::InjectorHook early(make_site(InjectionMode::kIov, 0), machine());
   sim::LaunchOptions options;
   options.hooks.push_back(&early);
@@ -479,6 +619,91 @@ TEST(FastForwardLaunch, ResumeRejectsMisuse) {
   EXPECT_FALSE(launch(options).is_ok()) << "profiled a skipped prefix";
   options.profile = nullptr;
   EXPECT_TRUE(launch(options).is_ok());
+}
+
+TEST(FastForwardLaunch, CompletionResumeRejectsMisuse) {
+  Bench bench([] { return wl::make_workload("gemm"); });
+  sim::CheckpointTable table({});
+  ASSERT_TRUE(bench.golden(&table, nullptr).is_ok());
+  const auto completion = table.completion();
+  ASSERT_NE(completion, nullptr);
+  const u64 golden_instrs = completion->dyn_warp;
+
+  auto workload = wl::make_workload("gemm");
+  sim::Device device(machine());
+  auto spec = workload->setup(device).value();
+  auto launch = [&](sim::LaunchOptions options) {
+    options.resume_from = completion.get();
+    return device.launch(workload->program(), spec.grid, spec.block,
+                         spec.params, options);
+  };
+  auto rejected = [&](const sim::LaunchOptions& options) {
+    return launch(options).status().code() == StatusCode::kInvalidArgument;
+  };
+  // An armed launch, whose strike the completed launch never made.
+  const u32 groups = strike_groups(InjectionMode::kIov);
+  fi::InjectorHook late(
+      make_site(InjectionMode::kIov, bench.eligible(groups) - 1), machine());
+  sim::LaunchOptions armed;
+  armed.hooks.push_back(&late);
+  EXPECT_TRUE(rejected(armed)) << "armed launch resumed from a completion";
+  sim::LaunchOptions pinned;
+  pinned.engine = EngineTier::kInstrumented;
+  EXPECT_TRUE(rejected(pinned)) << "the instrumented pin skipped its launch";
+  Recorder recorder;
+  sim::LaunchOptions hooked;
+  hooked.hooks.push_back(&recorder);
+  EXPECT_TRUE(rejected(hooked)) << "a hooked launch skipped what it observes";
+  sim::Profile profile;
+  sim::LaunchOptions profiled;
+  profiled.profile = &profile;
+  EXPECT_TRUE(rejected(profiled)) << "profiled a skipped launch";
+  sim::LaunchOptions short_watchdog;
+  short_watchdog.watchdog_instrs = golden_instrs;
+  EXPECT_TRUE(rejected(short_watchdog)) << "resumed past the watchdog";
+  short_watchdog.watchdog_instrs = golden_instrs + 1;
+  EXPECT_TRUE(launch(short_watchdog).is_ok());
+  EXPECT_TRUE(launch({}).is_ok());
+}
+
+/// The golden launch that fills the completion slot and every launch that
+/// resumes from it end in the state of a fresh instrumented launch; a
+/// trapped launch fills nothing, and resumed launches report the threaded
+/// tier without a downgrade.
+TEST(FastForwardLaunch, CompletionResumeMatchesGoldenLaunch) {
+  for (const char* name : {"gemm", "spmv", "histogram", "saxpy"}) {
+    Bench bench([name] { return wl::make_workload(name); });
+    const auto reference = bench.reference();
+    sim::CheckpointTable table(sim::CheckpointTable::even_marks(
+        bench.issues().size(), 4));
+
+    // A watchdog trap is no completion.
+    auto trapped = bench.golden(&table, nullptr, bench.issues().size() / 2);
+    ASSERT_TRUE(trapped.is_ok()) << trapped.status().to_string();
+    EXPECT_EQ(trapped.value().result.trap.kind,
+              sim::TrapKind::kWatchdogTimeout);
+    EXPECT_EQ(table.completion(), nullptr) << name;
+
+    auto filled = bench.golden(&table, nullptr);
+    ASSERT_TRUE(filled.is_ok()) << filled.status().to_string();
+    expect_identical(filled.value(), reference, std::string(name) + " fill");
+    const auto completion = table.completion();
+    ASSERT_NE(completion, nullptr) << name;
+    EXPECT_TRUE(completion->complete());
+    EXPECT_EQ(table.filled(), 0u) << "a hook-free launch filled a mark";
+
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      // Leave the device corrupted: the resume must not depend on it.
+      bench.inject(make_site(InjectionMode::kIov, 0), nullptr, nullptr);
+      auto resumed = bench.golden(&table, completion.get());
+      ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
+      expect_identical(resumed.value(), reference,
+                       std::string(name) + " resume");
+      EXPECT_EQ(resumed.value().result.tier_used, EngineTier::kThreaded);
+      EXPECT_FALSE(resumed.value().result.downgraded);
+      EXPECT_EQ(table.completion(), completion) << "slot refilled";
+    }
+  }
 }
 
 // ---- FFMA pair split by a checkpoint ----------------------------------------

@@ -330,8 +330,9 @@ TEST(CliEngine, AcceptsTheTwoTiersAndRejectsEverythingElse) {
   }
 }
 
-// --arch, --mode and --flip read one name table each; a bad spelling is a
-// usage error that lists every accepted one.
+// --arch, --mode, --flip, --persist, --recover, --prune and --stratify read
+// one name table each; a bad spelling is a usage error that lists every
+// accepted one.
 TEST(CliEnums, BadSpellingsNameTheAcceptedOnes) {
   const struct {
     const char* flag;
@@ -340,6 +341,10 @@ TEST(CliEnums, BadSpellingsNameTheAcceptedOnes) {
       {"arch", "a100|h100|toy"},
       {"mode", "iov|ioa|pred|rf|mem"},
       {"flip", "single|double|random|zero"},
+      {"persist", "transient|stuck"},
+      {"recover", "retry|abft"},
+      {"prune", "dead|dead-bits|none"},
+      {"stratify", "group|none"},
   };
   for (const auto& row : rows) {
     const std::string flag = std::string("--") + row.flag;

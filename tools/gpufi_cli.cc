@@ -178,6 +178,10 @@ using namespace gfi;
 /// journal.
 constexpr const char* kVersion = "0.10.0";
 
+/// --recover strategies and --prune levels.
+enum class Recover : u8 { kRetry, kAbft };
+enum class Prune : u8 { kNone, kDead, kDeadBits };
+
 struct Options {
   std::string command;
   std::string workload;
@@ -198,10 +202,10 @@ struct Options {
   std::optional<std::string> golden_cache;
   std::optional<u64> watchdog;
   std::size_t threads = 0;  ///< 0 = hardware concurrency
-  std::optional<std::string> recover;  ///< "retry" or "abft"
+  std::optional<Recover> recover;
   std::optional<u32> max_retries;
-  std::string persist = "transient";
-  std::string prune = "none";
+  fi::FaultPersistence persist = fi::FaultPersistence::kTransient;
+  Prune prune = Prune::kNone;
   sim::EngineTier engine = sim::EngineTier::kThreaded;  ///< --engine (campaign)
   bool json = false;
   std::optional<std::string> sarif;  ///< --sarif=<file> (lint)
@@ -215,7 +219,7 @@ struct Options {
   std::optional<f64> stop_confidence;
   std::optional<u64> stop_min;
   std::optional<u64> checkpoint_every;
-  std::string stratify = "none";
+  bool stratify = false;  ///< --stratify=group
   std::optional<std::string> plan;  ///< --plan= follow-mode file (campaign)
   bool allow_partial = false;   ///< --allow-partial (merge)
   std::optional<std::string> out;  ///< --out merged-journal path (run/merge)
@@ -269,6 +273,25 @@ constexpr Named<fi::BitFlipModel> kFlipNames[] = {
     {fi::BitFlipModel::kDouble, "double"},
     {fi::BitFlipModel::kRandomValue, "random"},
     {fi::BitFlipModel::kZeroValue, "zero"}};
+constexpr Named<fi::FaultPersistence> kPersistNames[] = {
+    {fi::FaultPersistence::kTransient, "transient"},
+    {fi::FaultPersistence::kStuckAt, "stuck"}};
+constexpr Named<Recover> kRecoverNames[] = {{Recover::kRetry, "retry"},
+                                            {Recover::kAbft, "abft"}};
+constexpr Named<Prune> kPruneNames[] = {{Prune::kDead, "dead"},
+                                        {Prune::kDeadBits, "dead-bits"},
+                                        {Prune::kNone, "none"}};
+constexpr Named<bool> kStratifyNames[] = {{true, "group"}, {false, "none"}};
+
+/// The spelling of `value` in a name table: how `gpufi run` forwards a
+/// parsed flag to its workers.
+template <typename T, std::size_t N>
+const char* name_of(const Named<T> (&table)[N], T value) {
+  for (const Named<T>& entry : table) {
+    if (entry.value == value) return entry.name;
+  }
+  return table[0].name;
+}
 
 /// The entry of a name table (any entry type with a `name` member) spelled
 /// `name`, or null after a one-line "bad --<flag> 'x' (want a|b|c)" error.
@@ -406,12 +429,9 @@ std::optional<Options> parse(int argc, char** argv) {
       continue;
     }
     if (parse_flag(arg, "recover", &value)) {
-      if (value != "retry" && value != "abft") {
-        std::fprintf(stderr, "bad --recover '%s' (want retry|abft)\n",
-                     value.c_str());
-        return std::nullopt;
-      }
-      options.recover = value;
+      const auto* recover = find_name(kRecoverNames, "recover", value);
+      if (recover == nullptr) return std::nullopt;
+      options.recover = recover->value;
       continue;
     }
     if (parse_flag(arg, "max-retries", &value)) {
@@ -426,21 +446,15 @@ std::optional<Options> parse(int argc, char** argv) {
       continue;
     }
     if (parse_flag(arg, "persist", &value)) {
-      if (value != "transient" && value != "stuck") {
-        std::fprintf(stderr, "bad --persist '%s' (want transient|stuck)\n",
-                     value.c_str());
-        return std::nullopt;
-      }
-      options.persist = value;
+      const auto* persist = find_name(kPersistNames, "persist", value);
+      if (persist == nullptr) return std::nullopt;
+      options.persist = persist->value;
       continue;
     }
     if (parse_flag(arg, "prune", &value)) {
-      if (value != "dead" && value != "dead-bits" && value != "none") {
-        std::fprintf(stderr, "bad --prune '%s' (want dead|dead-bits|none)\n",
-                     value.c_str());
-        return std::nullopt;
-      }
-      options.prune = value;
+      const auto* prune = find_name(kPruneNames, "prune", value);
+      if (prune == nullptr) return std::nullopt;
+      options.prune = prune->value;
       continue;
     }
     if (parse_flag(arg, "engine", &value)) {
@@ -636,12 +650,9 @@ std::optional<Options> parse(int argc, char** argv) {
       continue;
     }
     if (parse_flag(arg, "stratify", &value)) {
-      if (value != "group" && value != "none") {
-        std::fprintf(stderr, "bad --stratify '%s' (want group|none)\n",
-                     value.c_str());
-        return std::nullopt;
-      }
-      options.stratify = value;
+      const auto* stratify = find_name(kStratifyNames, "stratify", value);
+      if (stratify == nullptr) return std::nullopt;
+      options.stratify = stratify->value;
       continue;
     }
     if (parse_flag(arg, "plan", &value)) {
@@ -682,19 +693,16 @@ std::optional<fi::CampaignConfig> campaign_config(const Options& options) {
   const auto* mode = find_name(kModeNames, "mode", options.mode);
   const auto* flip = find_name(kFlipNames, "flip", options.flip);
   if (!machine || mode == nullptr || flip == nullptr) return std::nullopt;
-  const fi::FaultPersistence persistence =
-      options.persist == "stuck" ? fi::FaultPersistence::kStuckAt
-                                 : fi::FaultPersistence::kTransient;
   fi::CampaignConfig config;
   config.workload = options.workload;
   config.engine = options.engine;
   config.machine = *machine;
-  config.model = {mode->value, flip->value, persistence};
+  config.model = {mode->value, flip->value, options.persist};
   if (options.recover) {
     // Both strategies relaunch from checkpoint; `abft` additionally swaps in
     // the checksum-carrying kernel so SDCs surface as retryable traps.
     config.max_retries = options.max_retries.value_or(3);
-    if (*options.recover == "abft" &&
+    if (*options.recover == Recover::kAbft &&
         config.workload.rfind("_abft") == std::string::npos) {
       config.workload += "_abft";
     }
@@ -710,9 +718,8 @@ std::optional<fi::CampaignConfig> campaign_config(const Options& options) {
   config.watchdog_instrs = options.watchdog;
   config.threads = options.threads;
   config.heartbeat_interval_ms = options.heartbeat_ms;
-  config.prune_dead_sites = options.prune == "dead" ||
-                            options.prune == "dead-bits";
-  config.prune_dead_bits = options.prune == "dead-bits";
+  config.prune_dead_sites = options.prune != Prune::kNone;
+  config.prune_dead_bits = options.prune == Prune::kDeadBits;
   config.quarantine = options.quarantine;
   if (options.stop_half_width) {
     config.planner.stop.target_half_width = *options.stop_half_width;
@@ -727,7 +734,7 @@ std::optional<fi::CampaignConfig> campaign_config(const Options& options) {
   if (options.checkpoint_every) {
     config.planner.checkpoint_every = *options.checkpoint_every;
   }
-  config.planner.stratify = options.stratify == "group";
+  config.planner.stratify = options.stratify;
   config.planner.plan_path = options.plan;
   if (options.golden_cache) {
     fi::GoldenCache::instance().set_directory(*options.golden_cache);
@@ -1116,7 +1123,8 @@ int cmd_run(const Options& options, const char* argv0) {
   config.worker_flags.push_back("--injections=" +
                                 std::to_string(options.injections));
   config.worker_flags.push_back("--seed=" + std::to_string(options.seed));
-  config.worker_flags.push_back("--persist=" + options.persist);
+  config.worker_flags.push_back(std::string("--persist=") +
+                                name_of(kPersistNames, options.persist));
   if (options.group) config.worker_flags.push_back("--group=" + *options.group);
   if (options.bit) {
     config.worker_flags.push_back("--bit=" + std::to_string(*options.bit));
@@ -1126,14 +1134,16 @@ int cmd_run(const Options& options, const char* argv0) {
                                   (*options.ecc_on ? "on" : "off"));
   }
   if (options.recover) {
-    config.worker_flags.push_back("--recover=" + *options.recover);
+    config.worker_flags.push_back(std::string("--recover=") +
+                                  name_of(kRecoverNames, *options.recover));
   }
   if (options.max_retries) {
     config.worker_flags.push_back("--max-retries=" +
                                   std::to_string(*options.max_retries));
   }
-  if (options.prune != "none") {
-    config.worker_flags.push_back("--prune=" + options.prune);
+  if (options.prune != Prune::kNone) {
+    config.worker_flags.push_back(std::string("--prune=") +
+                                  name_of(kPruneNames, options.prune));
   }
   if (options.engine != sim::EngineTier::kThreaded) {
     config.worker_flags.push_back(std::string("--engine=") +
@@ -1172,10 +1182,11 @@ int cmd_run(const Options& options, const char* argv0) {
     config.worker_flags.push_back("--checkpoint-every=" +
                                   std::to_string(*options.checkpoint_every));
   }
-  if (options.stratify != "none") {
-    config.worker_flags.push_back("--stratify=" + options.stratify);
+  if (options.stratify) {
+    config.worker_flags.push_back(std::string("--stratify=") +
+                                  name_of(kStratifyNames, true));
   }
-  if (options.stop_half_width || options.stratify != "none") {
+  if (options.stop_half_width || options.stratify) {
     // The supervisor needs the unsharded campaign mirror to compute planner
     // decisions itself (it is the only party seeing the full prefix).
     auto mirror = campaign_config(options);
