@@ -289,8 +289,8 @@ using Snapshot = sim::GlobalMemory::Snapshot;
 
 /// A workload set up once on its own device. `start` is the post-setup
 /// device state, checkpoint 0 of every injection run on it: a run restores
-/// it before launching (unless it resumes from a later checkpoint), and
-/// trap-and-retry restores it before every relaunch.
+/// it before launching (unless it resumes from a later checkpoint), and so
+/// does every retry it simulates.
 struct InjectionContext {
   explicit InjectionContext(const sim::MachineConfig& machine)
       : device(machine) {}
@@ -323,20 +323,26 @@ Result<std::unique_ptr<InjectionContext>> make_context(
 }
 
 /// Whether a campaign's retries relaunch without the fault on the default
-/// tier: each is then the golden launch, which the checkpoint table's
-/// completion slot holds once one of them has run.
-bool resumes_retries(const CampaignConfig& config) {
+/// tier: each is then the golden launch from checkpoint 0, so every one
+/// reports what the campaign's first one did.
+bool shares_retry_verdict(const CampaignConfig& config) {
   return config.max_retries > 0 &&
          config.model.persistence == FaultPersistence::kTransient &&
          config.engine != sim::EngineTier::kInstrumented;
 }
 
+/// What a transient retry reported: its attempt and its output check.
+struct RetryVerdict {
+  recover::Attempt attempt;
+  std::optional<wl::Workload::Checked> check;
+};
+
 /// Campaign-scoped fast-forward state, shared by the workers of one
 /// Campaign::run: a free-list of injection contexts (at most one per
-/// worker), their shared checkpoint 0, and the golden-prefix checkpoint
-/// table their armed launches fill and resume from, whose completion slot
-/// transient retries fill and resume from. Sized by the first context: see
-/// fast_forward_checkpoints().
+/// worker), their shared checkpoint 0, the golden-prefix checkpoint table
+/// their armed launches fill and resume from, and the verdict of the first
+/// transient retry, which answers the later ones. Sized by the first
+/// context: see fast_forward_checkpoints().
 class FastForward {
  public:
   FastForward(const CampaignConfig& config, u64 golden_dyn_instrs,
@@ -367,15 +373,12 @@ class FastForward {
     if (!start_) start_ = made.value()->start;
     if (!table_) {
       const InjectionContext& context = *made.value();
-      const u64 memory = context.device.memory().bytes_allocated();
       const u64 state = sim::launch_state_bytes(
           config_.machine, context.workload->program(), context.spec.grid,
-          context.spec.block, memory);
-      const u64 completion = resumes_retries(config_) ? memory : 0;
+          context.spec.block, context.device.memory().bytes_allocated());
       table_ = std::make_unique<sim::CheckpointTable>(
           sim::CheckpointTable::even_marks(
-              golden_dyn_instrs_,
-              fast_forward_checkpoints(state, workers_, completion)),
+              golden_dyn_instrs_, fast_forward_checkpoints(state, workers_)),
           workers_ > 1);
     }
     return made;
@@ -389,11 +392,23 @@ class FastForward {
   /// Valid once a context has been acquired.
   [[nodiscard]] sim::CheckpointTable& table() { return *table_; }
 
-  /// Telemetry, never journaled: warp instructions a resumed launch did not
-  /// run, retries resumed from the completion slot, and (once the campaign
-  /// is done) the mid-launch checkpoints captured. All are per campaign:
-  /// shards fill their own tables, and with several workers what an
-  /// injection skips depends on which checkpoints exist when it starts.
+  /// The first transient retry's verdict, or nullopt until one has run.
+  [[nodiscard]] std::optional<RetryVerdict> retry_verdict() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return verdict_;
+  }
+  /// Keeps `verdict` unless one is already kept; every transient retry of
+  /// the campaign reports the same one.
+  void offer_retry_verdict(const RetryVerdict& verdict) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!verdict_) verdict_ = verdict;
+  }
+
+  /// Telemetry, never journaled: warp instructions a resumed launch or an
+  /// answered retry did not run, the retries answered, and (once the
+  /// campaign is done) the mid-launch checkpoints captured. All are per
+  /// campaign: shards fill their own tables, and with several workers what
+  /// an injection skips depends on which checkpoints exist when it starts.
   void skipped(u64 warp_instrs) { skipped_.inc(warp_instrs); }
   void resumed_retry(u64 warp_instrs) {
     resumed_retries_.inc();
@@ -414,6 +429,7 @@ class FastForward {
   std::vector<std::unique_ptr<InjectionContext>> free_;
   std::shared_ptr<const Snapshot> start_;  ///< checkpoint 0, shared
   std::unique_ptr<sim::CheckpointTable> table_;
+  std::optional<RetryVerdict> verdict_;
 };
 
 /// One injection on `context`; `ff`, when given, is the campaign's
@@ -526,10 +542,11 @@ Result<InjectionRecord> run_injection(
     tier_downgrades = &metrics->counter("engine.dispatch.downgrades");
   }
 
-  // One attempt = arm fault (if due) + launch + result check. The retry
-  // executor restores the pre-attempt checkpoint between calls, so every
-  // attempt sees bit-identical initial device state.
-  auto attempt_fn = [&](u32 attempt) -> Result<recover::Attempt> {
+  // One simulated attempt = restore checkpoint 0 (retries) + arm fault (if
+  // due) + launch + result check, so every attempt sees bit-identical
+  // initial device state.
+  auto simulate = [&](u32 attempt) -> Result<recover::Attempt> {
+    if (attempt > 0) device.restore(*context->start);
     const bool armed = attempt == 0 || stuck_at;
     InjectorHook injector(site.value(), device.config());
     sim::LaunchOptions options;
@@ -542,18 +559,9 @@ Result<InjectionRecord> run_injection(
     } else if (armed) {
       options.hooks.push_back(&injector);
     }
-    // A transient retry relaunches the unfaulted kernel from checkpoint 0:
-    // it is the golden launch. The first one of the campaign fills the
-    // completion slot, later ones resume from it and run no instruction.
-    std::shared_ptr<const sim::LaunchCheckpoint> completion;
     if (attempt == 0) {
       options.checkpoints = table;
       options.resume_from = resume.get();
-    } else if (ff && resumes_retries(config)) {
-      options.checkpoints = &ff->table();
-      completion = ff->table().completion();
-      options.resume_from = completion.get();
-      if (completion) ff->resumed_retry(completion->dyn_warp);
     }
 
     auto launch = device.launch(workload.program(), spec.grid, spec.block,
@@ -593,9 +601,30 @@ Result<InjectionRecord> run_injection(
     return result;
   };
 
+  // A transient retry relaunches the unfaulted kernel from checkpoint 0: it
+  // is the golden launch. The campaign simulates its first one and answers
+  // the others from that verdict, with no restore, launch or check.
+  auto attempt_fn = [&](u32 attempt) -> Result<recover::Attempt> {
+    if (attempt == 0 || !ff || !shares_retry_verdict(config)) {
+      return simulate(attempt);
+    }
+    if (auto verdict = ff->retry_verdict()) {
+      ff->resumed_retry(verdict->attempt.dyn_instrs);
+      if (metrics) {
+        tier_counter[static_cast<int>(sim::EngineTier::kThreaded)]->inc();
+      }
+      final_check = verdict->check;
+      return verdict->attempt;
+    }
+    auto simulated = simulate(attempt);
+    if (simulated.is_ok()) {
+      ff->offer_retry_verdict({simulated.value(), final_check});
+    }
+    return simulated;
+  };
+
   auto executed = recover::run_with_retry(
-      device, *context->start, recover::RetryPolicy{config.max_retries},
-      attempt_fn);
+      recover::RetryPolicy{config.max_retries}, attempt_fn);
   if (!executed.is_ok()) return executed.status();
   const recover::RetryResult& retry = executed.value();
   record.attempts = retry.attempts;
@@ -645,11 +674,8 @@ Result<InjectionRecord> run_injection(
 
 }  // namespace
 
-u32 fast_forward_checkpoints(u64 state_bytes, std::size_t workers,
-                             u64 completion_bytes) {
-  const u64 budget =
-      kFastForwardBytes - std::min(completion_bytes, kFastForwardBytes);
-  const u64 fit = budget / std::max<u64>(state_bytes, 1);
+u32 fast_forward_checkpoints(u64 state_bytes, std::size_t workers) {
+  const u64 fit = kFastForwardBytes / std::max<u64>(state_bytes, 1);
   if (fit <= workers) return 0;
   return static_cast<u32>(std::min<u64>(fit - workers, kMaxCheckpoints));
 }

@@ -7,6 +7,8 @@
 //             outcome. Each worker sets the workload up once and restores
 //             it before every run, which starts from the latest
 //             golden-prefix checkpoint before its strike (DESIGN.md §4.14).
+//             A transient retry is the golden launch again: the first
+//             one's verdict answers the campaign's later ones.
 //
 // Injection i depends only on (config.seed, i), which makes runs resumable
 // (fi/journal.h), shardable (CampaignConfig::shard_*), and replayable
@@ -190,7 +192,9 @@ struct CampaignConfig {
   /// this many extra times. A retry that completes and passes its check is
   /// kRecoveredRetry; one that traps on every attempt is kUnrecoverableDue.
   /// Whether the retry sees the fault again is model.persistence. SDCs are
-  /// never retried — nothing detected them.
+  /// never retried — nothing detected them. Campaign::run simulates its
+  /// first transient retry on the default tier and answers the later ones
+  /// from its verdict; run_single and the kInstrumented pin simulate all.
   u32 max_retries = 0;
 
   // --- observability (src/obs) -------------------------------------------
@@ -268,25 +272,19 @@ struct CampaignResult {
 
 /// Launch state (device memory plus resident registers and shared memory)
 /// a campaign may hold for fast-forward: its stored golden-prefix
-/// checkpoints, its completion checkpoint, and one live launch per worker.
-/// One saxpy_swift injection alone holds 2.5 MiB, so with 2 MiB no campaign
-/// holds more launch state than such an injection already did before
-/// checkpoints existed.
+/// checkpoints plus one live launch per worker. One saxpy_swift injection
+/// alone holds 2.5 MiB, so with 2 MiB no campaign holds more launch state
+/// than such an injection already did before checkpoints existed.
 inline constexpr u64 kFastForwardBytes = u64{2} << 20;
 /// Upper bound on the mid-launch checkpoints of one campaign.
 inline constexpr u32 kMaxCheckpoints = 16;
 
 /// Mid-launch checkpoints a campaign keeps for a launch whose state takes
-/// `state_bytes` (sim::launch_state_bytes), run by `workers` threads, next
-/// to a completion checkpoint of `completion_bytes` (its device memory;
-/// 0 for a campaign without transient retries): the largest
-/// K <= kMaxCheckpoints with completion_bytes + (K + workers) * state_bytes
-/// within kFastForwardBytes, or 0. The completion checkpoint itself is
-/// always kept: it is no larger than one launch state, and every retry it
-/// serves skips a whole launch.
+/// `state_bytes` (sim::launch_state_bytes), run by `workers` threads: the
+/// largest K <= kMaxCheckpoints with (K + workers) * state_bytes within
+/// kFastForwardBytes, or 0.
 [[nodiscard]] u32 fast_forward_checkpoints(u64 state_bytes,
-                                           std::size_t workers,
-                                           u64 completion_bytes = 0);
+                                           std::size_t workers);
 
 class Campaign {
  public:

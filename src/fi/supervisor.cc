@@ -761,7 +761,7 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
                           {"stall_kills", result.stall_kills},
                           {"shards_failed", result.shards_failed}});
   if (result.shards_failed > 0) {
-    return std::move(result);  // caller inspects shards_failed; no merge
+    return result;  // caller inspects shards_failed; no merge
   }
 
   std::vector<std::string> paths;
@@ -770,7 +770,7 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
   auto merged = merge_journals(paths);
   if (!merged.is_ok()) return merged.status();
   result.merged = std::move(merged).take();
-  return std::move(result);
+  return result;
 }
 
 #endif  // _WIN32

@@ -2,9 +2,7 @@
 
 namespace gfi::recover {
 
-Result<RetryResult> run_with_retry(sim::Device& device,
-                                   const sim::GlobalMemory::Snapshot& start,
-                                   const RetryPolicy& policy,
+Result<RetryResult> run_with_retry(const RetryPolicy& policy,
                                    const AttemptFn& attempt) {
   auto first = attempt(0);
   if (!first.is_ok()) return first.status();
@@ -16,7 +14,6 @@ Result<RetryResult> run_with_retry(sim::Device& device,
 
   for (u32 retry = 1;
        retry <= policy.max_retries && result.last_trap.fired(); ++retry) {
-    device.restore(start);
     auto rerun = attempt(retry);
     if (!rerun.is_ok()) return rerun.status();
     result.last_trap = rerun.value().trap;

@@ -2,20 +2,18 @@
 // kernel dies with an ECC DBE / illegal-address Xid or is killed by the
 // watchdog — tear the context down, restore application state, relaunch.
 //
-// The caller passes the device's pre-launch state (a Device::snapshot()
-// it keeps anyway: a campaign worker's post-setup checkpoint). The executor
-// runs the caller's attempt callback and, while the attempt reports a trap,
-// restores that snapshot and reruns it, up to `max_retries` extra attempts.
-// Whether the retry sees the same fault again is the caller's business
-// (FaultPersistence): the executor only guarantees that every retry starts
-// from bit-identical device state.
+// The executor runs the caller's attempt callback and, while the attempt
+// reports a trap, reruns it, up to `max_retries` extra attempts. Restoring
+// the device state a retry starts from is the caller's business, and so is
+// whether the retry sees the same fault again (FaultPersistence): a
+// campaign restores its post-setup checkpoint before every retry it
+// simulates.
 #pragma once
 
 #include <functional>
 
 #include "common/status.h"
 #include "common/types.h"
-#include "sassim/device.h"
 #include "sassim/trap.h"
 
 namespace gfi::recover {
@@ -48,14 +46,11 @@ struct RetryResult {
   [[nodiscard]] bool gave_up() const { return last_trap.fired(); }
 };
 
-/// Runs `attempt(0)`, then restores `start` into `device` and retries while
-/// the attempt traps and budget remains. The callback receives the attempt
-/// index (0 = original run) so a caller modeling a stuck-at fault can
-/// re-arm it on every attempt.
+/// Runs `attempt(0)`, then retries while the attempt traps and budget
+/// remains. The callback receives the attempt index (0 = original run) so
+/// a caller modeling a stuck-at fault can re-arm it on every attempt.
 using AttemptFn = std::function<Result<Attempt>(u32 attempt)>;
-Result<RetryResult> run_with_retry(sim::Device& device,
-                                   const sim::GlobalMemory::Snapshot& start,
-                                   const RetryPolicy& policy,
+Result<RetryResult> run_with_retry(const RetryPolicy& policy,
                                    const AttemptFn& attempt);
 
 }  // namespace gfi::recover

@@ -215,8 +215,7 @@ struct Simulator::Engine {
   std::array<u64, kInstrGroupCount> group_issues{};
 
   // Armed runs with a checkpoint table: the next grid mark to capture and
-  // its dynamic-instruction threshold (u64 max once none is left). A
-  // hook-free golden run sets only `table`, for its completion capture.
+  // its dynamic-instruction threshold (u64 max once none is left).
   CheckpointTable* table = nullptr;
   std::size_t next_mark = 0;
   u64 next_mark_at = std::numeric_limits<u64>::max();
@@ -1271,14 +1270,11 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
   if (options.hooks.size() == 1 && !pin_instrumented) {
     strike = options.hooks.front()->strike_request();
   }
-  const bool hook_free = options.hooks.empty() && !pin_instrumented;
-  const u64 watchdog =
-      options.watchdog_instrs ? options.watchdog_instrs : kDefaultWatchdog;
   const LaunchCheckpoint* resume = options.resume_from;
   if (resume) {
-    if (!strike && !hook_free) {
+    if (!strike) {
       return Status::invalid_argument(
-          "only an armed or hook-free launch can resume from a checkpoint");
+          "only an armed launch can resume from a checkpoint");
     }
     if (options.profile) {
       return Status::invalid_argument(
@@ -1289,22 +1285,8 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
       return Status::invalid_argument(
           "checkpoint was taken from a different launch");
     }
-    if (strike && resume->complete()) {
-      return Status::invalid_argument(
-          "an armed launch cannot resume from a completion checkpoint");
-    }
-    if (strike && resume->issues(strike->groups) > strike->occurrence) {
+    if (resume->issues(strike->groups) > strike->occurrence) {
       return Status::invalid_argument("checkpoint lies past the strike");
-    }
-    if (hook_free && !resume->complete()) {
-      return Status::invalid_argument(
-          "a hook-free launch can resume only from a completion checkpoint");
-    }
-    // The watchdog fires once the count reaches it, so a run that got
-    // there would have trapped on the way.
-    if (hook_free && resume->dyn_warp >= watchdog) {
-      return Status::invalid_argument(
-          "completion checkpoint lies past the watchdog");
     }
   }
 
@@ -1312,7 +1294,8 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
   engine.threads_per_cta = threads_per_cta;
   engine.warps_per_cta = (threads_per_cta + kWarpSize - 1) / kWarpSize;
   engine.occupancy = occupancy;
-  engine.watchdog = watchdog;
+  engine.watchdog =
+      options.watchdog_instrs ? options.watchdog_instrs : kDefaultWatchdog;
   engine.total_ctas = grid.count();
   engine.resident.resize(config_.num_sms);
 
@@ -1330,8 +1313,6 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
   // explicit kInstrumented pin) take the instrumented engine to the end;
   // hook-free execution — golden runs included — runs the threaded tier.
   // Both tiers are bit-identical in every architecturally observable way.
-  // A hook-free launch resumed from its completion checkpoint has no CTA
-  // left to run, so it ends where the checkpointed launch ended.
   EngineTier tier_used = EngineTier::kThreaded;
   bool downgraded = false;
   if (strike) {
@@ -1350,10 +1331,6 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
     tier_used = EngineTier::kInstrumented;
   } else {
     (void)engine.run<ThreadedPolicy>();
-    engine.table = options.checkpoints;
-    if (engine.table && !resume && !engine.trap.fired()) {
-      engine.table->offer_completion(engine.checkpoint());
-    }
   }
 
   LaunchResult result;
@@ -1473,18 +1450,6 @@ std::size_t CheckpointTable::filled() const {
   std::size_t count = 0;
   for (const auto& slot : slots_) count += slot != nullptr;
   return count;
-}
-
-void CheckpointTable::offer_completion(LaunchCheckpoint checkpoint) {
-  auto stored =
-      std::make_shared<const LaunchCheckpoint>(std::move(checkpoint));
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (completion_ == nullptr) completion_ = std::move(stored);
-}
-
-std::shared_ptr<const LaunchCheckpoint> CheckpointTable::completion() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return completion_;
 }
 
 }  // namespace gfi::sim

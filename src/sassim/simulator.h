@@ -79,21 +79,16 @@ struct LaunchOptions {
   /// construction, double guard-mask computation, hook walks) for the whole
   /// launch — the reference tests and CI diff the threaded tier against.
   EngineTier engine = EngineTier::kThreaded;
-  /// Fast-forward (engine not pinned). An armed launch (a lone hook with a
-  /// StrikeRequest) fills every empty slot of this table whose grid mark it
-  /// crosses before its strike fires. A hook-free launch passing the table
-  /// declares itself the golden launch: when it completes without a trap it
-  /// fills the table's empty completion slot with its end state.
+  /// Fast-forward, armed launches only (a lone hook with a StrikeRequest,
+  /// engine not pinned). The launch fills every empty slot of this table
+  /// whose grid mark it crosses before its strike fires.
   CheckpointTable* checkpoints = nullptr;
-  /// Fast-forward (engine not pinned): resume from this checkpoint of the
-  /// same launch, started from the same device state, instead of from its
-  /// start. Device memory is restored from the checkpoint. An armed launch
-  /// resumes from a mid-launch mark: the strike counter starts at the
-  /// checkpoint's count for StrikeRequest::groups, which must not exceed
-  /// the requested occurrence. A hook-free launch resumes only from a
-  /// completion checkpoint, which must lie within its watchdog: it runs no
-  /// instruction and reports the checkpointed launch's counts. Incompatible
-  /// with `profile` (the skipped prefix would go uncounted).
+  /// Fast-forward, armed launches only: resume from this checkpoint of the
+  /// same launch instead of from its start. Device memory is restored from
+  /// the checkpoint, and the strike counter starts at the checkpoint's
+  /// count for StrikeRequest::groups, which must not exceed the requested
+  /// occurrence. Incompatible with `profile` (the skipped prefix would go
+  /// uncounted). A hook-free launch cannot resume: it always runs whole.
   const LaunchCheckpoint* resume_from = nullptr;
 };
 
@@ -104,8 +99,7 @@ struct LaunchResult {
   u64 dyn_thread_instrs = 0;  ///< sum of active lanes over those
   u64 cycles = 0;             ///< timing-model cycles
   ecc::EccCounters ecc;       ///< ECC events observed during the launch
-  /// Tier the launch finished on: an armed launch reports kThreaded, and
-  /// so does a hook-free launch resumed from a completion checkpoint.
+  /// Tier the launch finished on: an armed launch reports kThreaded.
   EngineTier tier_used = EngineTier::kThreaded;
   /// True when an armed launch reached its struck slot and finished on the
   /// plain threaded tier.
@@ -149,9 +143,7 @@ class ImageBuffer {
 /// the launch from that boundary on bit for bit (DESIGN.md §4.14). The CTAs
 /// and the memory bytes are one flat image: a single allocation, where
 /// copies of the CTA objects would be one per warp and would leave the heap
-/// fragmented behind a campaign's checkpoints. A completion checkpoint is
-/// the end state of a golden launch: no CTA is resident, so its image is
-/// the memory bytes alone.
+/// fragmented behind a campaign's checkpoints.
 struct LaunchCheckpoint {
   Dim3 grid;
   Dim3 block;
@@ -164,10 +156,6 @@ struct LaunchCheckpoint {
   std::array<u64, kInstrGroupCount> group_issues{};  ///< issues per group
   GlobalMemory::Snapshot memory;  ///< all but the bytes, which are in image
   ImageBuffer image;  ///< every pool's CTAs in order, then memory bytes
-
-  /// True for the end state of a completed launch (no CTA left resident);
-  /// a mid-launch checkpoint always holds resident CTAs.
-  [[nodiscard]] bool complete() const { return resident_count == 0; }
 
   /// Issues so far of the groups whose bit is set in `groups`: the armed
   /// strike counter at this boundary.
@@ -188,18 +176,15 @@ struct LaunchCheckpoint {
                                      Dim3 block, u64 memory_bytes);
 
 /// Golden-prefix checkpoints of one launch configuration, shared by every
-/// launch of it. Slot i holds the state at the first cycle boundary whose
-/// dynamic warp-instruction count reaches marks()[i]; armed launches fill
-/// those slots lazily from their own prefixes. The completion slot holds
-/// the golden launch's end state, filled by the first hook-free launch
-/// that declares itself golden. Every launch that fills a slot holds the
-/// identical state there, so the order in which concurrent launches fill
-/// it cannot change any result. Thread-safe.
+/// armed launch of it. Slot i holds the state at the first cycle boundary
+/// whose dynamic warp-instruction count reaches marks()[i]. Armed launches
+/// fill slots lazily from their own prefixes; every launch that fills a
+/// slot holds the identical state there, so the order in which concurrent
+/// launches fill it cannot change any result. Thread-safe.
 class CheckpointTable {
  public:
-  /// One empty slot per mark, plus the completion slot; `marks` ascend. A
-  /// table with no marks keeps only the completion slot. `map_pages` keeps
-  /// the images off the heap:
+  /// One empty slot per mark; `marks` ascend. A table with no marks never
+  /// fills and never resumes. `map_pages` keeps the images off the heap:
   /// set it when several threads launch, since each thread's malloc arena
   /// would keep the high-water mark of the checkpoints that thread took.
   /// With one thread, heap images reuse memory the process already holds.
@@ -222,20 +207,13 @@ class CheckpointTable {
   /// Slot `slot`'s checkpoint, or null while it is empty.
   [[nodiscard]] std::shared_ptr<const LaunchCheckpoint> at(
       std::size_t slot) const;
-  /// Filled mid-launch slots (the completion slot is not counted).
   [[nodiscard]] std::size_t filled() const;
-
-  /// Stores a completion checkpoint unless the slot is already filled.
-  void offer_completion(LaunchCheckpoint checkpoint);
-  /// The completion checkpoint, or null while its slot is empty.
-  [[nodiscard]] std::shared_ptr<const LaunchCheckpoint> completion() const;
 
  private:
   std::vector<u64> marks_;
   bool map_pages_;
   mutable std::mutex mutex_;
   std::vector<std::shared_ptr<const LaunchCheckpoint>> slots_;
-  std::shared_ptr<const LaunchCheckpoint> completion_;
 };
 
 class Simulator {

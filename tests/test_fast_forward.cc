@@ -5,12 +5,11 @@
 // campaign (every launch from instruction 0, never armed) and of standalone
 // run_single on a fresh device, for every built-in workload and SWIFT
 // variant x the four hooked modes x the four flip models, with one worker
-// and with three. Transient retries, the golden launch again, resume from
-// the table's completion slot: their journals must match the pin too, in
+// and with three. Transient retries, the golden launch again, are answered
+// from the campaign's first one: their journals must match the pin too, in
 // memory, IOV and RF modes and across a journal kill and resume. The
 // sassim-level tests strike just before, at and after a checkpoint's own
-// count, across an adjacent FFMA pair split by a checkpoint, and resume a
-// hook-free launch from its completion checkpoint.
+// count and across an adjacent FFMA pair split by a checkpoint.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -169,9 +168,9 @@ u64 counter(obs::Registry& metrics, const std::string& name) {
 /// Retry campaigns of `config` under both persistences, with 1 and 3
 /// workers, against the instrumented pin. A transient retry relaunches the
 /// unfaulted kernel from checkpoint 0, so it is the golden launch: the
-/// first of a campaign fills the completion slot and later ones resume
-/// from it (with one worker, all but that first). A stuck-at retry re-arms
-/// the fault and never resumes; an armed first attempt still resumes
+/// first of a campaign is simulated and its verdict answers the later ones
+/// (with one worker, all but that first). A stuck-at retry re-arms the
+/// fault and is always simulated; an armed first attempt still resumes
 /// mid-launch.
 void retry_sweep(fi::CampaignConfig config) {
   for (const fi::FaultPersistence persistence :
@@ -252,8 +251,8 @@ TEST(FastForwardRetry, IovGemmRetriesMatchInstrumentedPin) {
 }
 
 /// A journaled transient-retry campaign killed mid-run resumes to the same
-/// journal. The completion slot is per Campaign::run, so the resumed run
-/// starts with it empty: its first retry simulates again.
+/// journal. The shared retry verdict is per Campaign::run, so the resumed
+/// run has none yet: its first retry simulates again.
 TEST(FastForwardRetry, JournalKillAndResumeStaysIdentical) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::path(::testing::TempDir()) / "gfi_ff_retry_resume";
@@ -308,8 +307,8 @@ TEST(FastForwardRetry, JournalKillAndResumeStaysIdentical) {
 
 /// Memory mode never resumes mid-launch (no strike to arm), but every
 /// injection after a worker's first runs on a restored, reused device, and
-/// every transient retry but the campaign's first resumes from the
-/// completion slot.
+/// every transient retry but the campaign's first is answered from that
+/// first one's verdict.
 TEST(FastForwardMemory, ReusedDevicesMatchFreshOnes) {
   for (const char* workload : {"saxpy", "spmv", "histogram"}) {
     fi::CampaignConfig config;
@@ -477,25 +476,6 @@ class Bench {
     return Run{result.value(), device_.snapshot(), hook.effect()};
   }
 
-  /// Hook-free launch on the reused device, declared golden to `table`:
-  /// from launch start (after restoring checkpoint 0) or from `resume`.
-  Result<Run> golden(sim::CheckpointTable* table,
-                     const sim::LaunchCheckpoint* resume,
-                     u64 watchdog_instrs = 0) {
-    if (!resume) device_.restore(start_);
-    sim::LaunchOptions options;
-    options.checkpoints = table;
-    options.resume_from = resume;
-    options.watchdog_instrs = watchdog_instrs;
-    auto result = device_.launch(workload_->program(), spec_.grid,
-                                 spec_.block, spec_.params, options);
-    if (!result.is_ok()) return result.status();
-    return Run{result.value(), device_.snapshot(), {}};
-  }
-
-  /// A fault-free launch on a fresh device, instrumented from instruction 0.
-  Run reference() { return launch_fresh(nullptr, EngineTier::kInstrumented); }
-
   /// The same site on a fresh device, instrumented from instruction 0.
   Run reference(const FaultSite& site) {
     fi::InjectorHook hook(site, machine());
@@ -606,7 +586,7 @@ TEST(FastForwardLaunch, ResumeRejectsMisuse) {
                          spec.params, options);
   };
   EXPECT_EQ(launch({}).status().code(), StatusCode::kInvalidArgument)
-      << "hook-free launch resumed from a mid-launch mark";
+      << "hook-free launch resumed";
   fi::InjectorHook early(make_site(InjectionMode::kIov, 0), machine());
   sim::LaunchOptions options;
   options.hooks.push_back(&early);
@@ -619,91 +599,6 @@ TEST(FastForwardLaunch, ResumeRejectsMisuse) {
   EXPECT_FALSE(launch(options).is_ok()) << "profiled a skipped prefix";
   options.profile = nullptr;
   EXPECT_TRUE(launch(options).is_ok());
-}
-
-TEST(FastForwardLaunch, CompletionResumeRejectsMisuse) {
-  Bench bench([] { return wl::make_workload("gemm"); });
-  sim::CheckpointTable table({});
-  ASSERT_TRUE(bench.golden(&table, nullptr).is_ok());
-  const auto completion = table.completion();
-  ASSERT_NE(completion, nullptr);
-  const u64 golden_instrs = completion->dyn_warp;
-
-  auto workload = wl::make_workload("gemm");
-  sim::Device device(machine());
-  auto spec = workload->setup(device).value();
-  auto launch = [&](sim::LaunchOptions options) {
-    options.resume_from = completion.get();
-    return device.launch(workload->program(), spec.grid, spec.block,
-                         spec.params, options);
-  };
-  auto rejected = [&](const sim::LaunchOptions& options) {
-    return launch(options).status().code() == StatusCode::kInvalidArgument;
-  };
-  // An armed launch, whose strike the completed launch never made.
-  const u32 groups = strike_groups(InjectionMode::kIov);
-  fi::InjectorHook late(
-      make_site(InjectionMode::kIov, bench.eligible(groups) - 1), machine());
-  sim::LaunchOptions armed;
-  armed.hooks.push_back(&late);
-  EXPECT_TRUE(rejected(armed)) << "armed launch resumed from a completion";
-  sim::LaunchOptions pinned;
-  pinned.engine = EngineTier::kInstrumented;
-  EXPECT_TRUE(rejected(pinned)) << "the instrumented pin skipped its launch";
-  Recorder recorder;
-  sim::LaunchOptions hooked;
-  hooked.hooks.push_back(&recorder);
-  EXPECT_TRUE(rejected(hooked)) << "a hooked launch skipped what it observes";
-  sim::Profile profile;
-  sim::LaunchOptions profiled;
-  profiled.profile = &profile;
-  EXPECT_TRUE(rejected(profiled)) << "profiled a skipped launch";
-  sim::LaunchOptions short_watchdog;
-  short_watchdog.watchdog_instrs = golden_instrs;
-  EXPECT_TRUE(rejected(short_watchdog)) << "resumed past the watchdog";
-  short_watchdog.watchdog_instrs = golden_instrs + 1;
-  EXPECT_TRUE(launch(short_watchdog).is_ok());
-  EXPECT_TRUE(launch({}).is_ok());
-}
-
-/// The golden launch that fills the completion slot and every launch that
-/// resumes from it end in the state of a fresh instrumented launch; a
-/// trapped launch fills nothing, and resumed launches report the threaded
-/// tier without a downgrade.
-TEST(FastForwardLaunch, CompletionResumeMatchesGoldenLaunch) {
-  for (const char* name : {"gemm", "spmv", "histogram", "saxpy"}) {
-    Bench bench([name] { return wl::make_workload(name); });
-    const auto reference = bench.reference();
-    sim::CheckpointTable table(sim::CheckpointTable::even_marks(
-        bench.issues().size(), 4));
-
-    // A watchdog trap is no completion.
-    auto trapped = bench.golden(&table, nullptr, bench.issues().size() / 2);
-    ASSERT_TRUE(trapped.is_ok()) << trapped.status().to_string();
-    EXPECT_EQ(trapped.value().result.trap.kind,
-              sim::TrapKind::kWatchdogTimeout);
-    EXPECT_EQ(table.completion(), nullptr) << name;
-
-    auto filled = bench.golden(&table, nullptr);
-    ASSERT_TRUE(filled.is_ok()) << filled.status().to_string();
-    expect_identical(filled.value(), reference, std::string(name) + " fill");
-    const auto completion = table.completion();
-    ASSERT_NE(completion, nullptr) << name;
-    EXPECT_TRUE(completion->complete());
-    EXPECT_EQ(table.filled(), 0u) << "a hook-free launch filled a mark";
-
-    for (int repeat = 0; repeat < 2; ++repeat) {
-      // Leave the device corrupted: the resume must not depend on it.
-      bench.inject(make_site(InjectionMode::kIov, 0), nullptr, nullptr);
-      auto resumed = bench.golden(&table, completion.get());
-      ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
-      expect_identical(resumed.value(), reference,
-                       std::string(name) + " resume");
-      EXPECT_EQ(resumed.value().result.tier_used, EngineTier::kThreaded);
-      EXPECT_FALSE(resumed.value().result.downgraded);
-      EXPECT_EQ(table.completion(), completion) << "slot refilled";
-    }
-  }
 }
 
 // ---- FFMA pair split by a checkpoint ----------------------------------------

@@ -1,8 +1,9 @@
 // Recovery subsystem tests: device checkpoint/restore bit-identity, the
 // trap-and-retry executor, campaign-level recovery classification under
-// transient vs stuck-at faults, ABFT goldens and detection, the journal
-// round-trip of the recovery fields, and the trap taxonomy (every TrapKind
-// raisable from a minimal kernel and classified as a detected error).
+// transient vs stuck-at faults and the cost of a transient retry, ABFT
+// goldens and detection, the journal round-trip of the recovery fields, and
+// the trap taxonomy (every TrapKind raisable from a minimal kernel and
+// classified as a detected error).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -121,10 +122,9 @@ sim::Trap fake_trap(TrapKind kind) {
 }
 
 TEST(Retry, CleanFirstAttemptRunsOnce) {
-  Device device(arch::toy());
   u32 calls = 0;
   auto result = recover::run_with_retry(
-      device, device.snapshot(), {.max_retries = 3}, [&](u32) -> Result<recover::Attempt> {
+      {.max_retries = 3}, [&](u32) -> Result<recover::Attempt> {
         ++calls;
         return recover::Attempt{.trap = {}, .dyn_instrs = 100};
       });
@@ -137,9 +137,8 @@ TEST(Retry, CleanFirstAttemptRunsOnce) {
 }
 
 TEST(Retry, TransientTrapRecoversOnSecondAttempt) {
-  Device device(arch::toy());
   auto result = recover::run_with_retry(
-      device, device.snapshot(), {.max_retries = 3}, [&](u32 attempt) -> Result<recover::Attempt> {
+      {.max_retries = 3}, [&](u32 attempt) -> Result<recover::Attempt> {
         return recover::Attempt{
             .trap = attempt == 0 ? fake_trap(TrapKind::kEccDoubleBit)
                                  : sim::Trap{},
@@ -154,9 +153,8 @@ TEST(Retry, TransientTrapRecoversOnSecondAttempt) {
 }
 
 TEST(Retry, PersistentTrapExhaustsBudget) {
-  Device device(arch::toy());
   auto result = recover::run_with_retry(
-      device, device.snapshot(), {.max_retries = 3}, [&](u32) -> Result<recover::Attempt> {
+      {.max_retries = 3}, [&](u32) -> Result<recover::Attempt> {
         return recover::Attempt{.trap = fake_trap(TrapKind::kWatchdogTimeout),
                                 .dyn_instrs = 10};
       });
@@ -168,10 +166,9 @@ TEST(Retry, PersistentTrapExhaustsBudget) {
 }
 
 TEST(Retry, ZeroBudgetDisablesRecovery) {
-  Device device(arch::toy());
   u32 calls = 0;
   auto result = recover::run_with_retry(
-      device, device.snapshot(), {.max_retries = 0}, [&](u32) -> Result<recover::Attempt> {
+      {.max_retries = 0}, [&](u32) -> Result<recover::Attempt> {
         ++calls;
         return recover::Attempt{.trap = fake_trap(TrapKind::kEccDoubleBit)};
       });
@@ -179,34 +176,6 @@ TEST(Retry, ZeroBudgetDisablesRecovery) {
   EXPECT_EQ(calls, 1u);
   EXPECT_EQ(result.value().attempts, 1u);
   EXPECT_TRUE(result.value().gave_up());
-}
-
-TEST(Retry, EveryAttemptStartsFromCheckpointState) {
-  Device device(arch::toy());
-  auto flag = device.malloc_n<u32>(1);
-  ASSERT_TRUE(flag.is_ok());
-  const std::vector<u32> zero = {0};
-  ASSERT_TRUE(device.to_device(flag.value(),
-                               std::span<const u32>(zero)).is_ok());
-
-  auto result = recover::run_with_retry(
-      device, device.snapshot(), {.max_retries = 2}, [&](u32 attempt) -> Result<recover::Attempt> {
-        // A pristine checkpoint means every attempt reads back 0 even
-        // though every attempt also dirties the word.
-        std::vector<u32> host(1);
-        EXPECT_EQ(device.to_host(std::span<u32>(host), flag.value()),
-                  TrapKind::kNone);
-        EXPECT_EQ(host[0], 0u) << "attempt " << attempt;
-        const std::vector<u32> dirty = {attempt + 1};
-        EXPECT_TRUE(device.to_device(flag.value(),
-                                     std::span<const u32>(dirty)).is_ok());
-        return recover::Attempt{
-            .trap = attempt < 2 ? fake_trap(TrapKind::kIllegalGlobalAddress)
-                                : sim::Trap{}};
-      });
-  ASSERT_TRUE(result.is_ok());
-  EXPECT_EQ(result.value().attempts, 3u);
-  EXPECT_TRUE(result.value().recovered());
 }
 
 TEST(Retry, TrapRuleClassifiesWatchdogAsHang) {
@@ -251,6 +220,40 @@ TEST(CampaignRecovery, TransientFaultsConvertEveryDetectedError) {
       EXPECT_EQ(after.attempts, 1u) << i;
     }
   }
+}
+
+/// A transient retry restores the post-setup state and relaunches without
+/// the fault, so it is one golden run: memory-mode DBEs on spmv, replayed
+/// standalone with and without a retry, cost the trapped attempt plus the
+/// golden run of a fresh device.
+TEST(CampaignRecovery, TransientRetryCostsOneGoldenRun) {
+  CampaignConfig config;
+  config.workload = "spmv";
+  config.machine = arch::a100();
+  config.model = {InjectionMode::kMemory, BitFlipModel::kDouble};
+  config.num_injections = 40;
+  config.seed = 7;
+  auto golden = Campaign::golden_run(config);
+  ASSERT_TRUE(golden.is_ok()) << golden.status().to_string();
+  const auto& profile = golden.value().profile;
+  const u64 golden_instrs = golden.value().dyn_instrs;
+
+  u32 dues = 0;
+  for (std::size_t i = 0; i < config.num_injections; ++i) {
+    config.max_retries = 0;
+    auto trapped = Campaign::run_single(config, profile, golden_instrs, i);
+    ASSERT_TRUE(trapped.is_ok()) << trapped.status().to_string();
+    if (trapped.value().outcome != Outcome::kDue) continue;
+    ++dues;
+    config.max_retries = 1;
+    auto retried = Campaign::run_single(config, profile, golden_instrs, i);
+    ASSERT_TRUE(retried.is_ok()) << retried.status().to_string();
+    EXPECT_EQ(retried.value().outcome, Outcome::kRecoveredRetry) << i;
+    EXPECT_EQ(retried.value().dyn_instrs,
+              trapped.value().dyn_instrs + golden_instrs)
+        << i;
+  }
+  EXPECT_GT(dues, 0u) << "no DBE trapped, the test is vacuous";
 }
 
 TEST(CampaignRecovery, StuckAtFaultsNeverRecover) {
