@@ -23,10 +23,12 @@ int main() {
       if (result.records[i].outcome == fi::Outcome::kSdc) ++sdc;
     }
     const auto ci = stats::wilson_interval(sdc, n);
+    std::string interval = "[";
+    interval += Table::pct(ci.lo) + ", ";
+    interval += Table::pct(ci.hi) + "]";
     table.add_row({std::to_string(n),
                    Table::pct(static_cast<f64>(sdc) / static_cast<f64>(n)),
-                   "[" + Table::pct(ci.lo) + ", " + Table::pct(ci.hi) + "]",
-                   Table::fmt(ci.half_width() * 100.0, 2)});
+                   interval, Table::fmt(ci.half_width() * 100.0, 2)});
   }
   benchx::emit(table, "r_f4_convergence");
 

@@ -130,7 +130,8 @@ std::string Snapshot::to_json() const {
   out += " \"histograms\": {";
   first = true;
   for (const auto& [name, histogram] : histograms) {
-    line = "{";
+    line.clear();
+    line += '{';
     jsonl::append_f64(line, "lo", histogram.lo);
     jsonl::append_f64(line, "hi", histogram.hi);
     jsonl::append_key(line, "bins");

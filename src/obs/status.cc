@@ -132,10 +132,11 @@ std::string render_status(const std::vector<ShardStatus>& shards,
       const auto ci = stats::wilson_interval(pooled_counts[o], pooled_done);
       const f64 rate =
           static_cast<f64>(pooled_counts[o]) / static_cast<f64>(pooled_done);
+      std::string interval = "[";
+      interval += Table::pct(ci.lo, 2) + ", ";
+      interval += Table::pct(ci.hi, 2) + "]";
       outcomes.add_row({name, std::to_string(pooled_counts[o]),
-                        Table::pct(rate, 2),
-                        "[" + Table::pct(ci.lo, 2) + ", " +
-                            Table::pct(ci.hi, 2) + "]"});
+                        Table::pct(rate, 2), interval});
     }
     out << outcomes.to_ascii();
   }

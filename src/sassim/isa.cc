@@ -166,7 +166,8 @@ std::string operand_to_string(const Operand& operand) {
     case OperandKind::kNone:
       return "";
     case OperandKind::kReg:
-      return operand.index == kRegZ ? "RZ" : "R" + std::to_string(operand.index);
+      if (operand.index == kRegZ) return "RZ";
+      return std::string("R").append(std::to_string(operand.index));
     case OperandKind::kImm: {
       char buffer[24];
       std::snprintf(buffer, sizeof(buffer), "0x%llx",

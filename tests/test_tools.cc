@@ -1,7 +1,8 @@
 // Tests for the tooling layer: instruction tracer, XID mapping, the
 // statistical comparison helpers, the strict CLI value parsers and the
 // unsigned-integer grammar they share with failpoint specs and JSONL files,
-// and the gpufi name-table flags (--engine, --arch, --mode, --flip).
+// the gpufi name-table flags (--engine, --arch, --mode, --flip), and the
+// flag table's forwarding of campaign flags to `gpufi run` workers.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -9,8 +10,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -20,10 +23,12 @@
 #include "common/failpoint.h"
 #include "common/jsonl.h"
 #include "common/parse.h"
+#include "fi/journal.h"
 #include "sassim/tracer.h"
 #include "sassim/xid.h"
 #include "sim_test_util.h"
 #include "tools/cli_args.h"
+#include "tools/cli_flags.h"
 #include "workloads/workload.h"
 
 namespace gfi {
@@ -353,6 +358,196 @@ TEST(CliEnums, BadSpellingsNameTheAcceptedOnes) {
     EXPECT_EQ(err.substr(0, err.find('\n')),
               "bad " + flag + " 'x' (want " + row.want + ")");
   }
+}
+
+// ------------------------------------------------------------ flag table --
+
+// The flags the supervisor sets per worker (or that `run` has no use for)
+// are refused before anything runs, each with one line naming the flag.
+TEST(CliRun, RefusesSupervisorOwnedFlags) {
+  const std::string dir = ::testing::TempDir() + "gpufi_run_refuses_" +
+                          std::to_string(getpid());
+  const std::map<std::string, std::string> rows = {
+      {"threads", "1"},          {"shard", "0/2"},
+      {"journal", "j.jsonl"},    {"quarantine", "3"},
+      {"metrics-out", "m.json"}, {"plan", "p.jsonl"},
+  };
+  cli::Options defaults;
+  for (const cli::Flag& flag : cli::flags(defaults)) {
+    EXPECT_EQ(flag.run == cli::RunRole::kReject, rows.contains(flag.name))
+        << flag.name;
+  }
+  for (const auto& [name, value] : rows) {
+    std::string err;
+    EXPECT_EQ(run_gpufi("run vecadd --arch=toy --injections=8 --dir=" + dir +
+                            " --" + name + "=" + value,
+                        &err),
+              2)
+        << name;
+    EXPECT_EQ(err.rfind("gpufi run: --" + name + " is campaign-only", 0), 0u)
+        << err;
+    EXPECT_EQ(err.find('\n'), err.size() - 1) << err;
+    EXPECT_FALSE(std::filesystem::exists(dir)) << name;
+  }
+}
+
+// Both arches would share one journal (the second one refuses it after the
+// first campaign ran) and compare writes no metrics snapshot.
+TEST(CliCompare, RefusesJournalAndMetricsOutBeforeRunning) {
+  const std::string path = ::testing::TempDir() + "gpufi_compare_refuses_" +
+                           std::to_string(getpid());
+  for (const char* name : {"journal", "metrics-out"}) {
+    std::string err;
+    EXPECT_EQ(run_gpufi("compare vecadd --arch=toy --injections=8 --" +
+                            std::string(name) + "=" + path,
+                        &err),
+              2)
+        << name;
+    EXPECT_EQ(err, "gpufi compare: --" + std::string(name) +
+                       " is campaign-only (compare runs one campaign per "
+                       "arch)\n");
+    EXPECT_FALSE(std::filesystem::exists(path)) << name;
+  }
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// `--recover=abft` names the _abft kernel. The supervisor's planner mirror
+// and its workers must run that same kernel.
+TEST(CliRun, AbftPlannerRunMatchesTheUnshardedCampaign) {
+  const std::string base = ::testing::TempDir() + "gpufi_run_abft_" +
+                           std::to_string(getpid()) + "/";
+  std::filesystem::create_directories(base);
+  const std::string flags =
+      " --arch=toy --injections=60 --seed=3 --recover=abft"
+      " --stop-half-width=0.1 --stop-min=20 --checkpoint-every=20";
+  ASSERT_EQ(run_gpufi("campaign gemm" + flags + " --threads=1 --journal=" +
+                      base + "ref.jsonl"),
+            0);
+  ASSERT_EQ(run_gpufi("run gemm" + flags + " --dir=" + base +
+                      "run --shards=2 --poll-ms=20 --out=" + base +
+                      "merged.jsonl"),
+            0);
+  const std::string ref = read_file(base + "ref.jsonl");
+  EXPECT_NE(ref.find("\"workload\":\"gemm_abft\""), std::string::npos);
+  EXPECT_EQ(read_file(base + "merged.jsonl"), ref);
+  std::filesystem::remove_all(base);
+}
+
+cli::Options must_parse(const std::vector<std::string>& args) {
+  auto options = cli::parse(args);
+  EXPECT_TRUE(options.has_value());
+  return options.value_or(cli::Options{});
+}
+
+/// What `gpufi campaign` makes of `options`: the campaign fields a worker
+/// depends on, then the journal header.
+std::string campaign_identity(const cli::Options& options) {
+  const fi::CampaignConfig c = cli::campaign_config(options);
+  const fi::PlannerConfig& planner = c.planner;
+  std::string out;
+  auto field = [&out](const char* name, const std::string& value) {
+    out += std::string(name) + "=" + value + " ";
+  };
+  field("workload", c.workload);
+  field("machine", c.machine.name);
+  field("rf_ecc", std::to_string(static_cast<int>(c.machine.rf_ecc)));
+  field("dram_ecc", std::to_string(static_cast<int>(c.machine.dram_ecc)));
+  field("engine", sim::engine_tier_name(c.engine));
+  field("threads", std::to_string(c.threads));
+  field("journal", c.journal_path.value_or("-"));
+  field("watchdog", std::to_string(c.watchdog_instrs.value_or(~0ULL)));
+  field("heartbeat", std::to_string(c.heartbeat_interval_ms));
+  field("prune_sites", std::to_string(c.prune_dead_sites));
+  field("prune_bits", std::to_string(c.prune_dead_bits));
+  field("stop", std::to_string(planner.stop.target_half_width));
+  field("confidence", std::to_string(planner.stop.confidence));
+  field("stop_min", std::to_string(planner.stop.min_samples));
+  field("checkpoint", std::to_string(planner.checkpoint_every));
+  field("stratify", std::to_string(planner.stratify));
+  field("plan", planner.plan_path.value_or("-"));
+  field("quarantine", std::to_string(c.quarantine.size()));
+  field("golden_cache", options.golden_cache.value_or("-"));
+  fi::Campaign::Golden golden;
+  golden.dyn_instrs = 1234;
+  golden.cycles = 567;
+  return out + fi::Journal::header_line(fi::make_journal_header(c, golden));
+}
+
+// A `gpufi run` line, turned into the worker command line the supervisor
+// launches, is the campaign `gpufi campaign` runs for the same flags. One
+// row per forwarded flag, each set off its default, then all at once.
+TEST(CliFlags, RunWorkersRebuildTheCampaign) {
+  const std::map<std::string, std::string> values = {
+      {"arch", "toy"},
+      {"mode", "ioa"},
+      {"flip", "double"},
+      {"group", "STORE"},
+      {"injections", "77"},
+      {"seed", "0x2a"},
+      {"bit", "5"},
+      {"ecc", "off"},
+      {"watchdog", "12345"},
+      {"engine", "instrumented"},
+      {"recover", "abft"},
+      {"max-retries", "2"},
+      {"persist", "stuck"},
+      {"prune", "dead-bits"},
+      {"stop-half-width", "0.03"},
+      {"stop-confidence", "0.9"},
+      {"stop-min", "50"},
+      {"checkpoint-every", "40"},
+      {"stratify", "group"},
+      {"golden-cache", "gc"},
+  };
+  cli::Options defaults;
+  std::vector<std::string> rows;
+  for (const cli::Flag& flag : cli::flags(defaults)) {
+    const bool forwarded = flag.run == cli::RunRole::kForward ||
+                           flag.run == cli::RunRole::kForwardSet;
+    ASSERT_EQ(forwarded, values.contains(flag.name)) << flag.name;
+    if (!forwarded) continue;
+    rows.push_back(std::string("--") + flag.name + "=" + values.at(flag.name));
+  }
+  // A `gpufi campaign` line with the flags the supervisor appends to every
+  // worker's line.
+  const std::vector<std::string> owned = {"--threads=1", "--shard=1/4",
+                                          "--journal=d/shard-1.jsonl",
+                                          "--heartbeat-ms=2000"};
+  auto campaign_line = [&owned](const std::vector<std::string>& flags) {
+    std::vector<std::string> line = {"campaign", "vecadd"};
+    line.insert(line.end(), flags.begin(), flags.end());
+    line.insert(line.end(), owned.begin(), owned.end());
+    return line;
+  };
+  const std::string untouched =
+      campaign_identity(must_parse(campaign_line({})));
+  std::vector<std::vector<std::string>> lines;
+  for (const std::string& row : rows) lines.push_back({row});
+  lines.push_back(rows);
+  for (const std::vector<std::string>& line : lines) {
+    SCOPED_TRACE(::testing::PrintToString(line));
+    std::vector<std::string> run = {"run", "vecadd", "--dir=d"};
+    run.insert(run.end(), line.begin(), line.end());
+    const std::vector<std::string> forwarded =
+        cli::worker_flags(must_parse(run));
+    const std::string want = campaign_identity(must_parse(campaign_line(line)));
+    EXPECT_EQ(campaign_identity(must_parse(campaign_line(forwarded))), want);
+    EXPECT_NE(want, untouched);  // the line moved the campaign
+  }
+}
+
+// Defaults are spelled out on every worker command line, so a shard
+// journal is replayable from its flags alone.
+TEST(CliFlags, WorkersAlwaysGetTheFaultModelSizeAndSeed) {
+  EXPECT_EQ(cli::worker_flags(must_parse({"run", "vecadd", "--dir=d",
+                                          "--seed=0x10", "--csv=x.csv"})),
+            (std::vector<std::string>{"--arch=a100", "--mode=iov",
+                                      "--flip=single", "--injections=1000",
+                                      "--seed=16", "--persist=transient"}));
 }
 
 }  // namespace
