@@ -2,9 +2,9 @@
 //
 // The simulator injects faults into modeled GPUs; failpoints inject faults
 // into the *campaign machinery* — a worker killed mid-shard, a torn journal
-// write, ENOSPC on append, a persist failure in the golden cache — so the
-// supervisor's recovery paths can be exercised deterministically in tests
-// and in the CI chaos job instead of waiting for real disks to fill up.
+// write, ENOSPC on append, a failed heartbeat write — so the supervisor's
+// recovery paths can be exercised deterministically in tests and in the CI
+// chaos job instead of waiting for real disks to fill up.
 //
 // Activation is explicit: the `GFI_FAILPOINTS` environment variable (or
 // fp::set_spec in tests) installs a spec; with no spec every site costs one

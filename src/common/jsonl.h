@@ -2,8 +2,8 @@
 // reading and appending the four append logs built from it — the campaign
 // journal (fi/journal.cc), the plan file (fi/planner.cc), the supervisor
 // state log (fi/supervisor.cc) and the heartbeat sidecar (obs/heartbeat.cc).
-// The golden cache and leases use the line format too, but they are
-// one-line files replaced by rename, not append logs.
+// Leases use the line format too, but they are one-line files replaced by
+// rename, not append logs.
 //
 // The log rule (read_log + open_append): a writer appends whole lines, so a
 // crash leaves at worst one unterminated last line, which readers drop. A

@@ -984,7 +984,8 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
           std::chrono::steady_clock::now() +
           std::chrono::milliseconds(config.planner.plan_wait_ms);
       while (true) {
-        auto plan_now = load_plan_file(*config.planner.plan_path, config);
+        auto plan_now = load_plan_file(*config.planner.plan_path, config,
+                                       golden.value());
         if (plan_now.is_ok()) {
           if (plan_now.value().stop_at && *plan_now.value().stop_at <= b0) {
             PlanEvent stop;
@@ -1111,8 +1112,14 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
         // Opportunistic stop check: stop-only workers never block on the
         // plan file, so they may overshoot the boundary by however many
         // blocks they complete before noticing — the merge drops the
-        // overshoot deterministically.
-        auto plan_now = load_plan_file(*config.planner.plan_path, config);
+        // overshoot deterministically. A plan of another campaign is
+        // refused, as wait_for_plan refuses it.
+        auto plan_now = load_plan_file(*config.planner.plan_path, config,
+                                       golden.value());
+        if (!plan_now.is_ok() &&
+            plan_now.status().code() != StatusCode::kNotFound) {
+          return plan_now.status();
+        }
         if (plan_now.is_ok() && plan_now.value().stop_at) {
           stop_at = plan_now.value().stop_at;
           effective = std::min<u64>(effective, *stop_at);

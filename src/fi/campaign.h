@@ -12,7 +12,9 @@
 //
 // Injection i depends only on (config.seed, i), which makes runs resumable
 // (fi/journal.h), shardable (CampaignConfig::shard_*), and replayable
-// (run_single). Phase 1 results are memoized in fi/golden_cache.h.
+// (run_single). Phase 1 results are memoized in process by
+// fi/golden_cache.h; a resumed journal's header pins the golden reference,
+// and Campaign::run compares the recomputed one against it.
 #pragma once
 
 #include <algorithm>

@@ -1,41 +1,8 @@
 #include "fi/golden_cache.h"
 
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
-#ifdef _WIN32
-#include <process.h>
-#else
-#include <unistd.h>
-#endif
-
-#include "common/failpoint.h"
-#include "common/logging.h"
-#include "fi/journal.h"
-
 namespace gfi::fi {
-namespace {
-
-/// FNV-1a over the key string; names the cache file. Collisions are safe:
-/// the stored key is compared before use.
-u64 fnv1a(const std::string& s) {
-  u64 hash = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    hash ^= c;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-std::string hex(u64 value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
-}
-
-}  // namespace
 
 GoldenCache& GoldenCache::instance() {
   static GoldenCache cache;
@@ -59,11 +26,6 @@ std::string GoldenCache::key_for(const CampaignConfig& config) {
   return key.str();
 }
 
-void GoldenCache::set_directory(std::string dir) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  directory_ = std::move(dir);
-}
-
 void GoldenCache::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   entries_.clear();
@@ -84,7 +46,6 @@ std::size_t GoldenCache::misses() const {
 Result<Campaign::Golden> GoldenCache::get_or_run(
     const CampaignConfig& config) {
   const std::string key = key_for(config);
-  std::string directory;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = entries_.find(key);
@@ -92,80 +53,12 @@ Result<Campaign::Golden> GoldenCache::get_or_run(
       ++hits_;
       return it->second;
     }
-    directory = directory_;
   }
-
-  const std::string file_path =
-      directory.empty()
-          ? std::string()
-          : directory + "/golden-" + hex(fnv1a(key)) + ".json";
-  if (!file_path.empty()) {
-    std::ifstream file(file_path);
-    if (file) {
-      std::string line;
-      std::getline(file, line);
-      auto parsed = parse_golden_line(line);
-      // Any disk-layer problem (stale format, hash collision, torn write)
-      // degrades to recomputing the golden run — loudly, so an operator can
-      // tell a corrupted cache from a cold one.
-      if (parsed.is_ok() && parsed.value().first == key) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++hits_;
-        entries_[key] = parsed.value().second;
-        return std::move(parsed).take().second;
-      }
-      if (!parsed.is_ok()) {
-        GFI_LOG(kWarn) << "golden cache entry " << file_path
-                       << " is corrupt (" << parsed.status().message()
-                       << "); discarding and recomputing";
-      } else {
-        GFI_LOG(kWarn) << "golden cache entry " << file_path
-                       << " was written for a different campaign "
-                          "(filename-hash collision or stale key); "
-                          "recomputing";
-      }
-    }
-  }
-
   auto golden = Campaign::golden_run(config);
   if (!golden.is_ok()) return golden.status();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++misses_;
-    entries_[key] = golden.value();
-  }
-  if (!file_path.empty()) {
-    // Persisting is best-effort: the entry is already in memory, so any
-    // disk-layer failure (ENOSPC, read-only mount, permissions) degrades to
-    // memory-only caching with one warning and no partial file left behind
-    // — it must never error the campaign.
-    std::error_code ec;
-    std::filesystem::create_directories(directory, ec);
-    const bool inject_fail =
-        fp::enabled() &&
-        fp::hit("golden_cache.persist").action == fp::Action::kErr;
-    // Write-then-rename so a concurrent shard never reads a torn entry; the
-    // pid suffix keeps two shards' temp files from colliding.
-    const std::string tmp_path =
-        file_path + ".tmp-" + std::to_string(static_cast<long>(getpid()));
-    std::ofstream out(tmp_path, std::ios::trunc);
-    bool persisted = false;
-    if (out && !inject_fail) {
-      out << golden_line(key, golden.value()) << '\n';
-      out.close();
-      if (out.good()) {
-        std::filesystem::rename(tmp_path, file_path, ec);
-        persisted = !ec;
-      }
-    }
-    if (!persisted) {
-      GFI_LOG(kWarn) << "golden cache: cannot persist " << file_path
-                     << (inject_fail ? " [failpoint]" : "")
-                     << "; continuing memory-only";
-      std::error_code rm;
-      std::filesystem::remove(tmp_path, rm);
-    }
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++misses_;
+  entries_[key] = golden.value();
   return golden;
 }
 

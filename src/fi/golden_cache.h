@@ -1,9 +1,9 @@
-// Golden-run cache: memoizes the phase-1 fault-free reference keyed by
-// (workload, arch, machine parameters), so resuming a journaled campaign,
-// running N shards in one process, or comparing architectures never
-// recomputes the same golden run. An optional directory-backed layer shares
-// goldens across processes (each shard of a CI matrix job hits the same
-// cache file instead of re-profiling).
+// Golden-run cache: memoizes the phase-1 fault-free reference in process,
+// keyed by (workload, arch, machine parameters), so resuming a journaled
+// campaign, supervising N shards, or comparing architectures in one process
+// never recomputes the same golden run. Worker processes each compute their
+// own: a golden run costs about a millisecond, and a resumed journal's
+// header pins the reference the recomputed one is compared against.
 #pragma once
 
 #include <cstddef>
@@ -26,11 +26,7 @@ class GoldenCache {
   /// alias.
   Result<Campaign::Golden> get_or_run(const CampaignConfig& config);
 
-  /// Enables ("" disables) the on-disk layer: goldens are stored as
-  /// single-line JSON files under `dir` (created on demand).
-  void set_directory(std::string dir);
-
-  /// Drops the in-memory layer (tests; the disk layer is left alone).
+  /// Drops every entry (tests).
   void clear();
 
   // Observability for tests and the CLI.
@@ -45,7 +41,6 @@ class GoldenCache {
 
   mutable std::mutex mutex_;
   std::map<std::string, Campaign::Golden> entries_;
-  std::string directory_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
 };

@@ -12,6 +12,7 @@
 
 #include "common/failpoint.h"
 #include "common/jsonl.h"
+#include "ecc/protection.h"
 #include "fi/planner.h"
 
 namespace gfi::fi {
@@ -93,12 +94,6 @@ std::optional<FaultPersistence> persist_from_name(const std::string& name) {
   return std::nullopt;
 }
 
-constexpr const char* kMagic = "gpufi-journal-v1";
-
-Status bad_header(const std::string& why) {
-  return Status::invalid_argument("journal header: " + why);
-}
-
 /// Canonical planner identity for headers: all-zero when inactive, and the
 /// follow-mode plumbing (plan_path, plan_wait_ms) stripped — where the plan
 /// came from never changes what the plan is.
@@ -117,6 +112,87 @@ PlannerConfig normalized_planner(const PlannerConfig& pc) {
   return out;
 }
 
+std::string planner_text(const PlannerConfig& pc) {
+  if (!pc.active()) return "off";
+  char text[128];
+  std::snprintf(text, sizeof(text),
+                "stop_hw=%g stop_conf=%g stop_min=%llu ckpt=%llu stratify=%d",
+                pc.stop.target_half_width, pc.stop.confidence,
+                static_cast<unsigned long long>(pc.stop.min_samples),
+                static_cast<unsigned long long>(pc.checkpoint_every),
+                pc.stratify ? 1 : 0);
+  return text;
+}
+
+/// The first campaign field where `got` differs from `want`, spelled
+/// "<field> is '<got's>', campaign has '<want's>'"; nullopt when equal.
+std::optional<std::string> header_difference(const JournalHeader& got,
+                                             const JournalHeader& want) {
+  auto differ = [](const char* what, const std::string& a,
+                   const std::string& b) {
+    return std::string(what) + " is '" + a + "', campaign has '" + b + "'";
+  };
+  auto bit = [](const std::optional<u32>& b) {
+    return b ? std::to_string(*b) : std::string("<random>");
+  };
+  auto shard = [](const JournalHeader& h) {
+    return std::to_string(h.shard_index) + "/" + std::to_string(h.shard_count);
+  };
+  auto golden = [](const JournalHeader& h) {
+    return std::to_string(h.golden_dyn_instrs) + " instrs, " +
+           std::to_string(h.golden_cycles) + " cycles";
+  };
+  if (got.workload != want.workload) {
+    return differ("workload", got.workload, want.workload);
+  }
+  if (got.arch != want.arch) return differ("arch", got.arch, want.arch);
+  if (got.ecc != want.ecc) return differ("ecc", got.ecc, want.ecc);
+  if (got.mode != want.mode) return differ("mode", got.mode, want.mode);
+  if (got.flip != want.flip) return differ("flip", got.flip, want.flip);
+  if (got.persist != want.persist) {
+    return differ("persistence", got.persist, want.persist);
+  }
+  if (got.max_retries != want.max_retries) {
+    return differ("max_retries", std::to_string(got.max_retries),
+                  std::to_string(want.max_retries));
+  }
+  if (got.group != want.group) {
+    return differ("group", got.group.value_or("<all>"),
+                  want.group.value_or("<all>"));
+  }
+  if (got.fixed_bit != want.fixed_bit) {
+    return differ("fixed bit", bit(got.fixed_bit), bit(want.fixed_bit));
+  }
+  if (got.seed != want.seed) {
+    return differ("seed", std::to_string(got.seed), std::to_string(want.seed));
+  }
+  if (got.num_injections != want.num_injections) {
+    return differ("num_injections", std::to_string(got.num_injections),
+                  std::to_string(want.num_injections));
+  }
+  if (got.shard_index != want.shard_index ||
+      got.shard_count != want.shard_count) {
+    return differ("shard", shard(got), shard(want));
+  }
+  if (got.planner != want.planner) {
+    return differ("planner", planner_text(got.planner),
+                  planner_text(want.planner));
+  }
+  if (got.golden_dyn_instrs != want.golden_dyn_instrs ||
+      got.golden_cycles != want.golden_cycles || got.profile != want.profile) {
+    return differ("golden run", golden(got), golden(want)) +
+           " (the simulator or workload changed since it was written)";
+  }
+  return std::nullopt;
+}
+
+/// `config` as the whole campaign: shard 0 of `shard_count`.
+CampaignConfig whole_campaign(CampaignConfig config, u32 shard_count) {
+  config.shard_index = 0;
+  config.shard_count = shard_count;
+  return config;
+}
+
 }  // namespace
 
 JournalHeader make_journal_header(const CampaignConfig& config,
@@ -124,6 +200,8 @@ JournalHeader make_journal_header(const CampaignConfig& config,
   JournalHeader header;
   header.workload = config.workload;
   header.arch = config.machine.name;
+  header.ecc = std::string("rf=") + ecc::to_string(config.machine.rf_ecc) +
+               ",dram=" + ecc::to_string(config.machine.dram_ecc);
   header.mode = to_string(config.model.mode);
   header.flip = to_string(config.model.flip);
   header.persist = to_string(config.model.persistence);
@@ -143,75 +221,43 @@ JournalHeader make_journal_header(const CampaignConfig& config,
 
 Status check_journal_compatible(const JournalHeader& header,
                                 const CampaignConfig& config,
-                                const Campaign::Golden& golden) {
-  const JournalHeader want = make_journal_header(config, golden);
-  auto mismatch = [](const char* what, const std::string& got,
-                     const std::string& expected) {
-    return Status::failed_precondition(
-        std::string("journal was written by a different campaign: ") + what +
-        " is '" + got + "', campaign has '" + expected + "'");
-  };
-  if (header.workload != want.workload) {
-    return mismatch("workload", header.workload, want.workload);
-  }
-  if (header.arch != want.arch) return mismatch("arch", header.arch, want.arch);
-  if (header.mode != want.mode) return mismatch("mode", header.mode, want.mode);
-  if (header.flip != want.flip) return mismatch("flip", header.flip, want.flip);
-  if (header.persist != want.persist) {
-    return mismatch("persistence", header.persist, want.persist);
-  }
-  if (header.max_retries != want.max_retries) {
-    return mismatch("max_retries", std::to_string(header.max_retries),
-                    std::to_string(want.max_retries));
-  }
-  if (header.group != want.group) {
-    return mismatch("group", header.group.value_or("<all>"),
-                    want.group.value_or("<all>"));
-  }
-  if (header.fixed_bit != want.fixed_bit) {
-    return mismatch("fixed bit",
-                    header.fixed_bit ? std::to_string(*header.fixed_bit)
-                                     : "<random>",
-                    want.fixed_bit ? std::to_string(*want.fixed_bit)
-                                   : "<random>");
-  }
-  if (header.seed != want.seed) {
-    return mismatch("seed", std::to_string(header.seed),
-                    std::to_string(want.seed));
-  }
-  if (header.num_injections != want.num_injections) {
-    return mismatch("num_injections", std::to_string(header.num_injections),
-                    std::to_string(want.num_injections));
-  }
-  if (header.shard_index != want.shard_index ||
-      header.shard_count != want.shard_count) {
-    return mismatch("shard",
-                    std::to_string(header.shard_index) + "/" +
-                        std::to_string(header.shard_count),
-                    std::to_string(want.shard_index) + "/" +
-                        std::to_string(want.shard_count));
-  }
-  if (header.planner != want.planner) {
-    return Status::failed_precondition(
-        "journal was written by a different campaign: its planner "
-        "configuration (stop half-width / confidence / min samples, "
-        "checkpoint period, stratification) differs — a journal cannot "
-        "resume under a different adaptive schedule");
-  }
-  if (header.golden_dyn_instrs != want.golden_dyn_instrs ||
-      header.golden_cycles != want.golden_cycles) {
-    return Status::failed_precondition(
-        "journal golden run disagrees with this build's golden run "
-        "(simulator or workload changed since the journal was written)");
-  }
-  return Status::ok();
+                                const Campaign::Golden& golden,
+                                std::string_view file) {
+  const auto difference =
+      header_difference(header, make_journal_header(config, golden));
+  if (!difference) return Status::ok();
+  return Status::failed_precondition(
+      std::string(file) + " was written by a different campaign: " +
+      *difference);
 }
 
-std::string Journal::header_line(const JournalHeader& header) {
+std::string campaign_header_line(HeaderMagic magic, CampaignConfig config,
+                                 const Campaign::Golden& golden,
+                                 u32 shard_count) {
+  const CampaignConfig whole = whole_campaign(std::move(config), shard_count);
+  return Journal::header_line(make_journal_header(whole, golden), magic);
+}
+
+Status check_campaign_header_line(const std::string& path,
+                                  const std::string& line, HeaderMagic magic,
+                                  CampaignConfig config,
+                                  const Campaign::Golden& golden,
+                                  u32 shard_count) {
+  auto header = Journal::parse_header(line, magic);
+  if (!header.is_ok()) {
+    return Status::failed_precondition(path + ": " + header.status().message());
+  }
+  const CampaignConfig whole = whole_campaign(std::move(config), shard_count);
+  return check_journal_compatible(header.value(), whole, golden, path);
+}
+
+std::string Journal::header_line(const JournalHeader& header,
+                                 HeaderMagic magic) {
   std::string out = "{";
-  append_str(out, "journal", kMagic);
+  append_str(out, magic.key, magic.value);
   append_str(out, "workload", header.workload);
   append_str(out, "arch", header.arch);
+  if (header.ecc != JournalHeader{}.ecc) append_str(out, "ecc", header.ecc);
   append_str(out, "mode", header.mode);
   append_str(out, "flip", header.flip);
   append_str(out, "persist", header.persist);
@@ -242,12 +288,15 @@ std::string Journal::header_line(const JournalHeader& header) {
   return out;
 }
 
-Result<JournalHeader> Journal::parse_header(const std::string& line) {
+Result<JournalHeader> Journal::parse_header(const std::string& line,
+                                            HeaderMagic magic) {
+  auto bad = [magic](const std::string& why) {
+    return Status::invalid_argument(std::string(magic.key) + " header: " + why);
+  };
   Fields fields;
-  if (!parse_fields(line, &fields)) return bad_header("not a JSON object");
-  if (get_str(fields, "journal").value_or("") != kMagic) {
-    return bad_header("missing or wrong magic (expected " +
-                      std::string(kMagic) + ")");
+  if (!parse_fields(line, &fields)) return bad("not a JSON object");
+  if (get_str(fields, magic.key).value_or("") != magic.value) {
+    return bad(std::string("missing or wrong magic, want ") + magic.value);
   }
   JournalHeader header;
   auto workload = get_str(fields, "workload");
@@ -265,25 +314,26 @@ Result<JournalHeader> Journal::parse_header(const std::string& line) {
   if (!workload || !arch || !mode || !flip || !seed || !num || !shard_index ||
       !shard_count || !golden_dyn || !golden_cycles || !warp_total ||
       !thread_total) {
-    return bad_header("missing required field");
+    return bad("missing required field");
   }
-  if (!mode_from_name(*mode)) return bad_header("unknown mode '" + *mode + "'");
-  if (!flip_from_name(*flip)) return bad_header("unknown flip '" + *flip + "'");
+  if (!mode_from_name(*mode)) return bad("unknown mode '" + *mode + "'");
+  if (!flip_from_name(*flip)) return bad("unknown flip '" + *flip + "'");
   header.workload = *workload;
   header.arch = *arch;
+  header.ecc = get_str(fields, "ecc").value_or(header.ecc);
   header.mode = *mode;
   header.flip = *flip;
   // Recovery fields are absent in journals written before recovery existed;
   // those campaigns were all transient with no retry budget.
   header.persist = get_str(fields, "persist").value_or("transient");
   if (!persist_from_name(header.persist)) {
-    return bad_header("unknown persistence '" + header.persist + "'");
+    return bad("unknown persistence '" + header.persist + "'");
   }
   header.max_retries =
       static_cast<u32>(get_u64(fields, "max_retries").value_or(0));
   header.group = get_str(fields, "group");
   if (header.group && !group_from_name(*header.group)) {
-    return bad_header("unknown group '" + *header.group + "'");
+    return bad("unknown group '" + *header.group + "'");
   }
   if (auto bit = get_u64(fields, "fixed_bit")) {
     header.fixed_bit = static_cast<u32>(*bit);
@@ -312,7 +362,7 @@ Result<JournalHeader> Journal::parse_header(const std::string& line) {
                   &header.profile.warp_instrs_by_group) ||
       !copy_array(fields, "profile_thread",
                   &header.profile.thread_instrs_by_group)) {
-    return bad_header("bad or missing profile arrays");
+    return bad("bad or missing profile arrays");
   }
   return header;
 }
@@ -556,16 +606,14 @@ Result<MergedCampaign> merge_journals(const std::vector<std::string>& paths,
     if (p > 0) {
       const JournalHeader& h = contents.header;
       const JournalHeader& m = journals[0].header;
-      if (h.workload != m.workload || h.arch != m.arch || h.mode != m.mode ||
-          h.flip != m.flip || h.persist != m.persist ||
-          h.max_retries != m.max_retries || h.group != m.group ||
-          h.fixed_bit != m.fixed_bit || h.seed != m.seed ||
-          h.num_injections != m.num_injections ||
-          h.golden_dyn_instrs != m.golden_dyn_instrs ||
-          h.planner != m.planner) {
+      // Shard fields differ by design; every other field must match.
+      JournalHeader other = h;
+      other.shard_index = m.shard_index;
+      other.shard_count = m.shard_count;
+      if (auto difference = header_difference(other, m)) {
         return Status::failed_precondition(
-            "journal " + paths[p] +
-            " belongs to a different campaign than " + paths[0]);
+            "journal " + paths[p] + " belongs to a different campaign than " +
+            paths[0] + ": " + *difference);
       }
       if (h.shard_count != m.shard_count) {
         return Status::failed_precondition(
@@ -779,55 +827,6 @@ Status write_merged_journal(const std::string& path,
                             ec.message());
   }
   return Status::ok();
-}
-
-std::string golden_line(const std::string& key,
-                        const Campaign::Golden& golden) {
-  std::string out = "{";
-  append_str(out, "golden", kMagic);
-  append_str(out, "key", key);
-  append_u64(out, "dyn", golden.dyn_instrs);
-  append_u64(out, "cycles", golden.cycles);
-  append_u64(out, "profile_warp_total", golden.profile.total_warp_instrs);
-  append_u64(out, "profile_thread_total", golden.profile.total_thread_instrs);
-  append_array(out, "profile_op", golden.profile.warp_instrs_by_opcode);
-  append_array(out, "profile_warp", golden.profile.warp_instrs_by_group);
-  append_array(out, "profile_thread", golden.profile.thread_instrs_by_group);
-  out += '}';
-  return out;
-}
-
-Result<std::pair<std::string, Campaign::Golden>> parse_golden_line(
-    const std::string& line) {
-  Fields fields;
-  if (!parse_fields(line, &fields)) {
-    return Status::invalid_argument("golden cache entry: not a JSON object");
-  }
-  if (get_str(fields, "golden").value_or("") != kMagic) {
-    return Status::invalid_argument("golden cache entry: wrong magic");
-  }
-  auto key = get_str(fields, "key");
-  auto dyn = get_u64(fields, "dyn");
-  auto cycles = get_u64(fields, "cycles");
-  auto warp_total = get_u64(fields, "profile_warp_total");
-  auto thread_total = get_u64(fields, "profile_thread_total");
-  if (!key || !dyn || !cycles || !warp_total || !thread_total) {
-    return Status::invalid_argument("golden cache entry: missing field");
-  }
-  Campaign::Golden golden;
-  golden.dyn_instrs = *dyn;
-  golden.cycles = *cycles;
-  golden.profile.total_warp_instrs = *warp_total;
-  golden.profile.total_thread_instrs = *thread_total;
-  if (!copy_array(fields, "profile_op",
-                  &golden.profile.warp_instrs_by_opcode) ||
-      !copy_array(fields, "profile_warp",
-                  &golden.profile.warp_instrs_by_group) ||
-      !copy_array(fields, "profile_thread",
-                  &golden.profile.thread_instrs_by_group)) {
-    return Status::invalid_argument("golden cache entry: bad profile arrays");
-  }
-  return std::make_pair(*key, golden);
 }
 
 }  // namespace gfi::fi

@@ -2,10 +2,12 @@
 //
 // A journal makes a campaign an append-only log of independent, replayable
 // units. The first line is a header binding the journal to its campaign
-// (workload, arch, fault model, seed, injection count, shard) plus the
-// golden-run reference, so a resumed or merged journal can never silently
-// mix incompatible runs. Every subsequent line is one InjectionRecord,
-// flushed as soon as the injection completes. On restart:
+// (workload, arch, ECC, fault model, seed, injection count, shard, planner)
+// plus the golden-run reference, so a resumed or merged journal can never
+// silently mix incompatible runs. The header is the one campaign identity:
+// the plan file and the supervisor state log open with it too, under their
+// own magic (campaign_header_line). Every subsequent line is one
+// InjectionRecord, flushed as soon as the injection completes. On restart:
 //   * a file truncated mid-record keeps every complete line (the torn tail
 //     is discarded and overwritten),
 //   * already-journaled injections are skipped, and
@@ -20,6 +22,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -28,11 +31,15 @@
 
 namespace gfi::fi {
 
-/// First line of every journal: identifies the campaign and caches the
-/// phase-1 golden reference so resume never re-runs it.
+/// First line of every journal: identifies the campaign and pins its
+/// phase-1 golden reference, which resume recomputes and compares.
 struct JournalHeader {
   std::string workload;
   std::string arch;  ///< MachineConfig::name
+  /// RF and DRAM protection, "rf=<mode>,dram=<mode>". Written only when one
+  /// is disabled: every arch preset defaults to SECDED, so default journals
+  /// stay byte-identical to those of builds without the field.
+  std::string ecc = "rf=secded,dram=secded";
   std::string mode;  ///< to_string(InjectionMode)
   std::string flip;  ///< to_string(BitFlipModel)
   /// to_string(FaultPersistence). Absent in pre-recovery journals, which
@@ -59,11 +66,38 @@ struct JournalHeader {
 JournalHeader make_journal_header(const CampaignConfig& config,
                                   const Campaign::Golden& golden);
 
-/// Rejects resume against a journal written by a different campaign
-/// (workload, arch, fault model, seed, size, shard, or golden mismatch).
+/// Rejects resume against a journal written by a different campaign:
+/// kFailedPrecondition "<file> was written by a different campaign: <field>
+/// is '<header's>', campaign has '<config's>'" for the first differing field.
 Status check_journal_compatible(const JournalHeader& header,
                                 const CampaignConfig& config,
-                                const Campaign::Golden& golden);
+                                const Campaign::Golden& golden,
+                                std::string_view file = "journal");
+
+/// The first field of a header line, naming the kind of file it opens. Each
+/// file that carries the campaign identity has its own, so none of them
+/// loads as another.
+struct HeaderMagic {
+  const char* key;
+  const char* value;
+};
+inline constexpr HeaderMagic kJournalMagic{"journal", "gpufi-journal-v1"};
+
+/// The header line of a file that binds a whole campaign rather than one
+/// shard's journal (the plan file, the supervisor state log): the journal
+/// header of `config` as shard 0 of `shard_count`, under `magic`.
+std::string campaign_header_line(HeaderMagic magic, CampaignConfig config,
+                                 const Campaign::Golden& golden,
+                                 u32 shard_count = 1);
+
+/// Checks a campaign_header_line against `config` as shard 0 of
+/// `shard_count`: kFailedPrecondition naming `path` and the first differing
+/// field, or why the line is no `magic` header.
+Status check_campaign_header_line(const std::string& path,
+                                  const std::string& line, HeaderMagic magic,
+                                  CampaignConfig config,
+                                  const Campaign::Golden& golden,
+                                  u32 shard_count = 1);
 
 /// Parsed journal contents. `valid_bytes` is the offset just past the last
 /// complete record — the truncation point for crash-safe appends.
@@ -86,9 +120,11 @@ class Journal {
   static Result<JournalContents> load(const std::string& path);
 
   // Serialization primitives (exposed for tests and the merge tool).
-  static std::string header_line(const JournalHeader& header);
+  static std::string header_line(const JournalHeader& header,
+                                 HeaderMagic magic = kJournalMagic);
   static std::string record_line(u64 index, const InjectionRecord& record);
-  static Result<JournalHeader> parse_header(const std::string& line);
+  static Result<JournalHeader> parse_header(const std::string& line,
+                                            HeaderMagic magic = kJournalMagic);
   static Result<std::pair<u64, InjectionRecord>> parse_record(
       const std::string& line);
 };
@@ -174,12 +210,5 @@ Result<MergedCampaign> merge_journals(const std::vector<std::string>& paths,
 /// supervisor's auto-merge is verified against.
 Status write_merged_journal(const std::string& path,
                             const MergedCampaign& merged);
-
-/// Serialization of one golden run, used by the on-disk golden cache. `key`
-/// is the full cache key; it is stored verbatim so a filename-hash collision
-/// degrades to a recompute, never to a wrong reference.
-std::string golden_line(const std::string& key, const Campaign::Golden& golden);
-Result<std::pair<std::string, Campaign::Golden>> parse_golden_line(
-    const std::string& line);
 
 }  // namespace gfi::fi

@@ -6,11 +6,12 @@
 #include <cstring>
 
 #include "common/jsonl.h"
+#include "fi/journal.h"
 
 namespace gfi::fi {
 namespace {
 
-constexpr const char* kPlanMagic = "gpufi-plan-v1";
+constexpr HeaderMagic kPlanMagic{"plan", "gpufi-plan-v1"};
 
 }  // namespace
 
@@ -180,39 +181,17 @@ bool is_plan_line(const std::string& line) {
 
 // ------------------------------------------------------ the plan file ---
 
-std::string plan_file_header(const CampaignConfig& config) {
-  std::string out = "{";
-  jsonl::append_str(out, "plan", kPlanMagic);
-  jsonl::append_u64(out, "seed", config.seed);
-  jsonl::append_u64(out, "num_injections", config.num_injections);
-  jsonl::append_u64(out, "ckpt", config.planner.checkpoint_every);
-  out += '}';
-  return out;
+std::string plan_file_header(const CampaignConfig& config,
+                             const Campaign::Golden& golden) {
+  return campaign_header_line(kPlanMagic, config, golden);
 }
 
 Result<PlanFileContents> load_plan_file(const std::string& path,
-                                        const CampaignConfig& config) {
+                                        const CampaignConfig& config,
+                                        const Campaign::Golden& golden) {
   PlanFileContents contents;
-  auto header = [&](const std::string& line) -> Status {
-    jsonl::Fields fields;
-    if (!jsonl::parse_fields(line, &fields) ||
-        jsonl::get_str(fields, "plan").value_or("") != kPlanMagic) {
-      return Status::failed_precondition(path + " is not a gpufi plan file");
-    }
-    const u64 seed = jsonl::get_u64(fields, "seed").value_or(0);
-    const u64 num = jsonl::get_u64(fields, "num_injections").value_or(0);
-    const u64 ckpt = jsonl::get_u64(fields, "ckpt").value_or(0);
-    if (seed != config.seed || num != config.num_injections ||
-        ckpt != config.planner.checkpoint_every) {
-      return Status::failed_precondition(
-          path + " was written for a different campaign (seed " +
-          std::to_string(seed) + ", " + std::to_string(num) +
-          " injections, checkpoint " + std::to_string(ckpt) + ")");
-    }
-    contents.seed = seed;
-    contents.num_injections = num;
-    contents.checkpoint_every = ckpt;
-    return Status::ok();
+  auto header = [&](const std::string& line) {
+    return check_campaign_header_line(path, line, kPlanMagic, config, golden);
   };
   auto event = [&](const std::string& line) -> Status {
     auto parsed = parse_plan_event(line);

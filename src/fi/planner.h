@@ -117,30 +117,33 @@ bool is_plan_line(const std::string& line);
 
 // ------------------------------------------------------ the plan file ---
 //
-// `gpufi run` publishes supervisor decisions to `<dir>/plan.jsonl`: a
-// header line binding the file to the campaign, then one PlanEvent line
-// per decision, appended and flushed as each global prefix completes.
+// `gpufi run` publishes supervisor decisions to `<dir>/plan.jsonl`: the
+// unsharded campaign's journal header under the plan magic (fi/journal.h
+// campaign_header_line), then one PlanEvent line per decision, appended and
+// flushed as each global prefix completes.
 // Workers poll it (Campaign follows it when CampaignConfig::planner
 // .plan_path is set); it uses the same line format as journaled plan
 // events, so the two logs stay trivially comparable.
 
 struct PlanFileContents {
-  u64 seed = 0;
-  u64 num_injections = 0;
-  u64 checkpoint_every = 0;
   std::map<u64, PlanEvent> allocs;  ///< keyed by checkpoint ordinal
   std::optional<u64> stop_at;
   u64 valid_bytes = 0;  ///< end of the last kept line (jsonl::read_log)
 };
 
-/// The plan-file header line for a campaign (no trailing newline).
-std::string plan_file_header(const CampaignConfig& config);
+/// The plan-file header line for a campaign, shard fields normalised to
+/// 0/1 (no trailing newline).
+std::string plan_file_header(const CampaignConfig& config,
+                             const Campaign::Golden& golden);
 
 /// Loads a plan file under the log rule of common/jsonl.h (the supervisor
 /// may die mid-append; everything before the tear is still authoritative).
-/// kNotFound when the file does not exist yet.
+/// Its header must bind the campaign `config` (any shard of it) and
+/// `golden`: kFailedPrecondition names the first differing field. kNotFound
+/// when the file does not exist yet.
 Result<PlanFileContents> load_plan_file(const std::string& path,
-                                        const CampaignConfig& config);
+                                        const CampaignConfig& config,
+                                        const Campaign::Golden& golden);
 
 /// Appends one decision line (+ flush) to the plan file. The file must end
 /// on a whole line: a resumed supervisor first cuts a torn tail off with

@@ -43,34 +43,23 @@ std::string Supervisor::plan_path(const std::string& dir) {
 
 namespace {
 
-constexpr const char* kStateMagic = "gpufi-run-v1";
+constexpr HeaderMagic kStateMagic{"supervisor", "gpufi-run-v1"};
 
 }  // namespace
 
+std::string Supervisor::state_header(const SupervisorConfig& config,
+                                     const Campaign::Golden& golden) {
+  return campaign_header_line(kStateMagic, config.campaign, golden,
+                              config.shards);
+}
+
 Result<SupervisorState> Supervisor::load_state(
-    const std::string& path, const SupervisorConfig& config) {
+    const std::string& path, const SupervisorConfig& config,
+    const Campaign::Golden& golden) {
   SupervisorState state;
-  auto header = [&](const std::string& line) -> Status {
-    jsonl::Fields fields;
-    if (!jsonl::parse_fields(line, &fields) ||
-        jsonl::get_str(fields, "supervisor").value_or("") != kStateMagic) {
-      return Status::failed_precondition(path +
-                                         " is not a gpufi run state file");
-    }
-    const std::string workload =
-        jsonl::get_str(fields, "workload").value_or("");
-    const u64 shards = jsonl::get_u64(fields, "shards").value_or(0);
-    const u64 num = jsonl::get_u64(fields, "num_injections").value_or(0);
-    const u64 seed = jsonl::get_u64(fields, "seed").value_or(0);
-    if (workload != config.workload || shards != config.shards ||
-        num != config.num_injections || seed != config.seed) {
-      return Status::failed_precondition(
-          path + " was written by a different campaign (workload '" +
-          workload + "', " + std::to_string(shards) + " shards, " +
-          std::to_string(num) + " injections, seed " + std::to_string(seed) +
-          ")");
-    }
-    return Status::ok();
+  auto header = [&](const std::string& line) {
+    return check_campaign_header_line(path, line, kStateMagic,
+                                      config.campaign, golden, config.shards);
   };
   auto event = [&](const std::string& line) -> Status {
     jsonl::Fields fields;
@@ -201,17 +190,6 @@ class StateLog {
   std::FILE* file_ = nullptr;
 };
 
-std::string state_header_line(const SupervisorConfig& config) {
-  std::string out = "{";
-  jsonl::append_str(out, "supervisor", kStateMagic);
-  jsonl::append_str(out, "workload", config.workload);
-  jsonl::append_u64(out, "shards", config.shards);
-  jsonl::append_u64(out, "num_injections", config.num_injections);
-  jsonl::append_u64(out, "seed", config.seed);
-  out += '}';
-  return out;
-}
-
 std::string quarantine_flag(const std::set<u64>& quarantine) {
   std::string flag = "--quarantine=";
   bool first = true;
@@ -228,7 +206,7 @@ Result<pid_t> spawn_worker(const SupervisorConfig& config, u32 shard,
   std::vector<std::string> argv;
   argv.push_back(config.exe);
   argv.push_back("campaign");
-  argv.push_back(config.workload);
+  argv.push_back(config.campaign.workload);
   for (const std::string& flag : config.worker_flags) argv.push_back(flag);
   // Supervisor-owned flags last, so they win over anything in worker_flags.
   // --threads=1 is load-bearing: the poison-candidate heuristic (lowest
@@ -239,7 +217,7 @@ Result<pid_t> spawn_worker(const SupervisorConfig& config, u32 shard,
   argv.push_back("--journal=" +
                  Supervisor::shard_journal_path(config.dir, shard));
   argv.push_back("--heartbeat-ms=" +
-                 std::to_string(config.worker_heartbeat_ms));
+                 std::to_string(config.campaign.heartbeat_interval_ms));
   if (!quarantine.empty()) argv.push_back(quarantine_flag(quarantine));
   // Adaptive campaigns: workers never decide anything — they follow the
   // supervisor's published plan file.
@@ -296,10 +274,12 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
   if (config.shards == 0) {
     return Status::invalid_argument("gpufi run: shards must be > 0");
   }
-  if (config.num_injections == 0) {
+  const CampaignConfig& campaign = config.campaign;
+  const u64 num_injections = campaign.num_injections;
+  if (num_injections == 0) {
     return Status::invalid_argument("gpufi run: num_injections must be > 0");
   }
-  if (config.exe.empty() || config.workload.empty() || config.dir.empty()) {
+  if (config.exe.empty() || campaign.workload.empty() || config.dir.empty()) {
     return Status::invalid_argument(
         "gpufi run: exe, workload, and dir are required");
   }
@@ -309,6 +289,12 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
     return Status::internal("cannot create campaign dir " + config.dir +
                             ": " + ec.message());
   }
+
+  // The golden run binds the state log and plan file to the campaign (and
+  // feeds the planner); resume recomputes it and compares.
+  auto golden_or = GoldenCache::instance().get_or_run(campaign);
+  if (!golden_or.is_ok()) return golden_or.status();
+  const Campaign::Golden golden = std::move(golden_or).take();
 
   // --- supervisor state: refuse to silently clobber a previous run -------
   const std::string spath = state_path(config.dir);
@@ -322,7 +308,7 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
         "--resume to continue it (or use a fresh --dir)");
   }
   if (state_exists) {
-    auto replayed = load_state(spath, config);
+    auto replayed = load_state(spath, config, golden);
     if (!replayed.is_ok()) return replayed.status();
     quarantine = std::move(replayed.value().quarantine);
     state_bytes = replayed.value().valid_bytes;
@@ -333,7 +319,7 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
   if (state_bytes) {
     log->event("resume", {});
   } else {
-    log->write(state_header_line(config));
+    log->write(state_header(config, golden));
   }
 
   char host[256] = "unknown";
@@ -356,30 +342,18 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
   // would, publishing each to the plan file the workers follow.
   const std::string ppath = plan_path(config.dir);
   std::optional<Planner> planner;
-  std::optional<Campaign::Golden> golden;
   std::set<u64> published_allocs;
   std::optional<u64> plan_stop;
   u64 plan_frontier = 0;  ///< records fed to `planner` (contiguous prefix)
-  if (config.campaign.planner.active()) {
-    if (config.campaign.workload != config.workload ||
-        config.campaign.num_injections != config.num_injections ||
-        config.campaign.seed != config.seed ||
-        config.campaign.shard_count != 1) {
-      return Status::invalid_argument(
-          "gpufi run: SupervisorConfig::campaign must mirror the unsharded "
-          "campaign (same workload / num_injections / seed, shard 0/1)");
-    }
-    auto golden_or = GoldenCache::instance().get_or_run(config.campaign);
-    if (!golden_or.is_ok()) return golden_or.status();
-    golden = std::move(golden_or).take();
-    auto planner_or = Planner::create(config.campaign, golden->profile);
+  if (campaign.planner.active()) {
+    auto planner_or = Planner::create(campaign, golden.profile);
     if (!planner_or.is_ok()) return planner_or.status();
     planner.emplace(std::move(planner_or).take());
     if (std::filesystem::exists(ppath, ec) &&
         std::filesystem::file_size(ppath, ec) > 0) {
       // Resume: already-published decisions are authoritative — they were
       // computed from the identical prefix and must not be re-derived.
-      auto existing = load_plan_file(ppath, config.campaign);
+      auto existing = load_plan_file(ppath, campaign, golden);
       if (!existing.is_ok()) return existing.status();
       for (const auto& [c, alloc] : existing.value().allocs) {
         published_allocs.insert(c);
@@ -391,7 +365,7 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
       std::fclose(reopened.value());
     } else {
       std::ofstream out(ppath, std::ios::binary | std::ios::trunc);
-      out << plan_file_header(config.campaign) << '\n';
+      out << plan_file_header(campaign, golden) << '\n';
       out.flush();
       if (!out) return Status::internal("cannot create plan file " + ppath);
     }
@@ -405,8 +379,7 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
     // A planner stop shrinks every slice: only indices below the boundary
     // belong to the campaign (overshoot is dropped at merge).
     const u64 effective =
-        plan_stop ? std::min<u64>(*plan_stop, config.num_injections)
-                  : config.num_injections;
+        plan_stop ? std::min<u64>(*plan_stop, num_injections) : num_injections;
     const std::set<u64> done = journaled_indices(journal_of(s));
     u64 in_range = 0;
     for (u64 i : done) {
@@ -421,7 +394,7 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
     const std::set<u64> done = journaled_indices(journal_of(shard.index));
     const bool progress = done.size() > shard.records_at_launch;
     const std::optional<u64> candidate = lowest_unjournaled(
-        config.num_injections, config.shards, shard.index, done);
+        num_injections, config.shards, shard.index, done);
     if (candidate && shard.poison_candidate == candidate) {
       ++shard.poison_streak;
     } else {
@@ -469,7 +442,7 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
     shard.backoff_until_ms =
         unix_now_ms() + backoff_delay_ms(shard.backoff_level,
                                          config.backoff_base_ms,
-                                         config.backoff_cap_ms, config.seed,
+                                         config.backoff_cap_ms, campaign.seed,
                                          shard.index);
   };
 
@@ -498,11 +471,11 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
         if (!opened.is_ok()) return opened.status();
         writer = std::move(opened).take();
       } else {
-        CampaignConfig worker = config.campaign;
+        CampaignConfig worker = campaign;
         worker.shard_index = s;
         worker.shard_count = config.shards;
         auto created =
-            JournalWriter::create(path, make_journal_header(worker, *golden));
+            JournalWriter::create(path, make_journal_header(worker, golden));
         if (!created.is_ok()) return created.status();
         writer = std::move(created).take();
       }
@@ -522,7 +495,7 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
     result.plan_stop = at;
     log->event("plan_stop", {{"at", at}});
     GFI_LOG(kInfo) << "planner: stopping rule satisfied at " << at << " of "
-                   << config.num_injections << " injections";
+                   << num_injections << " injections";
     for (ShardState& shard : shards) {
       if (shard.phase == ShardPhase::kRunning) {
         if (shard.pid > 0) {
@@ -554,11 +527,11 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
       }
     }
     const u64 k = planner->checkpoint_every();
-    while (plan_frontier < config.num_injections) {
+    while (plan_frontier < num_injections) {
       const u64 c = plan_frontier / k;
       const u64 b0 = plan_frontier;
       const u64 b1 = planner->block_end(c);
-      if (config.campaign.planner.stratify &&
+      if (campaign.planner.stratify &&
           published_allocs.find(c) == published_allocs.end()) {
         // Publish before waiting on the block's records: no worker can
         // produce them until the allocation is visible.
@@ -579,8 +552,8 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
       if (!block_complete) break;
       for (u64 i = b0; i < b1; ++i) planner->observe(pooled.find(i)->second);
       plan_frontier = b1;
-      if (config.campaign.planner.stopping() &&
-          b1 < config.num_injections && planner->stop_satisfied()) {
+      if (campaign.planner.stopping() &&
+          b1 < num_injections && planner->stop_satisfied()) {
         PlanEvent stop;
         stop.kind = PlanEvent::Kind::kStop;
         stop.stop_at = b1;

@@ -20,7 +20,9 @@
 //     wedging the shard forever;
 //   * a journaled supervisor state file (`<dir>/supervisor.jsonl`) so
 //     `gpufi run --resume` reconstructs the quarantine set and keeps the
-//     final auto-merge bit-identical to an uninterrupted unsharded run.
+//     final auto-merge bit-identical to an uninterrupted unsharded run. It
+//     opens with the campaign's journal header (fi/journal.h), so a resume
+//     under different campaign flags is refused with the differing field.
 //
 // Bit-identity argument: a record's bytes are a pure function of
 // (seed, global index, quarantine set) — scheduling, retries, takeovers,
@@ -40,26 +42,21 @@
 namespace gfi::fi {
 
 struct SupervisorConfig {
-  std::string exe;       ///< gpufi binary to exec for workers
-  std::string workload;  ///< positional workload name for `campaign`
+  std::string exe;  ///< gpufi binary to exec for workers
   /// Campaign flags passed through to every worker verbatim (fault model,
-  /// seed, injections, arch, golden cache, ...). The supervisor appends
-  /// --shard / --journal / --threads=1 / --heartbeat-ms / --quarantine.
+  /// seed, injections, arch, planner, ...); they must spell `campaign`. The
+  /// supervisor adds the workload and --threads=1 / --shard / --journal /
+  /// --heartbeat-ms / --quarantine / --plan.
   std::vector<std::string> worker_flags;
   std::string dir;  ///< campaign directory (journals, leases, state, logs)
   u32 shards = 4;
   u32 max_workers = 0;  ///< concurrent workers; 0 = shards
-  /// Mirror of the worker-side campaign geometry, needed to reason about
-  /// slices and completeness without parsing worker flags.
-  u64 num_injections = 1000;
-  u64 seed = 0x5eed;
 
   u64 lease_ttl_ms = 15000;  ///< lease validity; refreshed at ttl/3
   u64 poll_ms = 200;         ///< supervision loop period
   /// A running worker whose heartbeat sidecar has not been written for this
   /// long is presumed hung, SIGKILLed, and retried. 0 disables.
   u64 stall_timeout_ms = 30000;
-  u64 worker_heartbeat_ms = 500;  ///< --heartbeat-ms passed to workers
 
   /// A shard is abandoned (kFailed) after this many consecutive worker
   /// deaths with zero journal progress. Progress resets the count.
@@ -76,14 +73,12 @@ struct SupervisorConfig {
   std::string worker_failpoints;
   bool resume = false;  ///< accept an existing supervisor state file
 
-  /// Unsharded mirror of the worker campaign (same workload, fault model,
-  /// seed, size, and planner knobs; shard 0/1). Consulted only when
-  /// `campaign.planner` is active: the supervisor is the one party that
-  /// sees the full global record prefix, so it computes every planner
-  /// decision itself (fi/planner.h) and publishes them to `<dir>/plan.jsonl`
-  /// for the plan-following workers. It MUST match the flags the workers
-  /// are launched with — worker journal headers are derived from it when a
-  /// stop must be recorded in a journal the worker never got to write.
+  /// The whole campaign the workers run (shard fields ignored): the
+  /// workload, size, seed and worker heartbeat period, and the identity the
+  /// state log and plan file are bound to. Under an active planner the
+  /// supervisor, the one party that sees the full global record prefix,
+  /// computes every decision from it (fi/planner.h) and publishes them to
+  /// `<dir>/plan.jsonl` for the plan-following workers.
   CampaignConfig campaign;
 };
 
@@ -123,11 +118,17 @@ class Supervisor {
   /// The published planner decisions: `<dir>/plan.jsonl`.
   static std::string plan_path(const std::string& dir);
 
+  /// The state log's header line: the journal header of `config.campaign`
+  /// as shard 0 of `config.shards`, under the state-log magic.
+  static std::string state_header(const SupervisorConfig& config,
+                                  const Campaign::Golden& golden);
+
   /// Replays a state log under the log rule of common/jsonl.h, after
-  /// checking its header against `config` (kFailedPrecondition on a
-  /// mismatch).
+  /// checking its header against state_header(config, golden):
+  /// kFailedPrecondition names the first differing field.
   static Result<SupervisorState> load_state(const std::string& path,
-                                            const SupervisorConfig& config);
+                                            const SupervisorConfig& config,
+                                            const Campaign::Golden& golden);
 };
 
 }  // namespace gfi::fi

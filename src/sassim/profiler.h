@@ -28,6 +28,7 @@ struct Profile {
   }
 
   void merge(const Profile& other);
+  bool operator==(const Profile&) const = default;
 };
 
 /// Hook that accumulates a Profile during a launch.

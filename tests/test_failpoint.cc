@@ -38,7 +38,7 @@ TEST(Failpoint, UnconditionalErrFiresEveryTimeOnItsSiteOnly) {
     EXPECT_EQ(fp::hit("journal.append").action, fp::Action::kErr);
   }
   EXPECT_FALSE(fp::hit("journal.flush"));
-  EXPECT_FALSE(fp::hit("golden_cache.persist"));
+  EXPECT_FALSE(fp::hit("heartbeat.write"));
 }
 
 TEST(Failpoint, HitTriggerFiresExactlyOnce) {

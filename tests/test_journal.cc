@@ -241,6 +241,42 @@ TEST(Journal, ResumeRejectsDifferentCampaign) {
   EXPECT_FALSE(Campaign::run(resharded).is_ok());
 }
 
+TEST(Journal, ResumeRejectsDifferentEcc) {
+  // Every preset protects RF and DRAM with SECDED, which the header leaves
+  // unwritten; with ECC off the journal says so and cannot resume with it on.
+  const fs::path dir = scratch_dir("ecc_mismatch");
+  const std::string path = (dir / "campaign.jsonl").string();
+  auto config = base_config("vecadd");
+  config.model.mode = InjectionMode::kRf;
+  config.num_injections = 20;
+  config.journal_path = path;
+  ASSERT_TRUE(Campaign::run(config).is_ok());
+  std::string header;
+  std::getline(std::ifstream(path), header);
+  EXPECT_EQ(header.find("\"ecc\""), std::string::npos) << header;
+
+  auto unprotected = config;
+  unprotected.machine.rf_ecc = ecc::EccMode::kDisabled;
+  unprotected.machine.dram_ecc = ecc::EccMode::kDisabled;
+  auto refused = Campaign::run(unprotected);
+  ASSERT_FALSE(refused.is_ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.status().message().find(
+                "ecc is 'rf=secded,dram=secded', campaign has "
+                "'rf=off,dram=off'"),
+            std::string::npos)
+      << refused.status().to_string();
+
+  unprotected.journal_path = (dir / "unprotected.jsonl").string();
+  ASSERT_TRUE(Campaign::run(unprotected).is_ok());
+  auto loaded = Journal::load(*unprotected.journal_path);
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded.value().header.ecc, "rf=off,dram=off");
+  config.journal_path = unprotected.journal_path;
+  EXPECT_EQ(Campaign::run(config).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
 // ----------------------------------------------------------- sharding ----
 
 TEST(Journal, ShardsPartitionAndMergeToUnshardedCampaign) {
@@ -482,64 +518,6 @@ TEST(GoldenCache, MemoizesPerConfigAndDistinguishesMachines) {
   ecc_off.machine.rf_ecc = ecc::EccMode::kDisabled;
   EXPECT_NE(fi::GoldenCache::key_for(config),
             fi::GoldenCache::key_for(ecc_off));
-}
-
-TEST(GoldenCache, DiskLayerRoundTripsGoldenRun) {
-  const fs::path dir = scratch_dir("golden_cache");
-  auto config = base_config("saxpy");
-  auto& cache = fi::GoldenCache::instance();
-  cache.clear();
-  cache.set_directory(dir.string());
-  auto first = cache.get_or_run(config);
-  ASSERT_TRUE(first.is_ok());
-
-  // A fresh in-memory cache must be served from disk (no new golden run).
-  cache.clear();
-  auto second = cache.get_or_run(config);
-  ASSERT_TRUE(second.is_ok());
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 0u);
-  EXPECT_EQ(first.value().dyn_instrs, second.value().dyn_instrs);
-  EXPECT_EQ(first.value().cycles, second.value().cycles);
-  EXPECT_EQ(first.value().profile.total_warp_instrs,
-            second.value().profile.total_warp_instrs);
-  cache.set_directory("");
-  cache.clear();
-}
-
-TEST(GoldenCache, CorruptDiskEntryIsDiscardedAndRecomputed) {
-  const fs::path dir = scratch_dir("golden_corrupt");
-  auto config = base_config("saxpy");
-  auto& cache = fi::GoldenCache::instance();
-  cache.clear();
-  cache.set_directory(dir.string());
-  auto first = cache.get_or_run(config);
-  ASSERT_TRUE(first.is_ok());
-
-  // Truncate the cached entry mid-file: a crashed writer or a bad disk.
-  fs::path entry;
-  for (const auto& file : fs::directory_iterator(dir)) entry = file.path();
-  ASSERT_FALSE(entry.empty());
-  const auto full_size = fs::file_size(entry);
-  fs::resize_file(entry, full_size / 2);
-
-  // A fresh lookup must not error and must not serve the mangled entry:
-  // the golden run is recomputed (a miss) and the result is unchanged.
-  cache.clear();
-  auto second = cache.get_or_run(config);
-  ASSERT_TRUE(second.is_ok()) << second.status().to_string();
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(first.value().dyn_instrs, second.value().dyn_instrs);
-  EXPECT_EQ(first.value().cycles, second.value().cycles);
-
-  // The recompute rewrites the entry, so the next cold lookup hits disk.
-  EXPECT_GT(fs::file_size(entry), full_size / 2);
-  cache.clear();
-  ASSERT_TRUE(cache.get_or_run(config).is_ok());
-  EXPECT_EQ(cache.hits(), 1u);
-  cache.set_directory("");
-  cache.clear();
 }
 
 TEST(GoldenCache, CampaignResumeReusesJournaledGolden) {

@@ -4,7 +4,8 @@
 // byte offset. At each cut the loader must return exactly the records of the
 // complete lines, report the end of the last complete line as valid_bytes,
 // and an append from there must land on a whole line — never glued onto the
-// torn tail.
+// torn tail. The plan file and state log headers are the campaign's journal
+// header: each is also checked to refuse every changed campaign field.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -157,7 +158,9 @@ TEST(JsonlLog, PlanFileCutAtEveryByteKeepsExactlyTheCompleteLines) {
   stop.kind = PlanEvent::Kind::kStop;
   stop.stop_at = 300;
   events.push_back(stop);
-  std::string full = fi::plan_file_header(config) + "\n";
+  // Any golden reference will do: the log rule never reads it.
+  const fi::Campaign::Golden golden;
+  std::string full = fi::plan_file_header(config, golden) + "\n";
   for (const PlanEvent& event : events) {
     full += fi::plan_event_line(event) + "\n";
   }
@@ -168,7 +171,7 @@ TEST(JsonlLog, PlanFileCutAtEveryByteKeepsExactlyTheCompleteLines) {
     const std::string prefix = full.substr(0, offset);
     const Cut cut = complete_lines(prefix);
     write_file(path, prefix);
-    auto loaded = fi::load_plan_file(path, config);
+    auto loaded = fi::load_plan_file(path, config, golden);
     if (cut.lines == 0) {
       ASSERT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition)
           << "cut at " << offset;
@@ -198,10 +201,10 @@ TEST(JsonlLog, PlanFileCutAtEveryByteKeepsExactlyTheCompleteLines) {
 TEST(JsonlLog, SupervisorStateCutAtEveryByteKeepsExactlyTheCompleteLines) {
   const fs::path dir = scratch_dir("state");
   fi::SupervisorConfig config;
-  config.workload = "vecadd";
+  config.campaign = campaign_config();
+  config.campaign.num_injections = 24;
   config.shards = 2;
-  config.num_injections = 24;
-  config.seed = 7;
+  const fi::Campaign::Golden golden;
   const std::vector<std::string> events = {
       R"({"ev":"launch","shard":0,"pid":41})",
       R"({"ev":"crash","shard":1,"exit":137,"records":4,"candidate":9})",
@@ -210,10 +213,7 @@ TEST(JsonlLog, SupervisorStateCutAtEveryByteKeepsExactlyTheCompleteLines) {
       R"({"ev":"quarantine","shard":0,"index":14})",
       R"({"ev":"shard_done","shard":0})",
   };
-  std::string full =
-      R"({"supervisor":"gpufi-run-v1","workload":"vecadd","shards":2,)"
-      R"("num_injections":24,"seed":7})"
-      "\n";
+  std::string full = fi::Supervisor::state_header(config, golden) + "\n";
   for (const std::string& event : events) full += event + "\n";
   const std::vector<std::string> lines = split_lines(full);
 
@@ -222,7 +222,7 @@ TEST(JsonlLog, SupervisorStateCutAtEveryByteKeepsExactlyTheCompleteLines) {
     const std::string prefix = full.substr(0, offset);
     const Cut cut = complete_lines(prefix);
     write_file(path, prefix);
-    auto loaded = fi::Supervisor::load_state(path, config);
+    auto loaded = fi::Supervisor::load_state(path, config, golden);
     if (cut.lines == 0) {
       ASSERT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition)
           << "cut at " << offset;
@@ -242,6 +242,93 @@ TEST(JsonlLog, SupervisorStateCutAtEveryByteKeepsExactlyTheCompleteLines) {
                                                   lines[cut.lines].size()))
         << "cut at " << offset;
   }
+}
+
+/// A campaign with one field changed, and the field's name in the refusal.
+struct Changed {
+  const char* field;
+  CampaignConfig config;
+  fi::Campaign::Golden golden;
+};
+
+/// `config` and `golden` with each field of their journal header changed
+/// in turn.
+std::vector<Changed> changed_campaigns(const CampaignConfig& config,
+                                       const fi::Campaign::Golden& golden) {
+  std::vector<Changed> out;
+  auto add = [&](const char* field) -> Changed& {
+    return out.emplace_back(Changed{field, config, golden});
+  };
+  add("workload").config.workload = "saxpy";
+  add("arch").config.machine = arch::a100();
+  add("ecc").config.machine.rf_ecc = ecc::EccMode::kDisabled;
+  add("mode").config.model.mode = fi::InjectionMode::kIoa;
+  add("flip").config.model.flip = fi::BitFlipModel::kZeroValue;
+  add("persistence").config.model.persistence = fi::FaultPersistence::kStuckAt;
+  add("max_retries").config.max_retries = 2;
+  add("group").config.group = sim::InstrGroup::kStore;
+  add("fixed bit").config.fixed_bit = 3;
+  add("seed").config.seed += 1;
+  add("num_injections").config.num_injections += 1;
+  add("planner").config.planner.stop.target_half_width = 0.05;
+  add("golden run").golden.cycles += 1;
+  ++add("golden run").golden.profile.warp_instrs_by_group[0];
+  return out;
+}
+
+/// Expects `loaded` to be a refusal naming `field`.
+template <typename T>
+void expect_refused(const Result<T>& loaded, const std::string& field) {
+  ASSERT_FALSE(loaded.is_ok()) << field;
+  EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition) << field;
+  const std::string& message = loaded.status().message();
+  EXPECT_NE(message.find(field + " is '"), std::string::npos) << message;
+}
+
+TEST(CampaignIdentity, PlanFileRefusesEveryChangedField) {
+  const std::string path = (scratch_dir("plan_identity") / "plan").string();
+  CampaignConfig config = campaign_config();
+  config.planner.stop.target_half_width = 0.07;
+  const fi::Campaign::Golden golden;
+  write_file(path, fi::plan_file_header(config, golden) + "\n");
+  ASSERT_TRUE(fi::load_plan_file(path, config, golden).is_ok());
+  for (const Changed& changed : changed_campaigns(config, golden)) {
+    const std::string header =
+        fi::plan_file_header(changed.config, changed.golden);
+    write_file(path, header + "\n");
+    expect_refused(fi::load_plan_file(path, config, golden), changed.field);
+  }
+}
+
+TEST(CampaignIdentity, StateLogRefusesEveryChangedField) {
+  const std::string path = (scratch_dir("state_identity") / "state").string();
+  fi::SupervisorConfig config;
+  config.campaign = campaign_config();
+  config.shards = 2;
+  const fi::Campaign::Golden golden;
+  write_file(path, fi::Supervisor::state_header(config, golden) + "\n");
+  ASSERT_TRUE(fi::Supervisor::load_state(path, config, golden).is_ok());
+  for (const Changed& changed : changed_campaigns(config.campaign, golden)) {
+    fi::SupervisorConfig written = config;
+    written.campaign = changed.config;
+    const std::string header =
+        fi::Supervisor::state_header(written, changed.golden);
+    write_file(path, header + "\n");
+    expect_refused(fi::Supervisor::load_state(path, config, golden),
+                   changed.field);
+  }
+  // The state log adds the shard count to the campaign's identity.
+  fi::SupervisorConfig reshard = config;
+  reshard.shards = 3;
+  write_file(path, fi::Supervisor::state_header(reshard, golden) + "\n");
+  expect_refused(fi::Supervisor::load_state(path, config, golden), "shard");
+  // Neither file kind loads as the other, nor as a journal.
+  write_file(path, fi::plan_file_header(config.campaign, golden) + "\n");
+  auto foreign = fi::Supervisor::load_state(path, config, golden);
+  EXPECT_EQ(foreign.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(foreign.status().message().find("wrong magic"), std::string::npos)
+      << foreign.status().to_string();
+  EXPECT_FALSE(Journal::load(path).is_ok());
 }
 
 TEST(JsonlLog, ForeignOneLineFileIsNeverMistakenForATornJournal) {

@@ -68,6 +68,13 @@ CampaignConfig adaptive_config(const std::string& journal) {
   return config;
 }
 
+/// The golden run of `config`, as the supervisor computes it.
+Campaign::Golden golden_of(const CampaignConfig& config) {
+  auto golden = fi::GoldenCache::instance().get_or_run(config);
+  EXPECT_TRUE(golden.is_ok()) << golden.status().to_string();
+  return golden.is_ok() ? golden.value() : Campaign::Golden{};
+}
+
 // ------------------------------------------------------- stopping rule ----
 
 TEST(StoppingRule, DisabledByDefaultAndBelowFloor) {
@@ -130,17 +137,18 @@ TEST(Planner, PlanFileToleratesTornTailAndBindsToCampaign) {
   const fs::path dir = scratch_dir("plan_file");
   const std::string path = (dir / "plan.jsonl").string();
   CampaignConfig config = adaptive_config((dir / "unused.jsonl").string());
+  const Campaign::Golden golden = golden_of(config);
 
   PlanEvent stop;
   stop.kind = PlanEvent::Kind::kStop;
   stop.stop_at = 200;
   {
     std::ofstream out(path, std::ios::binary);
-    out << fi::plan_file_header(config) << "\n"
+    out << fi::plan_file_header(config, golden) << "\n"
         << fi::plan_event_line(stop) << "\n"
         << "{\"plan\":\"alloc\",\"ck";  // torn mid-append
   }
-  auto loaded = fi::load_plan_file(path, config);
+  auto loaded = fi::load_plan_file(path, config, golden);
   ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
   ASSERT_TRUE(loaded.value().stop_at.has_value());
   EXPECT_EQ(*loaded.value().stop_at, 200u);
@@ -149,10 +157,35 @@ TEST(Planner, PlanFileToleratesTornTailAndBindsToCampaign) {
   // A plan file written for a different campaign is refused.
   CampaignConfig other = config;
   other.seed = kSeed + 1;
-  EXPECT_FALSE(fi::load_plan_file(path, other).is_ok());
+  EXPECT_FALSE(fi::load_plan_file(path, other, golden).is_ok());
+  // Any shard of the campaign may load it.
+  CampaignConfig shard = config;
+  shard.shard_index = 1;
+  shard.shard_count = 3;
+  EXPECT_TRUE(fi::load_plan_file(path, shard, golden).is_ok());
   // kNotFound (not an error) when the file does not exist yet.
-  auto missing = fi::load_plan_file((dir / "nope.jsonl").string(), config);
+  const std::string nope = (dir / "nope.jsonl").string();
+  auto missing = fi::load_plan_file(nope, config, golden);
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+}
+
+TEST(Planner, StopOnlyWorkerRefusesAPlanFileOfAnotherCampaign) {
+  // A stop-only worker never waits on the plan file, but a plan it cannot
+  // follow still ends it, naming the field, rather than being ignored.
+  const fs::path dir = scratch_dir("plan_foreign");
+  CampaignConfig other = adaptive_config((dir / "unused.jsonl").string());
+  other.seed = kSeed + 1;
+  const std::string plan = (dir / "plan.jsonl").string();
+  std::ofstream(plan, std::ios::binary)
+      << fi::plan_file_header(other, golden_of(other)) << "\n";
+  CampaignConfig worker = adaptive_config((dir / "worker.jsonl").string());
+  worker.shard_count = 2;
+  worker.planner.plan_path = plan;
+  auto ran = Campaign::run(worker);
+  ASSERT_FALSE(ran.is_ok());
+  EXPECT_EQ(ran.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(ran.status().message().find("seed is '"), std::string::npos)
+      << ran.status().to_string();
 }
 
 // ----------------------------------------------- sequential stopping ------
@@ -329,28 +362,24 @@ SupervisorConfig planner_sup_config(const fs::path& dir,
                                     u32 shards) {
   SupervisorConfig config;
   config.exe = GFI_GPUFI_BIN;
-  config.workload = mirror.workload;
+  config.campaign = mirror;
+  config.campaign.journal_path.reset();
+  config.campaign.heartbeat_interval_ms = 50;
   config.dir = dir.string();
   config.shards = shards;
-  config.num_injections = mirror.num_injections;
-  config.seed = mirror.seed;
   config.lease_ttl_ms = 3000;
   config.poll_ms = 25;
   config.stall_timeout_ms = 0;
-  config.worker_heartbeat_ms = 50;
   config.max_shard_attempts = 12;
   config.poison_threshold = 3;
   config.backoff_base_ms = 5;
   config.backoff_cap_ms = 20;
-  config.campaign = mirror;
-  config.campaign.journal_path.reset();
   config.worker_flags = {
       "--arch=toy",
       "--mode=iov",
       "--flip=single",
       "--injections=" + std::to_string(mirror.num_injections),
       "--seed=" + std::to_string(mirror.seed),
-      "--golden-cache=" + (dir / "golden").string(),
       "--checkpoint-every=50",
   };
   if (mirror.planner.stopping()) {
@@ -445,7 +474,8 @@ TEST(Supervisor, ResumeCutsATornPlanFileTailBeforeAppending) {
   stop.stop_at = 100;
   ASSERT_TRUE(fi::append_plan_event(plan, alloc).is_ok());
   ASSERT_TRUE(fi::append_plan_event(plan, stop).is_ok());
-  auto loaded = fi::load_plan_file(plan, config.campaign);
+  const Campaign::Golden golden = golden_of(config.campaign);
+  auto loaded = fi::load_plan_file(plan, config.campaign, golden);
   ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
   ASSERT_EQ(loaded.value().allocs.size(), 1u);
   EXPECT_EQ(loaded.value().allocs.at(0), alloc);

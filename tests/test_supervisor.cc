@@ -54,18 +54,27 @@ std::string read_file(const std::string& path) {
 /// leave real resume state behind.
 constexpr u64 kSeed = 7;
 
+CampaignConfig campaign_config(u64 injections) {
+  CampaignConfig config;
+  config.workload = "vecadd";
+  config.machine = arch::toy();
+  config.model = {fi::InjectionMode::kIov, fi::BitFlipModel::kSingle};
+  config.num_injections = injections;
+  config.seed = kSeed;
+  config.threads = 1;  // journal lines in index order
+  return config;
+}
+
 SupervisorConfig sup_config(const fs::path& dir, u64 injections, u32 shards) {
   SupervisorConfig config;
   config.exe = GFI_GPUFI_BIN;
-  config.workload = "vecadd";
+  config.campaign = campaign_config(injections);
+  config.campaign.heartbeat_interval_ms = 50;
   config.dir = dir.string();
   config.shards = shards;
-  config.num_injections = injections;
-  config.seed = kSeed;
   config.lease_ttl_ms = 3000;
   config.poll_ms = 25;
   config.stall_timeout_ms = 0;  // hang detection: only the stall test
-  config.worker_heartbeat_ms = 50;
   config.max_shard_attempts = 12;
   config.poison_threshold = 3;
   config.backoff_base_ms = 5;
@@ -76,8 +85,6 @@ SupervisorConfig sup_config(const fs::path& dir, u64 injections, u32 shards) {
       "--flip=single",
       "--injections=" + std::to_string(injections),
       "--seed=" + std::to_string(kSeed),
-      // Workers of one campaign share golden runs through the disk cache.
-      "--golden-cache=" + (dir / "golden").string(),
   };
   return config;
 }
@@ -85,13 +92,7 @@ SupervisorConfig sup_config(const fs::path& dir, u64 injections, u32 shards) {
 /// The uninterrupted unsharded single-threaded reference journal the
 /// supervisor's merge must reproduce byte-for-byte.
 std::string write_reference_journal(const fs::path& dir, u64 injections) {
-  CampaignConfig config;
-  config.workload = "vecadd";
-  config.machine = arch::toy();
-  config.model = {fi::InjectionMode::kIov, fi::BitFlipModel::kSingle};
-  config.num_injections = injections;
-  config.seed = kSeed;
-  config.threads = 1;  // journal lines in index order
+  CampaignConfig config = campaign_config(injections);
   config.journal_path = (dir / "reference.jsonl").string();
   auto result = Campaign::run(config);
   EXPECT_TRUE(result.is_ok()) << result.status().to_string();
@@ -353,10 +354,12 @@ TEST(Supervisor, DiesMidCampaignThenResumeIsBitIdentical) {
   EXPECT_EQ(merged, read_file(reference));
 }
 
-/// A state-log header for sup_config(dir, 24, 2), as `gpufi run` writes it.
-constexpr const char* kStateHeader =
-    R"({"supervisor":"gpufi-run-v1","workload":"vecadd","shards":2,)"
-    R"("num_injections":24,"seed":7})";
+/// The state-log header `gpufi run` writes for `config`.
+std::string state_header(const SupervisorConfig& config) {
+  auto golden = fi::GoldenCache::instance().get_or_run(config.campaign);
+  EXPECT_TRUE(golden.is_ok()) << golden.status().to_string();
+  return Supervisor::state_header(config, golden.value());
+}
 
 TEST(Supervisor, ResumeRefusesAStateLogCorruptBeforeItsLastLine) {
   const fs::path dir = scratch_dir("corrupt_state");
@@ -367,7 +370,7 @@ TEST(Supervisor, ResumeRefusesAStateLogCorruptBeforeItsLastLine) {
   // damage would be fine here, but the damaged line could have been the
   // quarantine itself: resume must stop, not forget.
   std::ofstream(state, std::ios::binary)
-      << kStateHeader << "\n"
+      << state_header(config) << "\n"
       << R"({"ev":"crash","sha)" << "\n"
       << R"({"ev":"quarantine","shard":1,"index":19})" << "\n";
   config.resume = true;
@@ -386,7 +389,7 @@ TEST(Supervisor, ResumeDropsATornStateLogTailAndKeepsItsQuarantine) {
   const std::string state = Supervisor::state_path(config.dir);
   // A supervisor died mid-write, after convicting injection 19.
   std::ofstream(state, std::ios::binary)
-      << kStateHeader << "\n"
+      << state_header(config) << "\n"
       << R"({"ev":"quarantine","shard":1,"index":19})" << "\n"
       << R"({"ev":"cra)";
   config.resume = true;

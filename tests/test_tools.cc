@@ -470,11 +470,28 @@ std::string campaign_identity(const cli::Options& options) {
   field("stratify", std::to_string(planner.stratify));
   field("plan", planner.plan_path.value_or("-"));
   field("quarantine", std::to_string(c.quarantine.size()));
-  field("golden_cache", options.golden_cache.value_or("-"));
   fi::Campaign::Golden golden;
   golden.dyn_instrs = 1234;
   golden.cycles = 567;
   return out + fi::Journal::header_line(fi::make_journal_header(c, golden));
+}
+
+// A finished `gpufi run` directory resumed under another campaign's flags
+// is refused with exit 2, naming the differing field; never does it report
+// the old campaign as the new one.
+TEST(CliRun, ResumeUnderADifferentCampaignExitsTwoNamingTheField) {
+  const std::string dir =
+      ::testing::TempDir() + "gfi_run_resume_" + std::to_string(getpid());
+  std::filesystem::remove_all(dir);
+  std::string run = "run vecadd --arch=toy --injections=60 --shards=2";
+  run += " --poll-ms=20 --dir=" + dir;
+  ASSERT_EQ(run_gpufi(run), 0);
+  std::string err;
+  EXPECT_EQ(run_gpufi(run + " --mode=ioa --flip=zero --resume", &err), 2);
+  EXPECT_NE(err.find("mode is 'IOV', campaign has 'IOA'"), std::string::npos)
+      << err;
+  EXPECT_EQ(run_gpufi(run + " --resume"), 0);
+  std::filesystem::remove_all(dir);
 }
 
 // A `gpufi run` line, turned into the worker command line the supervisor
@@ -501,7 +518,6 @@ TEST(CliFlags, RunWorkersRebuildTheCampaign) {
       {"stop-min", "50"},
       {"checkpoint-every", "40"},
       {"stratify", "group"},
-      {"golden-cache", "gc"},
   };
   cli::Options defaults;
   std::vector<std::string> rows;

@@ -266,8 +266,6 @@ std::vector<Flag> flags(Options& o) {
        "(campaign) run global injections i, i+N, i+2N, ..."},
       {"journal", text(&c.journal_path, "a path"), kReject,
        "(campaign) JSONL journal; rerunning with it resumes"},
-      {"golden-cache", text(&o.golden_cache, "a directory"), kForwardSet,
-       "share golden runs across processes"},
       {"threads", number(&c.threads), kReject,
        "(campaign) injection threads, 0 = hardware concurrency"},
       {"quarantine", index_list(&c.quarantine), kReject,

@@ -36,7 +36,6 @@ struct Options {
   std::optional<Recover> recover;
   std::optional<u32> max_retries;
   Prune prune = Prune::kNone;
-  std::optional<std::string> golden_cache;
   std::optional<std::string> csv;
   std::optional<std::string> records;
   std::optional<std::string> metrics_out;

@@ -52,7 +52,6 @@
 #include "common/simd.h"
 #include "common/table.h"
 #include "fi/campaign.h"
-#include "fi/golden_cache.h"
 #include "fi/journal.h"
 #include "fi/planner.h"
 #include "fi/supervisor.h"
@@ -72,10 +71,11 @@ using namespace gfi;
 using cli::Options;
 using cli::campaign_config;
 
-/// Bumped per stacked PR; `gpufi version` pairs it with the compiled SIMD
-/// backend so bug reports pin down which execution path produced a
-/// journal.
-constexpr const char* kVersion = "0.10.0";
+/// The source the binary was built from (`git describe`, or a hash of
+/// src/ outside a checkout; set by tools/CMakeLists.txt). `gpufi version`
+/// pairs it with the compiled SIMD backend so bug reports pin down which
+/// execution path produced a journal.
+constexpr const char* kVersion = GFI_VERSION;
 
 int usage() {
   std::fprintf(stderr,
@@ -457,23 +457,21 @@ int cmd_run(Options options, const char* argv0) {
       return 2;
     }
   }
-  // The supervisor computes planner decisions itself from the unsharded
-  // campaign mirror: it is the only party seeing the full prefix. Workers
-  // run the mirror's workload (`--recover=abft` names the _abft kernel).
-  const fi::CampaignConfig mirror = campaign_config(options);
+  // The campaign binds the state log and plan file, and the supervisor
+  // computes planner decisions from it: it is the only party seeing the
+  // full prefix. Workers run its workload (`--recover=abft` names the
+  // _abft kernel).
   fi::SupervisorConfig config = options.supervisor;
   config.exe = self_exe(argv0);
-  config.workload = mirror.workload;
-  config.num_injections = mirror.num_injections;
-  config.seed = mirror.seed;
-  config.worker_heartbeat_ms = mirror.heartbeat_interval_ms;
+  config.campaign = campaign_config(options);
   config.worker_flags = cli::worker_flags(options);
-  if (mirror.planner.active()) config.campaign = mirror;
 
   auto ran = fi::Supervisor::run(config);
   if (!ran.is_ok()) {
     std::fprintf(stderr, "%s\n", ran.status().to_string().c_str());
-    return 1;
+    // A refused directory (another campaign's, or no --resume) exits 2, as
+    // a refused merge does.
+    return ran.status().code() == StatusCode::kFailedPrecondition ? 2 : 1;
   }
   const fi::SupervisorResult& result = ran.value();
   std::printf(
@@ -645,9 +643,6 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   auto options = gfi::cli::parse({argv + 1, argv + argc});
   if (!options) return 2;
-  if (options->golden_cache) {
-    gfi::fi::GoldenCache::instance().set_directory(*options->golden_cache);
-  }
   if (options->command == "version" || options->command == "--version") {
     return cmd_version();
   }
