@@ -190,13 +190,13 @@ double campaign_injection_over_clean(Bench& bench, const std::string& name,
 }
 
 struct PathRates {
-  double clean = 0.0;  ///< the hook-free side (threaded tier)
+  double threaded = 0.0;  ///< the hook-free side
   double instrumented = 0.0;
   double injection_over_clean = 0.0;
   double campaign_injection_over_clean = 0.0;
 
   [[nodiscard]] double speedup() const {
-    return instrumented > 0.0 ? clean / instrumented : 0.0;
+    return instrumented > 0.0 ? threaded / instrumented : 0.0;
   }
 };
 
@@ -206,7 +206,8 @@ PathRates measure(const std::string& name, const sim::MachineConfig& machine) {
   const double window_s = min_ms() / 1e3 / (2 * kTrials);
   PathRates best;
   for (int trial = 0; trial < kTrials; ++trial) {
-    best.clean = std::max(best.clean, bench.timed_window(kTier, window_s));
+    best.threaded =
+        std::max(best.threaded, bench.timed_window(kTier, window_s));
     best.instrumented = std::max(
         best.instrumented,
         bench.timed_window(sim::EngineTier::kInstrumented, window_s));
@@ -241,31 +242,32 @@ int main(int argc, char** argv) {
 
   std::string rows;
   double log_speedup_sum = 0.0;
-  double gemm_clean = 0.0;
+  double gemm_threaded = 0.0;
   for (const std::string& name : workloads) {
     const PathRates rates = measure(name, machine);
     std::printf("%-12s %15.0f %15.0f %8.2fx %9.2fx %9.2fx\n", name.c_str(),
-                rates.clean, rates.instrumented, rates.speedup(),
+                rates.threaded, rates.instrumented, rates.speedup(),
                 rates.injection_over_clean,
                 rates.campaign_injection_over_clean);
     char row[512];
     std::snprintf(row, sizeof(row),
-                  "    {\"workload\": \"%s\", \"clean_warp_instrs_per_sec\": "
+                  "    {\"workload\": \"%s\", "
+                  "\"threaded_warp_instrs_per_sec\": "
                   "%.0f, \"instrumented_warp_instrs_per_sec\": %.0f, "
                   "\"speedup\": %.3f, \"injection_over_clean\": %.3f, "
                   "\"campaign_injection_over_clean\": %.3f},\n",
-                  name.c_str(), rates.clean, rates.instrumented,
+                  name.c_str(), rates.threaded, rates.instrumented,
                   rates.speedup(), rates.injection_over_clean,
                   rates.campaign_injection_over_clean);
     rows += row;
     log_speedup_sum += std::log(rates.speedup());
-    if (name == "gemm") gemm_clean = rates.clean;
+    if (name == "gemm") gemm_threaded = rates.threaded;
   }
   if (!rows.empty()) rows.erase(rows.size() - 2, 1);  // trailing comma
 
   const double geomean =
       std::exp(log_speedup_sum / static_cast<double>(workloads.size()));
-  const double vs_pre_refactor = gemm_clean / kPreRefactorGemmRate;
+  const double vs_pre_refactor = gemm_threaded / kPreRefactorGemmRate;
   std::printf("%-12s %31s %8.2fx  (gate: >= %.1fx)\n", "geomean", "",
               geomean, kGateSpeedup);
   std::printf("gemm hook-free path vs pre-refactor empty-hook loop: %.2fx\n",
@@ -283,11 +285,11 @@ int main(int argc, char** argv) {
                "  \"workloads\": [\n%s  ],\n"
                "  \"geomean_speedup\": %.3f,\n"
                "  \"gate_speedup\": %.1f,\n"
-               "  \"gemm_clean_warp_instrs_per_sec\": %.0f,\n"
+               "  \"gemm_threaded_warp_instrs_per_sec\": %.0f,\n"
                "  \"gemm_pre_refactor_empty_hook_warp_instrs_per_sec\": %.0f,\n"
-               "  \"gemm_clean_speedup_vs_pre_refactor\": %.3f\n}\n",
+               "  \"gemm_threaded_speedup_vs_pre_refactor\": %.3f\n}\n",
                machine.name.c_str(), simd::backend(), tier_name, rows.c_str(),
-               geomean, kGateSpeedup, gemm_clean, kPreRefactorGemmRate,
+               geomean, kGateSpeedup, gemm_threaded, kPreRefactorGemmRate,
                vs_pre_refactor);
   std::fclose(out);
 

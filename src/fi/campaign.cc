@@ -532,14 +532,18 @@ Result<InjectionRecord> run_injection(
   // (LaunchResult::tier_used) rather than what the launch requested.
   // Purely additive: counters go only to --metrics-out snapshots, never
   // journals, so tier pins cannot perturb journal diffs.
+  // engine.generic_warp_instrs counts the warp instructions the threaded
+  // tier left to the generic per-lane loop.
   obs::Counter* tier_counter[std::size(sim::kEngineTierNames)] = {};
   obs::Counter* tier_downgrades = nullptr;
+  obs::Counter* generic_warp_instrs = nullptr;
   if (metrics) {
     for (const auto& [tier, name] : sim::kEngineTierNames) {
       tier_counter[static_cast<int>(tier)] =
           &metrics->counter(std::string("engine.dispatch.") + name);
     }
     tier_downgrades = &metrics->counter("engine.dispatch.downgrades");
+    generic_warp_instrs = &metrics->counter("engine.generic_warp_instrs");
   }
 
   // One simulated attempt = restore checkpoint 0 (retries) + arm fault (if
@@ -570,6 +574,7 @@ Result<InjectionRecord> run_injection(
     if (metrics) {
       tier_counter[static_cast<int>(launch.value().tier_used)]->inc();
       if (launch.value().downgraded) tier_downgrades->inc();
+      generic_warp_instrs->inc(launch.value().generic_warp_instrs);
     }
     if (attempt == 0) {
       if (memory_mode) {

@@ -3,14 +3,16 @@
 namespace gfi::sim {
 namespace {
 
-/// The exec_vec full-warp row kernel `d` is decode-proven eligible for, or
+/// The exec_vec ALU row kernel `d` is decode-proven eligible for, or
 /// kGeneric: register/immediate sources (vec_srcs) plus the per-op dtype and
-/// width each kernel covers. The runtime half (full active mask) stays in
-/// the threaded handlers; everything else runs Engine::dispatch's lane loop.
+/// width each kernel covers. Everything else runs Engine::dispatch's lane
+/// loop.
 Handler lower_alu(const DecodedInstr& d) {
   if (!d.vec_srcs) return Handler::kGeneric;
   switch (d.op) {
-    case Opcode::kMov:   return d.wide ? Handler::kGeneric : Handler::kMov;
+    case Opcode::kMov:   return d.wide ? Handler::kMov64 : Handler::kMov;
+    case Opcode::kS2r:   return d.wide ? Handler::kGeneric : Handler::kS2r;
+    case Opcode::kLdc:   return Handler::kLdc;
     case Opcode::kSel:   return d.wide ? Handler::kGeneric : Handler::kSel;
     case Opcode::kIAdd:  return d.wide ? Handler::kGeneric : Handler::kIAdd;
     case Opcode::kIMul:  return d.wide ? Handler::kGeneric : Handler::kIMul;
@@ -33,23 +35,20 @@ Handler lower_alu(const DecodedInstr& d) {
       return d.dtype == DType::kF32 ? Handler::kFFma : Handler::kGeneric;
     case Opcode::kFSetp:
       return d.dtype == DType::kF32 ? Handler::kFSetp : Handler::kGeneric;
-    case Opcode::kI2F:
-      return d.dtype != DType::kF64 ? Handler::kI2F : Handler::kGeneric;
+    case Opcode::kI2F:   return d.wide ? Handler::kGeneric : Handler::kI2F;
     default:             return Handler::kGeneric;
   }
 }
 
 /// Static eligibility for the row-wise memory kernels: width-4 accesses
-/// with a live register base and a live register destination/data operand.
-/// The runtime mask/fault checks remain in the handlers.
+/// with a register base and a register destination/data operand (RZ
+/// included, as in SWIFT's `@P6 STG [RZ], RZ` checks). The runtime
+/// mask/bounds/fault checks remain in the handlers.
 bool row_mem_eligible(const DecodedInstr& d) {
-  if (d.mem_width != 4) return false;
-  if (d.src[0].kind != OperandKind::kReg || d.src[0].index == kRegZ)
-    return false;
+  if (d.mem_width != 4 || d.src[0].kind != OperandKind::kReg) return false;
   const bool store = d.op == Opcode::kStg || d.op == Opcode::kSts;
-  if (store)
-    return d.src[2].kind == OperandKind::kReg && d.src[2].index != kRegZ;
-  return d.dst_kind == OperandKind::kReg && d.dst_index != kRegZ;
+  return store ? d.src[2].kind == OperandKind::kReg
+               : d.dst_kind == OperandKind::kReg;
 }
 
 Handler lower_one(const DecodedInstr& d) {

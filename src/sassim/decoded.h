@@ -26,11 +26,11 @@ namespace gfi::sim {
 /// Direct handler id for the threaded dispatch tier (exec_threaded.h).
 /// Assigned once per pc by DecodedProgram's lowering pass, so the hook-free
 /// interpreter jumps straight to a specialized handler instead of switching
-/// on the opcode and then re-validating vector-path eligibility per dynamic
+/// on the opcode and then re-validating row-path eligibility per dynamic
 /// instruction. kGeneric delegates to the generic dispatcher and is
 /// always a correct (if slower) assignment; every other id encodes a
 /// decode-time proof (operand kinds, dtype, width) that the corresponding
-/// fast path applies whenever the runtime mask/fault preconditions hold.
+/// row path applies whenever its runtime preconditions hold.
 enum class Handler : u8 {
   kGeneric,       ///< no specialization: generic dispatch switch
 
@@ -40,9 +40,13 @@ enum class Handler : u8 {
   kSync,
   kBar,
 
-  // Full-warp vector ALU ops, decode-proven eligible for the exec_vec row
-  // kernels (vec_srcs, dtype/width restrictions). Runtime check: full mask.
+  // ALU row kernels (exec_vec.h), decode-proven eligible (vec_srcs,
+  // dtype/width restrictions). They run under any exec mask: thr::alu
+  // puts back the lanes outside it.
   kMov,
+  kMov64,         ///< 64-bit MOV: register pair or 64-bit immediate
+  kS2r,           ///< special registers from the launch and CTA shape
+  kLdc,           ///< parameter broadcast; runtime check: index in range
   kSel,
   kIAdd,
   kIMul,
@@ -59,8 +63,8 @@ enum class Handler : u8 {
   kI2F,
 
   // Row-wise memory ops (width-4, register base/data), decode-proven for
-  // the exec_vec row kernels. Runtime check: full mask (+ fault-free map
-  // for global memory).
+  // the exec_vec row kernels. Runtime check: every executing lane aligned
+  // and in bounds (+ fault-free arena for global memory).
   kLdgRow,
   kStgRow,
   kLdsRow,

@@ -1,18 +1,23 @@
-// Full-warp row kernels of the threaded tier, over common/simd.h.
+// Row kernels of the threaded tier, over common/simd.h.
 //
 // The threaded handlers (exec_threaded.h) run these; keeping them here makes
 // them directly testable and keeps the SIMD backend swap local to this
-// file. Every function runs only on the shapes the caller has proven safe —
-// all 32 lanes executing, register/immediate operands only
-// (DecodedInstr::vec_srcs), no pending memory faults for the global-memory
-// paths — and every lane's arithmetic is expression-identical to the
-// generic per-lane switch in Engine::dispatch, so scalar and SIMD builds
-// produce bit-identical campaign journals (CI diffs them).
+// file. Every lane's arithmetic is expression-identical to the generic
+// per-lane switch in Engine::dispatch, so scalar and SIMD builds produce
+// bit-identical campaign journals (CI diffs them).
 //
-// Trap discipline: a memory row kernel proves that no lane can trap before
-// it touches any state, and otherwise returns false with nothing touched;
-// the generic lane loop then reproduces the exact lane-order trap and
-// partial progress.
+// ALU kernels compute all 32 lanes of their destination row(s) from
+// register/immediate operands only (DecodedInstr::vec_srcs). They cannot
+// trap and write nothing but their destination rows or predicate bits, so
+// thr::alu runs them under any exec mask and then puts back the lanes that
+// do not execute.
+//
+// Memory kernels take the exec mask and touch only its lanes. Trap
+// discipline: a memory row kernel proves that no executing lane can trap
+// before it touches any state, and otherwise returns false with nothing
+// touched; the generic lane loop then reproduces the exact lane-order trap
+// and partial progress. The global-memory kernels also need a fault-free
+// arena (no pending upset to classify), which the caller checks.
 #pragma once
 
 #include <bit>
@@ -27,6 +32,7 @@
 namespace gfi::sim::exec {
 
 inline constexpr u32 kRowChunks = kWarpSize / simd::kWidth;
+inline constexpr u32 kFullMask = 0xffffffffu;
 
 namespace detail {
 
@@ -92,6 +98,15 @@ inline u32* dst_row(WarpState& warp, const DecodedInstr& instr, u32* sink) {
   return instr.dst_index != kRegZ ? warp.row(instr.dst_index) : sink;
 }
 
+/// What RZ reads as, a row at a time.
+inline constexpr u32 kZeroRow[kWarpSize] = {};
+
+/// Row `half` (0 or 1) of the register (pair) `r`; RZ, as a register or a
+/// pair base, reads as zeros.
+inline const u32* src_row(const WarpState& warp, u16 r, u16 half = 0) {
+  return r != kRegZ ? warp.row(static_cast<u16>(r + half)) : kZeroRow;
+}
+
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
@@ -101,16 +116,105 @@ inline u32* dst_row(WarpState& warp, const DecodedInstr& instr, u32* sink) {
 // One kernel per decode-proven op shape, each running all 32 lanes with the
 // per-lane operand-kind switches hoisted out of the lane loop and the flat
 // 32-element loops lowered onto simd::u32xN / simd::f32xN chunks. Callers
-// guarantee the matching Handler's preconditions: every lane executes, no
-// source is a predicate (instr.vec_srcs), and the dtype/width restriction
-// the lowering pass (decoded.cc, lower_alu) proved when it picked the
-// kernel.
+// guarantee the matching Handler's preconditions: no source is a predicate
+// (instr.vec_srcs), and the dtype/width restriction the lowering pass
+// (decoded.cc, lower_one) proved when it picked the kernel. Lane l reads
+// only lane l of its sources, so a destination that aliases a source is
+// safe, and the lanes outside an exec mask can be put back afterwards.
 
 inline void vec_mov(WarpState& warp, const DecodedInstr& instr) {
   u32 sink[kWarpSize];
   u32* const dst = detail::dst_row(warp, instr, sink);
   for (u32 q = 0; q < kRowChunks; ++q) {
     detail::vchunk(warp, instr.src[0], q).store(dst + q * simd::kWidth);
+  }
+}
+
+/// `value` broadcast into the destination row, or the pair when the op is
+/// wide (LDC's kernel parameter, a 64-bit MOV's immediate).
+inline void vec_broadcast(WarpState& warp, const DecodedInstr& instr,
+                          u64 value) {
+  if (instr.dst_index == kRegZ) return;
+  u32* dlo = warp.row(instr.dst_index);
+  for (u32 l = 0; l < kWarpSize; ++l) dlo[l] = lo32(value);
+  if (!instr.wide) return;
+  u32* dhi = warp.row(static_cast<u16>(instr.dst_index + 1));
+  for (u32 l = 0; l < kWarpSize; ++l) dhi[l] = hi32(value);
+}
+
+/// 64-bit MOV: a register pair (RZ reads as 0) or a 64-bit immediate into
+/// the destination pair. Per lane, both halves are read before either is
+/// written, so overlapping pairs (R5:R6 <- R4:R5) copy like the generic loop.
+inline void vec_mov64(WarpState& warp, const DecodedInstr& instr) {
+  const DecodedOperand& o = instr.src[0];
+  if (o.kind != OperandKind::kReg) {
+    vec_broadcast(warp, instr, o.kind == OperandKind::kImm ? o.imm : 0);
+    return;
+  }
+  if (instr.dst_index == kRegZ) return;
+  const u32* slo = detail::src_row(warp, o.index);
+  const u32* shi = detail::src_row(warp, o.index, 1);
+  u32* dlo = warp.row(instr.dst_index);
+  u32* dhi = warp.row(static_cast<u16>(instr.dst_index + 1));
+  for (u32 l = 0; l < kWarpSize; ++l) {
+    const u32 lo = slo[l];
+    const u32 hi = shi[l];
+    dlo[l] = lo;
+    dhi[l] = hi;
+  }
+}
+
+/// S2R: special register `instr.sub` of every lane, from the launch shape
+/// and the warp's CTA. The thread-index registers follow special_value()'s
+/// formulas on the warp's linear thread ids base + l. When the warp's 32
+/// threads lie in one x-row of the block (any 1-D block whose size covers
+/// the warp, or block.x a multiple of 32), x is (base % block.x) + l and y,
+/// z are uniform, so the row costs three divisions instead of 32 each.
+inline void vec_s2r(WarpState& warp, const DecodedInstr& instr, Dim3 block,
+                    Dim3 grid, Dim3 ctaid) {
+  u32 sink[kWarpSize];
+  u32* const dst = detail::dst_row(warp, instr, sink);
+  const u32 base = warp.warp_in_cta() * kWarpSize;
+  const auto sr = static_cast<SpecialReg>(instr.sub);
+  auto fill = [dst](u32 v) {
+    for (u32 l = 0; l < kWarpSize; ++l) dst[l] = v;
+  };
+  switch (sr) {
+    case SpecialReg::kTidX:
+    case SpecialReg::kTidY:
+    case SpecialReg::kTidZ: {
+      const u32 x0 = base % block.x;
+      if (x0 + kWarpSize <= block.x) {
+        if (sr == SpecialReg::kTidX) {
+          for (u32 l = 0; l < kWarpSize; ++l) dst[l] = x0 + l;
+        } else if (sr == SpecialReg::kTidY) {
+          fill((base / block.x) % block.y);
+        } else {
+          fill(base / (block.x * block.y));
+        }
+        return;
+      }
+      for (u32 l = 0; l < kWarpSize; ++l) {
+        const u32 lin = base + l;
+        dst[l] = sr == SpecialReg::kTidX   ? lin % block.x
+                 : sr == SpecialReg::kTidY ? (lin / block.x) % block.y
+                                           : lin / (block.x * block.y);
+      }
+      return;
+    }
+    case SpecialReg::kCtaidX: return fill(ctaid.x);
+    case SpecialReg::kCtaidY: return fill(ctaid.y);
+    case SpecialReg::kCtaidZ: return fill(ctaid.z);
+    case SpecialReg::kNtidX: return fill(block.x);
+    case SpecialReg::kNtidY: return fill(block.y);
+    case SpecialReg::kNtidZ: return fill(block.z);
+    case SpecialReg::kNctaidX: return fill(grid.x);
+    case SpecialReg::kNctaidY: return fill(grid.y);
+    case SpecialReg::kNctaidZ: return fill(grid.z);
+    case SpecialReg::kLaneId:
+      for (u32 l = 0; l < kWarpSize; ++l) dst[l] = l;
+      return;
+    case SpecialReg::kWarpId: return fill(warp.warp_in_cta());
   }
 }
 
@@ -358,7 +462,7 @@ inline void vec_i2f(WarpState& warp, const DecodedInstr& instr) {
 }
 
 // ---------------------------------------------------------------------------
-// Width-4 full-warp memory row paths
+// Width-4 memory row paths
 // ---------------------------------------------------------------------------
 
 namespace detail {
@@ -391,92 +495,119 @@ inline u32 row_max(const u32* base_row) {
   return m;
 }
 
+/// Runs `body(lane)` for every lane of `exec` in ascending order: a plain
+/// loop for the full mask, a bit scan otherwise.
+template <typename Body>
+[[gnu::always_inline]] inline void for_lanes(u32 exec, Body&& body) {
+  if (exec == kFullMask) {
+    for (u32 lane = 0; lane < kWarpSize; ++lane) body(lane);
+    return;
+  }
+  for (u32 rest = exec; rest != 0; rest &= rest - 1) {
+    body(static_cast<u32>(std::countr_zero(rest)));
+  }
+}
+
+/// Addresses of the executing lanes of a width-4 global access (register-
+/// pair base plus immediate offset) into `addrs`, proven aligned and in
+/// bounds for every lane of `exec` (nonzero). The arena is one contiguous
+/// extent, so the min/max address of the executing lanes covers them all.
+/// False when any executing lane could trap.
+inline bool global_row_addrs(const WarpState& warp, const DecodedInstr& instr,
+                             const GlobalMemory& mem, u32 exec,
+                             u64 (&addrs)[kWarpSize]) {
+  const u32* alo = src_row(warp, instr.src[0].index);
+  const u32* ahi = src_row(warp, instr.src[0].index, 1);
+  const u64 off = instr.src[1].is_imm() ? instr.src[1].imm : 0;
+  u64 lo = ~u64{0};
+  u64 hi = 0;
+  u64 misaligned = 0;
+  for_lanes(exec, [&](u32 lane) {
+    const u64 addr = make64(alo[lane], ahi[lane]) + off;
+    addrs[lane] = addr;
+    misaligned |= addr & 3u;
+    lo = addr < lo ? addr : lo;
+    hi = addr > hi ? addr : hi;
+  });
+  return misaligned == 0 && mem.row_u32_in_bounds(lo, hi);
+}
+
+/// True when every executing lane's shared address (base row `a` plus the
+/// immediate offset) is 4-byte aligned and in bounds. Shared memory is one
+/// flat extent, so the largest base covers every lane.
+inline bool shared_row_ok(const u32* a, u64 off, u32 exec,
+                          std::size_t shared_size) {
+  u32 max = 0;
+  if (exec == kFullMask) {
+    if (!row_aligned4(a, off)) return false;
+    max = row_max(a);
+  } else {
+    u32 misaligned = 0;
+    for_lanes(exec, [&](u32 lane) {
+      misaligned |= (a[lane] + lo32(off)) & 3u;
+      max = max < a[lane] ? a[lane] : max;
+    });
+    if (misaligned != 0) return false;
+  }
+  const u64 max_addr = static_cast<u64>(max) + off;
+  return max_addr + 4 <= shared_size;
+}
+
 }  // namespace detail
 
-/// Full-warp 32-bit global load: register-pair base plus immediate offset,
-/// destination written row-wise. Caller guarantees exec == full mask,
-/// width 4, a real register base and destination, and mem.fault_free().
-/// Alignment and bounds are proven for the whole row up front — the arena
-/// is one contiguous extent, so checking the row's min/max addresses covers
-/// every lane — and the serviced row then runs with no per-lane checks.
-/// Returns false, with nothing touched, for a row that cannot be proven
-/// safe.
+/// 32-bit global load of the lanes in `exec`: register-pair base plus
+/// immediate offset, destination written for those lanes only. Caller
+/// guarantees exec != 0, width 4, register base and destination (RZ reads
+/// as 0 and drops writes), and mem.fault_free(). Returns false, with
+/// nothing touched, for a row that cannot be proven trap-free.
 inline bool ldg_row(WarpState& warp, const DecodedInstr& instr,
-                    const GlobalMemory& mem) {
-  const u32* alo = warp.row(instr.src[0].index);
-  const u32* ahi = warp.row(static_cast<u16>(instr.src[0].index + 1));
-  const u64 off = instr.src[1].is_imm() ? instr.src[1].imm : 0;
-  if (!detail::row_aligned4(alo, off)) return false;
+                    const GlobalMemory& mem, u32 exec) {
   u64 addrs[kWarpSize];
-  u64 lo = ~u64{0};
-  u64 hi = 0;
-  for (u32 lane = 0; lane < kWarpSize; ++lane) {
-    const u64 addr = make64(alo[lane], ahi[lane]) + off;
-    addrs[lane] = addr;
-    lo = addr < lo ? addr : lo;
-    hi = addr > hi ? addr : hi;
-  }
-  if (!mem.row_u32_in_bounds(lo, hi)) return false;
-  u32* d = warp.row(instr.dst_index);
-  for (u32 lane = 0; lane < kWarpSize; ++lane) {
-    d[lane] = mem.read_u32_raw(addrs[lane]);
-  }
+  if (!detail::global_row_addrs(warp, instr, mem, exec, addrs)) return false;
+  u32 sink[kWarpSize];
+  u32* d = detail::dst_row(warp, instr, sink);
+  detail::for_lanes(exec,
+                    [&](u32 lane) { d[lane] = mem.read_u32_raw(addrs[lane]); });
   return true;
 }
 
-/// Matching full-warp 32-bit global store (value row src[2]).
+/// Matching 32-bit global store (value row src[2]), in lane order.
 inline bool stg_row(WarpState& warp, const DecodedInstr& instr,
-                    GlobalMemory& mem) {
-  const u32* alo = warp.row(instr.src[0].index);
-  const u32* ahi = warp.row(static_cast<u16>(instr.src[0].index + 1));
-  const u64 off = instr.src[1].is_imm() ? instr.src[1].imm : 0;
-  if (!detail::row_aligned4(alo, off)) return false;
+                    GlobalMemory& mem, u32 exec) {
   u64 addrs[kWarpSize];
-  u64 lo = ~u64{0};
-  u64 hi = 0;
-  for (u32 lane = 0; lane < kWarpSize; ++lane) {
-    const u64 addr = make64(alo[lane], ahi[lane]) + off;
-    addrs[lane] = addr;
-    lo = addr < lo ? addr : lo;
-    hi = addr > hi ? addr : hi;
-  }
-  if (!mem.row_u32_in_bounds(lo, hi)) return false;
-  const u32* v = warp.row(instr.src[2].index);
-  for (u32 lane = 0; lane < kWarpSize; ++lane) {
-    mem.write_u32_raw(addrs[lane], v[lane]);
-  }
+  if (!detail::global_row_addrs(warp, instr, mem, exec, addrs)) return false;
+  const u32* v = detail::src_row(warp, instr.src[2].index);
+  detail::for_lanes(
+      exec, [&](u32 lane) { mem.write_u32_raw(addrs[lane], v[lane]); });
   return true;
 }
 
-/// Full-warp 32-bit shared load. Alignment and bounds are both provable up
-/// front (shared memory is one flat extent), so the serviced row runs with
-/// no per-lane checks at all; any potential trap returns false untouched.
+/// 32-bit shared load of the lanes in `exec` (nonzero). Alignment and
+/// bounds are proven up front, so the serviced row runs with no per-lane
+/// checks at all; any potential trap returns false untouched.
 inline bool lds_row(WarpState& warp, const DecodedInstr& instr,
-                    const u8* shared, std::size_t shared_size) {
-  const u32* a = warp.row(instr.src[0].index);
+                    const u8* shared, std::size_t shared_size, u32 exec) {
+  const u32* a = detail::src_row(warp, instr.src[0].index);
   const u64 off = instr.src[1].is_imm() ? instr.src[1].imm : 0;
-  if (!detail::row_aligned4(a, off)) return false;
-  const u64 max_addr = static_cast<u64>(detail::row_max(a)) + off;
-  if (max_addr + 4 > shared_size) return false;
-  u32* d = warp.row(instr.dst_index);
-  for (u32 lane = 0; lane < kWarpSize; ++lane) {
+  if (!detail::shared_row_ok(a, off, exec, shared_size)) return false;
+  u32 sink[kWarpSize];
+  u32* d = detail::dst_row(warp, instr, sink);
+  detail::for_lanes(exec, [&](u32 lane) {
     std::memcpy(&d[lane], shared + a[lane] + off, 4);
-  }
+  });
   return true;
 }
 
-/// Matching full-warp 32-bit shared store (value row src[2]).
-inline bool sts_row(WarpState& warp, const DecodedInstr& instr,
-                    u8* shared, std::size_t shared_size) {
-  const u32* a = warp.row(instr.src[0].index);
+/// Matching 32-bit shared store (value row src[2]), in lane order.
+inline bool sts_row(WarpState& warp, const DecodedInstr& instr, u8* shared,
+                    std::size_t shared_size, u32 exec) {
+  const u32* a = detail::src_row(warp, instr.src[0].index);
   const u64 off = instr.src[1].is_imm() ? instr.src[1].imm : 0;
-  if (!detail::row_aligned4(a, off)) return false;
-  const u64 max_addr = static_cast<u64>(detail::row_max(a)) + off;
-  if (max_addr + 4 > shared_size) return false;
-  const u32* v = warp.row(instr.src[2].index);
-  for (u32 lane = 0; lane < kWarpSize; ++lane) {
+  if (!detail::shared_row_ok(a, off, exec, shared_size)) return false;
+  const u32* v = detail::src_row(warp, instr.src[2].index);
+  detail::for_lanes(exec, [&](u32 lane) {
     std::memcpy(shared + a[lane] + off, &v[lane], 4);
-  }
+  });
   return true;
 }
 

@@ -56,23 +56,9 @@ class GlobalMemory {
     return TrapKind::kNone;
   }
 
-  /// 32-bit accesses for the executor's hoisted full-warp paths: bounds
-  /// check only, no per-word fault-map lookup. Callers must hold
-  /// fault_free() so ECC classification / fault clearing cannot be missed.
-  [[nodiscard]] bool read_u32_nofault(u64 addr, u32* out) const {
-    if (!in_bounds(addr, 4)) return false;
-    std::memcpy(out, data_.data() + (addr - kBaseAddress), 4);
-    return true;
-  }
-  [[nodiscard]] bool write_u32_nofault(u64 addr, u32 value) {
-    if (!in_bounds(addr, 4)) return false;
-    std::memcpy(backing(addr), &value, 4);
-    return true;
-  }
-
-  /// Batched variant of the *_nofault bounds check for the full-warp row
-  /// paths: the arena is a single contiguous extent [kBaseAddress, brk),
-  /// so checking the row's min and max word addresses covers every lane.
+  /// Bounds check for the row paths: the arena is a single contiguous
+  /// extent [kBaseAddress, brk), so checking the min and max word addresses
+  /// of a row's executing lanes covers every one of them.
   [[nodiscard]] bool row_u32_in_bounds(u64 lo, u64 hi) const {
     return lo <= hi && in_bounds(lo, 4) && in_bounds(hi, 4);
   }

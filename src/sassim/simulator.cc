@@ -22,7 +22,7 @@ namespace gfi::sim {
 namespace {
 
 constexpr u64 kDefaultWatchdog = 256ULL << 20;  // 256M warp instructions
-constexpr u32 kFullMask = 0xffffffffu;
+using exec::kFullMask;
 
 /// Integer compare dispatch for ISETP (and address compares).
 bool int_compare(CmpOp cmp, u64 a, u64 b, DType dtype) {
@@ -203,6 +203,7 @@ struct Simulator::Engine {
 
   u64 dyn_warp = 0;
   u64 dyn_thread = 0;
+  u64 generic_warp = 0;  ///< threaded slots handed to dispatch()
   u64 cycle = 0;
   Trap trap;
 
@@ -588,21 +589,6 @@ struct Simulator::Engine {
           return fire(TrapKind::kIllegalInstruction, cta, warp);
         }
         const u64 value = params[idx];
-        // Uniform broadcast: with every lane executing the destination
-        // row(s) take the same value, no per-lane machinery needed.
-        if (exec == kFullMask && instr.dst_index != kRegZ) {
-          u32* dlo = warp.row(instr.dst_index);
-          if (instr.wide) {
-            u32* dhi = warp.row(static_cast<u16>(instr.dst_index + 1));
-            for (u32 l = 0; l < kWarpSize; ++l) {
-              dlo[l] = lo32(value);
-              dhi[l] = hi32(value);
-            }
-          } else {
-            for (u32 l = 0; l < kWarpSize; ++l) dlo[l] = lo32(value);
-          }
-          break;
-        }
         for_each_lane([&](u32 lane) { write_dst(warp, lane, instr, value); });
         break;
       }
@@ -1337,6 +1323,7 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
   result.trap = engine.trap;
   result.dyn_warp_instrs = engine.dyn_warp;
   result.dyn_thread_instrs = engine.dyn_thread;
+  result.generic_warp_instrs = engine.generic_warp;
   result.cycles = engine.cycle;
   result.ecc = memory_.counters();
   result.tier_used = tier_used;

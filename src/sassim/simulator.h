@@ -97,6 +97,10 @@ struct LaunchResult {
   Trap trap;  ///< fired() when the launch aborted (DUE/hang)
   u64 dyn_warp_instrs = 0;    ///< dynamic warp instructions executed
   u64 dyn_thread_instrs = 0;  ///< sum of active lanes over those
+  /// Warp instructions the threaded tier (plain or armed) handed to the
+  /// generic per-lane loop because no row path covered them. Telemetry
+  /// only; instrumented launches report 0.
+  u64 generic_warp_instrs = 0;
   u64 cycles = 0;             ///< timing-model cycles
   ecc::EccCounters ecc;       ///< ECC events observed during the launch
   /// Tier the launch finished on: an armed launch reports kThreaded.

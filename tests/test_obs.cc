@@ -429,8 +429,10 @@ TEST(ObsCampaign, ShardedSnapshotsMergeToUnshardedTotals) {
 TEST(ObsCampaign, TelemetryDoesNotPerturbResults) {
   // The headline guarantee: outcome tables are bit-identical with
   // observability fully enabled (registry + heartbeats) and fully absent,
-  // fast-forward counters included (gemm resumes from checkpoints).
-  for (const char* workload : {"saxpy", "gemm"}) {
+  // fast-forward counters included (gemm resumes from checkpoints), and
+  // engine.generic_warp_instrs included (histogram's atomics and SSYs run
+  // the generic lane loop; the instrumented pin reports none).
+  for (const char* workload : {"saxpy", "gemm", "histogram"}) {
     const fs::path dir = scratch_dir(std::string("bit_identical_") + workload);
     auto bare_config = base_config(workload);
     auto bare = Campaign::run(bare_config);
@@ -463,6 +465,24 @@ TEST(ObsCampaign, TelemetryDoesNotPerturbResults) {
       EXPECT_GT(
           snapshot.counters.at("campaign.fast_forward.skipped_warp_instrs"),
           0u);
+    }
+    ASSERT_EQ(snapshot.counters.count("engine.generic_warp_instrs"), 1u);
+    if (std::string(workload) == "histogram") {
+      EXPECT_GT(snapshot.counters.at("engine.generic_warp_instrs"), 0u);
+      Registry pinned_registry;
+      auto pinned_config = base_config(workload);
+      pinned_config.metrics = &pinned_registry;
+      pinned_config.engine = sim::EngineTier::kInstrumented;
+      auto pinned = Campaign::run(pinned_config);
+      ASSERT_TRUE(pinned.is_ok()) << pinned.status().to_string();
+      EXPECT_EQ(
+          pinned_registry.snapshot().counters.at("engine.generic_warp_instrs"),
+          0u);
+      ASSERT_EQ(bare.value().records.size(), pinned.value().records.size());
+      for (std::size_t i = 0; i < bare.value().records.size(); ++i) {
+        EXPECT_EQ(fi::Journal::record_line(i, bare.value().records[i]),
+                  fi::Journal::record_line(i, pinned.value().records[i]));
+      }
     }
   }
 }

@@ -494,6 +494,27 @@ TEST(CliRun, ResumeUnderADifferentCampaignExitsTwoNamingTheField) {
   std::filesystem::remove_all(dir);
 }
 
+// `gpufi campaign` refuses another campaign's journal with exit 2, as
+// `run` and `merge` do, naming the differing field.
+TEST(CliCampaign, RefusedJournalExitsTwoNamingTheField) {
+  const std::string dir =
+      ::testing::TempDir() + "gfi_campaign_refused_" + std::to_string(getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string campaign = "campaign gemm --arch=toy --mode=rf "
+                               "--injections=8 --seed=3 --journal=" +
+                               dir + "/c.jsonl";
+  ASSERT_EQ(run_gpufi(campaign), 0);
+  std::string err;
+  EXPECT_EQ(run_gpufi(campaign + " --ecc=off", &err), 2);
+  EXPECT_NE(err.find("FAILED_PRECONDITION"), std::string::npos) << err;
+  EXPECT_NE(err.find("ecc is 'rf=secded,dram=secded', campaign has "
+                     "'rf=off,dram=off'"),
+            std::string::npos)
+      << err;
+  std::filesystem::remove_all(dir);
+}
+
 // A `gpufi run` line, turned into the worker command line the supervisor
 // launches, is the campaign `gpufi campaign` runs for the same flags. One
 // row per forwarded flag, each set off its default, then all at once.

@@ -87,6 +87,15 @@ int usage() {
   return 2;
 }
 
+/// Prints a failed command's status and returns its exit code. A refusal
+/// (kFailedPrecondition: another campaign's journal or directory, an
+/// incomplete or duplicated shard set) exits 2, so scripts can tell "fix
+/// the inputs" apart from a failure (exit 1).
+int fail(const Status& status) {
+  std::fprintf(stderr, "%s\n", status.to_string().c_str());
+  return status.code() == StatusCode::kFailedPrecondition ? 2 : 1;
+}
+
 int cmd_version() {
   std::printf("gpufi %s (simd=%s)\n", kVersion, simd::backend());
   return 0;
@@ -142,10 +151,7 @@ int cmd_campaign(const Options& options) {
   metrics.counter(std::string("engine.simd.") + simd::backend()).inc();
   config.metrics = &metrics;
   auto result = fi::Campaign::run(config);
-  if (!result.is_ok()) {
-    std::fprintf(stderr, "%s\n", result.status().to_string().c_str());
-    return 1;
-  }
+  if (!result.is_ok()) return fail(result.status());
   std::string title = "Campaign: " + options.workload + " on " +
                       config.machine.name + ", " +
                       std::string(fi::to_string(config.model.mode)) + "/" +
@@ -341,11 +347,8 @@ int cmd_compare(Options options) {
   auto a = fi::Campaign::run(campaign_config(options));
   options.arch = arch::h100;
   auto h = fi::Campaign::run(campaign_config(options));
-  if (!a.is_ok() || !h.is_ok()) {
-    std::fprintf(stderr, "%s\n",
-                 (!a.is_ok() ? a.status() : h.status()).to_string().c_str());
-    return 1;
-  }
+  if (!a.is_ok()) return fail(a.status());
+  if (!h.is_ok()) return fail(h.status());
   Table table("A100 vs H100: " + options.workload);
   auto header = analysis::outcome_header();
   header[0] = "arch";
@@ -416,13 +419,7 @@ int cmd_merge(const Options& options) {
   fi::MergeOptions merge_options;
   merge_options.allow_partial = options.allow_partial;
   auto merged = fi::merge_journals(paths, merge_options);
-  if (!merged.is_ok()) {
-    std::fprintf(stderr, "%s\n", merged.status().to_string().c_str());
-    // Incomplete/duplicated shard sets are a distinct, scriptable failure:
-    // exit 2 so campaign drivers can tell "re-run some shards" apart from
-    // "these journals are corrupt" (exit 1).
-    return merged.status().code() == StatusCode::kFailedPrecondition ? 2 : 1;
-  }
+  if (!merged.is_ok()) return fail(merged.status());
   return report_merged(merged.value(), options);
 }
 
@@ -467,12 +464,7 @@ int cmd_run(Options options, const char* argv0) {
   config.worker_flags = cli::worker_flags(options);
 
   auto ran = fi::Supervisor::run(config);
-  if (!ran.is_ok()) {
-    std::fprintf(stderr, "%s\n", ran.status().to_string().c_str());
-    // A refused directory (another campaign's, or no --resume) exits 2, as
-    // a refused merge does.
-    return ran.status().code() == StatusCode::kFailedPrecondition ? 2 : 1;
-  }
+  if (!ran.is_ok()) return fail(ran.status());
   const fi::SupervisorResult& result = ran.value();
   std::printf(
       "supervisor: %llu worker launch(es), %llu crash(es), %llu stall "
