@@ -100,7 +100,7 @@ struct DecodedInstr {
   bool guarded = false;
   bool wide = false;       ///< dtype spans a register pair (U64/F64)
   /// No source is a predicate: every consulted operand is a register,
-  /// an immediate, or absent. Precondition of the threaded tier's full-warp
+  /// an immediate, or absent. Precondition of the threaded tier's
   /// ALU row kernels (operand fetch becomes a row load/broadcast).
   bool vec_srcs = false;
   OperandKind dst_kind = OperandKind::kNone;

