@@ -1,25 +1,14 @@
 // R-S1 (static analysis): static masked-fraction lower bound vs measured
-// masked rate, and the campaign wall-clock saved by pruning statically-dead
+// masked rate, and the injections saved by pruning statically-dead
 // injection sites. For each arch x workload we build the PruneMap once, then
 // run the same seeded IOV campaign twice — simulating every injection vs
 // crediting dead/inert sites analytically — and require the outcome tables
-// to be identical before reporting the speedup.
+// to be identical before reporting the pruned count.
 #include "bench_util.h"
-
-#include <chrono>
 
 #include "analysis/static_bound.h"
 #include "harden/swift.h"
 #include "sa/ace.h"
-
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-}  // namespace
 
 int main() {
   using namespace gfi;
@@ -30,9 +19,10 @@ int main() {
   benchx::banner("R-S1",
                  "Static dead-site lower bound vs dynamic masked rate");
 
-  Table table("IOV single-bit: static bound, measured rate, pruning speedup");
+  Table table(
+      "IOV single-bit: static bound, measured rate, pruned injections");
   table.set_header({"arch", "workload", "eligible", "dead%", "inert%",
-                    "static_lb", "dyn_masked", "pruned", "speedup"});
+                    "static_lb", "dyn_masked", "pruned"});
 
   bool mismatch = false;
   bool bound_violation = false;
@@ -51,15 +41,10 @@ int main() {
       const auto bound = analysis::static_masked_bound(
           map.value(), base.model.mode, base.group);
 
-      auto start = std::chrono::steady_clock::now();
       auto unpruned = benchx::must_run(base);
-      const double unpruned_s = seconds_since(start);
-
       auto pruned_config = base;
       pruned_config.prune_dead_sites = true;
-      start = std::chrono::steady_clock::now();
       auto pruned = benchx::must_run(pruned_config);
-      const double pruned_s = seconds_since(start);
 
       if (pruned.outcome_counts != unpruned.outcome_counts) {
         std::fprintf(stderr,
@@ -88,15 +73,14 @@ int main() {
            Table::pct(eligible == 0 ? 0.0 : static_cast<f64>(bound.inert) /
                                                 eligible),
            Table::pct(bound.masked_lower_bound()), Table::pct(dyn_masked),
-           std::to_string(pruned.pruned),
-           pruned_s > 0.0 ? Table::fmt(unpruned_s / pruned_s, 2) + "x" : "-"});
+           std::to_string(pruned.pruned)});
     }
   }
   benchx::emit(table, "r_s1_static");
   std::printf(
       "Expected shape: static_lb <= dyn_masked for every row (dead sites are\n"
-      "a provable subset of masked injections); speedup grows with the\n"
-      "dead+inert fraction, since those injections skip simulation entirely.\n");
+      "a provable subset of masked injections); pruned tracks the dead+inert\n"
+      "fraction, since those injections skip simulation entirely.\n");
   if (mismatch || bound_violation) return 1;
   return 0;
 }

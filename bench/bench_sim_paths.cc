@@ -6,8 +6,9 @@
 // bench measures both tiers on the same workloads — the instrumented side
 // via EngineTier::kInstrumented, which preserves the pre-refactor
 // per-instruction semantics with an empty hook vector — writes
-// BENCH_sim.json, and exits 1 when the geomean hook-free speedup drops
-// below the 1.5x CI gate. It takes no arguments (anything else exits 2).
+// BENCH_sim.json at the source-tree root, and exits 1 when the geomean
+// hook-free speedup drops below the 1.5x CI gate. It takes no arguments
+// (anything else exits 2).
 //
 // Per workload it also records injection_over_clean: the median
 // Campaign::run_single of an IOV single-bit campaign (device set-up, the
@@ -49,10 +50,12 @@ constexpr int kInjectionSamples = 41;  ///< run_single calls (and launches)
 constexpr int kCampaignSamples = 9;    ///< timed Campaign::run calls
 constexpr std::size_t kCampaignInjections = 24;
 constexpr sim::EngineTier kTier = sim::EngineTier::kThreaded;
+constexpr const char* kJsonPath = GFI_SOURCE_DIR "/BENCH_sim.json";
 
 // The empty-hook inner-loop throughput of the engine before the decode/
-// execute split (bench_perf_sim, gemm on the A100 model, this machine
-// class): the acceptance reference the hook-free path must beat by >= 2x.
+// execute split (the former bench_perf_sim, gemm on the A100 model, this
+// machine class): the acceptance reference the hook-free path must beat by
+// >= 2x.
 constexpr double kPreRefactorGemmRate = 2.168e6;
 
 double min_ms() {
@@ -273,9 +276,9 @@ int main(int argc, char** argv) {
   std::printf("gemm hook-free path vs pre-refactor empty-hook loop: %.2fx\n",
               vs_pre_refactor);
 
-  FILE* out = std::fopen("BENCH_sim.json", "w");
+  FILE* out = std::fopen(kJsonPath, "w");
   if (!out) {
-    std::fprintf(stderr, "cannot write BENCH_sim.json\n");
+    std::fprintf(stderr, "cannot write %s\n", kJsonPath);
     return 1;
   }
   std::fprintf(out,

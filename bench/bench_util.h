@@ -2,10 +2,13 @@
 //
 // Each binary regenerates one table/figure of the reconstructed evaluation
 // plan (see DESIGN.md): it runs the campaigns it needs, prints the rows as
-// an aligned ASCII table, and writes a CSV next to the working directory.
+// an aligned ASCII table, and writes a CSV into the source tree's results/
+// directory, whatever the working directory. `cmake --build build --target
+// results` reruns every CSV bench at its defaults.
 //
 // GFI_INJECTIONS=<n> scales every campaign's injection count (default 300)
-// so the suite can be run quickly (100) or to tighter CIs (2000).
+// so the suite can be run quickly (100) or to tighter CIs (2000); the
+// committed results/ files are the default count.
 #pragma once
 
 #include <cstdio>
@@ -73,11 +76,17 @@ inline void banner(const char* exp_id, const char* title) {
   std::printf("==================================================================\n\n");
 }
 
-/// Prints the table and also writes `<csv_name>.csv` in the working dir.
+/// Prints the table and writes `results/<csv_name>.csv` in the source tree;
+/// a failed write exits 1, so a stale committed CSV cannot pass for fresh.
 inline void emit(Table& table, const std::string& csv_name) {
   table.print();
   std::printf("\n");
-  (void)table.write_csv(csv_name + ".csv");
+  const Status written =
+      table.write_csv(GFI_SOURCE_DIR "/results/" + csv_name + ".csv");
+  if (!written.is_ok()) {
+    std::fprintf(stderr, "%s\n", written.to_string().c_str());
+    std::exit(1);
+  }
 }
 
 }  // namespace gfi::benchx
