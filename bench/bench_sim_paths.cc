@@ -30,10 +30,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "arch/arch.h"
+#include "common/parse.h"
 #include "common/simd.h"
 #include "fi/campaign.h"
 #include "obs/registry.h"
@@ -58,12 +60,20 @@ constexpr const char* kJsonPath = GFI_SOURCE_DIR "/BENCH_sim.json";
 // >= 2x.
 constexpr double kPreRefactorGemmRate = 2.168e6;
 
+/// The per-workload time floor in ms: GFI_BENCH_MIN_MS, a positive
+/// decimal integer, else the bench exits 2 before running anything.
 double min_ms() {
-  if (const char* env = std::getenv("GFI_BENCH_MIN_MS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) return static_cast<double>(parsed);
+  const char* env = std::getenv("GFI_BENCH_MIN_MS");
+  if (env == nullptr) return 300.0;
+  const std::optional<u64> parsed = parse_u64(env);
+  if (!parsed || *parsed == 0) {
+    std::fprintf(stderr,
+                 "bad GFI_BENCH_MIN_MS '%s' (want a positive decimal "
+                 "integer)\n",
+                 env);
+    std::exit(2);
   }
-  return 300.0;
+  return static_cast<double>(*parsed);
 }
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -203,10 +213,11 @@ struct PathRates {
   }
 };
 
-PathRates measure(const std::string& name, const sim::MachineConfig& machine) {
+PathRates measure(const std::string& name, const sim::MachineConfig& machine,
+                  double floor_ms) {
   Bench bench(name, machine);
   (void)bench.timed_window(kTier, 0.0);  // warm-up: decode cache + allocator
-  const double window_s = min_ms() / 1e3 / (2 * kTrials);
+  const double window_s = floor_ms / 1e3 / (2 * kTrials);
   PathRates best;
   for (int trial = 0; trial < kTrials; ++trial) {
     best.threaded =
@@ -228,6 +239,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown argument '%s'\n", argv[1]);
     return 2;
   }
+  const double floor_ms = min_ms();
 
   // gemm dominates (deep FP inner loop); the others add divergence-, guard-,
   // and memory-heavy instruction mixes so neither path gets a shape it
@@ -247,7 +259,7 @@ int main(int argc, char** argv) {
   double log_speedup_sum = 0.0;
   double gemm_threaded = 0.0;
   for (const std::string& name : workloads) {
-    const PathRates rates = measure(name, machine);
+    const PathRates rates = measure(name, machine, floor_ms);
     std::printf("%-12s %15.0f %15.0f %8.2fx %9.2fx %9.2fx\n", name.c_str(),
                 rates.threaded, rates.instrumented, rates.speedup(),
                 rates.injection_over_clean,

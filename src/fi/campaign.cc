@@ -190,10 +190,15 @@ Result<Campaign::Golden> Campaign::golden_run(const CampaignConfig& config) {
   // Profile natively (LaunchOptions::profile) instead of via ProfilerHook:
   // with no hooks attached the golden run stays on the hook-free tier.
   // The engine's counts are identical to the hook's.
-  sim::Profile profile;
+  Golden golden;
   sim::LaunchOptions options;
-  options.profile = &profile;
+  options.profile = &golden.profile;
+  golden.grid.step = kStrikeGridStep;
+  options.issue_grid = &golden.grid;
   options.engine = config.engine;
+  golden.state_bytes = sim::launch_state_bytes(
+      config.machine, workload->program(), spec.value().grid,
+      spec.value().block, device.memory().bytes_allocated());
   auto launch = device.launch(workload->program(), spec.value().grid,
                               spec.value().block, spec.value().params, options);
   if (!launch.is_ok()) return launch.status();
@@ -210,8 +215,6 @@ Result<Campaign::Golden> Campaign::golden_run(const CampaignConfig& config) {
                             std::to_string(checked.value().result.max_rel_err) +
                             ")");
   }
-  Golden golden;
-  golden.profile = profile;
   golden.dyn_instrs = launch.value().dyn_warp_instrs;
   golden.cycles = launch.value().cycles;
   return golden;
@@ -300,6 +303,11 @@ struct InjectionContext {
   wl::LaunchSpec spec;
   std::shared_ptr<const Snapshot> start;
   bool fresh = true;  ///< nothing has run since setup
+  /// Strike order: the golden-prefix checkpoint at the grid mark before
+  /// the strike of the last run that captured one, and that run's strike
+  /// bucket (0 while none is kept).
+  sim::LaunchCheckpoint kept;
+  std::size_t kept_bucket = 0;
 };
 
 /// Sets a context up. Setup is deterministic, so every context of a
@@ -339,17 +347,18 @@ struct RetryVerdict {
 
 /// Campaign-scoped fast-forward state, shared by the workers of one
 /// Campaign::run: a free-list of injection contexts (at most one per
-/// worker), their shared checkpoint 0, the golden-prefix checkpoint table
-/// their armed launches fill and resume from, and the verdict of the first
-/// transient retry, which answers the later ones. Sized by the first
-/// context: see fast_forward_checkpoints().
+/// worker), their shared checkpoint 0, the golden issue grid their armed
+/// launches capture checkpoints on when the campaign runs in strike order,
+/// and the verdict of the first transient retry, which answers the later
+/// ones.
 class FastForward {
  public:
-  FastForward(const CampaignConfig& config, u64 golden_dyn_instrs,
+  /// `grid` is null unless armed launches keep checkpoints.
+  FastForward(const CampaignConfig& config, const sim::IssueGrid* grid,
               std::size_t workers, obs::Registry& reg)
       : config_(config),
-        golden_dyn_instrs_(golden_dyn_instrs),
-        workers_(workers),
+        grid_(grid),
+        map_pages_(workers > 1),
         checkpoints_(reg.counter("campaign.fast_forward.checkpoints")),
         skipped_(reg.counter("campaign.fast_forward.skipped_warp_instrs")),
         resumed_retries_(
@@ -369,18 +378,11 @@ class FastForward {
     }
     auto made = make_context(config_, std::move(start));
     if (!made.is_ok()) return made.status();
+    // Several workers keep their checkpoints in mapped pages: each worker's
+    // malloc arena would keep the high-water mark of its heap images.
+    made.value()->kept.image = sim::ImageBuffer(0, map_pages_);
     std::lock_guard<std::mutex> lock(mutex_);
     if (!start_) start_ = made.value()->start;
-    if (!table_) {
-      const InjectionContext& context = *made.value();
-      const u64 state = sim::launch_state_bytes(
-          config_.machine, context.workload->program(), context.spec.grid,
-          context.spec.block, context.device.memory().bytes_allocated());
-      table_ = std::make_unique<sim::CheckpointTable>(
-          sim::CheckpointTable::even_marks(
-              golden_dyn_instrs_, fast_forward_checkpoints(state, workers_)),
-          workers_ > 1);
-    }
     return made;
   }
 
@@ -389,8 +391,8 @@ class FastForward {
     free_.push_back(std::move(context));
   }
 
-  /// Valid once a context has been acquired.
-  [[nodiscard]] sim::CheckpointTable& table() { return *table_; }
+  /// The golden issue grid, or null when no checkpoint is kept.
+  [[nodiscard]] const sim::IssueGrid* grid() const { return grid_; }
 
   /// The first transient retry's verdict, or nullopt until one has run.
   [[nodiscard]] std::optional<RetryVerdict> retry_verdict() {
@@ -404,31 +406,27 @@ class FastForward {
     if (!verdict_) verdict_ = verdict;
   }
 
-  /// Telemetry, never journaled: warp instructions a resumed launch or an
-  /// answered retry did not run, the retries answered, and (once the
-  /// campaign is done) the mid-launch checkpoints captured. All are per
-  /// campaign: shards fill their own tables, and with several workers what
-  /// an injection skips depends on which checkpoints exist when it starts.
+  /// Telemetry, never journaled: checkpoints captured, warp instructions a
+  /// resumed launch or an answered retry did not run, and the retries
+  /// answered. All are per campaign: with several workers what an
+  /// injection skips depends on what its context kept.
+  void captured() { checkpoints_.inc(); }
   void skipped(u64 warp_instrs) { skipped_.inc(warp_instrs); }
   void resumed_retry(u64 warp_instrs) {
     resumed_retries_.inc();
     skipped_.inc(warp_instrs);
   }
-  void publish() {
-    if (table_) checkpoints_.inc(table_->filled());
-  }
 
  private:
   const CampaignConfig& config_;
-  u64 golden_dyn_instrs_;
-  std::size_t workers_;
+  const sim::IssueGrid* grid_;
+  bool map_pages_;
   obs::Counter& checkpoints_;
   obs::Counter& skipped_;
   obs::Counter& resumed_retries_;
   std::mutex mutex_;
   std::vector<std::unique_ptr<InjectionContext>> free_;
   std::shared_ptr<const Snapshot> start_;  ///< checkpoint 0, shared
-  std::unique_ptr<sim::CheckpointTable> table_;
   std::optional<RetryVerdict> verdict_;
 };
 
@@ -494,17 +492,21 @@ Result<InjectionRecord> run_injection(
   InjectionRecord record;
   record.site = site.value();
 
-  // Fast-forward: an armed first attempt (hooked mode, engine not pinned)
-  // resumes from the latest golden-prefix checkpoint before its strike and
-  // fills the table's empty slots on its way there. Everything else starts
-  // from checkpoint 0, the post-setup snapshot.
+  // Fast-forward: in strike order an armed first attempt resumes from the
+  // checkpoint its context kept unless that lies past its strike, and
+  // captures the mark before its strike in its place unless the kept one
+  // is already there. Everything else starts from checkpoint 0, the
+  // post-setup snapshot.
   const std::optional<sim::StrikeRequest> strike =
       InjectorHook(site.value(), device.config()).strike_request();
-  const bool armed_tier = config.engine != sim::EngineTier::kInstrumented;
-  sim::CheckpointTable* table =
-      ff && strike && armed_tier ? &ff->table() : nullptr;
-  std::shared_ptr<const sim::LaunchCheckpoint> resume;
-  if (table) resume = table->nearest(*strike);
+  const sim::IssueGrid* grid = ff && strike ? ff->grid() : nullptr;
+  const std::size_t bucket = grid ? grid->bucket(*strike) : 0;
+  const sim::LaunchCheckpoint* resume = nullptr;
+  if (grid && context->kept_bucket > 0 &&
+      context->kept.issues(strike->groups) <= strike->occurrence) {
+    resume = &context->kept;
+  }
+  const bool capture = bucket > 0 && bucket != context->kept_bucket;
   if (resume) {
     ff->skipped(resume->dyn_warp);
   } else if (!context->fresh) {
@@ -564,8 +566,11 @@ Result<InjectionRecord> run_injection(
       options.hooks.push_back(&injector);
     }
     if (attempt == 0) {
-      options.checkpoints = table;
-      options.resume_from = resume.get();
+      options.resume_from = resume;
+      if (capture) {
+        options.capture = &context->kept;
+        options.capture_at = grid->mark_at(bucket - 1);
+      }
     }
 
     auto launch = device.launch(workload.program(), spec.grid, spec.block,
@@ -575,6 +580,10 @@ Result<InjectionRecord> run_injection(
       tier_counter[static_cast<int>(launch.value().tier_used)]->inc();
       if (launch.value().downgraded) tier_downgrades->inc();
       generic_warp_instrs->inc(launch.value().generic_warp_instrs);
+    }
+    if (launch.value().captured) {
+      context->kept_bucket = bucket;
+      ff->captured();
     }
     if (attempt == 0) {
       if (memory_mode) {
@@ -679,10 +688,27 @@ Result<InjectionRecord> run_injection(
 
 }  // namespace
 
-u32 fast_forward_checkpoints(u64 state_bytes, std::size_t workers) {
-  const u64 fit = kFastForwardBytes / std::max<u64>(state_bytes, 1);
-  if (fit <= workers) return 0;
-  return static_cast<u32>(std::min<u64>(fit - workers, kMaxCheckpoints));
+bool strike_ordered(const CampaignConfig& config,
+                    const Campaign::Golden& golden, std::size_t workers) {
+  return config.model.mode != InjectionMode::kMemory &&
+         2 * static_cast<u64>(workers) * golden.state_bytes <=
+             kFastForwardBytes;
+}
+
+std::size_t strike_bucket(const CampaignConfig& config,
+                          const Campaign::Golden& golden, u64 run_index,
+                          const PlanEvent* alloc) {
+  const u64 b0 =
+      alloc ? alloc->checkpoint * config.planner.checkpoint_every : 0;
+  const std::optional<sim::InstrGroup> stratum =
+      alloc ? Planner::group_for(*alloc, run_index - b0) : std::nullopt;
+  Rng rng = Rng::for_stream(config.seed, run_index);
+  auto site =
+      sample_site(config, golden.profile, golden.dyn_instrs, rng, stratum);
+  if (!site.is_ok()) return 0;
+  const auto strike =
+      InjectorHook(site.value(), config.machine).strike_request();
+  return strike ? golden.grid.bucket(*strike) : 0;
 }
 
 Result<InjectionRecord> Campaign::run_single(
@@ -909,7 +935,29 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
   std::vector<Status> errors(result.run_indices.size());
   std::vector<u8> pruned_flags(result.run_indices.size(), 0);
   ThreadPool pool(config.threads);
-  FastForward ff(config, result.golden_dyn_instrs, pool.size(), reg);
+  // Strike order (DESIGN.md §4.14): pending injections run by the grid
+  // bucket of their strike, then index, so each worker's next strike lies
+  // at or past the checkpoint its context kept. The order is the same on
+  // every tier; only armed launches keep checkpoints.
+  const bool by_strike = strike_ordered(config, golden.value(), pool.size());
+  FastForward ff(config,
+                 by_strike && config.engine != sim::EngineTier::kInstrumented
+                     ? &golden.value().grid
+                     : nullptr,
+                 pool.size(), reg);
+  auto strike_sort = [&](std::vector<std::size_t>& slots,
+                         const PlanEvent* alloc) {
+    if (!by_strike) return;
+    std::vector<std::pair<std::size_t, std::size_t>> keyed;  // bucket, slot
+    keyed.reserve(slots.size());
+    for (const std::size_t slot : slots) {
+      keyed.emplace_back(strike_bucket(config, golden.value(),
+                                       result.run_indices[slot], alloc),
+                         slot);
+    }
+    std::sort(keyed.begin(), keyed.end());
+    for (std::size_t k = 0; k < keyed.size(); ++k) slots[k] = keyed[k].second;
+  };
 
   // One injection slot: sample, simulate (or credit), journal, measure.
   // `stratum` pins the instruction group under a stratified allocation.
@@ -956,10 +1004,14 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
   };
 
   if (!config.planner.active()) {
-    // Classic fixed budget: one flat fan-out over the whole slice. This
-    // path is byte-identical to pre-planner builds.
-    pool.parallel_for(result.run_indices.size(), [&](std::size_t slot) {
-      run_slot(slot, std::nullopt);
+    // Classic fixed budget: one flat fan-out over the pending slots.
+    std::vector<std::size_t> order;
+    for (std::size_t slot = 0; slot < result.run_indices.size(); ++slot) {
+      if (!done[slot]) order.push_back(slot);
+    }
+    strike_sort(order, nullptr);
+    pool.parallel_for(order.size(), [&](std::size_t k) {
+      run_slot(order[k], std::nullopt);
     });
     result.effective_injections = config.num_injections;
   } else {
@@ -1070,8 +1122,10 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
       }
       if (alloc) allocs_used.push_back(*alloc);
 
-      pool.parallel_for(block_slots.size(), [&](std::size_t b) {
-        const std::size_t slot = block_slots[b];
+      std::vector<std::size_t> order = block_slots;
+      strike_sort(order, alloc ? &*alloc : nullptr);
+      pool.parallel_for(order.size(), [&](std::size_t b) {
+        const std::size_t slot = order[b];
         run_slot(slot,
                  alloc ? Planner::group_for(*alloc,
                                             result.run_indices[slot] - b0)
@@ -1159,9 +1213,18 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
     }
   }
 
-  ff.publish();
   for (const Status& status : errors) {
     if (!status.is_ok()) return status;
+  }
+  // Records were appended in strike order: the finished journal lists them
+  // as a run in index order appends them, the bytes a merge of its shards
+  // writes (exactly so under one worker, whose order is deterministic).
+  if (writer && by_strike) {
+    writer.reset();
+    if (Status sorted = Journal::sort_records(*config.journal_path);
+        !sorted.is_ok()) {
+      return sorted;
+    }
   }
   for (u8 flag : pruned_flags) result.pruned += flag;
 

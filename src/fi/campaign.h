@@ -5,8 +5,9 @@
 //             pool; every run strikes exactly one fault at a uniformly
 //             sampled eligible site and is classified against the golden
 //             outcome. Each worker sets the workload up once and restores
-//             it before every run, which starts from the latest
-//             golden-prefix checkpoint before its strike (DESIGN.md §4.14).
+//             it before every run. Where the launch state fits, runs go in
+//             strike order and each worker resumes from the golden-prefix
+//             checkpoint its previous run kept (DESIGN.md §4.14).
 //             A transient retry is the golden launch again: the first
 //             one's verdict answers the campaign's later ones.
 //
@@ -273,20 +274,14 @@ struct CampaignResult {
 };
 
 /// Launch state (device memory plus resident registers and shared memory)
-/// a campaign may hold for fast-forward: its stored golden-prefix
-/// checkpoints plus one live launch per worker. One saxpy_swift injection
-/// alone holds 2.5 MiB, so with 2 MiB no campaign holds more launch state
-/// than such an injection already did before checkpoints existed.
+/// a campaign may hold for fast-forward: one live launch and one kept
+/// golden-prefix checkpoint per worker. One saxpy_swift injection alone
+/// holds 2.5 MiB, so with 2 MiB no campaign holds more launch state than
+/// such an injection already did before checkpoints existed.
 inline constexpr u64 kFastForwardBytes = u64{2} << 20;
-/// Upper bound on the mid-launch checkpoints of one campaign.
-inline constexpr u32 kMaxCheckpoints = 16;
-
-/// Mid-launch checkpoints a campaign keeps for a launch whose state takes
-/// `state_bytes` (sim::launch_state_bytes), run by `workers` threads: the
-/// largest K <= kMaxCheckpoints with (K + workers) * state_bytes within
-/// kFastForwardBytes, or 0.
-[[nodiscard]] u32 fast_forward_checkpoints(u64 state_bytes,
-                                           std::size_t workers);
+/// Spacing, in warp instructions, of the golden issue grid (Golden::grid):
+/// the marks a kept checkpoint sits at.
+inline constexpr u64 kStrikeGridStep = 64;
 
 class Campaign {
  public:
@@ -322,8 +317,31 @@ class Campaign {
     sim::Profile profile;
     u64 dyn_instrs = 0;
     u64 cycles = 0;
+    /// Per-group issue counts every kStrikeGridStep warp instructions:
+    /// where each injection's strike falls (strike_bucket).
+    sim::IssueGrid grid;
+    /// sim::launch_state_bytes of the launch: what one live launch or one
+    /// checkpoint of it holds.
+    u64 state_bytes = 0;
   };
   static Result<Golden> golden_run(const CampaignConfig& config);
 };
+
+/// Whether Campaign::run with `workers` threads runs `config` in strike
+/// order (DESIGN.md §4.14): its mode strikes an instruction (every mode
+/// but memory), and one live launch plus one kept checkpoint per worker,
+/// 2 x workers x golden.state_bytes, fit kFastForwardBytes.
+[[nodiscard]] bool strike_ordered(const CampaignConfig& config,
+                                  const Campaign::Golden& golden,
+                                  std::size_t workers);
+
+/// The strike-order key of global injection `run_index`, whose planner
+/// block has the stratified allocation `alloc` (null without one): how
+/// many marks of golden.grid lie before its strike, 0 when its site cannot
+/// be sampled. Campaign::run runs a strike-ordered slice, or planner
+/// block, by (bucket, index).
+[[nodiscard]] std::size_t strike_bucket(const CampaignConfig& config,
+                                        const Campaign::Golden& golden,
+                                        u64 run_index, const PlanEvent* alloc);
 
 }  // namespace gfi::fi

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -9,9 +10,13 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <sstream>
+#include <string_view>
+#include <tuple>
 
 #include "common/failpoint.h"
 #include "common/jsonl.h"
+#include "common/parse.h"
 #include "ecc/protection.h"
 #include "fi/planner.h"
 
@@ -770,8 +775,11 @@ Result<MergedCampaign> merge_journals(const std::vector<std::string>& paths,
   return merged;
 }
 
-Status write_merged_journal(const std::string& path,
-                            const MergedCampaign& merged) {
+namespace {
+
+/// Writes `content` to `path` through a temp file and a rename, so a crash
+/// never leaves a torn file there.
+Status write_atomically(const std::string& path, const std::string& content) {
   const std::string tmp = path + ".tmp-" + std::to_string(::getpid());
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
@@ -779,38 +787,7 @@ Status write_merged_journal(const std::string& path,
       return Status::internal("cannot create " + tmp + ": " +
                               std::strerror(errno));
     }
-    out << Journal::header_line(merged.header) << '\n';
-    // Interleave plan lines exactly the way a live campaign journals them —
-    // an allocation line precedes its block's records, the stop line comes
-    // last — so a complete merge of an adaptive campaign is byte-identical
-    // to the unsharded journal.
-    std::map<u64, const PlanEvent*> pending_allocs;
-    const PlanEvent* stop = nullptr;
-    for (const PlanEvent& event : merged.plan) {
-      if (event.kind == PlanEvent::Kind::kAlloc) {
-        pending_allocs[event.checkpoint] = &event;
-      } else {
-        stop = &event;
-      }
-    }
-    const u64 ckpt = merged.header.planner.checkpoint_every;
-    for (std::size_t k = 0; k < merged.records.size(); ++k) {
-      if (ckpt > 0) {
-        while (!pending_allocs.empty() &&
-               pending_allocs.begin()->first * ckpt <= merged.indices[k]) {
-          out << plan_event_line(*pending_allocs.begin()->second) << '\n';
-          pending_allocs.erase(pending_allocs.begin());
-        }
-      }
-      out << Journal::record_line(merged.indices[k], merged.records[k])
-          << '\n';
-    }
-    // A partial merge can leave allocations whose records are all missing;
-    // they still belong in the file, before the stop line.
-    for (const auto& [c, event] : pending_allocs) {
-      out << plan_event_line(*event) << '\n';
-    }
-    if (stop != nullptr) out << plan_event_line(*stop) << '\n';
+    out << content;
     out.flush();
     if (!out) {
       std::error_code ec;
@@ -827,6 +804,95 @@ Status write_merged_journal(const std::string& path,
                             ec.message());
   }
   return Status::ok();
+}
+
+}  // namespace
+
+Status write_merged_journal(const std::string& path,
+                            const MergedCampaign& merged) {
+  std::string out = Journal::header_line(merged.header) + '\n';
+  // Interleave plan lines exactly the way a live campaign journals them —
+  // an allocation line precedes its block's records, the stop line comes
+  // last — so a complete merge of an adaptive campaign is byte-identical
+  // to the unsharded journal.
+  std::map<u64, const PlanEvent*> pending_allocs;
+  const PlanEvent* stop = nullptr;
+  for (const PlanEvent& event : merged.plan) {
+    if (event.kind == PlanEvent::Kind::kAlloc) {
+      pending_allocs[event.checkpoint] = &event;
+    } else {
+      stop = &event;
+    }
+  }
+  const u64 ckpt = merged.header.planner.checkpoint_every;
+  for (std::size_t k = 0; k < merged.records.size(); ++k) {
+    if (ckpt > 0) {
+      while (!pending_allocs.empty() &&
+             pending_allocs.begin()->first * ckpt <= merged.indices[k]) {
+        out += plan_event_line(*pending_allocs.begin()->second) + '\n';
+        pending_allocs.erase(pending_allocs.begin());
+      }
+    }
+    out += Journal::record_line(merged.indices[k], merged.records[k]) + '\n';
+  }
+  // A partial merge can leave allocations whose records are all missing;
+  // they still belong in the file, before the stop line.
+  for (const auto& [c, event] : pending_allocs) {
+    out += plan_event_line(*event) + '\n';
+  }
+  if (stop != nullptr) out += plan_event_line(*stop) + '\n';
+  return write_atomically(path, out);
+}
+
+Status Journal::sort_records(const std::string& path) {
+  std::string data;
+  {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) return Status::internal("cannot read journal " + path);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    data = std::move(buffer).str();
+  }
+  // Every line but the header, keyed by its record index; a plan line
+  // closes the run of records before it.
+  struct Line {
+    u64 run = 0;
+    u64 index = 0;
+    std::string_view text;
+    bool operator<(const Line& other) const {
+      return std::tie(run, index) < std::tie(other.run, other.index);
+    }
+  };
+  std::vector<Line> lines;
+  const std::size_t body = data.find('\n') + 1;
+  u64 run = 0;
+  for (std::size_t at = body; at < data.size();) {
+    const std::size_t end = data.find('\n', at) + 1;
+    if (end == 0) return Status::internal("journal " + path + " is torn");
+    Line line{run, 0, std::string_view(data).substr(at, end - at)};
+    if (is_plan_line(data.substr(at, end - at - 1))) {
+      line.run = ++run;
+      ++run;
+    } else {
+      // record_line opens with the index: {"i":<n>,
+      constexpr std::string_view kKey = "{\"i\":";
+      const std::string_view text = line.text;
+      const std::size_t comma = text.find(',');
+      const std::optional<u64> index =
+          text.starts_with(kKey) && comma != std::string_view::npos
+              ? parse_u64(text.substr(kKey.size(), comma - kKey.size()))
+              : std::nullopt;
+      if (!index) return Status::internal("journal " + path + " is corrupt");
+      line.index = *index;
+    }
+    lines.push_back(line);
+    at = end;
+  }
+  if (std::is_sorted(lines.begin(), lines.end())) return Status::ok();
+  std::stable_sort(lines.begin(), lines.end());
+  std::string out = data.substr(0, body);
+  for (const Line& line : lines) out += line.text;
+  return write_atomically(path, out);
 }
 
 }  // namespace gfi::fi

@@ -119,6 +119,13 @@ class Journal {
   /// no complete header line exists.
   static Result<JournalContents> load(const std::string& path);
 
+  /// Rewrites the complete journal at `path` with every run of record
+  /// lines between plan lines in global index order (first-wins duplicates
+  /// keep their order), unless it already is: the bytes a run in index
+  /// order writes. Campaign::run sorts a journal it ran in strike order
+  /// once the campaign is done.
+  static Status sort_records(const std::string& path);
+
   // Serialization primitives (exposed for tests and the merge tool).
   static std::string header_line(const JournalHeader& header,
                                  HeaderMagic magic = kJournalMagic);

@@ -124,14 +124,36 @@ std::set<u64> journaled_indices(const std::string& path) {
   return indices;
 }
 
-/// Lowest index of shard `s`'s slice not yet journaled — for a crashed
-/// single-threaded worker (FIFO pool), the injection it died executing.
-std::optional<u64> lowest_unjournaled(u64 n, u32 shards, u32 s,
-                                      const std::set<u64>& done) {
-  for (u64 i = s; i < n; i += shards) {
-    if (done.find(i) == done.end()) return i;
+/// The injection a crashed worker of shard `s` died executing. Its one
+/// thread (FIFO pool) runs the slice's unjournaled indices in index order
+/// or, when the campaign is strike-ordered, by (strike bucket, index)
+/// within the first unfinished planner block of `block` indices (0: no
+/// planner, the whole slice is one block); `allocs` are the published
+/// allocations a stratified block draws its strata from.
+std::optional<u64> crash_candidate(const CampaignConfig& campaign,
+                                   const Campaign::Golden& golden, u32 shards,
+                                   u32 s, const std::set<u64>& done, u64 block,
+                                   const std::map<u64, PlanEvent>& allocs) {
+  const u64 n = campaign.num_injections;
+  std::optional<u64> first;
+  for (u64 i = s; i < n && !first; i += shards) {
+    if (done.find(i) == done.end()) first = i;
   }
-  return std::nullopt;
+  if (!first || !strike_ordered(campaign, golden, 1)) return first;
+  const u64 b0 = block ? *first / block * block : 0;
+  const u64 b1 = block ? std::min(b0 + block, n) : n;
+  const PlanEvent* alloc = nullptr;
+  if (campaign.planner.stratify) {
+    const auto it = allocs.find(b0 / block);
+    if (it == allocs.end()) return first;  // the block cannot have started
+    alloc = &it->second;
+  }
+  std::pair<std::size_t, u64> best{~std::size_t{0}, *first};
+  for (u64 i = *first; i < b1; i += shards) {
+    if (done.find(i) != done.end()) continue;
+    best = std::min(best, {strike_bucket(campaign, golden, i, alloc), i});
+  }
+  return best.second;
 }
 
 /// Append-only flushed event log mirroring the journal's crash-safety
@@ -209,8 +231,9 @@ Result<pid_t> spawn_worker(const SupervisorConfig& config, u32 shard,
   argv.push_back(config.campaign.workload);
   for (const std::string& flag : config.worker_flags) argv.push_back(flag);
   // Supervisor-owned flags last, so they win over anything in worker_flags.
-  // --threads=1 is load-bearing: the poison-candidate heuristic (lowest
-  // unjournaled index == crash point) needs in-order execution.
+  // --threads=1 is load-bearing: the poison-candidate heuristic (first
+  // unjournaled index in run order == crash point, crash_candidate) needs
+  // one injection in flight.
   argv.push_back("--threads=1");
   argv.push_back("--shard=" + std::to_string(shard) + "/" +
                  std::to_string(config.shards));
@@ -393,8 +416,14 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
   auto handle_crash = [&](ShardState& shard, int exit_code) {
     const std::set<u64> done = journaled_indices(journal_of(shard.index));
     const bool progress = done.size() > shard.records_at_launch;
-    const std::optional<u64> candidate = lowest_unjournaled(
-        num_injections, config.shards, shard.index, done);
+    std::map<u64, PlanEvent> allocs;
+    if (campaign.planner.stratify) {
+      auto plan = load_plan_file(ppath, campaign, golden);
+      if (plan.is_ok()) allocs = std::move(plan.value().allocs);
+    }
+    const std::optional<u64> candidate = crash_candidate(
+        campaign, golden, config.shards, shard.index, done,
+        planner ? planner->checkpoint_every() : 0, allocs);
     if (candidate && shard.poison_candidate == candidate) {
       ++shard.poison_streak;
     } else {

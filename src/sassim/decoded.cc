@@ -57,6 +57,12 @@ Handler lower_one(const DecodedInstr& d) {
     case Opcode::kBra:  return Handler::kBra;
     case Opcode::kSync: return Handler::kSync;
     case Opcode::kBar:  return Handler::kBar;
+    case Opcode::kSsy:  return Handler::kSsy;
+    case Opcode::kAtomS:
+      return d.mem_width == 4 && !d.wide && d.vec_srcs &&
+                     d.src[0].kind == OperandKind::kReg
+                 ? Handler::kAtomsRow
+                 : Handler::kGeneric;
     case Opcode::kLdg:
       return row_mem_eligible(d) ? Handler::kLdgRow : Handler::kGeneric;
     case Opcode::kStg:

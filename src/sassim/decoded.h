@@ -39,6 +39,7 @@ enum class Handler : u8 {
   kBra,
   kSync,
   kBar,
+  kSsy,
 
   // ALU row kernels (exec_vec.h), decode-proven eligible (vec_srcs,
   // dtype/width restrictions). They run under any exec mask: thr::alu
@@ -69,6 +70,10 @@ enum class Handler : u8 {
   kStgRow,
   kLdsRow,
   kStsRow,
+  /// Shared atomic (width 4, register address, register/immediate
+  /// operands), applied lane by lane in lane order. Runtime check: every
+  /// executing lane aligned and in bounds.
+  kAtomsRow,
 };
 
 /// One resolved operand: the payload of `Operand` without any need to

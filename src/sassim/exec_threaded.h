@@ -7,15 +7,16 @@
 // ALU ops, S2R, LDC and 64-bit MOV run the exec_vec.h row kernels under any
 // exec mask: a row kernel cannot trap and writes only its destination
 // row(s) or predicate bits, so thr::alu runs it over all 32 lanes and puts
-// back the lanes outside the mask (masked row rule). Memory rows run
-// their kernel on the executing lanes once it has proven none of them can
-// trap; a zero-lane access only advances the pc. What is left falls back
-// to the generic per-lane loop in Engine::dispatch, counted in
+// back the lanes outside the mask (masked row rule). Memory rows (shared
+// atomics included, lane by lane in lane order) run their kernel on the
+// executing lanes once it has proven none of them can trap; a zero-lane
+// access only advances the pc. What is left falls back to the generic
+// per-lane loop in Engine::dispatch, counted in
 // LaunchResult::generic_warp_instrs: a memory row that could trap or meets
 // a pending memory fault, LDC with an out-of-range index, and the ops no
-// handler covers (atomics, SSY, SHFL, VOTE, HMMA, MUFU, conversions other
-// than I2F, 64-bit arithmetic, predicate sources, narrow or wide memory
-// accesses). Results, traps, cycles, and dynamic-instruction counts are
+// handler covers (global atomics, SHFL, VOTE, HMMA, MUFU, conversions
+// other than I2F, 64-bit arithmetic, predicate sources, narrow or wide
+// memory accesses). Results, traps, cycles, and dynamic-instruction counts are
 // bit-identical to the instrumented tier (tests/test_exec_rows.cc and
 // tests/test_exec_paths.cc assert it; CI diffs campaign journals
 // byte-for-byte).
@@ -196,6 +197,17 @@ inline TrapKind h_sync(EngineT& eng, CtaT& cta, WarpState& warp,
   } else {
     ++warp.pc;  // emptied divergence entry: fall through
   }
+  return TrapKind::kNone;
+}
+
+/// Mirrors the generic dispatcher's SSY case: it pushes the active mask
+/// whatever the guard.
+template <typename EngineT, typename CtaT>
+inline TrapKind h_ssy(EngineT& eng, [[maybe_unused]] CtaT& cta,
+                      WarpState& warp, const DecodedInstr& instr) {
+  (void)account(eng, warp, instr);
+  warp.stack().push_back({warp.active(), instr.target, StackEntry::Kind::kSsy});
+  ++warp.pc;
   return TrapKind::kNone;
 }
 
@@ -388,6 +400,14 @@ inline TrapKind h_sts_row(EngineT& eng, CtaT& cta, WarpState& warp,
   });
 }
 
+template <typename EngineT, typename CtaT>
+inline TrapKind h_atoms_row(EngineT& eng, CtaT& cta, WarpState& warp,
+                            const DecodedInstr& instr) {
+  return mem_row(eng, cta, warp, instr, [&](u32 exec) {
+    return atoms_row(warp, instr, cta.shared.data(), cta.shared.size(), exec);
+  });
+}
+
 }  // namespace thr
 
 /// One dynamic warp instruction on the threaded tier: direct dispatch on
@@ -403,6 +423,7 @@ inline TrapKind threaded_dispatch(EngineT& eng, CtaT& cta, WarpState& warp,
     case Handler::kBra:       return h_bra(eng, cta, warp, instr);
     case Handler::kSync:      return h_sync(eng, cta, warp, instr);
     case Handler::kBar:       return h_bar(eng, cta, warp, instr);
+    case Handler::kSsy:       return h_ssy(eng, cta, warp, instr);
     case Handler::kMov:       return h_mov(eng, cta, warp, instr);
     case Handler::kMov64:     return h_mov64(eng, cta, warp, instr);
     case Handler::kS2r:       return h_s2r(eng, cta, warp, instr);
@@ -425,6 +446,7 @@ inline TrapKind threaded_dispatch(EngineT& eng, CtaT& cta, WarpState& warp,
     case Handler::kStgRow:    return h_stg_row(eng, cta, warp, instr);
     case Handler::kLdsRow:    return h_lds_row(eng, cta, warp, instr);
     case Handler::kStsRow:    return h_sts_row(eng, cta, warp, instr);
+    case Handler::kAtomsRow:  return h_atoms_row(eng, cta, warp, instr);
   }
   return h_generic(eng, cta, warp, instr);  // unreachable
 }

@@ -19,9 +19,12 @@
 // before it touches any state, and otherwise returns false with nothing
 // touched; the generic lane loop then reproduces the exact lane-order trap
 // and partial progress. The global-memory kernels also need a fault-free
-// arena (no pending upset to classify), which the caller checks.
+// arena (no pending upset to classify), which the caller checks. The shared
+// atomic kernel applies its lanes one at a time in lane order, through the
+// update the generic loop uses too (atom_apply).
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -575,6 +578,74 @@ inline bool sts_row(WarpState& warp, const DecodedInstr& instr, u8* shared,
   const u32* v = detail::src_row(warp, instr.src[2].index);
   detail::for_lanes(exec, [&](u32 lane) {
     std::memcpy(shared + a[lane] + off, &v[lane], 4);
+  });
+  return true;
+}
+
+/// The word an atomic of `kind` leaves in place of `old`, given operand
+/// `a` (and `b`, CAS's swap value), for a 32-bit dtype.
+[[gnu::always_inline]] inline u32 atom_apply(AtomKind kind, DType dtype,
+                                             u32 old, u32 a, u32 b) {
+  switch (kind) {
+    case AtomKind::kAdd:
+      return dtype == DType::kF32
+                 ? f32_bits(canon_nan(bits_f32(old) + bits_f32(a)))
+                 : old + a;
+    case AtomKind::kMin:
+      if (dtype == DType::kF32) {
+        return f32_bits(fmin_det(bits_f32(old), bits_f32(a)));
+      }
+      if (dtype == DType::kS32) {
+        return static_cast<u32>(
+            std::min(static_cast<i32>(old), static_cast<i32>(a)));
+      }
+      return std::min(old, a);
+    case AtomKind::kMax:
+      if (dtype == DType::kF32) {
+        return f32_bits(fmax_det(bits_f32(old), bits_f32(a)));
+      }
+      if (dtype == DType::kS32) {
+        return static_cast<u32>(
+            std::max(static_cast<i32>(old), static_cast<i32>(a)));
+      }
+      return std::max(old, a);
+    case AtomKind::kExch:
+      return a;
+    case AtomKind::kCas:
+      return old == a ? b : old;
+  }
+  return old;
+}
+
+/// Shared-memory atomic of the lanes in `exec`, one lane at a time in lane
+/// order, so lanes that hit one word see each other's updates; each lane
+/// gets the old word in its destination (RZ drops it). Caller guarantees
+/// width 4, a register address and register/immediate operands of a
+/// 32-bit dtype. Returns false, with nothing touched, for a row that
+/// cannot be proven trap-free.
+inline bool atoms_row(WarpState& warp, const DecodedInstr& instr, u8* shared,
+                      std::size_t shared_size, u32 exec) {
+  const u32* a = detail::src_row(warp, instr.src[0].index);
+  if (!detail::shared_row_ok(a, 0, exec, shared_size)) return false;
+  auto operand = [&](const DecodedOperand& o, u32 lane) -> u32 {
+    switch (o.kind) {
+      case OperandKind::kReg: return warp.reg(lane, o.index);
+      case OperandKind::kImm: return static_cast<u32>(o.imm);
+      default: return 0;
+    }
+  };
+  const auto kind = static_cast<AtomKind>(instr.sub);
+  detail::for_lanes(exec, [&](u32 lane) {
+    const u32 addr = a[lane];
+    u32 old = 0;
+    std::memcpy(&old, shared + addr, 4);
+    const u32 updated =
+        atom_apply(kind, instr.dtype, old, operand(instr.src[1], lane),
+                   operand(instr.src[2], lane));
+    std::memcpy(shared + addr, &updated, 4);
+    if (instr.dst_kind == OperandKind::kReg && instr.dst_index != kRegZ) {
+      warp.set_reg(lane, instr.dst_index, old);
+    }
   });
   return true;
 }

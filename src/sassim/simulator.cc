@@ -215,10 +215,12 @@ struct Simulator::Engine {
   bool struck = false;
   std::array<u64, kInstrGroupCount> group_issues{};
 
-  // Armed runs with a checkpoint table: the next grid mark to capture and
-  // its dynamic-instruction threshold (u64 max once none is left).
-  CheckpointTable* table = nullptr;
-  std::size_t next_mark = 0;
+  // Marks still to reach: the next issue-grid row (profiled launches) and
+  // the capture (armed launches, until the strike), and the lower of their
+  // dynamic-instruction thresholds (u64 max once none is left).
+  IssueGrid* grid_rows = nullptr;
+  LaunchCheckpoint* capture = nullptr;
+  bool captured = false;
   u64 next_mark_at = std::numeric_limits<u64>::max();
 
   Engine(const MachineConfig& cfg_in, GlobalMemory& mem_in,
@@ -263,18 +265,18 @@ struct Simulator::Engine {
 
   // ---- fast-forward -------------------------------------------------------
 
-  LaunchCheckpoint checkpoint() const {
-    LaunchCheckpoint cp;
+  /// Writes the launch state into `cp`, reusing its image buffer.
+  void checkpoint(LaunchCheckpoint& cp) const {
     cp.grid = grid;
     cp.block = block;
     const std::span<const u8> memory = mem.bytes();
     std::size_t words = Cta::words_for(memory.size());
-    cp.pool_sizes.reserve(resident.size());
+    cp.pool_sizes.clear();
     for (const auto& pool : resident) {
       cp.pool_sizes.push_back(static_cast<u32>(pool.size()));
       for (const auto& cta : pool) words += cta->image_words();
     }
-    cp.image = ImageBuffer(words, table->map_pages());
+    cp.image.reserve(words);
     u32* out = cp.image.data();
     for (const auto& pool : resident) {
       for (const auto& cta : pool) out = cta->save_image(out);
@@ -287,7 +289,6 @@ struct Simulator::Engine {
     cp.cycle = cycle;
     cp.group_issues = group_issues;
     cp.memory = mem.snapshot_without_bytes();
-    return cp;
   }
 
   void restore(const LaunchCheckpoint& cp) {
@@ -309,24 +310,34 @@ struct Simulator::Engine {
                                           GlobalMemory::kBaseAddress)});
   }
 
-  /// Points next_mark at the first grid mark above the current count.
+  /// Sets next_mark_at to the lowest threshold still pending.
   void seek_mark() {
-    const std::vector<u64>& marks = table->marks();
-    while (next_mark < marks.size() && marks[next_mark] <= dyn_warp) {
-      ++next_mark;
+    next_mark_at = std::numeric_limits<u64>::max();
+    if (grid_rows) {
+      next_mark_at = grid_rows->mark_at(grid_rows->marks());
     }
-    next_mark_at = next_mark < marks.size()
-                       ? marks[next_mark]
-                       : std::numeric_limits<u64>::max();
+    if (capture && !captured) {
+      next_mark_at = std::min(next_mark_at, opts.capture_at);
+    }
   }
 
-  /// At the first boundary at or past one or more marks: the state belongs
-  /// to the last of them (the earlier ones share this boundary and stay
-  /// empty), then the cursor moves past them all.
-  void capture_mark() {
+  /// At the first boundary at or past one or more marks: every grid row
+  /// they pass gets this boundary's profile counts, and the capture (if
+  /// due) this boundary's state.
+  void reach_mark() {
+    if (grid_rows) {
+      const auto& by_group = opts.profile->warp_instrs_by_group;
+      while (grid_rows->mark_at(grid_rows->marks()) <= dyn_warp) {
+        for (const u64 count : by_group) {
+          grid_rows->counts.push_back(static_cast<u32>(count));
+        }
+      }
+    }
+    if (capture && !captured && opts.capture_at <= dyn_warp) {
+      checkpoint(*capture);
+      captured = true;
+    }
     seek_mark();
-    const std::size_t slot = next_mark - 1;
-    if (table->wants(slot)) table->offer(slot, checkpoint());
   }
 
   // ---- operand access -----------------------------------------------------
@@ -911,45 +922,10 @@ struct Simulator::Engine {
           }
           const u32 a = static_cast<u32>(
               read_operand(warp, lane, instr.src[1], instr.dtype));
-          u32 updated = old;
-          switch (static_cast<AtomKind>(instr.sub)) {
-            case AtomKind::kAdd:
-              if (instr.dtype == DType::kF32) {
-                updated = f32_bits(canon_nan(bits_f32(old) + bits_f32(a)));
-              } else {
-                updated = old + a;
-              }
-              break;
-            case AtomKind::kMin:
-              if (instr.dtype == DType::kF32) {
-                updated = f32_bits(fmin_det(bits_f32(old), bits_f32(a)));
-              } else if (instr.dtype == DType::kS32) {
-                updated = static_cast<u32>(std::min(static_cast<i32>(old),
-                                                    static_cast<i32>(a)));
-              } else {
-                updated = std::min(old, a);
-              }
-              break;
-            case AtomKind::kMax:
-              if (instr.dtype == DType::kF32) {
-                updated = f32_bits(fmax_det(bits_f32(old), bits_f32(a)));
-              } else if (instr.dtype == DType::kS32) {
-                updated = static_cast<u32>(std::max(static_cast<i32>(old),
-                                                    static_cast<i32>(a)));
-              } else {
-                updated = std::max(old, a);
-              }
-              break;
-            case AtomKind::kExch:
-              updated = a;
-              break;
-            case AtomKind::kCas: {
-              const u32 b = static_cast<u32>(
-                  read_operand(warp, lane, instr.src[2], instr.dtype));
-              updated = (old == a) ? b : old;
-              break;
-            }
-          }
+          const u32 b = static_cast<u32>(
+              read_operand(warp, lane, instr.src[2], instr.dtype));
+          const u32 updated = exec::atom_apply(
+              static_cast<AtomKind>(instr.sub), instr.dtype, old, a, b);
           if (global) {
             if (TrapKind t = mem.write(addr, &updated, width);
                 t != TrapKind::kNone) {
@@ -1107,8 +1083,8 @@ struct Simulator::Engine {
         // Up to the struck slot an armed run is the same for every strike
         // request, so its state here is the golden prefix's: a checkpoint.
         if (struck) return RunExit::kDowngraded;
-        if (dyn_warp >= next_mark_at) capture_mark();
       }
+      if (dyn_warp >= next_mark_at) reach_mark();
 
       bool issued_any = false;
 
@@ -1275,6 +1251,15 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
       return Status::invalid_argument("checkpoint lies past the strike");
     }
   }
+  if (options.capture && !strike) {
+    return Status::invalid_argument("only an armed launch can capture");
+  }
+  if (options.issue_grid &&
+      (!options.profile || !options.hooks.empty() ||
+       options.issue_grid->step == 0)) {
+    return Status::invalid_argument(
+        "an issue grid needs a step and a hook-free, profiled launch");
+  }
 
   Engine engine(config_, memory_, program, grid, block, params, options);
   engine.threads_per_cta = threads_per_cta;
@@ -1292,6 +1277,12 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
   } else {
     for (u32 sm = 0; sm < config_.num_sms; ++sm) engine.admit(sm);
   }
+  if (options.issue_grid) {
+    options.issue_grid->counts.clear();
+    engine.grid_rows = options.issue_grid;
+  }
+  engine.capture = options.capture;
+  engine.seek_mark();
 
   // Tier selection: a lone hook with a strike request runs armed on the
   // threaded tier (unless pinned to instrumented) and continues plain
@@ -1304,11 +1295,10 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
   if (strike) {
     engine.strike = *strike;
     if (resume) engine.strike_seen = resume->issues(strike->groups);
-    if (options.checkpoints) {
-      engine.table = options.checkpoints;
-      engine.seek_mark();
-    }
     if (engine.run<ArmedThreadedPolicy>() == RunExit::kDowngraded) {
+      // Past the strike the state is no longer the golden prefix's.
+      engine.capture = nullptr;
+      engine.seek_mark();
       (void)engine.run<ThreadedPolicy>();
     }
     downgraded = engine.struck;
@@ -1328,6 +1318,7 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
   result.ecc = memory_.counters();
   result.tier_used = tier_used;
   result.downgraded = downgraded;
+  result.captured = engine.captured;
   return result;
 }
 
@@ -1390,53 +1381,26 @@ void ImageBuffer::release() {
   data_ = nullptr;
 }
 
-CheckpointTable::CheckpointTable(std::vector<u64> marks, bool map_pages)
-    : marks_(std::move(marks)), map_pages_(map_pages), slots_(marks_.size()) {}
-
-std::vector<u64> CheckpointTable::even_marks(u64 golden_dyn_instrs,
-                                             u32 count) {
-  std::vector<u64> marks;
-  const u64 step = golden_dyn_instrs / (static_cast<u64>(count) + 1);
-  if (step == 0) return marks;
-  for (u32 i = 1; i <= count; ++i) marks.push_back(step * i);
-  return marks;
+void ImageBuffer::reserve(std::size_t words) {
+  if (words <= words_) return;
+  release();  // before the new one is taken, so the two never coexist
+  words_ = 0;
+  *this = ImageBuffer(words, mapped_);
 }
 
-bool CheckpointTable::wants(std::size_t slot) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return slots_[slot] == nullptr;
-}
-
-void CheckpointTable::offer(std::size_t slot, LaunchCheckpoint checkpoint) {
-  auto stored =
-      std::make_shared<const LaunchCheckpoint>(std::move(checkpoint));
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (slots_[slot] == nullptr) slots_[slot] = std::move(stored);
-}
-
-std::shared_ptr<const LaunchCheckpoint> CheckpointTable::nearest(
-    const StrikeRequest& strike) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (std::size_t slot = slots_.size(); slot-- > 0;) {
-    if (slots_[slot] &&
-        slots_[slot]->issues(strike.groups) <= strike.occurrence) {
-      return slots_[slot];
+std::size_t IssueGrid::bucket(const StrikeRequest& strike) const {
+  // Counts never fall from one mark to the next: binary search.
+  std::size_t lo = 0;
+  std::size_t hi = marks();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (issues(mid, strike.groups) <= strike.occurrence) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
     }
   }
-  return nullptr;
-}
-
-std::shared_ptr<const LaunchCheckpoint> CheckpointTable::at(
-    std::size_t slot) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return slots_[slot];
-}
-
-std::size_t CheckpointTable::filled() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t count = 0;
-  for (const auto& slot : slots_) count += slot != nullptr;
-  return count;
+  return lo;
 }
 
 }  // namespace gfi::sim

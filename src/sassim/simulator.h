@@ -9,8 +9,6 @@
 #pragma once
 
 #include <array>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -27,7 +25,7 @@
 namespace gfi::sim {
 
 struct Profile;
-class CheckpointTable;
+struct IssueGrid;
 struct LaunchCheckpoint;
 
 /// Execution tier the engine runs a launch on. Instructions a hook observes
@@ -79,10 +77,17 @@ struct LaunchOptions {
   /// construction, double guard-mask computation, hook walks) for the whole
   /// launch — the reference tests and CI diff the threaded tier against.
   EngineTier engine = EngineTier::kThreaded;
+  /// With `profile`: rows of the profile's per-group issue counts on this
+  /// grid's marks, appended as the launch reaches them (IssueGrid).
+  IssueGrid* issue_grid = nullptr;
   /// Fast-forward, armed launches only (a lone hook with a StrikeRequest,
-  /// engine not pinned). The launch fills every empty slot of this table
-  /// whose grid mark it crosses before its strike fires.
-  CheckpointTable* checkpoints = nullptr;
+  /// engine not pinned): capture the launch state into this checkpoint at
+  /// the first cycle boundary whose dynamic warp-instruction count reaches
+  /// `capture_at`, unless the strike fires first (LaunchResult::captured).
+  /// It may be `resume_from` itself, which the launch has read by then;
+  /// its image buffer is reused when large enough.
+  LaunchCheckpoint* capture = nullptr;
+  u64 capture_at = 0;
   /// Fast-forward, armed launches only: resume from this checkpoint of the
   /// same launch instead of from its start. Device memory is restored from
   /// the checkpoint, and the strike counter starts at the checkpoint's
@@ -108,6 +113,8 @@ struct LaunchResult {
   /// True when an armed launch reached its struck slot and finished on the
   /// plain threaded tier.
   bool downgraded = false;
+  /// True when the launch filled LaunchOptions::capture.
+  bool captured = false;
 
   [[nodiscard]] bool ok() const { return !trap.fired(); }
   /// Wall-model execution time given the arch's SM clock.
@@ -117,7 +124,9 @@ struct LaunchResult {
 };
 
 /// A checkpoint's flat image, in words: on the heap, or in pages mapped for
-/// it alone and handed back to the OS when it goes (CheckpointTable).
+/// it alone and handed back to the OS when it goes. Mapped pages suit
+/// images that several threads take: each thread's malloc arena would keep
+/// the high-water mark of the heap images it freed.
 class ImageBuffer {
  public:
   ImageBuffer() = default;
@@ -131,6 +140,10 @@ class ImageBuffer {
 
   [[nodiscard]] u32* data() { return data_; }
   [[nodiscard]] const u32* data() const { return data_; }
+  /// Makes room for `words` words, keeping the buffer when it is large
+  /// enough and otherwise replacing it (contents lost) in the same kind of
+  /// memory.
+  void reserve(std::size_t words);
 
  private:
   void release();
@@ -139,6 +152,17 @@ class ImageBuffer {
   std::size_t words_ = 0;
   bool mapped_ = false;
 };
+
+/// The sum of `counts[g]` over the instruction groups g whose bit is set in
+/// `groups` (one count per group).
+template <typename Count>
+[[nodiscard]] u64 summed_issues(const Count* counts, u32 groups) {
+  u64 sum = 0;
+  for (int g = 0; g < kInstrGroupCount; ++g) {
+    if (((groups >> g) & 1u) != 0) sum += counts[g];
+  }
+  return sum;
+}
 
 /// The whole engine state of an armed launch at a cycle boundary before its
 /// strike: resident CTAs (warps and shared memory),
@@ -164,11 +188,7 @@ struct LaunchCheckpoint {
   /// Issues so far of the groups whose bit is set in `groups`: the armed
   /// strike counter at this boundary.
   [[nodiscard]] u64 issues(u32 groups) const {
-    u64 count = 0;
-    for (int g = 0; g < kInstrGroupCount; ++g) {
-      if (((groups >> g) & 1u) != 0) count += group_issues[g];
-    }
-    return count;
+    return summed_issues(group_issues.data(), groups);
   }
 };
 
@@ -179,45 +199,31 @@ struct LaunchCheckpoint {
                                      const Program& program, Dim3 grid,
                                      Dim3 block, u64 memory_bytes);
 
-/// Golden-prefix checkpoints of one launch configuration, shared by every
-/// armed launch of it. Slot i holds the state at the first cycle boundary
-/// whose dynamic warp-instruction count reaches marks()[i]. Armed launches
-/// fill slots lazily from their own prefixes; every launch that fills a
-/// slot holds the identical state there, so the order in which concurrent
-/// launches fill it cannot change any result. Thread-safe.
-class CheckpointTable {
- public:
-  /// One empty slot per mark; `marks` ascend. A table with no marks never
-  /// fills and never resumes. `map_pages` keeps the images off the heap:
-  /// set it when several threads launch, since each thread's malloc arena
-  /// would keep the high-water mark of the checkpoints that thread took.
-  /// With one thread, heap images reuse memory the process already holds.
-  explicit CheckpointTable(std::vector<u64> marks, bool map_pages = false);
-  /// `count` marks at the multiples of golden_dyn_instrs / (count + 1), or
-  /// none when that step is 0.
-  [[nodiscard]] static std::vector<u64> even_marks(u64 golden_dyn_instrs,
-                                                   u32 count);
+/// Per-group issue counts of a fault-free launch on a grid of marks `step`
+/// warp instructions apart. Row i holds Profile::warp_instrs_by_group at
+/// the first cycle boundary whose dynamic warp-instruction count reaches
+/// mark_at(i); an armed launch captured there (LaunchOptions::capture_at)
+/// holds the same counts in LaunchCheckpoint::group_issues. Marks the
+/// launch passes in its last cycle have no row. The counts are u32: a
+/// launch stops at its watchdog, 256M warp instructions by default.
+struct IssueGrid {
+  u64 step = 0;
+  std::vector<u32> counts;  ///< marks() rows of kInstrGroupCount counts
 
-  [[nodiscard]] const std::vector<u64>& marks() const { return marks_; }
-  [[nodiscard]] bool map_pages() const { return map_pages_; }
-  /// True while slot `slot` is empty.
-  [[nodiscard]] bool wants(std::size_t slot) const;
-  /// Stores `checkpoint` in slot `slot` unless that slot is already filled.
-  void offer(std::size_t slot, LaunchCheckpoint checkpoint);
-  /// The latest filled checkpoint before `strike` fires (its issue count
-  /// for strike.groups at most strike.occurrence), or null.
-  [[nodiscard]] std::shared_ptr<const LaunchCheckpoint> nearest(
-      const StrikeRequest& strike) const;
-  /// Slot `slot`'s checkpoint, or null while it is empty.
-  [[nodiscard]] std::shared_ptr<const LaunchCheckpoint> at(
-      std::size_t slot) const;
-  [[nodiscard]] std::size_t filled() const;
-
- private:
-  std::vector<u64> marks_;
-  bool map_pages_;
-  mutable std::mutex mutex_;
-  std::vector<std::shared_ptr<const LaunchCheckpoint>> slots_;
+  [[nodiscard]] std::size_t marks() const {
+    return counts.size() / kInstrGroupCount;
+  }
+  [[nodiscard]] u64 mark_at(std::size_t mark) const {
+    return (static_cast<u64>(mark) + 1) * step;
+  }
+  /// Issues at mark `mark` of the groups whose bit is set in `groups`.
+  [[nodiscard]] u64 issues(std::size_t mark, u32 groups) const {
+    return summed_issues(counts.data() + mark * kInstrGroupCount, groups);
+  }
+  /// How many marks lie before `strike` fires (their summed count for
+  /// strike.groups at most strike.occurrence): a strike of bucket b > 0
+  /// may resume from mark b - 1 and from any earlier one.
+  [[nodiscard]] std::size_t bucket(const StrikeRequest& strike) const;
 };
 
 class Simulator {

@@ -2,13 +2,15 @@
 // instrumented tier (the reference): every Handler the lowering pass
 // assigns, under guard masks from no lane to all of them, with destinations
 // that alias a source, RZ and register-pair destinations; masked memory
-// rows with one bad lane, executing or not; S2R on every block shape; LDC
-// with an out-of-range index. Each case runs one kernel on both tiers and
-// compares the whole launch: the trap (kind, address, pc, CTA, warp),
-// instruction and cycle counts, ECC counters, device memory with its
-// pending faults, and a dump of every register and predicate byte of every
-// thread at kernel end. A case that the threaded tier should cover with a
-// row path must also leave the count of generic slots unchanged.
+// rows (shared atomics included) with one bad lane, executing or not;
+// shared atomics of every kind and dtype with lanes sharing one word; a
+// guarded SSY; S2R on every block shape; LDC with an out-of-range index.
+// Each case runs one kernel on both tiers and compares the whole launch:
+// the trap (kind, address, pc, CTA, warp), instruction and cycle counts,
+// ECC counters, device memory with its pending faults, and a dump of every
+// register and predicate byte of every thread at kernel end. A case that
+// the threaded tier should cover with a row path must also leave the count
+// of generic slots unchanged.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -22,6 +24,7 @@
 namespace gfi {
 namespace {
 
+using sim::AtomKind;
 using sim::CmpOp;
 using sim::Device;
 using sim::DType;
@@ -455,6 +458,25 @@ std::vector<MemCase> mem_cases() {
        [](KernelBuilder& b) { b.sts(6, 1); b.guard_last(kMaskPred); }},
       {"sts_rz_data", Handler::kStsRow, true, false,
        [](KernelBuilder& b) { b.sts(6, kRegZ); b.guard_last(kMaskPred); }},
+      // Shared atomics read, so a bad lane traps like a load.
+      {"atoms_add", Handler::kAtomsRow, true, true,
+       [fill_shared](KernelBuilder& b) {
+         fill_shared(b);
+         b.atoms(AtomKind::kAdd, 10, 6, r(8));
+         b.guard_last(kMaskPred);
+       }},
+      // The destination is the address register.
+      {"atoms_cas_alias", Handler::kAtomsRow, true, true,
+       [fill_shared](KernelBuilder& b) {
+         fill_shared(b);
+         b.atoms(AtomKind::kCas, 6, 6, r(1), imm(77));
+         b.guard_last(kMaskPred);
+       }},
+      {"atoms_rz", Handler::kAtomsRow, true, true,
+       [](KernelBuilder& b) {
+         b.atoms(AtomKind::kExch, kRegZ, 6, imm(5));
+         b.guard_last(kMaskPred);
+       }},
   };
 }
 
@@ -517,6 +539,37 @@ TEST(ExecRows, SwiftTrapStoreThroughRzTrapsOnlyWhenALaneExecutes) {
     if (mask != 0) {
       EXPECT_EQ(run.result.trap.kind, TrapKind::kIllegalGlobalAddress);
       EXPECT_EQ(run.result.trap.address, 0u);
+    }
+  }
+}
+
+/// Every atomic kind on every 32-bit dtype, with all lanes on one shared
+/// word (RZ address) or each on its own: lanes apply in lane order, so on
+/// one word each reads back its predecessors' updates.
+TEST(ExecRows, SharedAtomicsUnderEveryMaskMatchTheReference) {
+  const Shape shape;
+  const u64 base = harness_generic(shape);
+  for (const AtomKind kind : {AtomKind::kAdd, AtomKind::kMin, AtomKind::kMax,
+                              AtomKind::kExch, AtomKind::kCas}) {
+    for (const DType dtype : {DType::kU32, DType::kS32, DType::kF32}) {
+      for (const u16 addr : {kRegZ, u16{7}}) {
+        for (const u32 mask : kMasks) {
+          SCOPED_TRACE("kind " + std::to_string(sub(kind)) + " dtype " +
+                       std::to_string(static_cast<int>(dtype)) + " addr R" +
+                       std::to_string(addr) + " mask " + std::to_string(mask));
+          const CaseKernel kernel = build_case(mask, 0, [&](KernelBuilder& b) {
+            b.sts(7, 9);
+            b.atoms(kind, 10, addr, r(8), r(1), dtype);
+            b.guard_last(kMaskPred);
+            b.lds(11, 7);  // what the atomics left in the CTA's words
+          });
+          ASSERT_EQ(kernel.program.decoded().at(kernel.body_end - 2).handler,
+                    Handler::kAtomsRow);
+          const Launch run = run_both(kernel, shape);
+          EXPECT_FALSE(run.result.trap.fired());
+          EXPECT_EQ(run.result.generic_warp_instrs, base);
+        }
+      }
     }
   }
 }
@@ -585,10 +638,27 @@ void control_body(KernelBuilder& b) {
   b.exit_if(kMaskPred);
 }
 
+/// A guarded SSY pushes the active mask whatever its guard; the SYNC at
+/// its label pops it.
+void guarded_ssy_body(KernelBuilder& b) {
+  const KernelBuilder::Label reconv = b.new_label();
+  b.ssy(reconv);
+  b.guard_last(kMaskPred);
+  b.iadd_u32(10, r(8), r(9));
+  b.bind(reconv);
+  b.sync_();
+}
+
 TEST(ExecRows, ControlHandlersUnderEveryMaskMatchTheReference) {
+  const Shape shape;
+  const u64 base = harness_generic(shape);
   for (const u32 mask : kMasks) {
     SCOPED_TRACE(mask);
-    (void)run_both(build_case(mask, 0, control_body));
+    (void)run_both(build_case(mask, 0, control_body), shape);
+    const CaseKernel ssy = build_case(mask, 0, guarded_ssy_body);
+    ASSERT_EQ(ssy.program.decoded().at(ssy.body_begin).handler,
+              Handler::kSsy);
+    EXPECT_EQ(run_both(ssy, shape).result.generic_warp_instrs, base);
   }
 }
 
@@ -610,7 +680,8 @@ TEST(ExecRows, CasesCoverEveryHandler) {
   note(s2r_body);
   note(ldc_out_of_range_body);
   note(control_body);
-  constexpr int kHandlers = static_cast<int>(Handler::kStsRow) + 1;
+  note(guarded_ssy_body);
+  constexpr int kHandlers = static_cast<int>(Handler::kAtomsRow) + 1;
   EXPECT_EQ(seen.size(), static_cast<std::size_t>(kHandlers));
 }
 

@@ -1,27 +1,35 @@
 // Fast-forward equivalence: Campaign::run sets each worker's workload up
-// once, restores its post-setup snapshot before every injection, and starts
-// every armed injection from the latest golden-prefix checkpoint before its
-// strike. Journal record lines must equal those of the kInstrumented-pinned
-// campaign (every launch from instruction 0, never armed) and of standalone
+// once, restores its post-setup snapshot before every injection, and, where
+// the launch state fits, runs injections in strike order, each resuming
+// from the golden-prefix checkpoint its worker's context kept. Journal
+// record lines must equal those of the kInstrumented-pinned campaign
+// (every launch from instruction 0, never armed) and of standalone
 // run_single on a fresh device, for every built-in workload and SWIFT
 // variant x the four hooked modes x the four flip models, with one worker
-// and with three. Transient retries, the golden launch again, are answered
-// from the campaign's first one: their journals must match the pin too, in
-// memory, IOV and RF modes and across a journal kill and resume. The
-// sassim-level tests strike just before, at and after a checkpoint's own
-// count and across an adjacent FFMA pair split by a checkpoint.
+// and with three. Journal line order is (strike bucket, index) on both
+// tiers, and a killed journal resumes to the same bytes. Transient
+// retries, the golden launch again, are answered from the campaign's
+// first one: their journals must match the pin too, in memory, IOV and RF
+// modes and across a journal kill and resume. The sassim-level tests check
+// the golden issue grid against captured checkpoints, strike just before,
+// at and after a mark's own count, and strike across an adjacent FFMA pair
+// split by a checkpoint.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "arch/arch.h"
+#include "common/failpoint.h"
 #include "fi/campaign.h"
 #include "fi/injector.h"
 #include "fi/journal.h"
@@ -66,17 +74,21 @@ std::vector<std::string> record_lines(const fi::CampaignResult& result) {
   return lines;
 }
 
-/// Mid-launch checkpoints a `workers`-thread campaign of `name` keeps.
-u32 checkpoints_for(const std::string& name, std::size_t workers) {
-  auto workload = wl::make_workload(name);
-  EXPECT_NE(workload, nullptr) << name;
-  sim::Device device(arch::a100());
-  auto spec = workload->setup(device);
-  EXPECT_TRUE(spec.is_ok()) << spec.status().to_string();
-  const u64 state = sim::launch_state_bytes(
-      device.config(), workload->program(), spec.value().grid,
-      spec.value().block, device.memory().bytes_allocated());
-  return fi::fast_forward_checkpoints(state, workers);
+/// Whether a `workers`-thread IOV campaign of `name` keeps checkpoints.
+bool keeps_checkpoints(const std::string& name, std::size_t workers) {
+  fi::CampaignConfig config;
+  config.workload = name;
+  config.machine = machine();
+  auto golden = fi::Campaign::golden_run(config);
+  EXPECT_TRUE(golden.is_ok()) << golden.status().to_string();
+  return fi::strike_ordered(config, golden.value(), workers);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
 }
 
 // ---- campaign level ---------------------------------------------------------
@@ -133,8 +145,8 @@ void campaign_sweep(const std::string& workload, InjectionMode mode) {
           << what << ", standalone";
     }
   }
-  // Not vacuous: where the budget keeps checkpoints, injections resumed.
-  if (checkpoints_for(workload, 1) > 0) {
+  // Not vacuous: where the gate keeps checkpoints, injections resumed.
+  if (keeps_checkpoints(workload, 1)) {
     EXPECT_GT(skipped, 0u) << workload << " " << to_string(mode);
   }
 }
@@ -259,12 +271,7 @@ TEST(FastForwardRetry, JournalKillAndResumeStaysIdentical) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   const std::string path = (dir / "campaign.jsonl").string();
-  auto read = [&] {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-  };
+  auto read = [&] { return read_file(path); };
 
   fi::CampaignConfig config;
   config.workload = "spmv";
@@ -349,23 +356,38 @@ TEST(FastForwardMemory, ReusedDevicesMatchFreshOnes) {
   }
 }
 
-/// The 2 MiB budget over the probed launch states: (K + workers) states
-/// fit, K <= 16.
-TEST(FastForwardBudget, CheckpointCountsFollowLaunchState) {
+// ---- strike order -----------------------------------------------------------
+
+/// The gate over the probed launch states: one live launch and one kept
+/// checkpoint per worker must fit 2 MiB.
+TEST(StrikeOrder, GateFollowsLaunchState) {
   harden::register_hardened_workloads();
-  EXPECT_EQ(checkpoints_for("histogram", 1), 15u);
-  EXPECT_EQ(checkpoints_for("spmv", 1), 10u);
-  EXPECT_EQ(checkpoints_for("gemm", 1), 6u);
-  EXPECT_EQ(checkpoints_for("saxpy", 1), 0u);
-  EXPECT_EQ(checkpoints_for("saxpy_swift", 1), 0u);
-  EXPECT_EQ(checkpoints_for("vecadd", 2), 0u);
-  EXPECT_EQ(fi::fast_forward_checkpoints(1, 1), fi::kMaxCheckpoints);
+  // 121, 178 and 288 KiB of launch state: 2 x workers states fit 2 MiB up
+  // to 8, 5 and 3 workers.
+  EXPECT_TRUE(keeps_checkpoints("histogram", 8));
+  EXPECT_FALSE(keeps_checkpoints("histogram", 9));
+  EXPECT_TRUE(keeps_checkpoints("spmv", 5));
+  EXPECT_FALSE(keeps_checkpoints("spmv", 6));
+  EXPECT_TRUE(keeps_checkpoints("gemm", 3));
+  EXPECT_FALSE(keeps_checkpoints("gemm", 4));
+  EXPECT_FALSE(keeps_checkpoints("saxpy", 1));
+  EXPECT_FALSE(keeps_checkpoints("saxpy_swift", 1));
+  EXPECT_FALSE(keeps_checkpoints("vecadd", 1));
+
+  fi::CampaignConfig config;
+  config.workload = "histogram";
+  config.machine = machine();
+  config.model = {InjectionMode::kMemory, BitFlipModel::kDouble};
+  auto golden = fi::Campaign::golden_run(config);
+  ASSERT_TRUE(golden.is_ok()) << golden.status().to_string();
+  EXPECT_FALSE(fi::strike_ordered(config, golden.value(), 1))
+      << "memory mode has no strike";
 
   for (const char* workload : {"gemm", "saxpy_swift"}) {
     obs::Registry metrics;
-    fi::CampaignConfig config;
     config.workload = workload;
     config.machine = arch::a100();
+    config.model = {};
     config.num_injections = 24;
     config.threads = 1;
     config.metrics = &metrics;
@@ -375,11 +397,169 @@ TEST(FastForwardBudget, CheckpointCountsFollowLaunchState) {
         metrics.counter("campaign.fast_forward.checkpoints").value();
     if (std::string(workload) == "gemm") {
       EXPECT_GT(captured, 0u);
-      EXPECT_LE(captured, 6u);
+      EXPECT_LE(captured, 24u);  // at most one per injection
     } else {
       EXPECT_EQ(captured, 0u);
     }
   }
+}
+
+/// One-thread journaled campaigns append records in run order: (strike
+/// bucket, index), within each block under a stratified planner, and index
+/// order in memory mode. The journal a failed last append leaves shows that
+/// order; a finished one lists the records in index order. The default tier
+/// and the instrumented pin write the same bytes either way.
+TEST(StrikeOrder, JournalsFollowRunOrderOnBothTiers) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "gfi_strike_order";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  struct Written {
+    std::string finished;
+    fi::JournalContents cut;  ///< the journal a failed last append left
+  };
+  auto both_tiers = [&](fi::CampaignConfig config, const std::string& what) {
+    config.threads = 1;
+    Written written;
+    std::vector<std::string> bytes;
+    for (const EngineTier tier :
+         {EngineTier::kThreaded, EngineTier::kInstrumented}) {
+      config.engine = tier;
+      config.journal_path =
+          (dir / (what + sim::engine_tier_name(tier) + ".jsonl")).string();
+      EXPECT_TRUE(fi::Campaign::run(config).is_ok()) << what;
+      written.finished = read_file(*config.journal_path);
+      bytes.push_back(written.finished);
+      const std::string spec =
+          "journal.append=err@hit=" + std::to_string(config.num_injections);
+      fs::remove(*config.journal_path);
+      EXPECT_TRUE(fp::set_spec(spec).is_ok());
+      EXPECT_FALSE(fi::Campaign::run(config).is_ok()) << what;
+      EXPECT_TRUE(fp::set_spec("").is_ok());
+      bytes.push_back(read_file(*config.journal_path));
+      auto cut = fi::Journal::load(*config.journal_path);
+      EXPECT_TRUE(cut.is_ok()) << cut.status().to_string();
+      if (cut.is_ok()) written.cut = std::move(cut).take();
+    }
+    EXPECT_EQ(bytes[0], bytes[2]) << what << ": finished journals differ";
+    EXPECT_EQ(bytes[1], bytes[3]) << what << ": cut journals differ";
+    std::vector<u64> finished;
+    std::istringstream lines(written.finished);
+    std::string line;
+    while (std::getline(lines, line)) {
+      if (auto record = fi::Journal::parse_record(line); record.is_ok()) {
+        finished.push_back(record.value().first);
+      }
+    }
+    EXPECT_EQ(finished.size(), config.num_injections) << what;
+    EXPECT_TRUE(std::is_sorted(finished.begin(), finished.end())) << what;
+    return written.cut;
+  };
+
+  for (const char* workload : {"gemm", "histogram"}) {
+    fi::CampaignConfig config;
+    config.workload = workload;
+    config.machine = machine();
+    config.num_injections = 60;
+    config.seed = 21;
+    auto golden = fi::Campaign::golden_run(config);
+    ASSERT_TRUE(golden.is_ok()) << golden.status().to_string();
+    ASSERT_TRUE(fi::strike_ordered(config, golden.value(), 1)) << workload;
+    const fi::JournalContents cut = both_tiers(config, workload);
+    ASSERT_EQ(cut.records.size(), config.num_injections - 1) << workload;
+    std::vector<std::pair<std::size_t, u64>> keys;
+    for (const auto& [index, record] : cut.records) {
+      keys.emplace_back(
+          fi::strike_bucket(config, golden.value(), index, nullptr), index);
+    }
+    EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end())) << workload;
+    EXPECT_FALSE(std::is_sorted(
+        keys.begin(), keys.end(),
+        [](const auto& a, const auto& b) { return a.second < b.second; }))
+        << workload << ": strike order is index order, the test is vacuous";
+  }
+
+  {
+    fi::CampaignConfig config;
+    config.workload = "histogram";
+    config.machine = machine();
+    config.num_injections = 60;
+    config.seed = 22;
+    config.planner.stratify = true;
+    config.planner.checkpoint_every = 20;
+    auto golden = fi::Campaign::golden_run(config);
+    ASSERT_TRUE(golden.is_ok()) << golden.status().to_string();
+    const fi::JournalContents cut = both_tiers(config, "stratified");
+    ASSERT_EQ(cut.plan.size(), 3u);
+    const auto& records = cut.records;
+    ASSERT_EQ(records.size(), config.num_injections - 1);
+    const u64 k = config.planner.checkpoint_every;
+    for (std::size_t r = 1; r < records.size(); ++r) {
+      const u64 block = records[r].first / k;
+      if (records[r - 1].first / k != block) {
+        EXPECT_LT(records[r - 1].first / k, block) << "blocks out of order";
+        continue;
+      }
+      auto key = [&](u64 i) {
+        return std::make_pair(
+            fi::strike_bucket(config, golden.value(), i, &cut.plan[block]),
+            i);
+      };
+      EXPECT_LT(key(records[r - 1].first), key(records[r].first));
+    }
+  }
+
+  fi::CampaignConfig memory;
+  memory.workload = "spmv";
+  memory.machine = machine();
+  memory.model = {InjectionMode::kMemory, BitFlipModel::kDouble};
+  memory.num_injections = 30;
+  memory.seed = 23;
+  std::vector<u64> order;
+  for (const auto& [index, record] : both_tiers(memory, "memory").records) {
+    order.push_back(index);
+  }
+  EXPECT_EQ(order.size(), memory.num_injections - 1);
+  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+  fs::remove_all(dir);
+}
+
+/// A strike-ordered journal killed mid-run resumes to the same bytes: the
+/// resumed run takes the pending injections in the same order.
+TEST(StrikeOrder, JournalKillAndResumeStaysIdentical) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / "gfi_strike_order_resume";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "campaign.jsonl").string();
+
+  fi::CampaignConfig config;
+  config.workload = "gemm";
+  config.machine = machine();
+  config.num_injections = 48;
+  config.seed = 24;
+  config.threads = 1;
+  config.journal_path = path;
+  ASSERT_TRUE(fi::Campaign::run(config).is_ok());
+  const std::string full = read_file(path);
+
+  for (const double fraction : {0.3, 0.61}) {
+    const auto cut =
+        static_cast<std::size_t>(static_cast<double>(full.size()) * fraction);
+    std::ofstream(path, std::ios::trunc | std::ios::binary)
+        << full.substr(0, cut);
+    obs::Registry metrics;
+    config.metrics = &metrics;
+    auto resumed = fi::Campaign::run(config);
+    config.metrics = nullptr;
+    ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
+    EXPECT_GT(resumed.value().resumed, 0u);
+    EXPECT_EQ(read_file(path), full) << "cut at " << cut;
+    EXPECT_GT(counter(metrics, "campaign.fast_forward.skipped_warp_instrs"),
+              0u);
+  }
+  fs::remove_all(dir);
 }
 
 // ---- launch level -----------------------------------------------------------
@@ -407,6 +587,16 @@ void expect_identical(const Run& a, const Run& b, const std::string& what) {
   EXPECT_EQ(a.effect.struck_dyn_index, b.effect.struck_dyn_index) << what;
   EXPECT_EQ(a.effect.struck_opcode, b.effect.struck_opcode) << what;
   EXPECT_EQ(a.effect.struck_lane, b.effect.struck_lane) << what;
+}
+
+FaultSite make_site(InjectionMode mode, u64 occurrence) {
+  FaultSite site;
+  site.model = {mode, BitFlipModel::kSingle};
+  site.target_occurrence = occurrence;
+  site.lane_sel = 7;
+  site.bit_sel = 5;
+  site.reg_sel = 3;
+  return site;
 }
 
 /// One issue of a fault-free instrumented launch.
@@ -458,22 +648,34 @@ class Bench {
     return occurrence_at(groups, ~u64{0});
   }
 
-  /// Armed launch on the reused device: from `resume` (or launch start)
-  /// filling `table` on the way.
-  Run inject(const FaultSite& site, sim::CheckpointTable* table,
-             const sim::LaunchCheckpoint* resume) {
+  /// Armed launch on the reused device: from `resume` (or launch start),
+  /// capturing into `capture` at `capture_at` on the way.
+  Run inject(const FaultSite& site, const sim::LaunchCheckpoint* resume,
+             sim::LaunchCheckpoint* capture = nullptr, u64 capture_at = 0) {
     if (!resume) device_.restore(start_);
     fi::InjectorHook hook(site, machine());
     sim::LaunchOptions options;
     options.hooks.push_back(&hook);
-    options.checkpoints = table;
     options.resume_from = resume;
+    options.capture = capture;
+    options.capture_at = capture_at;
     auto result = device_.launch(workload_->program(), spec_.grid,
                                  spec_.block, spec_.params, options);
     EXPECT_TRUE(result.is_ok()) << result.status().to_string();
     EXPECT_EQ(result.value().tier_used, EngineTier::kThreaded);
     EXPECT_TRUE(result.value().downgraded);
+    EXPECT_EQ(result.value().captured, capture != nullptr);
     return Run{result.value(), device_.snapshot(), hook.effect()};
+  }
+
+  /// The golden-prefix checkpoint at the first boundary reaching `mark`,
+  /// captured by an armed launch whose strike comes last.
+  sim::LaunchCheckpoint golden_checkpoint(u64 mark) {
+    sim::LaunchCheckpoint checkpoint;
+    const u64 last = issues_.size() - 1;
+    inject(make_site(fi::InjectionMode::kRf, last), nullptr, &checkpoint,
+           mark);
+    return checkpoint;
   }
 
   /// The same site on a fresh device, instrumented from instruction 0.
@@ -507,98 +709,172 @@ class Bench {
   std::vector<Issue> issues_;
 };
 
-FaultSite make_site(InjectionMode mode, u64 occurrence) {
-  FaultSite site;
-  site.model = {mode, BitFlipModel::kSingle};
-  site.target_occurrence = occurrence;
-  site.lane_sel = 7;
-  site.bit_sel = 5;
-  site.reg_sel = 3;
-  return site;
-}
-
 u32 strike_groups(InjectionMode mode) {
   FaultSite probe;
   probe.model.mode = mode;
   return fi::InjectorHook(probe, machine()).strike_request()->groups;
 }
 
-/// Fills a four-mark table from one late strike, then strikes one eligible
-/// occurrence before, at and after each checkpoint's own count.
-void strike_around_checkpoints(const std::string& name, InjectionMode mode) {
-  Bench bench([name] { return wl::make_workload(name); });
-  const u32 groups = strike_groups(mode);
-  const u64 eligible = bench.eligible(groups);
-  ASSERT_GT(eligible, 2u);
-  sim::CheckpointTable table(sim::CheckpointTable::even_marks(
-      bench.issues().size(), 4));
-  bench.inject(make_site(mode, eligible - 1), &table, nullptr);
-  ASSERT_EQ(table.filled(), 4u) << name;
+/// The golden grid of `name` on machine(), as Campaign::golden_run takes it.
+sim::IssueGrid golden_grid(const std::string& name,
+                           EngineTier tier = EngineTier::kThreaded) {
+  fi::CampaignConfig config;
+  config.workload = name;
+  config.machine = machine();
+  config.engine = tier;
+  auto golden = fi::Campaign::golden_run(config);
+  EXPECT_TRUE(golden.is_ok()) << golden.status().to_string();
+  return golden.is_ok() ? golden.value().grid : sim::IssueGrid{};
+}
 
-  for (std::size_t slot = 0; slot < table.marks().size(); ++slot) {
-    const auto checkpoint = table.at(slot);
-    const u64 count = checkpoint->issues(groups);
-    for (const u64 occurrence : {count - 1, count, count + 1}) {
-      if (occurrence >= eligible) continue;  // also count - 1 wrapped at 0
-      const FaultSite site = make_site(mode, occurrence);
-      const auto from = table.nearest(*fi::InjectorHook(site, machine())
-                                           .strike_request());
-      if (occurrence < count) {
-        EXPECT_TRUE(from == nullptr || from->dyn_warp < checkpoint->dyn_warp);
-      } else {
-        ASSERT_NE(from, nullptr);
-        EXPECT_GE(from->dyn_warp, checkpoint->dyn_warp);
-        EXPECT_LE(from->issues(groups), occurrence);
+/// Up to four marks spread over `grid`, first and last included.
+std::vector<std::size_t> sample_marks(const sim::IssueGrid& grid) {
+  std::vector<std::size_t> marks;
+  const std::size_t n = grid.marks();
+  for (const std::size_t mark : {std::size_t{0}, n / 3, 2 * n / 3, n - 1}) {
+    if (n > 0 && (marks.empty() || marks.back() != mark)) {
+      marks.push_back(mark);
+    }
+  }
+  return marks;
+}
+
+/// For every workload the golden grid's row at mark i holds the group
+/// issues of an armed checkpoint captured at mark i, and both tiers record
+/// the same grid.
+TEST(GoldenGrid, RowsMatchCapturedCheckpoints) {
+  for (const std::string& name : wl::workload_names()) {
+    const sim::IssueGrid grid = golden_grid(name);
+    EXPECT_EQ(grid.step, fi::kStrikeGridStep);
+    ASSERT_GT(grid.marks(), 0u) << name;
+    EXPECT_EQ(golden_grid(name, EngineTier::kInstrumented).counts,
+              grid.counts)
+        << name;
+    Bench bench([name] { return wl::make_workload(name); });
+    EXPECT_LT(grid.mark_at(grid.marks() - 1), bench.issues().size()) << name;
+    for (const std::size_t mark : sample_marks(grid)) {
+      const sim::LaunchCheckpoint checkpoint =
+          bench.golden_checkpoint(grid.mark_at(mark));
+      EXPECT_GE(checkpoint.dyn_warp, grid.mark_at(mark)) << name;
+      for (int g = 0; g < sim::kInstrGroupCount; ++g) {
+        EXPECT_EQ(checkpoint.group_issues[g],
+                  grid.counts[mark * sim::kInstrGroupCount + g])
+            << name << " mark " << mark << " group " << g;
       }
-      const std::string what = name + " slot " + std::to_string(slot) + " " +
-                               site.to_string();
-      expect_identical(bench.inject(site, nullptr, from.get()),
-                       bench.reference(site), what);
     }
   }
 }
 
-TEST(FastForwardLaunch, StrikesAroundCheckpointCountMatchInstrumented) {
+/// Strikes one eligible occurrence below, at and above a mark's own count:
+/// the bucket puts the mark before the strike exactly when the count is at
+/// most the occurrence, and the launch resumed from the checkpoint of the
+/// bucket's mark matches the instrumented reference.
+void strike_around_marks(const std::string& name, InjectionMode mode) {
+  Bench bench([name] { return wl::make_workload(name); });
+  const sim::IssueGrid grid = golden_grid(name);
+  const u32 groups = strike_groups(mode);
+  const u64 eligible = bench.eligible(groups);
+  ASSERT_GT(eligible, 2u);
+
+  for (const std::size_t mark : sample_marks(grid)) {
+    const u64 count = grid.issues(mark, groups);
+    for (const u64 occurrence : {count - 1, count, count + 1}) {
+      if (occurrence >= eligible) continue;  // also count - 1 wrapped at 0
+      const FaultSite site = make_site(mode, occurrence);
+      const std::size_t bucket =
+          grid.bucket(*fi::InjectorHook(site, machine()).strike_request());
+      const std::string what = name + " mark " + std::to_string(mark) + " " +
+                               site.to_string();
+      if (occurrence < count) {
+        EXPECT_LE(bucket, mark) << what;
+      } else {
+        EXPECT_GT(bucket, mark) << what;
+      }
+      if (bucket == 0) {
+        expect_identical(bench.inject(site, nullptr), bench.reference(site),
+                         what);
+        continue;
+      }
+      const sim::LaunchCheckpoint from =
+          bench.golden_checkpoint(grid.mark_at(bucket - 1));
+      EXPECT_LE(from.issues(groups), occurrence) << what;
+      expect_identical(bench.inject(site, &from), bench.reference(site),
+                       what);
+    }
+  }
+}
+
+TEST(FastForwardLaunch, StrikesAroundMarkCountsMatchInstrumented) {
   for (const char* name : {"gemm", "histogram", "spmv"}) {
     for (const InjectionMode mode : {InjectionMode::kIov, InjectionMode::kRf,
                                      InjectionMode::kPred}) {
-      strike_around_checkpoints(name, mode);
+      strike_around_marks(name, mode);
     }
   }
+}
+
+/// A launch resumed from the checkpoint it captures into reads it before
+/// it writes it: the kept checkpoint of a context moves forward in place.
+TEST(FastForwardLaunch, CaptureIntoTheResumedCheckpoint) {
+  Bench bench([] { return wl::make_workload("gemm"); });
+  const sim::IssueGrid grid = golden_grid("gemm");
+  ASSERT_GT(grid.marks(), 3u);
+  sim::LaunchCheckpoint kept = bench.golden_checkpoint(grid.mark_at(0));
+  const u64 late = grid.mark_at(grid.marks() - 1);
+  const FaultSite site =
+      make_site(InjectionMode::kRf, bench.issues().size() - 1);
+  expect_identical(bench.inject(site, &kept, &kept, late),
+                   bench.reference(site), "resumed and captured in place");
+  const sim::LaunchCheckpoint fresh = bench.golden_checkpoint(late);
+  EXPECT_EQ(kept.dyn_warp, fresh.dyn_warp);
+  EXPECT_EQ(kept.cycle, fresh.cycle);
+  EXPECT_EQ(kept.group_issues, fresh.group_issues);
+  expect_identical(bench.inject(site, &kept), bench.reference(site),
+                   "resumed from the moved checkpoint");
 }
 
 TEST(FastForwardLaunch, ResumeRejectsMisuse) {
   Bench bench([] { return wl::make_workload("gemm"); });
+  const sim::IssueGrid grid = golden_grid("gemm");
   const u32 groups = strike_groups(InjectionMode::kIov);
-  sim::CheckpointTable table(sim::CheckpointTable::even_marks(
-      bench.issues().size(), 1));
-  bench.inject(make_site(InjectionMode::kIov, bench.eligible(groups) - 1),
-               &table, nullptr);
-  ASSERT_EQ(table.filled(), 1u);
-  const auto checkpoint = table.at(0);
+  sim::LaunchCheckpoint checkpoint =
+      bench.golden_checkpoint(grid.mark_at(grid.marks() / 2));
 
   auto workload = wl::make_workload("gemm");
   sim::Device device(machine());
   auto spec = workload->setup(device).value();
   auto launch = [&](sim::LaunchOptions options) {
-    options.resume_from = checkpoint.get();
     return device.launch(workload->program(), spec.grid, spec.block,
                          spec.params, options);
   };
-  EXPECT_EQ(launch({}).status().code(), StatusCode::kInvalidArgument)
+  sim::LaunchOptions options;
+  options.resume_from = &checkpoint;
+  EXPECT_EQ(launch(options).status().code(), StatusCode::kInvalidArgument)
       << "hook-free launch resumed";
   fi::InjectorHook early(make_site(InjectionMode::kIov, 0), machine());
-  sim::LaunchOptions options;
   options.hooks.push_back(&early);
   EXPECT_FALSE(launch(options).is_ok()) << "resumed past the strike";
   fi::InjectorHook late(
-      make_site(InjectionMode::kIov, checkpoint->issues(groups)), machine());
+      make_site(InjectionMode::kIov, checkpoint.issues(groups)), machine());
   options.hooks = {&late};
   sim::Profile profile;
   options.profile = &profile;
   EXPECT_FALSE(launch(options).is_ok()) << "profiled a skipped prefix";
   options.profile = nullptr;
   EXPECT_TRUE(launch(options).is_ok());
+
+  sim::LaunchOptions capture;
+  sim::LaunchCheckpoint target;
+  capture.capture = &target;
+  EXPECT_FALSE(launch(capture).is_ok()) << "hook-free launch captured";
+  sim::IssueGrid issue_grid;
+  issue_grid.step = fi::kStrikeGridStep;
+  sim::LaunchOptions gridded;
+  gridded.issue_grid = &issue_grid;
+  EXPECT_FALSE(launch(gridded).is_ok()) << "grid without a profile";
+  gridded.profile = &profile;
+  issue_grid.step = 0;
+  EXPECT_FALSE(launch(gridded).is_ok()) << "grid without a step";
 }
 
 // ---- FFMA pair split by a checkpoint ----------------------------------------
@@ -633,23 +909,19 @@ void expect_chain_straddle_matches(InjectionMode mode) {
   ASSERT_EQ(issues[tail].pc, issues[head].pc + 1);
 
   // A mark one past the head: captured at the first boundary after it.
-  sim::CheckpointTable table({issues[head].dyn_index + 1});
-  const u32 groups = strike_groups(mode);
-  bench.inject(make_site(mode, bench.eligible(groups) - 1), &table, nullptr);
-  ASSERT_EQ(table.filled(), 1u);
-  const auto checkpoint = table.at(0);
+  const sim::LaunchCheckpoint checkpoint =
+      bench.golden_checkpoint(issues[head].dyn_index + 1);
   // The head has issued at the checkpoint and the tail has not.
-  ASSERT_GT(checkpoint->dyn_warp, issues[head].dyn_index);
-  ASSERT_LE(checkpoint->dyn_warp, issues[tail].dyn_index);
+  ASSERT_GT(checkpoint.dyn_warp, issues[head].dyn_index);
+  ASSERT_LE(checkpoint.dyn_warp, issues[tail].dyn_index);
 
+  const u32 groups = strike_groups(mode);
   FaultSite site = make_site(mode, bench.occurrence_at(
                                        groups, issues[tail].dyn_index));
   const sim::Instr& instr = bench.program().at(issues[tail].pc);
   site.reg_sel = instr.src[0].index;  // RF: a source of the tail's FFMA
-  const auto from =
-      table.nearest(*fi::InjectorHook(site, machine()).strike_request());
-  ASSERT_EQ(from, checkpoint);
-  const Run resumed = bench.inject(site, nullptr, from.get());
+  ASSERT_LE(checkpoint.issues(groups), site.target_occurrence);
+  const Run resumed = bench.inject(site, &checkpoint);
   EXPECT_TRUE(resumed.effect.activated);
   EXPECT_EQ(resumed.effect.struck_opcode, sim::Opcode::kFFma);
   EXPECT_EQ(resumed.effect.struck_dyn_index, issues[tail].dyn_index);

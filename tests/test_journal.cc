@@ -13,6 +13,7 @@
 #include "fi/campaign.h"
 #include "fi/golden_cache.h"
 #include "fi/journal.h"
+#include "fi/planner.h"
 #include "sassim/kernel_builder.h"
 #include "sim_test_util.h"
 
@@ -425,6 +426,46 @@ TEST(Journal, WriteMergedJournalIsByteIdenticalToUnshardedRun) {
     return buffer.str();
   };
   EXPECT_EQ(read_all(out), read_all(*config.journal_path));
+}
+
+/// sort_records puts each run of record lines between plan lines in index
+/// order and keeps the header, the plan lines, and the file order of a
+/// duplicated index (the first one wins on load); a sorted journal stays.
+TEST(Journal, SortRecordsOrdersEachRunBetweenPlanLines) {
+  const fs::path dir = scratch_dir("sort_records");
+  const std::string path = (dir / "j.jsonl").string();
+  InjectionRecord masked;
+  InjectionRecord sdc;
+  sdc.outcome = Outcome::kSdc;
+  fi::PlanEvent alloc;
+  alloc.kind = fi::PlanEvent::Kind::kAlloc;
+  alloc.checkpoint = 1;
+  fi::PlanEvent stop;
+  stop.stop_at = 6;
+  auto rec = [](u64 index, const InjectionRecord& record) {
+    return Journal::record_line(index, record) + "\n";
+  };
+  auto plan = [](const fi::PlanEvent& event) {
+    return fi::plan_event_line(event) + "\n";
+  };
+  const std::string header = Journal::header_line(fi::JournalHeader{}) + "\n";
+  auto read = [&] {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+  };
+  std::ofstream(path, std::ios::binary)
+      << header << rec(2, masked) << rec(0, masked) << rec(1, masked)
+      << plan(alloc) << rec(4, sdc) << rec(3, masked) << rec(4, masked)
+      << plan(stop);
+  const std::string want = header + rec(0, masked) + rec(1, masked) +
+                           rec(2, masked) + plan(alloc) + rec(3, masked) +
+                           rec(4, sdc) + rec(4, masked) + plan(stop);
+  ASSERT_TRUE(Journal::sort_records(path).is_ok());
+  EXPECT_EQ(read(), want);
+  ASSERT_TRUE(Journal::sort_records(path).is_ok());
+  EXPECT_EQ(read(), want);
 }
 
 TEST(Journal, QuarantinedRecordRoundTrips) {
