@@ -178,6 +178,15 @@ stats::Interval CampaignResult::rate_interval(Outcome outcome) const {
   return stats::wilson_interval(count(outcome), records.size());
 }
 
+namespace {
+
+/// How many launch states of `state_bytes` fit kFastForwardBytes.
+u64 states_that_fit(u64 state_bytes) {
+  return kFastForwardBytes / std::max<u64>(state_bytes, 1);
+}
+
+}  // namespace
+
 Result<Campaign::Golden> Campaign::golden_run(const CampaignConfig& config) {
   auto workload = wl::make_workload(config.workload);
   if (!workload) {
@@ -193,12 +202,18 @@ Result<Campaign::Golden> Campaign::golden_run(const CampaignConfig& config) {
   Golden golden;
   sim::LaunchOptions options;
   options.profile = &golden.profile;
-  golden.grid.step = kStrikeGridStep;
-  options.issue_grid = &golden.grid;
   options.engine = config.engine;
   golden.state_bytes = sim::launch_state_bytes(
       config.machine, workload->program(), spec.value().grid,
       spec.value().block, device.memory().bytes_allocated());
+  // The grid orders injections for the checkpoints workers keep; where not
+  // even one fits next to one live launch (kept_checkpoints), nothing
+  // reads it. The mode is not part of the GoldenCache key, so memory-mode
+  // campaigns record it too.
+  if (states_that_fit(golden.state_bytes) >= 2) {
+    golden.grid.step = kStrikeGridStep;
+    options.issue_grid = &golden.grid;
+  }
   auto launch = device.launch(workload->program(), spec.value().grid,
                               spec.value().block, spec.value().params, options);
   if (!launch.is_ok()) return launch.status();
@@ -308,6 +323,7 @@ struct InjectionContext {
   /// bucket (0 while none is kept).
   sim::LaunchCheckpoint kept;
   std::size_t kept_bucket = 0;
+  bool keeps = false;  ///< whether this context keeps checkpoints
 };
 
 /// Sets a context up. Setup is deterministic, so every context of a
@@ -347,17 +363,17 @@ struct RetryVerdict {
 
 /// Campaign-scoped fast-forward state, shared by the workers of one
 /// Campaign::run: a free-list of injection contexts (at most one per
-/// worker), their shared checkpoint 0, the golden issue grid their armed
-/// launches capture checkpoints on when the campaign runs in strike order,
-/// and the verdict of the first transient retry, which answers the later
-/// ones.
+/// worker), their shared checkpoint 0, the golden issue grid on which the
+/// armed launches of the first `keepers` contexts capture the checkpoints
+/// those contexts keep, and the verdict of the first transient retry,
+/// which answers the later ones.
 class FastForward {
  public:
-  /// `grid` is null unless armed launches keep checkpoints.
   FastForward(const CampaignConfig& config, const sim::IssueGrid* grid,
-              std::size_t workers, obs::Registry& reg)
+              std::size_t workers, std::size_t keepers, obs::Registry& reg)
       : config_(config),
         grid_(grid),
+        keepers_(keepers),
         map_pages_(workers > 1),
         checkpoints_(reg.counter("campaign.fast_forward.checkpoints")),
         skipped_(reg.counter("campaign.fast_forward.skipped_warp_instrs")),
@@ -383,6 +399,10 @@ class FastForward {
     made.value()->kept.image = sim::ImageBuffer(0, map_pages_);
     std::lock_guard<std::mutex> lock(mutex_);
     if (!start_) start_ = made.value()->start;
+    if (keepers_ > 0) {
+      made.value()->keeps = true;
+      --keepers_;
+    }
     return made;
   }
 
@@ -391,8 +411,9 @@ class FastForward {
     free_.push_back(std::move(context));
   }
 
-  /// The golden issue grid, or null when no checkpoint is kept.
-  [[nodiscard]] const sim::IssueGrid* grid() const { return grid_; }
+  /// The golden issue grid, which a context that keeps checkpoints
+  /// captures them on.
+  [[nodiscard]] const sim::IssueGrid& grid() const { return *grid_; }
 
   /// The first transient retry's verdict, or nullopt until one has run.
   [[nodiscard]] std::optional<RetryVerdict> retry_verdict() {
@@ -420,6 +441,7 @@ class FastForward {
  private:
   const CampaignConfig& config_;
   const sim::IssueGrid* grid_;
+  std::size_t keepers_;  ///< contexts still to make that keep checkpoints
   bool map_pages_;
   obs::Counter& checkpoints_;
   obs::Counter& skipped_;
@@ -499,7 +521,8 @@ Result<InjectionRecord> run_injection(
   // post-setup snapshot.
   const std::optional<sim::StrikeRequest> strike =
       InjectorHook(site.value(), device.config()).strike_request();
-  const sim::IssueGrid* grid = ff && strike ? ff->grid() : nullptr;
+  const sim::IssueGrid* grid =
+      ff && strike && context->keeps ? &ff->grid() : nullptr;
   const std::size_t bucket = grid ? grid->bucket(*strike) : 0;
   const sim::LaunchCheckpoint* resume = nullptr;
   if (grid && context->kept_bucket > 0 &&
@@ -688,11 +711,14 @@ Result<InjectionRecord> run_injection(
 
 }  // namespace
 
-bool strike_ordered(const CampaignConfig& config,
-                    const Campaign::Golden& golden, std::size_t workers) {
-  return config.model.mode != InjectionMode::kMemory &&
-         2 * static_cast<u64>(workers) * golden.state_bytes <=
-             kFastForwardBytes;
+std::size_t kept_checkpoints(const CampaignConfig& config,
+                             const Campaign::Golden& golden,
+                             std::size_t workers) {
+  if (config.model.mode == InjectionMode::kMemory) return 0;
+  const u64 fit = states_that_fit(golden.state_bytes);
+  return fit > workers ? static_cast<std::size_t>(
+                             std::min<u64>(workers, fit - workers))
+                       : 0;
 }
 
 std::size_t strike_bucket(const CampaignConfig& config,
@@ -709,6 +735,26 @@ std::size_t strike_bucket(const CampaignConfig& config,
   const auto strike =
       InjectorHook(site.value(), config.machine).strike_request();
   return strike ? golden.grid.bucket(*strike) : 0;
+}
+
+std::vector<std::size_t> run_order(const CampaignConfig& config,
+                                   const Campaign::Golden& golden,
+                                   std::size_t workers,
+                                   std::span<const u64> indices,
+                                   const PlanEvent* alloc) {
+  std::vector<std::pair<std::size_t, std::size_t>> keyed;  // bucket, pos
+  keyed.reserve(indices.size());
+  const bool by_strike = kept_checkpoints(config, golden, workers) > 0;
+  for (std::size_t pos = 0; pos < indices.size(); ++pos) {
+    keyed.emplace_back(
+        by_strike ? strike_bucket(config, golden, indices[pos], alloc) : 0,
+        pos);
+  }
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<std::size_t> order;
+  order.reserve(keyed.size());
+  for (const auto& [bucket, pos] : keyed) order.push_back(pos);
+  return order;
 }
 
 Result<InjectionRecord> Campaign::run_single(
@@ -935,28 +981,32 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
   std::vector<Status> errors(result.run_indices.size());
   std::vector<u8> pruned_flags(result.run_indices.size(), 0);
   ThreadPool pool(config.threads);
-  // Strike order (DESIGN.md §4.14): pending injections run by the grid
-  // bucket of their strike, then index, so each worker's next strike lies
-  // at or past the checkpoint its context kept. The order is the same on
-  // every tier; only armed launches keep checkpoints.
-  const bool by_strike = strike_ordered(config, golden.value(), pool.size());
-  FastForward ff(config,
-                 by_strike && config.engine != sim::EngineTier::kInstrumented
-                     ? &golden.value().grid
-                     : nullptr,
-                 pool.size(), reg);
-  auto strike_sort = [&](std::vector<std::size_t>& slots,
-                         const PlanEvent* alloc) {
-    if (!by_strike) return;
-    std::vector<std::pair<std::size_t, std::size_t>> keyed;  // bucket, slot
-    keyed.reserve(slots.size());
+  // Strike order (DESIGN.md §4.14): where contexts keep checkpoints,
+  // pending injections run by the grid bucket of their strike, then index
+  // (run_order), so each worker's next strike lies at or past the
+  // checkpoint its context kept. The order is the same on every tier; only
+  // armed launches keep checkpoints.
+  const std::size_t keepers =
+      kept_checkpoints(config, golden.value(), pool.size());
+  const bool by_strike = keepers > 0;
+  FastForward ff(config, &golden.value().grid, pool.size(),
+                 config.engine == sim::EngineTier::kInstrumented ? 0 : keepers,
+                 reg);
+  // `slots` in run order.
+  auto in_run_order = [&](std::vector<std::size_t> slots,
+                          const PlanEvent* alloc) {
+    std::vector<u64> indices;
+    indices.reserve(slots.size());
     for (const std::size_t slot : slots) {
-      keyed.emplace_back(strike_bucket(config, golden.value(),
-                                       result.run_indices[slot], alloc),
-                         slot);
+      indices.push_back(result.run_indices[slot]);
     }
-    std::sort(keyed.begin(), keyed.end());
-    for (std::size_t k = 0; k < keyed.size(); ++k) slots[k] = keyed[k].second;
+    std::vector<std::size_t> order;
+    order.reserve(slots.size());
+    for (const std::size_t pos :
+         run_order(config, golden.value(), pool.size(), indices, alloc)) {
+      order.push_back(slots[pos]);
+    }
+    return order;
   };
 
   // One injection slot: sample, simulate (or credit), journal, measure.
@@ -1009,7 +1059,7 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
     for (std::size_t slot = 0; slot < result.run_indices.size(); ++slot) {
       if (!done[slot]) order.push_back(slot);
     }
-    strike_sort(order, nullptr);
+    order = in_run_order(std::move(order), nullptr);
     pool.parallel_for(order.size(), [&](std::size_t k) {
       run_slot(order[k], std::nullopt);
     });
@@ -1122,8 +1172,8 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
       }
       if (alloc) allocs_used.push_back(*alloc);
 
-      std::vector<std::size_t> order = block_slots;
-      strike_sort(order, alloc ? &*alloc : nullptr);
+      const std::vector<std::size_t> order =
+          in_run_order(block_slots, alloc ? &*alloc : nullptr);
       pool.parallel_for(order.size(), [&](std::size_t b) {
         const std::size_t slot = order[b];
         run_slot(slot,

@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <array>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -274,10 +275,11 @@ struct CampaignResult {
 };
 
 /// Launch state (device memory plus resident registers and shared memory)
-/// a campaign may hold for fast-forward: one live launch and one kept
-/// golden-prefix checkpoint per worker. One saxpy_swift injection alone
-/// holds 2.5 MiB, so with 2 MiB no campaign holds more launch state than
-/// such an injection already did before checkpoints existed.
+/// a campaign may hold for fast-forward: one live launch per worker and
+/// the golden-prefix checkpoints its contexts keep. One saxpy_swift
+/// injection alone holds 2.5 MiB, so with 2 MiB no campaign holds more
+/// launch state than such an injection already did before checkpoints
+/// existed.
 inline constexpr u64 kFastForwardBytes = u64{2} << 20;
 /// Spacing, in warp instructions, of the golden issue grid (Golden::grid):
 /// the marks a kept checkpoint sits at.
@@ -318,7 +320,8 @@ class Campaign {
     u64 dyn_instrs = 0;
     u64 cycles = 0;
     /// Per-group issue counts every kStrikeGridStep warp instructions:
-    /// where each injection's strike falls (strike_bucket).
+    /// where each injection's strike falls (strike_bucket). Empty when
+    /// not even one worker could keep a checkpoint (kept_checkpoints).
     sim::IssueGrid grid;
     /// sim::launch_state_bytes of the launch: what one live launch or one
     /// checkpoint of it holds.
@@ -327,21 +330,31 @@ class Campaign {
   static Result<Golden> golden_run(const CampaignConfig& config);
 };
 
-/// Whether Campaign::run with `workers` threads runs `config` in strike
-/// order (DESIGN.md §4.14): its mode strikes an instruction (every mode
-/// but memory), and one live launch plus one kept checkpoint per worker,
-/// 2 x workers x golden.state_bytes, fit kFastForwardBytes.
-[[nodiscard]] bool strike_ordered(const CampaignConfig& config,
-                                  const Campaign::Golden& golden,
-                                  std::size_t workers);
+/// How many of the injection contexts of a `workers`-thread Campaign::run
+/// keep a golden-prefix checkpoint (DESIGN.md §4.14): none in memory mode,
+/// which strikes no instruction; else as many as fit, next to one live
+/// launch per worker, in kFastForwardBytes of golden.state_bytes each, at
+/// most one per worker. A campaign whose contexts keep none runs in index
+/// order.
+[[nodiscard]] std::size_t kept_checkpoints(const CampaignConfig& config,
+                                           const Campaign::Golden& golden,
+                                           std::size_t workers);
 
 /// The strike-order key of global injection `run_index`, whose planner
 /// block has the stratified allocation `alloc` (null without one): how
 /// many marks of golden.grid lie before its strike, 0 when its site cannot
-/// be sampled. Campaign::run runs a strike-ordered slice, or planner
-/// block, by (bucket, index).
+/// be sampled.
 [[nodiscard]] std::size_t strike_bucket(const CampaignConfig& config,
                                         const Campaign::Golden& golden,
                                         u64 run_index, const PlanEvent* alloc);
+
+/// The order in which a `workers`-thread Campaign::run runs the pending
+/// global injections `indices` (ascending) of a flat slice or of one
+/// planner block with allocation `alloc`: positions into `indices`, by
+/// (strike_bucket, index) when its contexts keep checkpoints, else as
+/// given.
+[[nodiscard]] std::vector<std::size_t> run_order(
+    const CampaignConfig& config, const Campaign::Golden& golden,
+    std::size_t workers, std::span<const u64> indices, const PlanEvent* alloc);
 
 }  // namespace gfi::fi

@@ -124,10 +124,9 @@ std::set<u64> journaled_indices(const std::string& path) {
   return indices;
 }
 
-/// The injection a crashed worker of shard `s` died executing. Its one
-/// thread (FIFO pool) runs the slice's unjournaled indices in index order
-/// or, when the campaign is strike-ordered, by (strike bucket, index)
-/// within the first unfinished planner block of `block` indices (0: no
+/// The injection a crashed worker of shard `s` died executing: the first,
+/// in its one thread's run order (run_order), of the slice's unjournaled
+/// indices in the first unfinished planner block of `block` indices (0: no
 /// planner, the whole slice is one block); `allocs` are the published
 /// allocations a stratified block draws its strata from.
 std::optional<u64> crash_candidate(const CampaignConfig& campaign,
@@ -135,25 +134,22 @@ std::optional<u64> crash_candidate(const CampaignConfig& campaign,
                                    u32 s, const std::set<u64>& done, u64 block,
                                    const std::map<u64, PlanEvent>& allocs) {
   const u64 n = campaign.num_injections;
-  std::optional<u64> first;
-  for (u64 i = s; i < n && !first; i += shards) {
-    if (done.find(i) == done.end()) first = i;
+  std::vector<u64> pending;
+  for (u64 i = s; i < n; i += shards) {
+    if (done.find(i) != done.end()) continue;
+    if (!pending.empty() && block && i / block != pending.front() / block) {
+      break;
+    }
+    pending.push_back(i);
   }
-  if (!first || !strike_ordered(campaign, golden, 1)) return first;
-  const u64 b0 = block ? *first / block * block : 0;
-  const u64 b1 = block ? std::min(b0 + block, n) : n;
+  if (pending.empty()) return std::nullopt;
   const PlanEvent* alloc = nullptr;
   if (campaign.planner.stratify) {
-    const auto it = allocs.find(b0 / block);
-    if (it == allocs.end()) return first;  // the block cannot have started
+    const auto it = allocs.find(pending.front() / block);
+    if (it == allocs.end()) return pending.front();  // block not started
     alloc = &it->second;
   }
-  std::pair<std::size_t, u64> best{~std::size_t{0}, *first};
-  for (u64 i = *first; i < b1; i += shards) {
-    if (done.find(i) != done.end()) continue;
-    best = std::min(best, {strike_bucket(campaign, golden, i, alloc), i});
-  }
-  return best.second;
+  return pending[run_order(campaign, golden, 1, pending, alloc).front()];
 }
 
 /// Append-only flushed event log mirroring the journal's crash-safety

@@ -74,14 +74,15 @@ std::vector<std::string> record_lines(const fi::CampaignResult& result) {
   return lines;
 }
 
-/// Whether a `workers`-thread IOV campaign of `name` keeps checkpoints.
-bool keeps_checkpoints(const std::string& name, std::size_t workers) {
+/// How many contexts of a `workers`-thread IOV campaign of `name` keep
+/// checkpoints.
+std::size_t kept(const std::string& name, std::size_t workers) {
   fi::CampaignConfig config;
   config.workload = name;
   config.machine = machine();
   auto golden = fi::Campaign::golden_run(config);
   EXPECT_TRUE(golden.is_ok()) << golden.status().to_string();
-  return fi::strike_ordered(config, golden.value(), workers);
+  return fi::kept_checkpoints(config, golden.value(), workers);
 }
 
 std::string read_file(const std::string& path) {
@@ -146,7 +147,7 @@ void campaign_sweep(const std::string& workload, InjectionMode mode) {
     }
   }
   // Not vacuous: where the gate keeps checkpoints, injections resumed.
-  if (keeps_checkpoints(workload, 1)) {
+  if (kept(workload, 1) > 0) {
     EXPECT_GT(skipped, 0u) << workload << " " << to_string(mode);
   }
 }
@@ -358,21 +359,28 @@ TEST(FastForwardMemory, ReusedDevicesMatchFreshOnes) {
 
 // ---- strike order -----------------------------------------------------------
 
-/// The gate over the probed launch states: one live launch and one kept
-/// checkpoint per worker must fit 2 MiB.
+/// The gate over the probed launch states: one live launch per worker and
+/// the kept checkpoints fit 2 MiB, at most one checkpoint per worker. Where
+/// not every worker's fits, the contexts that fit keep one and the
+/// campaign still runs in strike order.
 TEST(StrikeOrder, GateFollowsLaunchState) {
   harden::register_hardened_workloads();
-  // 121, 178 and 288 KiB of launch state: 2 x workers states fit 2 MiB up
-  // to 8, 5 and 3 workers.
-  EXPECT_TRUE(keeps_checkpoints("histogram", 8));
-  EXPECT_FALSE(keeps_checkpoints("histogram", 9));
-  EXPECT_TRUE(keeps_checkpoints("spmv", 5));
-  EXPECT_FALSE(keeps_checkpoints("spmv", 6));
-  EXPECT_TRUE(keeps_checkpoints("gemm", 3));
-  EXPECT_FALSE(keeps_checkpoints("gemm", 4));
-  EXPECT_FALSE(keeps_checkpoints("saxpy", 1));
-  EXPECT_FALSE(keeps_checkpoints("saxpy_swift", 1));
-  EXPECT_FALSE(keeps_checkpoints("vecadd", 1));
+  // 121, 178 and 288 KiB of launch state: 16, 11 and 7 states fit 2 MiB.
+  EXPECT_EQ(kept("histogram", 8), 8u);
+  EXPECT_EQ(kept("histogram", 9), 7u);
+  EXPECT_EQ(kept("histogram", 15), 1u);
+  EXPECT_EQ(kept("histogram", 16), 0u);
+  EXPECT_EQ(kept("spmv", 5), 5u);
+  EXPECT_EQ(kept("spmv", 6), 5u);
+  EXPECT_EQ(kept("spmv", 10), 1u);
+  EXPECT_EQ(kept("spmv", 11), 0u);
+  EXPECT_EQ(kept("gemm", 3), 3u);
+  EXPECT_EQ(kept("gemm", 4), 3u);
+  EXPECT_EQ(kept("gemm", 6), 1u);
+  EXPECT_EQ(kept("gemm", 7), 0u);
+  EXPECT_EQ(kept("saxpy", 1), 0u);
+  EXPECT_EQ(kept("saxpy_swift", 1), 0u);
+  EXPECT_EQ(kept("vecadd", 1), 0u);
 
   fi::CampaignConfig config;
   config.workload = "histogram";
@@ -380,24 +388,35 @@ TEST(StrikeOrder, GateFollowsLaunchState) {
   config.model = {InjectionMode::kMemory, BitFlipModel::kDouble};
   auto golden = fi::Campaign::golden_run(config);
   ASSERT_TRUE(golden.is_ok()) << golden.status().to_string();
-  EXPECT_FALSE(fi::strike_ordered(config, golden.value(), 1))
+  EXPECT_EQ(fi::kept_checkpoints(config, golden.value(), 1), 0u)
       << "memory mode has no strike";
 
-  for (const char* workload : {"gemm", "saxpy_swift"}) {
+  // gemm with four workers: three contexts keep checkpoints, the records
+  // still match the instrumented pin.
+  config.workload = "gemm";
+  config.model = {};
+  config.num_injections = 24;
+  config.threads = 1;
+  config.engine = EngineTier::kInstrumented;
+  auto pinned = fi::Campaign::run(config);
+  ASSERT_TRUE(pinned.is_ok()) << pinned.status().to_string();
+  config.engine = EngineTier::kThreaded;
+  for (const auto& [workload, threads] :
+       {std::pair<const char*, u32>{"gemm", 1}, {"gemm", 4},
+        {"saxpy_swift", 1}}) {
     obs::Registry metrics;
     config.workload = workload;
-    config.machine = arch::a100();
-    config.model = {};
-    config.num_injections = 24;
-    config.threads = 1;
+    config.threads = threads;
     config.metrics = &metrics;
     auto result = fi::Campaign::run(config);
     ASSERT_TRUE(result.is_ok()) << result.status().to_string();
     const u64 captured =
         metrics.counter("campaign.fast_forward.checkpoints").value();
     if (std::string(workload) == "gemm") {
-      EXPECT_GT(captured, 0u);
+      EXPECT_GT(captured, 0u) << threads << " threads";
       EXPECT_LE(captured, 24u);  // at most one per injection
+      EXPECT_EQ(record_lines(result.value()), record_lines(pinned.value()))
+          << threads << " threads";
     } else {
       EXPECT_EQ(captured, 0u);
     }
@@ -464,7 +483,8 @@ TEST(StrikeOrder, JournalsFollowRunOrderOnBothTiers) {
     config.seed = 21;
     auto golden = fi::Campaign::golden_run(config);
     ASSERT_TRUE(golden.is_ok()) << golden.status().to_string();
-    ASSERT_TRUE(fi::strike_ordered(config, golden.value(), 1)) << workload;
+    ASSERT_GT(fi::kept_checkpoints(config, golden.value(), 1), 0u)
+        << workload;
     const fi::JournalContents cut = both_tiers(config, workload);
     ASSERT_EQ(cut.records.size(), config.num_injections - 1) << workload;
     std::vector<std::pair<std::size_t, u64>> keys;
@@ -716,15 +736,34 @@ u32 strike_groups(InjectionMode mode) {
 }
 
 /// The golden grid of `name` on machine(), as Campaign::golden_run takes it.
-sim::IssueGrid golden_grid(const std::string& name,
-                           EngineTier tier = EngineTier::kThreaded) {
+sim::IssueGrid golden_grid(const std::string& name) {
   fi::CampaignConfig config;
   config.workload = name;
   config.machine = machine();
-  config.engine = tier;
   auto golden = fi::Campaign::golden_run(config);
   EXPECT_TRUE(golden.is_ok()) << golden.status().to_string();
   return golden.is_ok() ? golden.value().grid : sim::IssueGrid{};
+}
+
+/// The grid a profiled hook-free launch of `name` on machine() records
+/// every kStrikeGridStep warp instructions, whatever its launch state.
+sim::IssueGrid launch_grid(const std::string& name, EngineTier tier) {
+  auto workload = wl::make_workload(name);
+  sim::Device device(machine());
+  auto spec = workload->setup(device);
+  EXPECT_TRUE(spec.is_ok()) << spec.status().to_string();
+  sim::Profile profile;
+  sim::IssueGrid grid;
+  grid.step = fi::kStrikeGridStep;
+  sim::LaunchOptions options;
+  options.engine = tier;
+  options.profile = &profile;
+  options.issue_grid = &grid;
+  auto result = device.launch(workload->program(), spec.value().grid,
+                              spec.value().block, spec.value().params,
+                              options);
+  EXPECT_TRUE(result.is_ok()) << result.status().to_string();
+  return grid;
 }
 
 /// Up to four marks spread over `grid`, first and last included.
@@ -739,17 +778,29 @@ std::vector<std::size_t> sample_marks(const sim::IssueGrid& grid) {
   return marks;
 }
 
-/// For every workload the golden grid's row at mark i holds the group
-/// issues of an armed checkpoint captured at mark i, and both tiers record
-/// the same grid.
+/// For every workload the grid's row at mark i holds the group issues of
+/// an armed checkpoint captured at mark i, and both tiers record the same
+/// grid. Campaign::golden_run keeps it where one worker can keep a
+/// checkpoint and records none elsewhere.
 TEST(GoldenGrid, RowsMatchCapturedCheckpoints) {
   for (const std::string& name : wl::workload_names()) {
-    const sim::IssueGrid grid = golden_grid(name);
+    const sim::IssueGrid grid = launch_grid(name, EngineTier::kThreaded);
     EXPECT_EQ(grid.step, fi::kStrikeGridStep);
     ASSERT_GT(grid.marks(), 0u) << name;
-    EXPECT_EQ(golden_grid(name, EngineTier::kInstrumented).counts,
+    EXPECT_EQ(launch_grid(name, EngineTier::kInstrumented).counts,
               grid.counts)
         << name;
+    fi::CampaignConfig config;
+    config.workload = name;
+    config.machine = machine();
+    auto golden = fi::Campaign::golden_run(config);
+    ASSERT_TRUE(golden.is_ok()) << golden.status().to_string();
+    if (fi::kept_checkpoints(config, golden.value(), 1) > 0) {
+      EXPECT_EQ(golden.value().grid.step, grid.step) << name;
+      EXPECT_EQ(golden.value().grid.counts, grid.counts) << name;
+    } else {
+      EXPECT_EQ(golden.value().grid.marks(), 0u) << name;
+    }
     Bench bench([name] { return wl::make_workload(name); });
     EXPECT_LT(grid.mark_at(grid.marks() - 1), bench.issues().size()) << name;
     for (const std::size_t mark : sample_marks(grid)) {
