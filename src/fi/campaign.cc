@@ -21,6 +21,7 @@
 #include "obs/registry.h"
 #include "recover/retry.h"
 #include "sa/ace.h"
+#include "sa/dataflow.h"
 #include "sassim/device.h"
 #include "workloads/workload.h"
 
@@ -180,9 +181,9 @@ stats::Interval CampaignResult::rate_interval(Outcome outcome) const {
 
 namespace {
 
-/// How many launch states of `state_bytes` fit kFastForwardBytes.
-u64 states_that_fit(u64 state_bytes) {
-  return kFastForwardBytes / std::max<u64>(state_bytes, 1);
+/// How many checkpoint images of `image_bytes` fit kFastForwardBytes.
+u64 images_that_fit(u64 image_bytes) {
+  return kFastForwardBytes / std::max<u64>(image_bytes, 1);
 }
 
 }  // namespace
@@ -203,14 +204,15 @@ Result<Campaign::Golden> Campaign::golden_run(const CampaignConfig& config) {
   sim::LaunchOptions options;
   options.profile = &golden.profile;
   options.engine = config.engine;
-  golden.state_bytes = sim::launch_state_bytes(
+  golden.live_rows = sa::live_in_rows(workload->program());
+  golden.image_bytes = sim::kept_image_bytes(
       config.machine, workload->program(), spec.value().grid,
-      spec.value().block, device.memory().bytes_allocated());
+      spec.value().block, device.memory().bytes_allocated(),
+      golden.live_rows.max_rows());
   // The grid orders injections for the checkpoints workers keep; where not
-  // even one fits next to one live launch (kept_checkpoints), nothing
-  // reads it. The mode is not part of the GoldenCache key, so memory-mode
-  // campaigns record it too.
-  if (states_that_fit(golden.state_bytes) >= 2) {
+  // even one fits (kept_checkpoints), nothing reads it. The mode is not
+  // part of the GoldenCache key, so memory-mode campaigns record it too.
+  if (images_that_fit(golden.image_bytes) >= 1) {
     golden.grid.step = kStrikeGridStep;
     options.issue_grid = &golden.grid;
   }
@@ -363,19 +365,19 @@ struct RetryVerdict {
 
 /// Campaign-scoped fast-forward state, shared by the workers of one
 /// Campaign::run: a free-list of injection contexts (at most one per
-/// worker), their shared checkpoint 0, the golden issue grid on which the
+/// worker), their shared checkpoint 0, the golden run whose issue grid the
 /// armed launches of the first `keepers` contexts capture the checkpoints
-/// those contexts keep, and the verdict of the first transient retry,
-/// which answers the later ones.
+/// those contexts keep on (with its live rows), and the verdict of the
+/// first transient retry, which answers the later ones.
 class FastForward {
  public:
-  FastForward(const CampaignConfig& config, const sim::IssueGrid* grid,
-              std::size_t workers, std::size_t keepers, obs::Registry& reg)
+  FastForward(const CampaignConfig& config, const Campaign::Golden& golden,
+              std::size_t keepers, obs::Registry& reg)
       : config_(config),
-        grid_(grid),
+        golden_(golden),
         keepers_(keepers),
-        map_pages_(workers > 1),
         checkpoints_(reg.counter("campaign.fast_forward.checkpoints")),
+        image_bytes_(reg.counter("campaign.fast_forward.image_bytes")),
         skipped_(reg.counter("campaign.fast_forward.skipped_warp_instrs")),
         resumed_retries_(
             reg.counter("campaign.fast_forward.resumed_retries")) {}
@@ -394,14 +396,17 @@ class FastForward {
     }
     auto made = make_context(config_, std::move(start));
     if (!made.is_ok()) return made.status();
-    // Several workers keep their checkpoints in mapped pages: each worker's
-    // malloc arena would keep the high-water mark of its heap images.
-    made.value()->kept.image = sim::ImageBuffer(0, map_pages_);
     std::lock_guard<std::mutex> lock(mutex_);
     if (!start_) start_ = made.value()->start;
     if (keepers_ > 0) {
       made.value()->keeps = true;
       --keepers_;
+      // Mapped once, a quarter above the image bound (which leaves out
+      // headers, masks and stacks), so a checkpoint that grows as it moves
+      // forward seldom maps and faults in its pages again. Pages never
+      // written cost no resident memory.
+      made.value()->kept.image.reserve(golden_.image_bytes / sizeof(u32) *
+                                       5 / 4);
     }
     return made;
   }
@@ -413,7 +418,11 @@ class FastForward {
 
   /// The golden issue grid, which a context that keeps checkpoints
   /// captures them on.
-  [[nodiscard]] const sim::IssueGrid& grid() const { return *grid_; }
+  [[nodiscard]] const sim::IssueGrid& grid() const { return golden_.grid; }
+  /// The live rows a checkpoint keeps of each warp.
+  [[nodiscard]] const sim::LiveRows& live_rows() const {
+    return golden_.live_rows;
+  }
 
   /// The first transient retry's verdict, or nullopt until one has run.
   [[nodiscard]] std::optional<RetryVerdict> retry_verdict() {
@@ -427,11 +436,15 @@ class FastForward {
     if (!verdict_) verdict_ = verdict;
   }
 
-  /// Telemetry, never journaled: checkpoints captured, warp instructions a
-  /// resumed launch or an answered retry did not run, and the retries
-  /// answered. All are per campaign: with several workers what an
-  /// injection skips depends on what its context kept.
-  void captured() { checkpoints_.inc(); }
+  /// Telemetry, never journaled: checkpoints captured and the image bytes
+  /// they wrote, warp instructions a resumed launch or an answered retry
+  /// did not run, and the retries answered. All are per campaign: with
+  /// several workers what an injection skips depends on what its context
+  /// kept.
+  void captured(const sim::LaunchCheckpoint& checkpoint) {
+    checkpoints_.inc();
+    image_bytes_.inc(checkpoint.image_words * sizeof(u32));
+  }
   void skipped(u64 warp_instrs) { skipped_.inc(warp_instrs); }
   void resumed_retry(u64 warp_instrs) {
     resumed_retries_.inc();
@@ -440,10 +453,10 @@ class FastForward {
 
  private:
   const CampaignConfig& config_;
-  const sim::IssueGrid* grid_;
+  const Campaign::Golden& golden_;
   std::size_t keepers_;  ///< contexts still to make that keep checkpoints
-  bool map_pages_;
   obs::Counter& checkpoints_;
+  obs::Counter& image_bytes_;
   obs::Counter& skipped_;
   obs::Counter& resumed_retries_;
   std::mutex mutex_;
@@ -594,6 +607,10 @@ Result<InjectionRecord> run_injection(
         options.capture = &context->kept;
         options.capture_at = grid->mark_at(bucket - 1);
       }
+      if (resume || capture) {
+        options.live_rows = &ff->live_rows();
+        options.memory_base = context->start.get();
+      }
     }
 
     auto launch = device.launch(workload.program(), spec.grid, spec.block,
@@ -606,7 +623,7 @@ Result<InjectionRecord> run_injection(
     }
     if (launch.value().captured) {
       context->kept_bucket = bucket;
-      ff->captured();
+      ff->captured(context->kept);
     }
     if (attempt == 0) {
       if (memory_mode) {
@@ -715,10 +732,8 @@ std::size_t kept_checkpoints(const CampaignConfig& config,
                              const Campaign::Golden& golden,
                              std::size_t workers) {
   if (config.model.mode == InjectionMode::kMemory) return 0;
-  const u64 fit = states_that_fit(golden.state_bytes);
-  return fit > workers ? static_cast<std::size_t>(
-                             std::min<u64>(workers, fit - workers))
-                       : 0;
+  return static_cast<std::size_t>(
+      std::min<u64>(workers, images_that_fit(golden.image_bytes)));
 }
 
 std::size_t strike_bucket(const CampaignConfig& config,
@@ -989,7 +1004,7 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
   const std::size_t keepers =
       kept_checkpoints(config, golden.value(), pool.size());
   const bool by_strike = keepers > 0;
-  FastForward ff(config, &golden.value().grid, pool.size(),
+  FastForward ff(config, golden.value(),
                  config.engine == sim::EngineTier::kInstrumented ? 0 : keepers,
                  reg);
   // `slots` in run order.

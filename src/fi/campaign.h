@@ -5,9 +5,10 @@
 //             pool; every run strikes exactly one fault at a uniformly
 //             sampled eligible site and is classified against the golden
 //             outcome. Each worker sets the workload up once and restores
-//             it before every run. Where the launch state fits, runs go in
-//             strike order and each worker resumes from the golden-prefix
-//             checkpoint its previous run kept (DESIGN.md §4.14).
+//             it before every run. Where checkpoint images fit, runs go
+//             in strike order and each worker resumes from the
+//             golden-prefix checkpoint its previous run kept (DESIGN.md
+//             §4.14).
 //             A transient retry is the golden launch again: the first
 //             one's verdict answers the campaign's later ones.
 //
@@ -274,12 +275,10 @@ struct CampaignResult {
   [[nodiscard]] stats::Interval rate_interval(Outcome outcome) const;
 };
 
-/// Launch state (device memory plus resident registers and shared memory)
-/// a campaign may hold for fast-forward: one live launch per worker and
-/// the golden-prefix checkpoints its contexts keep. One saxpy_swift
-/// injection alone holds 2.5 MiB, so with 2 MiB no campaign holds more
-/// launch state than such an injection already did before checkpoints
-/// existed.
+/// Checkpoint images a campaign may keep for fast-forward, one per context
+/// at most, each bounded by Golden::image_bytes. One saxpy_swift launch
+/// alone holds 2.5 MiB of state, so with 2 MiB no campaign keeps more
+/// images than one such launch's worth.
 inline constexpr u64 kFastForwardBytes = u64{2} << 20;
 /// Spacing, in warp instructions, of the golden issue grid (Golden::grid):
 /// the marks a kept checkpoint sits at.
@@ -323,19 +322,21 @@ class Campaign {
     /// where each injection's strike falls (strike_bucket). Empty when
     /// not even one worker could keep a checkpoint (kept_checkpoints).
     sim::IssueGrid grid;
-    /// sim::launch_state_bytes of the launch: what one live launch or one
-    /// checkpoint of it holds.
-    u64 state_bytes = 0;
+    /// The program's live-in register rows (sa::live_in_rows): what a
+    /// checkpoint keeps of each warp.
+    sim::LiveRows live_rows;
+    /// sim::kept_image_bytes of the launch at the most rows live at any
+    /// pc: what one kept checkpoint image holds.
+    u64 image_bytes = 0;
   };
   static Result<Golden> golden_run(const CampaignConfig& config);
 };
 
 /// How many of the injection contexts of a `workers`-thread Campaign::run
 /// keep a golden-prefix checkpoint (DESIGN.md §4.14): none in memory mode,
-/// which strikes no instruction; else as many as fit, next to one live
-/// launch per worker, in kFastForwardBytes of golden.state_bytes each, at
-/// most one per worker. A campaign whose contexts keep none runs in index
-/// order.
+/// which strikes no instruction; else as many images of golden.image_bytes
+/// as fit kFastForwardBytes, at most one per worker. A campaign whose
+/// contexts keep none runs in index order.
 [[nodiscard]] std::size_t kept_checkpoints(const CampaignConfig& config,
                                            const Campaign::Golden& golden,
                                            std::size_t workers);

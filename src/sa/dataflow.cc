@@ -107,6 +107,27 @@ Liveness Liveness::compute(const sim::Program& program, const Cfg& cfg) {
   return live;
 }
 
+sim::LiveRows live_in_rows(const sim::Program& program) {
+  const Cfg cfg = Cfg::build(program);
+  const Liveness live = Liveness::compute(program, cfg);
+  const DecodedProgram& dec = program.decoded();
+  const u32 num_regs = program.num_regs();
+  sim::LiveRows rows;
+  rows.words = sim::row_mask_words(num_regs);
+  rows.masks.assign(dec.size() * rows.words, 0u);
+  for (u32 pc = 0; pc < dec.size(); ++pc) {
+    const DefUse& du = dec.def_use(pc);
+    u32* mask = rows.masks.data() + pc * rows.words;
+    for (u16 r = 0; r < num_regs; ++r) {
+      const bool killed = !dec.guarded(pc) && du.dst_regs.contains(r);
+      if (du.src_regs.contains(r) || (live.reg_live_out(pc, r) && !killed)) {
+        mask[r / 32] |= 1u << (r % 32);
+      }
+    }
+  }
+  return rows;
+}
+
 // ---------------------------------------------------------------------------
 // ReachingDefs
 // ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@
 #include "sassim/decoded.h"
 #include "sassim/defuse.h"
 #include "sassim/program.h"
+#include "sassim/warp.h"
 
 namespace gfi::sa {
 
@@ -82,6 +83,14 @@ class Liveness {
   u32 num_regs_ = 0;
   std::vector<BitSet> live_out_;  ///< per pc
 };
+
+/// The register rows live on entry to each instruction of `program`: its
+/// uses, plus what is live out of it and not killed by an unguarded write.
+/// Fast-forward keeps only these rows of a warp in a checkpoint
+/// (sim::LaunchOptions::live_rows). Sound because no fault model leaves the
+/// CFG: a row dead at a warp's resume pc is written before it is read on
+/// every path, whatever a strike corrupts.
+[[nodiscard]] sim::LiveRows live_in_rows(const sim::Program& program);
 
 /// Forward reaching definitions. Each (pc, variable) write is a definition;
 /// a pseudo-definition per variable models the launch-time zero-initialised

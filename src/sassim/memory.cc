@@ -1,5 +1,6 @@
 #include "sassim/memory.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace gfi::sim {
@@ -117,6 +118,29 @@ void GlobalMemory::inject_fault(u64 addr, u32 flip_mask) {
   u32& mask = faults_[addr / 4];
   mask ^= flip_mask;
   if (mask == 0) faults_.erase(addr / 4);
+}
+
+void GlobalMemory::restore(const Snapshot& snap, std::span<const u8> base,
+                           std::span<const u32> pages, std::size_t page_bytes,
+                           const u8* bytes) {
+  brk_ = snap.brk;
+  const std::size_t size = brk_ - kBaseAddress;
+  data_.resize(size);
+  auto from_base = [&](std::size_t begin, std::size_t end) {
+    if (end > begin) std::memcpy(&data_[begin], &base[begin], end - begin);
+  };
+  std::size_t done = 0;  // bytes of data_ restored so far
+  for (const u32 page : pages) {
+    const std::size_t begin = page * page_bytes;
+    const std::size_t length = std::min(page_bytes, size - begin);
+    from_base(done, begin);
+    std::memcpy(&data_[begin], bytes, length);
+    bytes += length;
+    done = begin + length;
+  }
+  from_base(done, size);
+  faults_ = snap.faults;
+  counters_ = snap.counters;
 }
 
 }  // namespace gfi::sim

@@ -98,21 +98,26 @@ class GlobalMemory {
   [[nodiscard]] Snapshot snapshot() const {
     return Snapshot{brk_, data_, faults_, counters_};
   }
-  /// snapshot() less the backing bytes, for restore(snap, data).
+  /// snapshot() less the backing bytes, for the paged restore() below.
   [[nodiscard]] Snapshot snapshot_without_bytes() const {
     return Snapshot{brk_, {}, faults_, counters_};
   }
 
-  void restore(const Snapshot& snap) { restore(snap, snap.data); }
-
-  /// restore() from a snapshot whose backing bytes are kept apart from it
-  /// (`snap.data` is ignored): LaunchCheckpoint keeps them in its image.
-  void restore(const Snapshot& snap, std::span<const u8> data) {
+  void restore(const Snapshot& snap) {
     brk_ = snap.brk;
-    data_.assign(data.begin(), data.end());
+    data_ = snap.data;
     faults_ = snap.faults;
     counters_ = snap.counters;
   }
+
+  /// restore() from a snapshot whose backing bytes are `base` with the
+  /// `page_bytes` pages numbered `pages` (ascending) replaced by the bytes
+  /// at `bytes`, one page after the other (the arena's last page may be
+  /// short), in one pass: LaunchCheckpoint keeps the pages that differ
+  /// from launch start in its image. `base` must cover every other page.
+  void restore(const Snapshot& snap, std::span<const u8> base,
+               std::span<const u32> pages, std::size_t page_bytes,
+               const u8* bytes);
 
   /// The backing bytes of [kBaseAddress, brk).
   [[nodiscard]] std::span<const u8> bytes() const { return data_; }

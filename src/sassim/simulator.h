@@ -95,6 +95,15 @@ struct LaunchOptions {
   /// occurrence. Incompatible with `profile` (the skipped prefix would go
   /// uncounted). A hook-free launch cannot resume: it always runs whole.
   const LaunchCheckpoint* resume_from = nullptr;
+  /// What a capture leaves out because a resume rebuilds it (DESIGN.md
+  /// §4.14). With `live_rows` (one mask per pc of the program) a warp keeps
+  /// only the register rows live at its pc or at the pc of any SIMT-stack
+  /// entry, a done warp none; without it, every row. With `memory_base`
+  /// (the device memory at launch start: checkpoint 0) the image keeps only
+  /// the 4 KiB memory pages that differ from it, and a resume from such an
+  /// image needs the same base; without it, every page.
+  const LiveRows* live_rows = nullptr;
+  const GlobalMemory::Snapshot* memory_base = nullptr;
 };
 
 /// Outcome of one kernel launch.
@@ -123,15 +132,15 @@ struct LaunchResult {
   }
 };
 
-/// A checkpoint's flat image, in words: on the heap, or in pages mapped for
-/// it alone and handed back to the OS when it goes. Mapped pages suit
-/// images that several threads take: each thread's malloc arena would keep
-/// the high-water mark of the heap images it freed.
+/// A checkpoint's flat image, in words, in pages mapped for it alone and
+/// handed back to the OS when it goes: a malloc arena would keep the
+/// high-water mark of the images its thread freed.
 class ImageBuffer {
  public:
   ImageBuffer() = default;
-  /// `words` uninitialized words; throws std::bad_alloc when out of memory.
-  ImageBuffer(std::size_t words, bool map_pages);
+  /// At least `words` words, whole pages; throws std::bad_alloc when out
+  /// of memory.
+  explicit ImageBuffer(std::size_t words);
   ~ImageBuffer();
   ImageBuffer(ImageBuffer&& other) noexcept;
   ImageBuffer& operator=(ImageBuffer&& other) noexcept;
@@ -141,8 +150,8 @@ class ImageBuffer {
   [[nodiscard]] u32* data() { return data_; }
   [[nodiscard]] const u32* data() const { return data_; }
   /// Makes room for `words` words, keeping the buffer when it is large
-  /// enough and otherwise replacing it (contents lost) in the same kind of
-  /// memory.
+  /// enough and otherwise replacing it (contents lost) with one at least
+  /// twice its size.
   void reserve(std::size_t words);
 
  private:
@@ -150,7 +159,6 @@ class ImageBuffer {
 
   u32* data_ = nullptr;
   std::size_t words_ = 0;
-  bool mapped_ = false;
 };
 
 /// The sum of `counts[g]` over the instruction groups g whose bit is set in
@@ -164,12 +172,14 @@ template <typename Count>
   return sum;
 }
 
-/// The whole engine state of an armed launch at a cycle boundary before its
-/// strike: resident CTAs (warps and shared memory),
-/// the grid cursor, counters and the timing-model cycle, the issue count of
-/// every instruction group, and device memory. Resuming from it reproduces
+/// The engine state of an armed launch at a cycle boundary before its
+/// strike, less what a resume rebuilds (LaunchOptions::live_rows,
+/// LaunchOptions::memory_base): resident CTAs (warps with their live
+/// register rows, and shared memory), the grid cursor, counters and the
+/// timing-model cycle, the issue count of every instruction group, and the
+/// memory pages that differ from launch start. Resuming from it reproduces
 /// the launch from that boundary on bit for bit (DESIGN.md §4.14). The CTAs
-/// and the memory bytes are one flat image: a single allocation, where
+/// and the page bytes are one flat image: a single allocation, where
 /// copies of the CTA objects would be one per warp and would leave the heap
 /// fragmented behind a campaign's checkpoints.
 struct LaunchCheckpoint {
@@ -183,7 +193,12 @@ struct LaunchCheckpoint {
   u64 cycle = 0;
   std::array<u64, kInstrGroupCount> group_issues{};  ///< issues per group
   GlobalMemory::Snapshot memory;  ///< all but the bytes, which are in image
-  ImageBuffer image;  ///< every pool's CTAs in order, then memory bytes
+  /// Indices of the kPageBytes memory pages in the image, ascending.
+  std::vector<u32> pages;
+  ImageBuffer image;  ///< every pool's CTAs in order, then those pages
+  std::size_t image_words = 0;  ///< words of `image` the capture wrote
+
+  static constexpr std::size_t kPageBytes = 4096;
 
   /// Issues so far of the groups whose bit is set in `groups`: the armed
   /// strike counter at this boundary.
@@ -192,12 +207,16 @@ struct LaunchCheckpoint {
   }
 };
 
-/// Upper bound on the launch state a LaunchCheckpoint of this launch holds:
-/// `memory_bytes` of device memory plus the registers and shared memory of
-/// the CTAs the grid keeps resident at full occupancy.
-[[nodiscard]] u64 launch_state_bytes(const MachineConfig& config,
-                                     const Program& program, Dim3 grid,
-                                     Dim3 block, u64 memory_bytes);
+/// The bulk of the image a capture of this launch writes at most, when no
+/// warp keeps more than `rows_per_warp` register rows: `memory_bytes` of
+/// device memory (every page differs from launch start) plus the shared
+/// memory and kept rows (128 B each) of the CTAs the grid keeps resident at
+/// full occupancy. Headers, masks and SIMT stacks, a few dozen bytes a
+/// warp, are left out.
+[[nodiscard]] u64 kept_image_bytes(const MachineConfig& config,
+                                   const Program& program, Dim3 grid,
+                                   Dim3 block, u64 memory_bytes,
+                                   u32 rows_per_warp);
 
 /// Per-group issue counts of a fault-free launch on a grid of marks `step`
 /// warp instructions apart. Row i holds Profile::warp_instrs_by_group at
@@ -237,6 +256,11 @@ class Simulator {
   Result<LaunchResult> launch(const Program& program, Dim3 grid, Dim3 block,
                               std::span<const u64> params,
                               const LaunchOptions& options = {});
+
+  /// The resident warps of `checkpoint` as a resume loads them, SM by SM
+  /// and CTA by CTA: rows the image left out read as zero.
+  static std::vector<WarpState> checkpoint_warps(
+      const LaunchCheckpoint& checkpoint);
 
  private:
   struct Cta;

@@ -1,6 +1,7 @@
 #include "sassim/warp.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace gfi::sim {
@@ -29,14 +30,36 @@ constexpr std::size_t kHeaderWords = 9;
 constexpr std::size_t kPredWords = kWarpSize / sizeof(u32);
 constexpr std::size_t kEntryWords = 3;
 
+/// Calls `copy(first, count)` for each run of consecutive registers whose
+/// bits are set in `rows`, a mask of `words` words: a capture copies a few
+/// runs of rows, not one row at a time.
+template <typename Copy>
+void for_each_row_run(const u32* rows, std::size_t words, Copy copy) {
+  for (std::size_t w = 0; w < words; ++w) {
+    u32 bits = rows[w];
+    while (bits != 0) {
+      const int first = std::countr_zero(bits);
+      const int count = std::countr_one(bits >> first);
+      copy(w * 32 + static_cast<std::size_t>(first),
+           static_cast<std::size_t>(count));
+      bits = count == 32 ? 0u : bits & ~(((1u << count) - 1u) << first);
+    }
+  }
+}
+
 }  // namespace
 
-std::size_t WarpState::image_words() const {
-  return kHeaderWords + regs_.size() + kPredWords +
+std::size_t WarpState::image_words(const u32* rows) const {
+  const std::size_t mask_words = row_mask_words(num_regs_);
+  std::size_t live = 0;
+  for (std::size_t w = 0; w < mask_words; ++w) {
+    live += static_cast<std::size_t>(std::popcount(rows[w]));
+  }
+  return kHeaderWords + mask_words + live * kWarpSize + kPredWords +
          stack_.size() * kEntryWords;
 }
 
-u32* WarpState::save_image(u32* out) const {
+u32* WarpState::save_image(u32* out, const u32* rows) const {
   *out++ = warp_in_cta_;
   *out++ = num_regs_;
   *out++ = active_;
@@ -46,7 +69,11 @@ u32* WarpState::save_image(u32* out) const {
   *out++ = hi32(ready_cycle);
   *out++ = at_barrier ? 1u : 0u;
   *out++ = static_cast<u32>(stack_.size());
-  out = std::copy(regs_.begin(), regs_.end(), out);
+  const std::size_t mask_words = row_mask_words(num_regs_);
+  out = std::copy(rows, rows + mask_words, out);
+  for_each_row_run(rows, mask_words, [&](std::size_t first, std::size_t count) {
+    out = std::copy_n(&regs_[first * kWarpSize], count * kWarpSize, out);
+  });
   std::memcpy(out, preds_, sizeof(preds_));
   out += kPredWords;
   for (const StackEntry& entry : stack_) {
@@ -59,12 +86,18 @@ u32* WarpState::save_image(u32* out) const {
 
 WarpState WarpState::load_image(const u32*& in) {
   const u32* header = in;
-  WarpState warp(header[0], header[1], header[2], header + kHeaderWords);
+  WarpState warp(header[0], header[1], header[2]);
   warp.exited_ = header[3];
   warp.pc = header[4];
   warp.ready_cycle = make64(header[5], header[6]);
   warp.at_barrier = header[7] != 0;
-  in += kHeaderWords + warp.regs_.size();
+  const u32* rows = header + kHeaderWords;
+  const std::size_t mask_words = row_mask_words(warp.num_regs_);
+  in = rows + mask_words;
+  for_each_row_run(rows, mask_words, [&](std::size_t first, std::size_t count) {
+    std::copy_n(in, count * kWarpSize, &warp.regs_[first * kWarpSize]);
+    in += count * kWarpSize;
+  });
   std::memcpy(warp.preds_, in, sizeof(warp.preds_));
   in += kPredWords;
   warp.stack_.resize(header[8]);
@@ -75,6 +108,18 @@ WarpState WarpState::load_image(const u32*& in) {
     in += kEntryWords;
   }
   return warp;
+}
+
+u32 LiveRows::max_rows() const {
+  u32 most = 0;
+  for (std::size_t pc = 0; pc < pcs(); ++pc) {
+    u32 rows = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      rows += static_cast<u32>(std::popcount(masks[pc * words + w]));
+    }
+    most = std::max(most, rows);
+  }
+  return most;
 }
 
 }  // namespace gfi::sim

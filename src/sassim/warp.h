@@ -23,6 +23,30 @@ struct StackEntry {
   Kind kind = Kind::kSsy;
 };
 
+/// Words of a mask with one bit per register of a `num_regs` file.
+[[nodiscard]] constexpr std::size_t row_mask_words(u32 num_regs) {
+  return (num_regs + 31) / 32;
+}
+
+/// The register rows live on entry to each instruction of a program: bit r
+/// of pc's mask is set when some path from pc may read register r before
+/// an unguarded write to it. A checkpoint keeps only these rows of a warp
+/// (LaunchOptions::live_rows); any other row is written before it is read,
+/// whatever value it holds.
+struct LiveRows {
+  std::size_t words = 0;  ///< mask words per pc: row_mask_words(num_regs)
+  std::vector<u32> masks;  ///< pcs() masks of `words` words
+
+  [[nodiscard]] std::size_t pcs() const {
+    return words == 0 ? 0 : masks.size() / words;
+  }
+  [[nodiscard]] const u32* at(u32 pc) const {
+    return masks.data() + pc * words;
+  }
+  /// The most rows live at any one pc.
+  [[nodiscard]] u32 max_rows() const;
+};
+
 class WarpState {
  public:
   WarpState(u32 warp_in_cta, u32 num_regs, u32 initial_mask)
@@ -140,21 +164,18 @@ class WarpState {
   void set_pred_bits(u32 lane, u8 bits) { preds_[lane] = bits; }
 
   // --- flat image (LaunchCheckpoint storage) -------------------------------
-  /// Words save_image() writes: every field, registers and stack included.
-  [[nodiscard]] std::size_t image_words() const;
-  /// Writes the warp to `out`; returns the word after it.
-  u32* save_image(u32* out) const;
+  /// Words save_image() writes with the register rows `rows` (a mask of
+  /// row_mask_words(num_regs()) words, bit r = register r): every field,
+  /// the mask, the rows it names and the stack.
+  [[nodiscard]] std::size_t image_words(const u32* rows) const;
+  /// Writes the warp to `out` with only the register rows `rows`; returns
+  /// the word after it.
+  u32* save_image(u32* out, const u32* rows) const;
   /// Rebuilds a warp save_image() wrote at `in`, advancing `in` past it.
+  /// Rows the image leaves out read as zero.
   [[nodiscard]] static WarpState load_image(const u32*& in);
 
  private:
-  /// load_image(): the register file copied from `regs`, not zeroed first.
-  WarpState(u32 warp_in_cta, u32 num_regs, u32 active, const u32* regs)
-      : warp_in_cta_(warp_in_cta),
-        num_regs_(num_regs),
-        active_(active),
-        regs_(regs, regs + static_cast<std::size_t>(num_regs) * kWarpSize) {}
-
   [[nodiscard]] std::size_t index_of(u32 lane, u16 r) const {
     assert(lane < kWarpSize && r < num_regs_);
     return static_cast<std::size_t>(r) * kWarpSize + lane;

@@ -1,6 +1,6 @@
 // Fast-forward equivalence: Campaign::run sets each worker's workload up
 // once, restores its post-setup snapshot before every injection, and, where
-// the launch state fits, runs injections in strike order, each resuming
+// checkpoint images fit, runs injections in strike order, each resuming
 // from the golden-prefix checkpoint its worker's context kept. Journal
 // record lines must equal those of the kInstrumented-pinned campaign
 // (every launch from instruction 0, never armed) and of standalone
@@ -12,8 +12,10 @@
 // first one: their journals must match the pin too, in memory, IOV and RF
 // modes and across a journal kill and resume. The sassim-level tests check
 // the golden issue grid against captured checkpoints, strike just before,
-// at and after a mark's own count, and strike across an adjacent FFMA pair
-// split by a checkpoint.
+// at and after a mark's own count, strike across an adjacent FFMA pair
+// split by a checkpoint, and check what a pruned image keeps: the rows live
+// where a divergent warp's lanes resume (dead rows load as zero), and the
+// memory pages that differ from launch start.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,7 +37,9 @@
 #include "fi/journal.h"
 #include "harden/swift.h"
 #include "obs/registry.h"
+#include "sa/dataflow.h"
 #include "sassim/device.h"
+#include "sassim/kernel_builder.h"
 #include "workloads/workload.h"
 
 namespace gfi {
@@ -359,28 +363,26 @@ TEST(FastForwardMemory, ReusedDevicesMatchFreshOnes) {
 
 // ---- strike order -----------------------------------------------------------
 
-/// The gate over the probed launch states: one live launch per worker and
-/// the kept checkpoints fit 2 MiB, at most one checkpoint per worker. Where
-/// not every worker's fits, the contexts that fit keep one and the
-/// campaign still runs in strike order.
-TEST(StrikeOrder, GateFollowsLaunchState) {
+/// The gate over the kept-image bounds: as many images as fit 2 MiB, at
+/// most one per worker. Where not every worker's fits, the contexts that
+/// fit keep one and the campaign still runs in strike order. The wide,
+/// shallow kernels keep one too: their images hold few live rows.
+TEST(StrikeOrder, GateFollowsImageBound) {
   harden::register_hardened_workloads();
-  // 121, 178 and 288 KiB of launch state: 16, 11 and 7 states fit 2 MiB.
-  EXPECT_EQ(kept("histogram", 8), 8u);
-  EXPECT_EQ(kept("histogram", 9), 7u);
-  EXPECT_EQ(kept("histogram", 15), 1u);
-  EXPECT_EQ(kept("histogram", 16), 0u);
-  EXPECT_EQ(kept("spmv", 5), 5u);
-  EXPECT_EQ(kept("spmv", 6), 5u);
-  EXPECT_EQ(kept("spmv", 10), 1u);
-  EXPECT_EQ(kept("spmv", 11), 0u);
-  EXPECT_EQ(kept("gemm", 3), 3u);
-  EXPECT_EQ(kept("gemm", 4), 3u);
-  EXPECT_EQ(kept("gemm", 6), 1u);
-  EXPECT_EQ(kept("gemm", 7), 0u);
-  EXPECT_EQ(kept("saxpy", 1), 0u);
-  EXPECT_EQ(kept("saxpy_swift", 1), 0u);
-  EXPECT_EQ(kept("vecadd", 1), 0u);
+  // 73, 138, 171, 512, 640 and 896 KiB bounds: 27, 14, 11, 4, 3 and 2
+  // images fit 2 MiB.
+  EXPECT_EQ(kept("histogram", 27), 27u);
+  EXPECT_EQ(kept("histogram", 28), 27u);
+  EXPECT_EQ(kept("spmv", 14), 14u);
+  EXPECT_EQ(kept("spmv", 16), 14u);
+  EXPECT_EQ(kept("gemm", 4), 4u);
+  EXPECT_EQ(kept("gemm", 12), 11u);
+  EXPECT_EQ(kept("saxpy", 1), 1u);
+  EXPECT_EQ(kept("saxpy", 8), 4u);
+  EXPECT_EQ(kept("vecadd", 1), 1u);
+  EXPECT_EQ(kept("vecadd", 4), 3u);
+  EXPECT_EQ(kept("saxpy_swift", 1), 1u);
+  EXPECT_EQ(kept("saxpy_swift", 4), 2u);
 
   fi::CampaignConfig config;
   config.workload = "histogram";
@@ -391,34 +393,32 @@ TEST(StrikeOrder, GateFollowsLaunchState) {
   EXPECT_EQ(fi::kept_checkpoints(config, golden.value(), 1), 0u)
       << "memory mode has no strike";
 
-  // gemm with four workers: three contexts keep checkpoints, the records
-  // still match the instrumented pin.
-  config.workload = "gemm";
+  // Under one and four workers every context or only some keep
+  // checkpoints; the records still match the instrumented pin.
   config.model = {};
   config.num_injections = 24;
-  config.threads = 1;
-  config.engine = EngineTier::kInstrumented;
-  auto pinned = fi::Campaign::run(config);
-  ASSERT_TRUE(pinned.is_ok()) << pinned.status().to_string();
-  config.engine = EngineTier::kThreaded;
-  for (const auto& [workload, threads] :
-       {std::pair<const char*, u32>{"gemm", 1}, {"gemm", 4},
-        {"saxpy_swift", 1}}) {
-    obs::Registry metrics;
+  for (const char* workload : {"gemm", "saxpy_swift", "vecadd"}) {
     config.workload = workload;
-    config.threads = threads;
-    config.metrics = &metrics;
-    auto result = fi::Campaign::run(config);
-    ASSERT_TRUE(result.is_ok()) << result.status().to_string();
-    const u64 captured =
-        metrics.counter("campaign.fast_forward.checkpoints").value();
-    if (std::string(workload) == "gemm") {
-      EXPECT_GT(captured, 0u) << threads << " threads";
+    config.threads = 1;
+    config.engine = EngineTier::kInstrumented;
+    auto pinned = fi::Campaign::run(config);
+    ASSERT_TRUE(pinned.is_ok()) << pinned.status().to_string();
+    config.engine = EngineTier::kThreaded;
+    for (const u32 threads : {1u, 4u}) {
+      obs::Registry metrics;
+      config.threads = threads;
+      config.metrics = &metrics;
+      auto result = fi::Campaign::run(config);
+      config.metrics = nullptr;
+      ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+      const u64 captured =
+          metrics.counter("campaign.fast_forward.checkpoints").value();
+      EXPECT_GT(captured, 0u) << workload << ", " << threads << " threads";
       EXPECT_LE(captured, 24u);  // at most one per injection
+      EXPECT_GT(metrics.counter("campaign.fast_forward.image_bytes").value(),
+                0u);
       EXPECT_EQ(record_lines(result.value()), record_lines(pinned.value()))
-          << threads << " threads";
-    } else {
-      EXPECT_EQ(captured, 0u);
+          << workload << ", " << threads << " threads";
     }
   }
 }
@@ -645,6 +645,7 @@ class Bench {
     workload_ = make_();
     spec_ = workload_->setup(device_).value();
     start_ = device_.snapshot();
+    live_rows_ = sa::live_in_rows(workload_->program());
     Recorder recorder;
     launch_fresh(&recorder, EngineTier::kInstrumented);
     issues_ = std::move(recorder.issues);
@@ -669,9 +670,12 @@ class Bench {
   }
 
   /// Armed launch on the reused device: from `resume` (or launch start),
-  /// capturing into `capture` at `capture_at` on the way.
+  /// capturing into `capture` at `capture_at` on the way. A pruned capture
+  /// keeps live rows and the pages that differ from launch start, as
+  /// campaigns do; an unpruned one keeps everything.
   Run inject(const FaultSite& site, const sim::LaunchCheckpoint* resume,
-             sim::LaunchCheckpoint* capture = nullptr, u64 capture_at = 0) {
+             sim::LaunchCheckpoint* capture = nullptr, u64 capture_at = 0,
+             bool pruned = true) {
     if (!resume) device_.restore(start_);
     fi::InjectorHook hook(site, machine());
     sim::LaunchOptions options;
@@ -679,6 +683,10 @@ class Bench {
     options.resume_from = resume;
     options.capture = capture;
     options.capture_at = capture_at;
+    if (pruned) {
+      options.live_rows = &live_rows_;
+      options.memory_base = &start_;
+    }
     auto result = device_.launch(workload_->program(), spec_.grid,
                                  spec_.block, spec_.params, options);
     EXPECT_TRUE(result.is_ok()) << result.status().to_string();
@@ -690,12 +698,20 @@ class Bench {
 
   /// The golden-prefix checkpoint at the first boundary reaching `mark`,
   /// captured by an armed launch whose strike comes last.
-  sim::LaunchCheckpoint golden_checkpoint(u64 mark) {
+  sim::LaunchCheckpoint golden_checkpoint(u64 mark, bool pruned = true) {
     sim::LaunchCheckpoint checkpoint;
     const u64 last = issues_.size() - 1;
     inject(make_site(fi::InjectionMode::kRf, last), nullptr, &checkpoint,
-           mark);
+           mark, pruned);
     return checkpoint;
+  }
+
+  /// Overwrites all of device memory, as a faulted run might leave it.
+  void scribble() {
+    sim::GlobalMemory& memory = device_.memory();
+    ASSERT_EQ(memory.fill(sim::GlobalMemory::kBaseAddress, 0xA5,
+                          memory.bytes_allocated()),
+              sim::TrapKind::kNone);
   }
 
   /// The same site on a fresh device, instrumented from instruction 0.
@@ -726,6 +742,7 @@ class Bench {
   sim::Device device_{machine()};
   wl::LaunchSpec spec_;
   sim::GlobalMemory::Snapshot start_;
+  sim::LiveRows live_rows_;
   std::vector<Issue> issues_;
 };
 
@@ -894,12 +911,14 @@ TEST(FastForwardLaunch, ResumeRejectsMisuse) {
   auto workload = wl::make_workload("gemm");
   sim::Device device(machine());
   auto spec = workload->setup(device).value();
+  const sim::GlobalMemory::Snapshot start = device.snapshot();
   auto launch = [&](sim::LaunchOptions options) {
     return device.launch(workload->program(), spec.grid, spec.block,
                          spec.params, options);
   };
   sim::LaunchOptions options;
   options.resume_from = &checkpoint;
+  options.memory_base = &start;
   EXPECT_EQ(launch(options).status().code(), StatusCode::kInvalidArgument)
       << "hook-free launch resumed";
   fi::InjectorHook early(make_site(InjectionMode::kIov, 0), machine());
@@ -912,6 +931,15 @@ TEST(FastForwardLaunch, ResumeRejectsMisuse) {
   options.profile = &profile;
   EXPECT_FALSE(launch(options).is_ok()) << "profiled a skipped prefix";
   options.profile = nullptr;
+  options.memory_base = nullptr;
+  EXPECT_FALSE(launch(options).is_ok())
+      << "resumed from dirty pages without the memory they differ from";
+  options.memory_base = &start;
+  const sim::LiveRows other =
+      sa::live_in_rows(wl::make_workload("saxpy")->program());
+  options.live_rows = &other;
+  EXPECT_FALSE(launch(options).is_ok()) << "another program's live rows";
+  options.live_rows = nullptr;
   EXPECT_TRUE(launch(options).is_ok());
 
   sim::LaunchOptions capture;
@@ -926,6 +954,131 @@ TEST(FastForwardLaunch, ResumeRejectsMisuse) {
   gridded.profile = &profile;
   issue_grid.step = 0;
   EXPECT_FALSE(launch(gridded).is_ok()) << "grid without a step";
+}
+
+// ---- what an image keeps ----------------------------------------------------
+
+/// A resume from an image that keeps only the pages that differ from
+/// launch start rebuilds the memory an image of every page holds, whatever
+/// the device memory held before the resume.
+TEST(FastForwardImage, DirtyPagesRebuildWholeMemory) {
+  Bench bench([] { return wl::make_workload("saxpy"); });
+  const sim::IssueGrid grid = golden_grid("saxpy");
+  ASSERT_GT(grid.marks(), 2u);
+  const u64 mark = grid.mark_at(grid.marks() * 3 / 4);
+  const sim::LaunchCheckpoint pruned = bench.golden_checkpoint(mark);
+  const sim::LaunchCheckpoint whole =
+      bench.golden_checkpoint(mark, /*pruned=*/false);
+  const std::size_t all_pages =
+      (whole.memory.brk - sim::GlobalMemory::kBaseAddress +
+       sim::LaunchCheckpoint::kPageBytes - 1) /
+      sim::LaunchCheckpoint::kPageBytes;
+  EXPECT_EQ(whole.pages.size(), all_pages);
+  EXPECT_GT(pruned.pages.size(), 0u)
+      << "the prefix wrote no output by " << mark << " of "
+      << bench.issues().size();
+  EXPECT_LT(pruned.pages.size(), all_pages);
+  EXPECT_LT(pruned.image_words, whole.image_words);
+
+  const u32 groups = strike_groups(InjectionMode::kIov);
+  const FaultSite site =
+      make_site(InjectionMode::kIov, pruned.issues(groups) + 3);
+  const auto reference = bench.reference(site);
+  bench.scribble();
+  expect_identical(bench.inject(site, &pruned), reference, "dirty pages");
+  bench.scribble();
+  expect_identical(bench.inject(site, &whole, nullptr, 0, /*pruned=*/false),
+                   reference, "every page");
+}
+
+/// A warp caught between the two sides of an if/else keeps the rows live
+/// at its pc and at the pcs of its SIMT-stack entries, where its other
+/// lanes resume; every other row loads as zero, and the launch resumed
+/// from that image still matches the instrumented reference.
+TEST(FastForwardImage, MaskedRowsRoundTripMidDivergence) {
+  using sim::Operand;
+  sim::KernelBuilder b("diverge");
+  b.s2r(0, sim::SpecialReg::kLaneId);
+  b.mov_u32(2, Operand::imm_u(222));  // read on the else side only
+  b.mov_u32(6, Operand::imm_u(666));  // rewritten before any read
+  b.mov_u32(4, Operand::imm_u(0));
+  b.isetp(sim::CmpOp::kLt, 0, Operand::reg(0), Operand::imm_u(16),
+          sim::DType::kU32);
+  b.if_then_else(
+      0, false,
+      [&] {
+        for (int i = 0; i < 8; ++i) {
+          b.iadd_u32(4, Operand::reg(4), Operand::reg(0));
+        }
+      },
+      [&] { b.iadd_u32(4, Operand::reg(2), Operand::reg(0)); });
+  b.mov_u32(6, Operand::reg(0));
+  b.iadd_u32(10, Operand::reg(4), Operand::reg(6));
+  b.ldc_u64(40, 0);
+  b.imad_wide(42, Operand::reg(0), Operand::imm_u(4), Operand::reg(40));
+  b.stg(42, 10);
+  b.exit_();
+  auto program = b.build();
+  ASSERT_TRUE(program.is_ok()) << program.status().to_string();
+  const sim::LiveRows live = sa::live_in_rows(program.value());
+
+  sim::Device device(machine());
+  const u64 out = device.malloc_n<u32>(32).value();
+  const u64 params[] = {out};
+  const sim::GlobalMemory::Snapshot start = device.snapshot();
+  auto launch = [&](const FaultSite& site, sim::LaunchOptions options) {
+    fi::InjectorHook hook(site, machine());
+    options.hooks.push_back(&hook);
+    auto result = device.launch(program.value(), Dim3(1), Dim3(32), params,
+                                options);
+    EXPECT_TRUE(result.is_ok()) << result.status().to_string();
+    return gfi::Run{result.value(), device.snapshot(), hook.effect()};
+  };
+
+  // Captured three IADDs into the then side, which 16 lanes run while the
+  // other 16 wait in a divergence entry at the else side.
+  const u32 groups = strike_groups(InjectionMode::kIov);
+  const FaultSite late = make_site(InjectionMode::kIov, 14);
+  sim::LaunchCheckpoint checkpoint;
+  sim::LaunchOptions capture;
+  capture.capture = &checkpoint;
+  capture.capture_at = 10;
+  capture.live_rows = &live;
+  capture.memory_base = &start;
+  ASSERT_TRUE(launch(late, capture).result.captured);
+  const std::vector<sim::WarpState> warps =
+      sim::Simulator::checkpoint_warps(checkpoint);
+  ASSERT_EQ(warps.size(), 1u);
+  const sim::WarpState& warp = warps[0];
+  ASSERT_EQ(warp.stack().size(), 2u)
+      << "not captured mid-divergence: pc " << warp.pc << " at "
+      << checkpoint.dyn_warp << " active " << warp.active();
+  EXPECT_EQ(warp.active(), 0x0000FFFFu);
+  EXPECT_EQ(warp.stack().back().mask, 0xFFFF0000u);
+  EXPECT_EQ(live.at(warp.pc)[0] & (1u << 2), 0u)
+      << "R2 is live at the warp's pc: the test does not reach the stack";
+  EXPECT_NE(live.at(warp.stack().back().pc)[0] & (1u << 2), 0u);
+  for (u32 lane = 0; lane < sim::kWarpSize; ++lane) {
+    EXPECT_EQ(warp.reg(lane, 0), lane) << "live at the pc";
+    EXPECT_EQ(warp.reg(lane, 2), 222u) << "live at a stack entry";
+    EXPECT_EQ(warp.reg(lane, 6), 0u) << "dead row, 666 before the capture";
+  }
+
+  // Resumed from the image, struck after it: as the fresh instrumented run.
+  const FaultSite site =
+      make_site(InjectionMode::kIov, checkpoint.issues(groups) + 2);
+  sim::LaunchOptions resume;
+  resume.resume_from = &checkpoint;
+  resume.memory_base = &start;
+  device.restore(start);
+  ASSERT_EQ(device.memory().fill(out, 0xA5, 32 * sizeof(u32)),
+            sim::TrapKind::kNone);
+  const auto resumed = launch(site, resume);
+  EXPECT_TRUE(resumed.effect.activated);
+  device.restore(start);
+  sim::LaunchOptions pinned;
+  pinned.engine = EngineTier::kInstrumented;
+  expect_identical(resumed, launch(site, pinned), site.to_string());
 }
 
 // ---- FFMA pair split by a checkpoint ----------------------------------------
