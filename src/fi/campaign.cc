@@ -179,15 +179,6 @@ stats::Interval CampaignResult::rate_interval(Outcome outcome) const {
   return stats::wilson_interval(count(outcome), records.size());
 }
 
-namespace {
-
-/// How many checkpoint images of `image_bytes` fit kFastForwardBytes.
-u64 images_that_fit(u64 image_bytes) {
-  return kFastForwardBytes / std::max<u64>(image_bytes, 1);
-}
-
-}  // namespace
-
 Result<Campaign::Golden> Campaign::golden_run(const CampaignConfig& config) {
   auto workload = wl::make_workload(config.workload);
   if (!workload) {
@@ -205,17 +196,11 @@ Result<Campaign::Golden> Campaign::golden_run(const CampaignConfig& config) {
   options.profile = &golden.profile;
   options.engine = config.engine;
   golden.live_rows = sa::live_in_rows(workload->program());
-  golden.image_bytes = sim::kept_image_bytes(
-      config.machine, workload->program(), spec.value().grid,
-      spec.value().block, device.memory().bytes_allocated(),
-      golden.live_rows.max_rows());
-  // The grid orders injections for the checkpoints workers keep; where not
-  // even one fits (kept_checkpoints), nothing reads it. The mode is not
-  // part of the GoldenCache key, so memory-mode campaigns record it too.
-  if (images_that_fit(golden.image_bytes) >= 1) {
-    golden.grid.step = kStrikeGridStep;
-    options.issue_grid = &golden.grid;
-  }
+  // The grid orders injections for the checkpoints workers keep. The mode
+  // is not part of the GoldenCache key, so memory-mode campaigns, which
+  // keep none, record it too.
+  golden.grid.step = kStrikeGridStep;
+  options.issue_grid = &golden.grid;
   auto launch = device.launch(workload->program(), spec.value().grid,
                               spec.value().block, spec.value().params, options);
   if (!launch.is_ok()) return launch.status();
@@ -363,17 +348,46 @@ struct RetryVerdict {
   std::optional<wl::Workload::Checked> check;
 };
 
+using Clock = std::chrono::steady_clock;
+
+/// Microseconds from `started` to now.
+f64 micros_since(Clock::time_point started) {
+  return std::chrono::duration<f64, std::micro>(Clock::now() - started)
+      .count();
+}
+
+/// Telemetry, never journaled: the wall time of an injection's phases, in
+/// microseconds. `launch` includes the `resume` from a kept checkpoint and
+/// the `capture` of one, which the engine times itself
+/// (LaunchResult::resume_ns, capture_ns).
+struct Phases {
+  explicit Phases(obs::Registry& reg)
+      : restore(reg.histogram("campaign.phase.restore_us", 0, 500, 500)),
+        resume(reg.histogram("campaign.phase.resume_us", 0, 500, 500)),
+        capture(reg.histogram("campaign.phase.capture_us", 0, 500, 500)),
+        launch(reg.histogram("campaign.phase.launch_us", 0, 20000, 1000)),
+        check(reg.histogram("campaign.phase.check_us", 0, 500, 500)) {}
+
+  obs::LatencyHistogram& restore;  ///< checkpoint 0, before a launch
+  obs::LatencyHistogram& resume;
+  obs::LatencyHistogram& capture;
+  obs::LatencyHistogram& launch;
+  obs::LatencyHistogram& check;  ///< the workload's output check
+};
+
 /// Campaign-scoped fast-forward state, shared by the workers of one
 /// Campaign::run: a free-list of injection contexts (at most one per
 /// worker), their shared checkpoint 0, the golden run whose issue grid the
 /// armed launches of the first `keepers` contexts capture the checkpoints
 /// those contexts keep on (with its live rows), and the verdict of the
-/// first transient retry, which answers the later ones.
+/// first transient retry, which answers the later ones; and the phase
+/// timers of its injections.
 class FastForward {
  public:
   FastForward(const CampaignConfig& config, const Campaign::Golden& golden,
               std::size_t keepers, obs::Registry& reg)
-      : config_(config),
+      : phases(reg),
+        config_(config),
         golden_(golden),
         keepers_(keepers),
         checkpoints_(reg.counter("campaign.fast_forward.checkpoints")),
@@ -401,12 +415,6 @@ class FastForward {
     if (keepers_ > 0) {
       made.value()->keeps = true;
       --keepers_;
-      // Mapped once, a quarter above the image bound (which leaves out
-      // headers, masks and stacks), so a checkpoint that grows as it moves
-      // forward seldom maps and faults in its pages again. Pages never
-      // written cost no resident memory.
-      made.value()->kept.image.reserve(golden_.image_bytes / sizeof(u32) *
-                                       5 / 4);
     }
     return made;
   }
@@ -450,6 +458,8 @@ class FastForward {
     resumed_retries_.inc();
     skipped_.inc(warp_instrs);
   }
+
+  Phases phases;
 
  private:
   const CampaignConfig& config_;
@@ -543,10 +553,17 @@ Result<InjectionRecord> run_injection(
     resume = &context->kept;
   }
   const bool capture = bucket > 0 && bucket != context->kept_bucket;
+  Phases* phases = ff ? &ff->phases : nullptr;
+  // Checkpoint 0 restored, and its phase timed.
+  auto restore_start = [&] {
+    const auto started = Clock::now();
+    device.restore(*context->start);
+    if (phases) phases->restore.observe(micros_since(started));
+  };
   if (resume) {
     ff->skipped(resume->dyn_warp);
   } else if (!context->fresh) {
-    device.restore(*context->start);
+    restore_start();
   }
   context->fresh = false;
 
@@ -588,7 +605,7 @@ Result<InjectionRecord> run_injection(
   // due) + launch + result check, so every attempt sees bit-identical
   // initial device state.
   auto simulate = [&](u32 attempt) -> Result<recover::Attempt> {
-    if (attempt > 0) device.restore(*context->start);
+    if (attempt > 0) restore_start();
     const bool armed = attempt == 0 || stuck_at;
     InjectorHook injector(site.value(), device.config());
     sim::LaunchOptions options;
@@ -613,9 +630,21 @@ Result<InjectionRecord> run_injection(
       }
     }
 
+    const auto launched = Clock::now();
     auto launch = device.launch(workload.program(), spec.grid, spec.block,
                                 spec.params, options);
     if (!launch.is_ok()) return launch.status();
+    if (phases) {
+      phases->launch.observe(micros_since(launched));
+      if (resume && attempt == 0) {
+        phases->resume.observe(
+            static_cast<f64>(launch.value().resume_ns) * 1e-3);
+      }
+      if (launch.value().captured) {
+        phases->capture.observe(
+            static_cast<f64>(launch.value().capture_ns) * 1e-3);
+      }
+    }
     if (metrics) {
       tier_counter[static_cast<int>(launch.value().tier_used)]->inc();
       if (launch.value().downgraded) tier_downgrades->inc();
@@ -645,7 +674,9 @@ Result<InjectionRecord> run_injection(
       not_activated = true;  // site predicated off; output is golden
       return result;
     }
+    const auto checking = Clock::now();
     auto checked = workload.check(device);
+    if (phases) phases->check.observe(micros_since(checking));
     if (!checked.is_ok()) return checked.status();
     final_check = checked.value();
     if (checked.value().trap != sim::TrapKind::kNone) {
@@ -729,11 +760,8 @@ Result<InjectionRecord> run_injection(
 }  // namespace
 
 std::size_t kept_checkpoints(const CampaignConfig& config,
-                             const Campaign::Golden& golden,
                              std::size_t workers) {
-  if (config.model.mode == InjectionMode::kMemory) return 0;
-  return static_cast<std::size_t>(
-      std::min<u64>(workers, images_that_fit(golden.image_bytes)));
+  return config.model.mode == InjectionMode::kMemory ? 0 : workers;
 }
 
 std::size_t strike_bucket(const CampaignConfig& config,
@@ -759,7 +787,7 @@ std::vector<std::size_t> run_order(const CampaignConfig& config,
                                    const PlanEvent* alloc) {
   std::vector<std::pair<std::size_t, std::size_t>> keyed;  // bucket, pos
   keyed.reserve(indices.size());
-  const bool by_strike = kept_checkpoints(config, golden, workers) > 0;
+  const bool by_strike = kept_checkpoints(config, workers) > 0;
   for (std::size_t pos = 0; pos < indices.size(); ++pos) {
     keyed.emplace_back(
         by_strike ? strike_bucket(config, golden, indices[pos], alloc) : 0,
@@ -952,6 +980,8 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
   obs::Counter& watchdog_hangs = reg.counter("campaign.watchdog.hangs");
   obs::LatencyHistogram& latency = reg.histogram(
       "campaign.injection.latency_ms", 0.0, 500.0, 50);
+  obs::LatencyHistogram& append_latency =
+      reg.histogram("campaign.phase.journal_append_us", 0, 500, 500);
   reg.gauge("campaign.injections.total")
       .set(static_cast<f64>(result.run_indices.size()));
   for (std::size_t slot = 0; slot < result.run_indices.size(); ++slot) {
@@ -1002,7 +1032,7 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
   // checkpoint its context kept. The order is the same on every tier; only
   // armed launches keep checkpoints.
   const std::size_t keepers =
-      kept_checkpoints(config, golden.value(), pool.size());
+      kept_checkpoints(config, pool.size());
   const bool by_strike = keepers > 0;
   FastForward ff(config, golden.value(),
                  config.engine == sim::EngineTier::kInstrumented ? 0 : keepers,
@@ -1051,8 +1081,10 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
     if (record.is_ok()) {
       result.records[slot] = std::move(record).take();
       if (writer) {
+        const auto appending = Clock::now();
         errors[slot] =
             writer->append(result.run_indices[slot], result.records[slot]);
+        append_latency.observe(micros_since(appending));
       }
       const InjectionRecord& final_record = result.records[slot];
       completed.inc();

@@ -275,11 +275,6 @@ struct CampaignResult {
   [[nodiscard]] stats::Interval rate_interval(Outcome outcome) const;
 };
 
-/// Checkpoint images a campaign may keep for fast-forward, one per context
-/// at most, each bounded by Golden::image_bytes. One saxpy_swift launch
-/// alone holds 2.5 MiB of state, so with 2 MiB no campaign keeps more
-/// images than one such launch's worth.
-inline constexpr u64 kFastForwardBytes = u64{2} << 20;
 /// Spacing, in warp instructions, of the golden issue grid (Golden::grid):
 /// the marks a kept checkpoint sits at.
 inline constexpr u64 kStrikeGridStep = 64;
@@ -319,26 +314,20 @@ class Campaign {
     u64 dyn_instrs = 0;
     u64 cycles = 0;
     /// Per-group issue counts every kStrikeGridStep warp instructions:
-    /// where each injection's strike falls (strike_bucket). Empty when
-    /// not even one worker could keep a checkpoint (kept_checkpoints).
+    /// where each injection's strike falls (strike_bucket).
     sim::IssueGrid grid;
     /// The program's live-in register rows (sa::live_in_rows): what a
     /// checkpoint keeps of each warp.
     sim::LiveRows live_rows;
-    /// sim::kept_image_bytes of the launch at the most rows live at any
-    /// pc: what one kept checkpoint image holds.
-    u64 image_bytes = 0;
   };
   static Result<Golden> golden_run(const CampaignConfig& config);
 };
 
 /// How many of the injection contexts of a `workers`-thread Campaign::run
 /// keep a golden-prefix checkpoint (DESIGN.md §4.14): none in memory mode,
-/// which strikes no instruction; else as many images of golden.image_bytes
-/// as fit kFastForwardBytes, at most one per worker. A campaign whose
-/// contexts keep none runs in index order.
+/// which strikes no instruction; else every one. A campaign whose contexts
+/// keep none runs in index order.
 [[nodiscard]] std::size_t kept_checkpoints(const CampaignConfig& config,
-                                           const Campaign::Golden& golden,
                                            std::size_t workers);
 
 /// The strike-order key of global injection `run_index`, whose planner

@@ -68,13 +68,14 @@ class Device {
   Result<LaunchResult> launch(const Program& program, Dim3 grid, Dim3 block,
                               std::span<const u64> params,
                               const LaunchOptions& options = {}) {
-    Simulator simulator(config_, memory_);
+    Simulator simulator(config_, memory_, arena_);
     return simulator.launch(program, grid, block, params, options);
   }
 
  private:
   MachineConfig config_;
   GlobalMemory memory_;
+  LaunchArena arena_;  ///< resident CTAs of every launch on this device
 };
 
 }  // namespace gfi::sim

@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <deque>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <new>
 #include <optional>
+#include <tuple>
 #include <utility>
 
 #include <sys/mman.h>
@@ -22,7 +25,16 @@ namespace gfi::sim {
 namespace {
 
 constexpr u64 kDefaultWatchdog = 256ULL << 20;  // 256M warp instructions
+/// Alignment of each part of a LaunchArena: a cache line.
+constexpr std::size_t kArenaAlign = 64;
 using exec::kFullMask;
+
+u64 elapsed_ns(std::chrono::steady_clock::time_point started) {
+  return static_cast<u64>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - started)
+          .count());
+}
 
 /// Integer compare dispatch for ISETP (and address compares).
 bool int_compare(CmpOp cmp, u64 a, u64 b, DType dtype) {
@@ -122,11 +134,13 @@ enum class RunExit : u8 {
 // CTA state
 // ---------------------------------------------------------------------------
 
+/// A resident CTA: its slot's warp headers and shared memory in the
+/// launch's LaunchArena.
 struct Simulator::Cta {
   u32 linear_id = 0;
   Dim3 ctaid;
-  std::vector<WarpState> warps;
-  std::vector<u8> shared;
+  std::span<WarpState> warps;
+  std::span<u8> shared;
 
   [[nodiscard]] bool finished() const {
     for (const auto& warp : warps) {
@@ -134,49 +148,185 @@ struct Simulator::Cta {
     }
     return true;
   }
+};
 
-  // Flat image (LaunchCheckpoint storage): id, shared memory, then warps.
-  static constexpr std::size_t kHeaderWords = 6;
+/// A launch's resident CTAs, laid out in its LaunchArena. SM s owns slots
+/// s * occupancy to (s + 1) * occupancy - 1: `order` lists those in use in
+/// issue order (admission appends, retirement erases), `free` the others,
+/// as a stack whose top is the next slot to admit into. Only the SMs the
+/// grid reaches get slots (admission fills SM by SM, and an SM is
+/// backfilled only from its own retirements).
+struct Simulator::Slots {
+  Dim3 grid;
+  u32 occupancy = 0;
+  u32 warps_per_cta = 0;
+  u32 threads_per_cta = 0;
+  u32 num_regs = 0;
+  u32 shared_bytes = 0;
+  std::size_t mask_words = 0;
+
+  Cta* ctas = nullptr;         ///< [slot]
+  WarpState* warps = nullptr;  ///< [slot][warp]
+  u32* rows = nullptr;         ///< [slot][warp][reg][lane]
+  u8* shared = nullptr;        ///< [slot][byte]
+  u32* order = nullptr;        ///< [sm][occupancy]: slots in use, in order
+  u32* free = nullptr;         ///< [sm][occupancy]: a stack of the others
+  u32* in_use = nullptr;       ///< [sm]: length of the order list
+  u64* sm_next = nullptr;      ///< [sm]: Engine::run scratch
+  u32* busy = nullptr;         ///< [sm]: Engine::run scratch
+  u32* masks = nullptr;        ///< [slot][warp][word]: capture scratch
+
+  /// Lays the slots of `sms` SMs, of which the first `used` admit CTAs,
+  /// out in `arena`, every slot free.
+  void lay_out(LaunchArena& arena, u32 sms, u32 used, Dim3 grid_in,
+               Dim3 block, u32 occupancy_in, u32 num_regs_in,
+               u32 shared_bytes_in) {
+    grid = grid_in;
+    occupancy = occupancy_in;
+    threads_per_cta = static_cast<u32>(block.count());
+    warps_per_cta = (threads_per_cta + kWarpSize - 1) / kWarpSize;
+    num_regs = num_regs_in;
+    shared_bytes = shared_bytes_in;
+    mask_words = row_mask_words(num_regs);
+    const std::size_t slots = static_cast<std::size_t>(used) * occupancy;
+    const std::size_t slot_warps = slots * warps_per_cta;
+
+    std::size_t bytes = 0;
+    auto carve = [&bytes](std::size_t size) {
+      const std::size_t at = bytes;
+      bytes += (size + kArenaAlign - 1) / kArenaAlign * kArenaAlign;
+      return at;
+    };
+    const std::size_t at_ctas = carve(slots * sizeof(Cta));
+    const std::size_t at_order = carve(slots * sizeof(u32));
+    const std::size_t at_free = carve(slots * sizeof(u32));
+    const std::size_t at_in_use = carve(sms * sizeof(u32));
+    const std::size_t at_sm_next = carve(sms * sizeof(u64));
+    const std::size_t at_busy = carve(sms * sizeof(u32));
+    const std::size_t at_masks = carve(slot_warps * mask_words * sizeof(u32));
+    const std::size_t at_rows =
+        carve(slot_warps * num_regs * kWarpSize * sizeof(u32));
+    const std::size_t at_shared = carve(slots * shared_bytes);
+    std::byte* base = nullptr;
+    std::tie(warps, base) = Simulator::reserve(arena, slot_warps, bytes);
+    ctas = reinterpret_cast<Cta*>(base + at_ctas);
+    order = reinterpret_cast<u32*>(base + at_order);
+    free = reinterpret_cast<u32*>(base + at_free);
+    in_use = reinterpret_cast<u32*>(base + at_in_use);
+    sm_next = reinterpret_cast<u64*>(base + at_sm_next);
+    busy = reinterpret_cast<u32*>(base + at_busy);
+    masks = reinterpret_cast<u32*>(base + at_masks);
+    rows = reinterpret_cast<u32*>(base + at_rows);
+    shared = reinterpret_cast<u8*>(base + at_shared);
+
+    std::fill(in_use, in_use + sms, 0u);
+    for (u32 sm = 0; sm < used; ++sm) {
+      for (u32 k = 0; k < occupancy; ++k) {
+        free[sm * occupancy + k] = sm * occupancy + (occupancy - 1 - k);
+      }
+    }
+  }
+
+  [[nodiscard]] u32* rows_of(u32 slot) const {
+    return rows + static_cast<std::size_t>(slot) * warps_per_cta * num_regs *
+                      kWarpSize;
+  }
+
+  /// Takes a free slot of `sm` for CTA `linear`, appends it to the order
+  /// list and resets its warps' headers; their rows and the shared memory
+  /// are left as they are.
+  Cta& take(u32 sm, u32 linear) {
+    const u32 used = in_use[sm];
+    const u32 slot = free[sm * occupancy + (occupancy - used - 1)];
+    order[sm * occupancy + used] = slot;
+    in_use[sm] = used + 1;
+
+    Cta& cta = *new (&ctas[slot]) Cta;
+    cta.linear_id = linear;
+    cta.ctaid =
+        Dim3(linear % grid.x, (linear / grid.x) % grid.y,
+             static_cast<u32>(linear / (static_cast<u64>(grid.x) * grid.y)));
+    cta.warps = std::span<WarpState>(
+        warps + static_cast<std::size_t>(slot) * warps_per_cta,
+        warps_per_cta);
+    cta.shared = std::span<u8>(
+        shared + static_cast<std::size_t>(slot) * shared_bytes, shared_bytes);
+    u32* warp_rows = rows_of(slot);
+    u32 remaining = threads_per_cta;
+    for (u32 w = 0; w < warps_per_cta; ++w) {
+      const u32 lanes = std::min(remaining, kWarpSize);
+      const u32 mask = lanes == kWarpSize ? kFullMask : ((1u << lanes) - 1u);
+      cta.warps[w].reset(w, num_regs, mask, warp_rows);
+      warp_rows += static_cast<std::size_t>(num_regs) * kWarpSize;
+      remaining -= lanes;
+    }
+    return cta;
+  }
+
+  /// Admits CTA `linear` into `sm`: a fresh CTA with zeroed registers and
+  /// shared memory.
+  void admit(u32 sm, u64 linear) {
+    const Cta& cta = take(sm, static_cast<u32>(linear));
+    std::fill(cta.shared.begin(), cta.shared.end(), u8{0});
+    const auto slot = static_cast<u32>(&cta - ctas);
+    std::fill(rows_of(slot), rows_of(slot + 1), 0u);
+  }
+
+  /// Erases the finished CTAs from `sm`'s order list, keeping the order of
+  /// the rest, and frees their slots; returns how many there were.
+  u32 retire_finished(u32 sm) {
+    u32* list = order + static_cast<std::size_t>(sm) * occupancy;
+    const u32 used = in_use[sm];
+    u32* freed = free + static_cast<std::size_t>(sm) * occupancy +
+                 (occupancy - used);
+    u32 kept = 0;
+    for (u32 i = 0; i < used; ++i) {
+      if (ctas[list[i]].finished()) {
+        *freed++ = list[i];
+      } else {
+        list[kept++] = list[i];
+      }
+    }
+    in_use[sm] = kept;
+    return used - kept;
+  }
+
+  [[nodiscard]] std::span<const u32> pool(u32 sm) const {
+    return {order + static_cast<std::size_t>(sm) * occupancy, in_use[sm]};
+  }
+
+  // Flat image (LaunchCheckpoint storage), per CTA: its linear id, its
+  // shared memory, then its warps (WarpState::save_image).
   static std::size_t words_for(std::size_t bytes) {
     return (bytes + sizeof(u32) - 1) / sizeof(u32);
   }
-  /// `rows` holds each warp's register-row mask in turn (save_image too).
-  [[nodiscard]] std::size_t image_words(const u32* rows,
-                                        std::size_t mask_words) const {
-    std::size_t words = kHeaderWords + words_for(shared.size());
-    for (const auto& warp : warps) {
+  /// `rows` holds each warp's register-row mask in turn (save too).
+  [[nodiscard]] std::size_t image_words(const Cta& cta,
+                                        const u32* rows) const {
+    std::size_t words = 1 + words_for(shared_bytes);
+    for (const auto& warp : cta.warps) {
       words += warp.image_words(rows);
       rows += mask_words;
     }
     return words;
   }
-  u32* save_image(u32* out, const u32* rows, std::size_t mask_words) const {
-    *out++ = linear_id;
-    *out++ = ctaid.x;
-    *out++ = ctaid.y;
-    *out++ = ctaid.z;
-    *out++ = static_cast<u32>(shared.size());
-    *out++ = static_cast<u32>(warps.size());
-    if (!shared.empty()) std::memcpy(out, shared.data(), shared.size());
-    out += words_for(shared.size());
-    for (const auto& warp : warps) {
+  u32* save(const Cta& cta, u32* out, const u32* rows) const {
+    *out++ = cta.linear_id;
+    if (shared_bytes > 0) std::memcpy(out, cta.shared.data(), shared_bytes);
+    out += words_for(shared_bytes);
+    for (const auto& warp : cta.warps) {
       out = warp.save_image(out, rows);
       rows += mask_words;
     }
     return out;
   }
-  static std::unique_ptr<Cta> load_image(const u32*& in) {
-    auto cta = std::make_unique<Cta>();
-    cta->linear_id = in[0];
-    cta->ctaid = Dim3(in[1], in[2], in[3]);
-    const u8* shared = reinterpret_cast<const u8*>(in + kHeaderWords);
-    cta->shared.assign(shared, shared + in[4]);
-    const u32 warps = in[5];
-    in += kHeaderWords + words_for(cta->shared.size());
-    cta->warps.reserve(warps);
-    for (u32 w = 0; w < warps; ++w) {
-      cta->warps.push_back(WarpState::load_image(in));
-    }
+  /// Loads the CTA save() wrote at `in` into a free slot of `sm`, advancing
+  /// `in` past it.
+  Cta& load(u32 sm, const u32*& in) {
+    Cta& cta = take(sm, in[0]);
+    if (shared_bytes > 0) std::memcpy(cta.shared.data(), in + 1, shared_bytes);
+    in += 1 + words_for(shared_bytes);
+    for (WarpState& warp : cta.warps) warp.load_image(in);
     return cta;
   }
 };
@@ -199,12 +349,9 @@ struct Simulator::Engine {
   std::span<const u64> params;
   const LaunchOptions& opts;
 
-  u32 threads_per_cta = 0;
-  u32 warps_per_cta = 0;
-  u32 occupancy = 0;
   u64 watchdog = kDefaultWatchdog;
 
-  std::vector<std::vector<std::unique_ptr<Cta>>> resident;
+  Slots slots;
   u64 resident_count = 0;
   u64 total_ctas = 0;
   u64 next_cta = 0;
@@ -230,6 +377,8 @@ struct Simulator::Engine {
   LaunchCheckpoint* capture = nullptr;
   bool captured = false;
   u64 next_mark_at = std::numeric_limits<u64>::max();
+  u64 resume_ns = 0;
+  u64 capture_ns = 0;
 
   Engine(const MachineConfig& cfg_in, GlobalMemory& mem_in,
          const Program& prog_in, Dim3 grid_in, Dim3 block_in,
@@ -245,28 +394,9 @@ struct Simulator::Engine {
 
   // ---- CTA lifecycle ------------------------------------------------------
 
-  std::unique_ptr<Cta> make_cta(u64 linear) const {
-    auto cta = std::make_unique<Cta>();
-    cta->linear_id = static_cast<u32>(linear);
-    cta->ctaid =
-        Dim3(static_cast<u32>(linear % grid.x),
-             static_cast<u32>((linear / grid.x) % grid.y),
-             static_cast<u32>(linear / (static_cast<u64>(grid.x) * grid.y)));
-    cta->shared.assign(prog.shared_bytes(), 0);
-    cta->warps.reserve(warps_per_cta);
-    u32 remaining = threads_per_cta;
-    for (u32 w = 0; w < warps_per_cta; ++w) {
-      const u32 lanes = std::min(remaining, kWarpSize);
-      const u32 mask = lanes == kWarpSize ? kFullMask : ((1u << lanes) - 1u);
-      cta->warps.emplace_back(w, prog.num_regs(), mask);
-      remaining -= lanes;
-    }
-    return cta;
-  }
-
   void admit(u32 sm) {
-    while (resident[sm].size() < occupancy && next_cta < total_ctas) {
-      resident[sm].push_back(make_cta(next_cta++));
+    while (slots.in_use[sm] < slots.occupancy && next_cta < total_ctas) {
+      slots.admit(sm, next_cta++);
       ++resident_count;
     }
   }
@@ -317,29 +447,32 @@ struct Simulator::Engine {
       page_bytes += length;
     }
 
-    const std::size_t mask_words = row_mask_words(prog.num_regs());
-    std::vector<u32> masks;
-    std::size_t words = Cta::words_for(page_bytes);
+    const std::size_t mask_words = slots.mask_words;
+    u32* masks = slots.masks;
+    std::size_t words = Slots::words_for(page_bytes);
+    cp.num_regs = prog.num_regs();
+    cp.shared_bytes = prog.shared_bytes();
     cp.pool_sizes.clear();
-    for (const auto& pool : resident) {
-      cp.pool_sizes.push_back(static_cast<u32>(pool.size()));
-      for (const auto& cta : pool) {
-        const std::size_t first = masks.size();
-        masks.resize(first + cta->warps.size() * mask_words);
-        for (std::size_t w = 0; w < cta->warps.size(); ++w) {
-          kept_rows(cta->warps[w], &masks[first + w * mask_words]);
+    for (u32 sm = 0; sm < cfg.num_sms; ++sm) {
+      cp.pool_sizes.push_back(slots.in_use[sm]);
+      for (const u32 slot : slots.pool(sm)) {
+        const Cta& cta = slots.ctas[slot];
+        for (std::size_t w = 0; w < cta.warps.size(); ++w) {
+          kept_rows(cta.warps[w], masks + w * mask_words);
         }
-        words += cta->image_words(&masks[first], mask_words);
+        words += slots.image_words(cta, masks);
+        masks += cta.warps.size() * mask_words;
       }
     }
     cp.image.reserve(words);
     cp.image_words = words;
     u32* out = cp.image.data();
-    const u32* rows = masks.data();
-    for (const auto& pool : resident) {
-      for (const auto& cta : pool) {
-        out = cta->save_image(out, rows, mask_words);
-        rows += cta->warps.size() * mask_words;
+    const u32* rows = slots.masks;
+    for (u32 sm = 0; sm < cfg.num_sms; ++sm) {
+      for (const u32 slot : slots.pool(sm)) {
+        const Cta& cta = slots.ctas[slot];
+        out = slots.save(cta, out, rows);
+        rows += cta.warps.size() * mask_words;
       }
     }
     u8* bytes = reinterpret_cast<u8*>(out);
@@ -360,10 +493,8 @@ struct Simulator::Engine {
 
   void restore(const LaunchCheckpoint& cp) {
     const u32* in = cp.image.data();
-    for (std::size_t sm = 0; sm < resident.size(); ++sm) {
-      for (u32 i = 0; i < cp.pool_sizes[sm]; ++i) {
-        resident[sm].push_back(Cta::load_image(in));
-      }
+    for (u32 sm = 0; sm < cfg.num_sms; ++sm) {
+      for (u32 i = 0; i < cp.pool_sizes[sm]; ++i) slots.load(sm, in);
     }
     resident_count = cp.resident_count;
     next_cta = cp.next_cta;
@@ -404,7 +535,9 @@ struct Simulator::Engine {
       }
     }
     if (capture && !captured && opts.capture_at <= dyn_warp) {
+      const auto started = std::chrono::steady_clock::now();
       checkpoint(*capture);
+      capture_ns = elapsed_ns(started);
       captured = true;
     }
     seek_mark();
@@ -1131,7 +1264,8 @@ struct Simulator::Engine {
 
     // Per-SM earliest next-issue cycle (0 = must scan). See the skip check
     // in the SM loop for why this cannot change scheduling decisions.
-    std::vector<u64> sm_next(cfg.num_sms, 0);
+    u64* const sm_next = slots.sm_next;
+    std::fill(sm_next, sm_next + cfg.num_sms, u64{0});
 
     // SMs that still hold work, ascending. Small grids occupy a handful of
     // the model's SMs (a 16-CTA scan on the 108-SM A100 leaves 92 forever
@@ -1140,12 +1274,12 @@ struct Simulator::Engine {
     // issues nothing and contributes the min-identity u64-max to the
     // fast-forward, and an SM whose pool drains can never wake again —
     // admit() backfills only from the SM's own retirement scan, so once
-    // `resident[sm]` is empty (grid exhausted) it stays empty. Holds on
+    // its order list is empty (grid exhausted) it stays empty. Holds on
     // re-entry after an armed run's strike for the same reason.
-    std::vector<u32> busy;
-    busy.reserve(cfg.num_sms);
+    u32* const busy = slots.busy;
+    std::size_t busy_count = 0;
     for (u32 sm = 0; sm < cfg.num_sms; ++sm) {
-      if (!resident[sm].empty()) busy.push_back(sm);
+      if (slots.in_use[sm] != 0) busy[busy_count++] = sm;
     }
 
     while (resident_count > 0) {
@@ -1158,7 +1292,7 @@ struct Simulator::Engine {
 
       bool issued_any = false;
 
-      for (std::size_t bi = 0; bi < busy.size();) {
+      for (std::size_t bi = 0; bi < busy_count;) {
         const u32 sm = busy[bi];
         // An SM whose warps are all provably stalled until a known future
         // cycle needs no scan: nothing outside this SM can wake its warps
@@ -1177,9 +1311,10 @@ struct Simulator::Engine {
         // turnover below.
         u64 next_ready = std::numeric_limits<u64>::max();
         bool next_valid = true;
-        for (auto& cta : resident[sm]) {
+        for (const u32 slot : slots.pool(sm)) {
           if (budget == 0) break;
-          for (auto& warp : cta->warps) {
+          Cta& cta = slots.ctas[slot];
+          for (auto& warp : cta.warps) {
             if (budget == 0) break;
             if (warp.done() || warp.at_barrier) continue;
             if (warp.ready_cycle > cycle) {
@@ -1188,7 +1323,7 @@ struct Simulator::Engine {
             }
             const DecodedInstr& di = dec.at(warp.pc);
             const Opcode op = di.op;
-            const TrapKind trapped = exec_instr<Policy>(*cta, warp, di);
+            const TrapKind trapped = exec_instr<Policy>(cta, warp, di);
             issued_any = true;
             --budget;
             if (trapped != TrapKind::kNone) return RunExit::kTrapped;
@@ -1198,21 +1333,21 @@ struct Simulator::Engine {
               // A warp that just retired can release siblings parked at a
               // barrier (they no longer need to wait for it).
               bool all_arrived = true;
-              for (const auto& other : cta->warps) {
+              for (const auto& other : cta.warps) {
                 if (!other.done() && !other.at_barrier) {
                   all_arrived = false;
                   break;
                 }
               }
               if (all_arrived) {
-                for (auto& other : cta->warps) other.at_barrier = false;
+                for (auto& other : cta.warps) other.at_barrier = false;
               }
             }
             warp.ready_cycle = cycle + latency_of[static_cast<int>(op)];
             next_ready = std::min(next_ready, warp.ready_cycle);
             if (dyn_warp >= watchdog) {
               trap = Trap{TrapKind::kWatchdogTimeout, 0, warp.pc,
-                          cta->linear_id, warp.warp_in_cta()};
+                          cta.linear_id, warp.warp_in_cta()};
               return RunExit::kTrapped;
             }
           }
@@ -1223,20 +1358,13 @@ struct Simulator::Engine {
         // finish on a cycle where one of its warps retired, so the scan is
         // skipped on all other cycles.
         if (warp_retired) {
-          auto& pool = resident[sm];
-          for (auto it = pool.begin(); it != pool.end();) {
-            if ((*it)->finished()) {
-              it = pool.erase(it);
-              --resident_count;
-            } else {
-              ++it;
-            }
-          }
+          resident_count -= slots.retire_finished(sm);
           admit(sm);
           next_valid = false;  // fresh warps are ready immediately
-          if (pool.empty()) {
+          if (slots.in_use[sm] == 0) {
             // Drained for good (see the busy-list invariant above).
-            busy.erase(busy.begin() + static_cast<std::ptrdiff_t>(bi));
+            std::copy(busy + bi + 1, busy + busy_count, busy + bi);
+            --busy_count;
             continue;
           }
         }
@@ -1251,8 +1379,8 @@ struct Simulator::Engine {
         // SM was either scanned this cycle or carries a valid future
         // sm_next from its last scan, so the per-SM minima are current.
         u64 earliest = std::numeric_limits<u64>::max();
-        for (const u32 sm : busy) {
-          earliest = std::min(earliest, sm_next[sm]);
+        for (std::size_t bi = 0; bi < busy_count; ++bi) {
+          earliest = std::min(earliest, sm_next[busy[bi]]);
         }
         if (earliest == std::numeric_limits<u64>::max()) {
           // Every live warp is parked at a barrier with no one left to
@@ -1313,6 +1441,8 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
           "a resumed launch cannot profile the prefix it skips");
     }
     if (resume->grid != grid || resume->block != block ||
+        resume->num_regs != program.num_regs() ||
+        resume->shared_bytes != program.shared_bytes() ||
         resume->pool_sizes.size() != config_.num_sms) {
       return Status::invalid_argument(
           "checkpoint was taken from a different launch");
@@ -1348,18 +1478,22 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
   }
 
   Engine engine(config_, memory_, program, grid, block, params, options);
-  engine.threads_per_cta = threads_per_cta;
-  engine.warps_per_cta = (threads_per_cta + kWarpSize - 1) / kWarpSize;
-  engine.occupancy = occupancy;
   engine.watchdog =
       options.watchdog_instrs ? options.watchdog_instrs : kDefaultWatchdog;
   engine.total_ctas = grid.count();
-  engine.resident.resize(config_.num_sms);
+  const u64 used_sms =
+      std::min<u64>(config_.num_sms, (engine.total_ctas + occupancy - 1) /
+                                         occupancy);
+  engine.slots.lay_out(arena_, config_.num_sms, static_cast<u32>(used_sms),
+                       grid, block, occupancy, program.num_regs(),
+                       program.shared_bytes());
 
   LaunchScope scope(options.hooks, program);
 
   if (resume) {
+    const auto started = std::chrono::steady_clock::now();
     engine.restore(*resume);
+    engine.resume_ns = elapsed_ns(started);
   } else {
     for (u32 sm = 0; sm < config_.num_sms; ++sm) engine.admit(sm);
   }
@@ -1405,6 +1539,8 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
   result.tier_used = tier_used;
   result.downgraded = downgraded;
   result.captured = engine.captured;
+  result.resume_ns = engine.resume_ns;
+  result.capture_ns = engine.capture_ns;
   return result;
 }
 
@@ -1413,44 +1549,136 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
 // ---------------------------------------------------------------------------
 
 std::vector<WarpState> Simulator::checkpoint_warps(
-    const LaunchCheckpoint& checkpoint) {
+    const LaunchCheckpoint& checkpoint, LaunchArena& arena) {
+  const auto sms = static_cast<u32>(checkpoint.pool_sizes.size());
+  u32 occupancy = 1;
+  for (const u32 ctas : checkpoint.pool_sizes) {
+    occupancy = std::max(occupancy, ctas);
+  }
+  Slots slots;
+  slots.lay_out(arena, sms, sms, checkpoint.grid, checkpoint.block, occupancy,
+                checkpoint.num_regs, checkpoint.shared_bytes);
+  // Rows the image left out are shown as zero, whatever the arena held.
+  std::fill(slots.rows, slots.rows_of(sms * occupancy), 0u);
   std::vector<WarpState> warps;
   const u32* in = checkpoint.image.data();
-  for (const u32 ctas : checkpoint.pool_sizes) {
-    for (u32 i = 0; i < ctas; ++i) {
-      const std::unique_ptr<Cta> cta = Cta::load_image(in);
-      for (WarpState& warp : cta->warps) warps.push_back(std::move(warp));
+  for (u32 sm = 0; sm < sms; ++sm) {
+    for (u32 i = 0; i < checkpoint.pool_sizes[sm]; ++i) {
+      const Cta& cta = slots.load(sm, in);
+      warps.insert(warps.end(), cta.warps.begin(), cta.warps.end());
     }
   }
   return warps;
 }
 
-u64 kept_image_bytes(const MachineConfig& config, const Program& program,
-                     Dim3 grid, Dim3 block, u64 memory_bytes,
-                     u32 rows_per_warp) {
-  const u32 threads = static_cast<u32>(block.count());
-  const u64 resident_ctas = std::min<u64>(
-      grid.count(),
-      static_cast<u64>(config.num_sms) *
-          config.ctas_per_sm(threads, program.num_regs(),
-                             program.shared_bytes()));
-  const u64 warps = (threads + kWarpSize - 1) / kWarpSize;
-  const u64 cta_bytes =
-      warps * rows_per_warp * kWarpSize * sizeof(u32) + program.shared_bytes();
-  return memory_bytes + resident_ctas * cta_bytes;
+namespace {
+
+/// `bytes` bytes of fresh pages; throws std::bad_alloc when out of memory.
+void* map_pages(std::size_t bytes) {
+  void* pages = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (pages == MAP_FAILED) throw std::bad_alloc();
+  return pages;
+}
+
+std::size_t whole_pages(std::size_t bytes) {
+  constexpr std::size_t kPage = LaunchCheckpoint::kPageBytes;
+  return (bytes + kPage - 1) / kPage * kPage;
+}
+
+/// The pages of an arena its Device gave back, kept for the next arena to
+/// take: fresh pages fault in one at a time when first written, about
+/// 2.6 us a page on a 4-core Xeon VM, so an arena mapped afresh for every
+/// Device made each golden run and each campaign's first launches pay up
+/// to a millisecond for theirs (saxpy_swift's A100 arena is 2.6 MiB). At
+/// most one mapping waits here, the largest given back; an arena that
+/// needs more maps its own.
+class SparePages {
+ public:
+  /// At least `bytes` mapped bytes, the spare ones when they are enough;
+  /// sets `bytes` to the size taken.
+  void* take(std::size_t& bytes) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (pages_ && bytes_ >= bytes) {
+        bytes = bytes_;
+        bytes_ = 0;
+        return std::exchange(pages_, nullptr);
+      }
+    }
+    return map_pages(bytes);
+  }
+
+  /// Keeps `pages` unless larger spare ones wait already; unmaps the
+  /// smaller of the two.
+  void give(void* pages, std::size_t bytes) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (bytes > bytes_) {
+        std::swap(pages, pages_);
+        std::swap(bytes, bytes_);
+      }
+    }
+    if (pages) munmap(pages, bytes);
+  }
+
+ private:
+  std::mutex mutex_;
+  void* pages_ = nullptr;
+  std::size_t bytes_ = 0;
+};
+
+/// Never destroyed: a static Device may give its pages back during static
+/// destruction, after a static SparePages would have gone.
+SparePages& spare_pages() {
+  static SparePages& spare = *new SparePages;
+  return spare;
+}
+
+}  // namespace
+
+std::pair<WarpState*, std::byte*> Simulator::reserve(LaunchArena& arena,
+                                                     std::size_t warps,
+                                                     std::size_t bytes) {
+  arena.reserve(warps, bytes);
+  return {arena.warps_, arena.bytes_};
+}
+
+LaunchArena::~LaunchArena() { release(); }
+
+void LaunchArena::release() {
+  std::destroy_n(warps_, warp_count_);
+  if (mapped_ > 0) spare_pages().give(warps_, mapped_);
+  warps_ = nullptr;
+  warp_count_ = 0;
+  bytes_ = nullptr;
+  byte_count_ = 0;
+  mapped_ = 0;
+}
+
+void LaunchArena::reserve(std::size_t warps, std::size_t bytes) {
+  if (warps <= warp_count_ && bytes <= byte_count_) return;
+  warps = std::max(warps, warp_count_);
+  bytes = std::max(bytes, byte_count_);
+  release();
+  const std::size_t header_bytes =
+      (warps * sizeof(WarpState) + kArenaAlign - 1) / kArenaAlign *
+      kArenaAlign;
+  std::size_t total = whole_pages(header_bytes + bytes);
+  void* pages = spare_pages().take(total);
+  mapped_ = total;
+  warps_ = static_cast<WarpState*>(pages);
+  std::uninitialized_default_construct_n(warps_, warps);
+  warp_count_ = warps;
+  bytes_ = static_cast<std::byte*>(pages) + header_bytes;
+  byte_count_ = total - header_bytes;
 }
 
 ImageBuffer::ImageBuffer(std::size_t words) {
   if (words == 0) return;
-  const std::size_t page = LaunchCheckpoint::kPageBytes / sizeof(u32);
-  words_ = (words + page - 1) / page * page;
-  void* pages = mmap(nullptr, words_ * sizeof(u32), PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (pages == MAP_FAILED) {
-    words_ = 0;
-    throw std::bad_alloc();
-  }
-  data_ = static_cast<u32*>(pages);
+  const std::size_t bytes = whole_pages(words * sizeof(u32));
+  data_ = static_cast<u32*>(map_pages(bytes));
+  words_ = bytes / sizeof(u32);
 }
 
 ImageBuffer::~ImageBuffer() { release(); }

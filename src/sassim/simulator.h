@@ -9,7 +9,9 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -124,6 +126,11 @@ struct LaunchResult {
   bool downgraded = false;
   /// True when the launch filled LaunchOptions::capture.
   bool captured = false;
+  /// Wall time of the resume from LaunchOptions::resume_from (resident
+  /// CTAs and device memory) and of the capture into
+  /// LaunchOptions::capture, 0 when there was none. Telemetry only.
+  u64 resume_ns = 0;
+  u64 capture_ns = 0;
 
   [[nodiscard]] bool ok() const { return !trap.fired(); }
   /// Wall-model execution time given the arch's SM clock.
@@ -172,6 +179,40 @@ template <typename Count>
   return sum;
 }
 
+/// Where the CTAs resident during a launch live (DESIGN.md §4.14): per SM,
+/// `occupancy` CTA slots and the list of those in use, in issue order;
+/// per slot, its warps' headers, their register rows (one contiguous
+/// [slot][warp][reg][lane] block) and its shared memory (one block); and
+/// the engine's per-SM scratch. One per Device, reused by every launch on
+/// it: admitting a CTA, retiring one and resuming a launch allocate
+/// nothing. The pages are mapped for arenas alone, as ImageBuffer's are,
+/// so they never sit in a worker thread's malloc arena. A launch larger
+/// than any before it takes larger pages in their place; pages an arena
+/// gives up (it grows, or its Device goes) wait, one mapping at most, for
+/// the next arena to take, so they are faulted in once, not per Device.
+class LaunchArena {
+ public:
+  LaunchArena() = default;
+  ~LaunchArena();
+  LaunchArena(const LaunchArena&) = delete;
+  LaunchArena& operator=(const LaunchArena&) = delete;
+
+ private:
+  friend class Simulator;
+
+  /// At least `warps` warp headers, kept from launch to launch (their SIMT
+  /// stacks keep their storage), and `bytes` bytes after them, whatever
+  /// they held; throws std::bad_alloc when out of memory.
+  void reserve(std::size_t warps, std::size_t bytes);
+  void release();
+
+  WarpState* warps_ = nullptr;  ///< the start of the mapping
+  std::size_t warp_count_ = 0;
+  std::byte* bytes_ = nullptr;  ///< after the headers
+  std::size_t byte_count_ = 0;
+  std::size_t mapped_ = 0;  ///< bytes mapped in all
+};
+
 /// The engine state of an armed launch at a cycle boundary before its
 /// strike, less what a resume rebuilds (LaunchOptions::live_rows,
 /// LaunchOptions::memory_base): resident CTAs (warps with their live
@@ -179,12 +220,15 @@ template <typename Count>
 /// timing-model cycle, the issue count of every instruction group, and the
 /// memory pages that differ from launch start. Resuming from it reproduces
 /// the launch from that boundary on bit for bit (DESIGN.md §4.14). The CTAs
-/// and the page bytes are one flat image: a single allocation, where
-/// copies of the CTA objects would be one per warp and would leave the heap
-/// fragmented behind a campaign's checkpoints.
+/// and the page bytes are one flat image in one buffer that a capture
+/// reuses: each CTA as the arena holds it, less what the launch's shape
+/// and the CTA's slot give (its warps' ids and register counts, the shared
+/// memory size) and less the rows a resume zero-fills.
 struct LaunchCheckpoint {
   Dim3 grid;
   Dim3 block;
+  u32 num_regs = 0;      ///< the program's, which shape the image
+  u32 shared_bytes = 0;
   std::vector<u32> pool_sizes;  ///< resident CTAs per SM
   u64 resident_count = 0;
   u64 next_cta = 0;
@@ -206,17 +250,6 @@ struct LaunchCheckpoint {
     return summed_issues(group_issues.data(), groups);
   }
 };
-
-/// The bulk of the image a capture of this launch writes at most, when no
-/// warp keeps more than `rows_per_warp` register rows: `memory_bytes` of
-/// device memory (every page differs from launch start) plus the shared
-/// memory and kept rows (128 B each) of the CTAs the grid keeps resident at
-/// full occupancy. Headers, masks and SIMT stacks, a few dozen bytes a
-/// warp, are left out.
-[[nodiscard]] u64 kept_image_bytes(const MachineConfig& config,
-                                   const Program& program, Dim3 grid,
-                                   Dim3 block, u64 memory_bytes,
-                                   u32 rows_per_warp);
 
 /// Per-group issue counts of a fault-free launch on a grid of marks `step`
 /// warp instructions apart. Row i holds Profile::warp_instrs_by_group at
@@ -247,8 +280,9 @@ struct IssueGrid {
 
 class Simulator {
  public:
-  Simulator(const MachineConfig& config, GlobalMemory& memory)
-      : config_(config), memory_(memory) {}
+  Simulator(const MachineConfig& config, GlobalMemory& memory,
+            LaunchArena& arena)
+      : config_(config), memory_(memory), arena_(arena) {}
 
   /// Runs `program` over `grid` x `block` threads. `params` are the 64-bit
   /// kernel parameters readable via LDC. Returns launch statistics; traps
@@ -257,17 +291,26 @@ class Simulator {
                               std::span<const u64> params,
                               const LaunchOptions& options = {});
 
-  /// The resident warps of `checkpoint` as a resume loads them, SM by SM
-  /// and CTA by CTA: rows the image left out read as zero.
+  /// The resident warps of `checkpoint` as a resume loads them into
+  /// `arena`, SM by SM and CTA by CTA: rows the image left out read as
+  /// zero. Their rows stay in `arena` until its next use.
   static std::vector<WarpState> checkpoint_warps(
-      const LaunchCheckpoint& checkpoint);
+      const LaunchCheckpoint& checkpoint, LaunchArena& arena);
 
  private:
   struct Cta;
+  struct Slots;
   struct Engine;
+
+  /// `arena` reserved for `warps` headers and `bytes` bytes
+  /// (LaunchArena::reserve): where the headers and the bytes start.
+  static std::pair<WarpState*, std::byte*> reserve(LaunchArena& arena,
+                                                   std::size_t warps,
+                                                   std::size_t bytes);
 
   const MachineConfig& config_;
   GlobalMemory& memory_;
+  LaunchArena& arena_;
 };
 
 }  // namespace gfi::sim

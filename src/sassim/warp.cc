@@ -24,9 +24,9 @@ void WarpState::retire_lanes(u32 lanes) {
 
 namespace {
 
-/// Image words of the fixed fields, the predicate bytes and one SIMT stack
-/// entry (mask, pc, kind).
-constexpr std::size_t kHeaderWords = 9;
+/// Image words of the fields a new CTA does not set, the predicate bytes
+/// and one SIMT stack entry (mask, pc, kind).
+constexpr std::size_t kHeaderWords = 7;
 constexpr std::size_t kPredWords = kWarpSize / sizeof(u32);
 constexpr std::size_t kEntryWords = 3;
 
@@ -60,8 +60,6 @@ std::size_t WarpState::image_words(const u32* rows) const {
 }
 
 u32* WarpState::save_image(u32* out, const u32* rows) const {
-  *out++ = warp_in_cta_;
-  *out++ = num_regs_;
   *out++ = active_;
   *out++ = exited_;
   *out++ = pc;
@@ -84,42 +82,29 @@ u32* WarpState::save_image(u32* out, const u32* rows) const {
   return out;
 }
 
-WarpState WarpState::load_image(const u32*& in) {
+void WarpState::load_image(const u32*& in) {
   const u32* header = in;
-  WarpState warp(header[0], header[1], header[2]);
-  warp.exited_ = header[3];
-  warp.pc = header[4];
-  warp.ready_cycle = make64(header[5], header[6]);
-  warp.at_barrier = header[7] != 0;
+  active_ = header[0];
+  exited_ = header[1];
+  pc = header[2];
+  ready_cycle = make64(header[3], header[4]);
+  at_barrier = header[5] != 0;
   const u32* rows = header + kHeaderWords;
-  const std::size_t mask_words = row_mask_words(warp.num_regs_);
+  const std::size_t mask_words = row_mask_words(num_regs_);
   in = rows + mask_words;
   for_each_row_run(rows, mask_words, [&](std::size_t first, std::size_t count) {
-    std::copy_n(in, count * kWarpSize, &warp.regs_[first * kWarpSize]);
+    std::copy_n(in, count * kWarpSize, regs_ + first * kWarpSize);
     in += count * kWarpSize;
   });
-  std::memcpy(warp.preds_, in, sizeof(warp.preds_));
+  std::memcpy(preds_, in, sizeof(preds_));
   in += kPredWords;
-  warp.stack_.resize(header[8]);
-  for (StackEntry& entry : warp.stack_) {
+  stack_.resize(header[6]);
+  for (StackEntry& entry : stack_) {
     entry.mask = in[0];
     entry.pc = in[1];
     entry.kind = static_cast<StackEntry::Kind>(in[2]);
     in += kEntryWords;
   }
-  return warp;
-}
-
-u32 LiveRows::max_rows() const {
-  u32 most = 0;
-  for (std::size_t pc = 0; pc < pcs(); ++pc) {
-    u32 rows = 0;
-    for (std::size_t w = 0; w < words; ++w) {
-      rows += static_cast<u32>(std::popcount(masks[pc * words + w]));
-    }
-    most = std::max(most, rows);
-  }
-  return most;
 }
 
 }  // namespace gfi::sim

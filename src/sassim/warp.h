@@ -43,17 +43,35 @@ struct LiveRows {
   [[nodiscard]] const u32* at(u32 pc) const {
     return masks.data() + pc * words;
   }
-  /// The most rows live at any one pc.
-  [[nodiscard]] u32 max_rows() const;
 };
 
+/// A warp's header: pc, masks, predicates, SIMT stack and timing state,
+/// and a pointer to its register rows, which live elsewhere ([reg][lane],
+/// num_regs() rows of kWarpSize words): a launch keeps every resident
+/// warp's rows in its Device's LaunchArena.
 class WarpState {
  public:
-  WarpState(u32 warp_in_cta, u32 num_regs, u32 initial_mask)
-      : warp_in_cta_(warp_in_cta),
-        num_regs_(num_regs),
-        active_(initial_mask),
-        regs_(static_cast<std::size_t>(num_regs) * kWarpSize, 0) {}
+  WarpState() = default;
+  /// A warp over the zeroed rows at `regs`.
+  WarpState(u32 warp_in_cta, u32 num_regs, u32 initial_mask, u32* regs) {
+    reset(warp_in_cta, num_regs, initial_mask, regs);
+  }
+
+  /// Makes this the fresh warp of a new CTA over `regs`, keeping the SIMT
+  /// stack's capacity, so a reused header allocates only when it nests
+  /// deeper than before. The rows are left as they are.
+  void reset(u32 warp_in_cta, u32 num_regs, u32 initial_mask, u32* regs) {
+    pc = 0;
+    ready_cycle = 0;
+    at_barrier = false;
+    warp_in_cta_ = warp_in_cta;
+    num_regs_ = num_regs;
+    active_ = initial_mask;
+    exited_ = 0;
+    stack_.clear();
+    regs_ = regs;
+    std::memset(preds_, 0, sizeof(preds_));
+  }
 
   // --- identity ---------------------------------------------------------
   [[nodiscard]] u32 warp_in_cta() const { return warp_in_cta_; }
@@ -165,15 +183,17 @@ class WarpState {
 
   // --- flat image (LaunchCheckpoint storage) -------------------------------
   /// Words save_image() writes with the register rows `rows` (a mask of
-  /// row_mask_words(num_regs()) words, bit r = register r): every field,
-  /// the mask, the rows it names and the stack.
+  /// row_mask_words(num_regs()) words, bit r = register r): the fields a
+  /// new CTA does not set, the mask, the rows it names and the stack.
   [[nodiscard]] std::size_t image_words(const u32* rows) const;
   /// Writes the warp to `out` with only the register rows `rows`; returns
   /// the word after it.
   u32* save_image(u32* out, const u32* rows) const;
-  /// Rebuilds a warp save_image() wrote at `in`, advancing `in` past it.
-  /// Rows the image leaves out read as zero.
-  [[nodiscard]] static WarpState load_image(const u32*& in);
+  /// Loads into this warp, reset() for its slot, the image save_image()
+  /// wrote at `in`, advancing `in` past it. Only the kept rows are copied
+  /// back: the others are dead at every pc the warp can resume at, so they
+  /// are written before they are read whatever they hold (DESIGN.md §4.14).
+  void load_image(const u32*& in);
 
  private:
   [[nodiscard]] std::size_t index_of(u32 lane, u16 r) const {
@@ -186,12 +206,12 @@ class WarpState {
     return mask;
   }
 
-  u32 warp_in_cta_;
-  u32 num_regs_;
-  u32 active_;
+  u32 warp_in_cta_ = 0;
+  u32 num_regs_ = 0;
+  u32 active_ = 0;
   u32 exited_ = 0;
   std::vector<StackEntry> stack_;
-  std::vector<u32> regs_;  ///< [reg][lane] layout
+  u32* regs_ = nullptr;  ///< num_regs_ rows, [reg][lane] layout
   u8 preds_[kWarpSize] = {};
 };
 

@@ -255,7 +255,8 @@ TEST(ExecEdge, StackedDivergenceWithLoopInside) {
 // RZ as a 64-bit pair base must not touch the register file at all: the
 // upper half would alias register kRegZ + 1, one past the file's end.
 TEST(ExecEdge, RegisterZeroPairAccessesAreInert) {
-  sim::WarpState warp(0, 4, 0xFFFFFFFFu);
+  std::vector<u32> rows(4 * sim::kWarpSize);
+  sim::WarpState warp(0, 4, 0xFFFFFFFFu, rows.data());
   warp.set_reg(0, 3, 0x1234u);
   warp.set_reg64(0, sim::kRegZ, 0xDEADBEEFCAFEF00Dull);
   EXPECT_EQ(warp.reg64(0, sim::kRegZ), 0u);

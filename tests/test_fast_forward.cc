@@ -78,17 +78,6 @@ std::vector<std::string> record_lines(const fi::CampaignResult& result) {
   return lines;
 }
 
-/// How many contexts of a `workers`-thread IOV campaign of `name` keep
-/// checkpoints.
-std::size_t kept(const std::string& name, std::size_t workers) {
-  fi::CampaignConfig config;
-  config.workload = name;
-  config.machine = machine();
-  auto golden = fi::Campaign::golden_run(config);
-  EXPECT_TRUE(golden.is_ok()) << golden.status().to_string();
-  return fi::kept_checkpoints(config, golden.value(), workers);
-}
-
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream buffer;
@@ -150,10 +139,8 @@ void campaign_sweep(const std::string& workload, InjectionMode mode) {
           << what << ", standalone";
     }
   }
-  // Not vacuous: where the gate keeps checkpoints, injections resumed.
-  if (kept(workload, 1) > 0) {
-    EXPECT_GT(skipped, 0u) << workload << " " << to_string(mode);
-  }
+  // Not vacuous: every context keeps checkpoints, so injections resumed.
+  EXPECT_GT(skipped, 0u) << workload << " " << to_string(mode);
 }
 
 class FastForward
@@ -367,34 +354,20 @@ TEST(FastForwardMemory, ReusedDevicesMatchFreshOnes) {
 /// most one per worker. Where not every worker's fits, the contexts that
 /// fit keep one and the campaign still runs in strike order. The wide,
 /// shallow kernels keep one too: their images hold few live rows.
-TEST(StrikeOrder, GateFollowsImageBound) {
+TEST(StrikeOrder, EveryContextKeepsACheckpoint) {
   harden::register_hardened_workloads();
-  // 73, 138, 171, 512, 640 and 896 KiB bounds: 27, 14, 11, 4, 3 and 2
-  // images fit 2 MiB.
-  EXPECT_EQ(kept("histogram", 27), 27u);
-  EXPECT_EQ(kept("histogram", 28), 27u);
-  EXPECT_EQ(kept("spmv", 14), 14u);
-  EXPECT_EQ(kept("spmv", 16), 14u);
-  EXPECT_EQ(kept("gemm", 4), 4u);
-  EXPECT_EQ(kept("gemm", 12), 11u);
-  EXPECT_EQ(kept("saxpy", 1), 1u);
-  EXPECT_EQ(kept("saxpy", 8), 4u);
-  EXPECT_EQ(kept("vecadd", 1), 1u);
-  EXPECT_EQ(kept("vecadd", 4), 3u);
-  EXPECT_EQ(kept("saxpy_swift", 1), 1u);
-  EXPECT_EQ(kept("saxpy_swift", 4), 2u);
-
   fi::CampaignConfig config;
   config.workload = "histogram";
   config.machine = machine();
+  for (const std::size_t workers : {1u, 4u, 8u}) {
+    EXPECT_EQ(fi::kept_checkpoints(config, workers), workers);
+  }
   config.model = {InjectionMode::kMemory, BitFlipModel::kDouble};
-  auto golden = fi::Campaign::golden_run(config);
-  ASSERT_TRUE(golden.is_ok()) << golden.status().to_string();
-  EXPECT_EQ(fi::kept_checkpoints(config, golden.value(), 1), 0u)
+  EXPECT_EQ(fi::kept_checkpoints(config, 1), 0u)
       << "memory mode has no strike";
 
-  // Under one and four workers every context or only some keep
-  // checkpoints; the records still match the instrumented pin.
+  // Under one and four workers every context keeps checkpoints, the three
+  // largest images included; the records still match the instrumented pin.
   config.model = {};
   config.num_injections = 24;
   for (const char* workload : {"gemm", "saxpy_swift", "vecadd"}) {
@@ -483,8 +456,7 @@ TEST(StrikeOrder, JournalsFollowRunOrderOnBothTiers) {
     config.seed = 21;
     auto golden = fi::Campaign::golden_run(config);
     ASSERT_TRUE(golden.is_ok()) << golden.status().to_string();
-    ASSERT_GT(fi::kept_checkpoints(config, golden.value(), 1), 0u)
-        << workload;
+    ASSERT_GT(fi::kept_checkpoints(config, 1), 0u) << workload;
     const fi::JournalContents cut = both_tiers(config, workload);
     ASSERT_EQ(cut.records.size(), config.num_injections - 1) << workload;
     std::vector<std::pair<std::size_t, u64>> keys;
@@ -797,8 +769,7 @@ std::vector<std::size_t> sample_marks(const sim::IssueGrid& grid) {
 
 /// For every workload the grid's row at mark i holds the group issues of
 /// an armed checkpoint captured at mark i, and both tiers record the same
-/// grid. Campaign::golden_run keeps it where one worker can keep a
-/// checkpoint and records none elsewhere.
+/// grid, which Campaign::golden_run keeps.
 TEST(GoldenGrid, RowsMatchCapturedCheckpoints) {
   for (const std::string& name : wl::workload_names()) {
     const sim::IssueGrid grid = launch_grid(name, EngineTier::kThreaded);
@@ -812,12 +783,8 @@ TEST(GoldenGrid, RowsMatchCapturedCheckpoints) {
     config.machine = machine();
     auto golden = fi::Campaign::golden_run(config);
     ASSERT_TRUE(golden.is_ok()) << golden.status().to_string();
-    if (fi::kept_checkpoints(config, golden.value(), 1) > 0) {
-      EXPECT_EQ(golden.value().grid.step, grid.step) << name;
-      EXPECT_EQ(golden.value().grid.counts, grid.counts) << name;
-    } else {
-      EXPECT_EQ(golden.value().grid.marks(), 0u) << name;
-    }
+    EXPECT_EQ(golden.value().grid.step, grid.step) << name;
+    EXPECT_EQ(golden.value().grid.counts, grid.counts) << name;
     Bench bench([name] { return wl::make_workload(name); });
     EXPECT_LT(grid.mark_at(grid.marks() - 1), bench.issues().size()) << name;
     for (const std::size_t mark : sample_marks(grid)) {
@@ -1046,8 +1013,9 @@ TEST(FastForwardImage, MaskedRowsRoundTripMidDivergence) {
   capture.live_rows = &live;
   capture.memory_base = &start;
   ASSERT_TRUE(launch(late, capture).result.captured);
+  sim::LaunchArena arena;
   const std::vector<sim::WarpState> warps =
-      sim::Simulator::checkpoint_warps(checkpoint);
+      sim::Simulator::checkpoint_warps(checkpoint, arena);
   ASSERT_EQ(warps.size(), 1u);
   const sim::WarpState& warp = warps[0];
   ASSERT_EQ(warp.stack().size(), 2u)

@@ -473,6 +473,30 @@ TEST(ObsCampaign, TelemetryDoesNotPerturbResults) {
           0u);
     }
     ASSERT_EQ(snapshot.counters.count("engine.generic_warp_instrs"), 1u);
+    // Phase timers: every phase has its histogram; gemm resumes and
+    // captures, and every workload launches, checks and journals.
+    for (const char* phase :
+         {"restore_us", "resume_us", "capture_us", "launch_us", "check_us",
+          "journal_append_us"}) {
+      ASSERT_EQ(snapshot.histograms.count(std::string("campaign.phase.") +
+                                          phase),
+                1u)
+          << phase;
+    }
+    auto observed = [&](const char* phase) {
+      return snapshot.histograms.at(std::string("campaign.phase.") + phase)
+          .stats.count();
+    };
+    EXPECT_GT(observed("launch_us"), 0u) << workload;
+    EXPECT_GT(observed("check_us"), 0u) << workload;
+    EXPECT_EQ(observed("journal_append_us"),
+              snapshot.counters.at("campaign.injections.completed"))
+        << workload;
+    if (std::string(workload) == "gemm") {
+      EXPECT_GT(observed("resume_us"), 0u);
+      EXPECT_EQ(observed("capture_us"),
+                snapshot.counters.at("campaign.fast_forward.checkpoints"));
+    }
     if (std::string(workload) == "histogram") {
       EXPECT_GT(snapshot.counters.at("engine.generic_warp_instrs"), 0u);
       Registry pinned_registry;

@@ -330,7 +330,8 @@ TEST(SimdPredicates, TestbitMask32MatchesByteLoop) {
 TEST(SimdPredicates, GuardMaskFastMatchesGuardMaskOnPartialMasks) {
   u32 rng = 0xfeedu;
   for (int round = 0; round < 32; ++round) {
-    sim::WarpState warp(0, 8, 0xffffffffu);
+    std::vector<u32> rows(8 * kWarpSize);
+    sim::WarpState warp(0, 8, 0xffffffffu, rows.data());
     for (u32 lane = 0; lane < kWarpSize; ++lane) {
       warp.set_pred_bits(lane, static_cast<u8>(next_rng(rng)));
     }
@@ -355,8 +356,9 @@ TEST(SimdPredicates, SetPredRowMatchesPerLaneSetPred) {
   for (u8 p = 0; p < 8; ++p) {
     for (u32 mask : {0u, 0xffffffffu, 0x80000001u, 0x55555555u,
                      next_rng(rng), next_rng(rng)}) {
-      sim::WarpState via_row(0, 8, 0xffffffffu);
-      sim::WarpState via_lanes(0, 8, 0xffffffffu);
+      std::vector<u32> rows(2 * 8 * kWarpSize);
+      sim::WarpState via_row(0, 8, 0xffffffffu, rows.data());
+      sim::WarpState via_lanes(0, 8, 0xffffffffu, rows.data() + 8 * kWarpSize);
       for (u32 lane = 0; lane < kWarpSize; ++lane) {
         const u8 bits = static_cast<u8>(next_rng(rng));
         via_row.set_pred_bits(lane, bits);
