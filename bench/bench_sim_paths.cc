@@ -10,14 +10,13 @@
 // hook-free speedup drops below the 1.5x CI gate. It takes no arguments
 // (anything else exits 2).
 //
-// Per workload it also records injection_over_clean: the median
-// Campaign::run_single of an IOV single-bit campaign (device set-up, the
-// hooked launch and the output check) over the median hook-free launch:
-// the premium one injection pays over a fault-free launch.
-// campaign_injection_over_clean is the same premium inside Campaign::run
-// (24-injection IOV campaigns, one worker, golden cache warm), where the
-// worker reuses its device and resumes injections from golden-prefix
-// checkpoints; below 1 means an injection costs less than a clean launch.
+// Per workload it also records campaign_injection_over_clean: the time
+// per injection of Campaign::run (24-injection IOV single-bit campaigns,
+// one worker, golden cache warm: the worker reuses its device, resumes
+// injections from golden-prefix checkpoints and stops them at
+// reconvergence) over the median hook-free launch, the premium one
+// injection pays over a fault-free launch; below 1 means an injection
+// costs less than a clean launch.
 //
 // Measurement is noise-hardened: each workload runs several alternating
 // hook-free/instrumented trials and each side keeps its best trial rate, so
@@ -48,7 +47,6 @@ using namespace gfi;
 
 constexpr double kGateSpeedup = 1.5;
 constexpr int kTrials = 3;
-constexpr int kInjectionSamples = 41;  ///< run_single calls (and launches)
 constexpr int kCampaignSamples = 9;    ///< timed Campaign::run calls
 constexpr std::size_t kCampaignInjections = 24;
 constexpr sim::EngineTier kTier = sim::EngineTier::kThreaded;
@@ -136,40 +134,6 @@ double median(std::vector<double> values) {
   return values[values.size() / 2];
 }
 
-/// Median run_single of a seeded IOV campaign over the median hook-free
-/// launch of `bench`'s workload.
-double injection_over_clean(Bench& bench, const std::string& name,
-                            const sim::MachineConfig& machine) {
-  fi::CampaignConfig config;
-  config.workload = name;
-  config.machine = machine;
-  config.seed = 2025;
-  auto golden = fi::Campaign::golden_run(config);
-  if (!golden.is_ok()) {
-    std::fprintf(stderr, "golden run failed for '%s': %s\n", name.c_str(),
-                 golden.status().to_string().c_str());
-    std::exit(1);
-  }
-  std::vector<double> injection_s;
-  std::vector<double> launch_s;
-  for (int i = 0; i < kInjectionSamples; ++i) {
-    auto start = std::chrono::steady_clock::now();
-    auto record = fi::Campaign::run_single(config, golden.value().profile,
-                                           golden.value().dyn_instrs,
-                                           static_cast<std::size_t>(i));
-    injection_s.push_back(seconds_since(start));
-    if (!record.is_ok()) {
-      std::fprintf(stderr, "injection failed for '%s': %s\n", name.c_str(),
-                   record.status().to_string().c_str());
-      std::exit(1);
-    }
-    start = std::chrono::steady_clock::now();
-    (void)bench.launch(kTier);
-    launch_s.push_back(seconds_since(start));
-  }
-  return median(injection_s) / median(launch_s);
-}
-
 /// Campaign::run time per injection of seeded kCampaignInjections-injection
 /// IOV campaigns over the median hook-free launch of `bench`'s workload.
 double campaign_injection_over_clean(Bench& bench, const std::string& name,
@@ -205,7 +169,6 @@ double campaign_injection_over_clean(Bench& bench, const std::string& name,
 struct PathRates {
   double threaded = 0.0;  ///< the hook-free side
   double instrumented = 0.0;
-  double injection_over_clean = 0.0;
   double campaign_injection_over_clean = 0.0;
 
   [[nodiscard]] double speedup() const {
@@ -226,7 +189,6 @@ PathRates measure(const std::string& name, const sim::MachineConfig& machine,
         best.instrumented,
         bench.timed_window(sim::EngineTier::kInstrumented, window_s));
   }
-  best.injection_over_clean = injection_over_clean(bench, name, machine);
   best.campaign_injection_over_clean =
       campaign_injection_over_clean(bench, name, machine);
   return best;
@@ -251,29 +213,26 @@ int main(int argc, char** argv) {
 
   std::printf("Simulator path throughput (A100 model, hook-free launches)\n");
   std::printf("simd backend: %s, engine: %s\n", simd::backend(), tier_name);
-  std::printf("%-12s %15s %15s %9s %10s %10s\n", "workload",
-              "hook-free (wi/s)", "instrumented", "speedup", "inj/clean",
-              "camp/clean");
+  std::printf("%-12s %15s %15s %9s %10s\n", "workload", "hook-free (wi/s)",
+              "instrumented", "speedup", "camp/clean");
 
   std::string rows;
   double log_speedup_sum = 0.0;
   double gemm_threaded = 0.0;
   for (const std::string& name : workloads) {
     const PathRates rates = measure(name, machine, floor_ms);
-    std::printf("%-12s %15.0f %15.0f %8.2fx %9.2fx %9.2fx\n", name.c_str(),
+    std::printf("%-12s %15.0f %15.0f %8.2fx %9.2fx\n", name.c_str(),
                 rates.threaded, rates.instrumented, rates.speedup(),
-                rates.injection_over_clean,
                 rates.campaign_injection_over_clean);
     char row[512];
     std::snprintf(row, sizeof(row),
                   "    {\"workload\": \"%s\", "
                   "\"threaded_warp_instrs_per_sec\": "
                   "%.0f, \"instrumented_warp_instrs_per_sec\": %.0f, "
-                  "\"speedup\": %.3f, \"injection_over_clean\": %.3f, "
+                  "\"speedup\": %.3f, "
                   "\"campaign_injection_over_clean\": %.3f},\n",
                   name.c_str(), rates.threaded, rates.instrumented,
-                  rates.speedup(), rates.injection_over_clean,
-                  rates.campaign_injection_over_clean);
+                  rates.speedup(), rates.campaign_injection_over_clean);
     rows += row;
     log_speedup_sum += std::log(rates.speedup());
     if (name == "gemm") gemm_threaded = rates.threaded;

@@ -201,6 +201,8 @@ Result<Campaign::Golden> Campaign::golden_run(const CampaignConfig& config) {
   // keep none, record it too.
   golden.grid.step = kStrikeGridStep;
   options.issue_grid = &golden.grid;
+  auto tail = std::make_shared<sim::GoldenTail>();
+  options.record_tail = tail.get();
   auto launch = device.launch(workload->program(), spec.value().grid,
                               spec.value().block, spec.value().params, options);
   if (!launch.is_ok()) return launch.status();
@@ -219,6 +221,7 @@ Result<Campaign::Golden> Campaign::golden_run(const CampaignConfig& config) {
   }
   golden.dyn_instrs = launch.value().dyn_warp_instrs;
   golden.cycles = launch.value().cycles;
+  golden.tail = std::move(tail);
   return golden;
 }
 
@@ -357,21 +360,25 @@ f64 micros_since(Clock::time_point started) {
 }
 
 /// Telemetry, never journaled: the wall time of an injection's phases, in
-/// microseconds. `launch` includes the `resume` from a kept checkpoint and
-/// the `capture` of one, which the engine times itself
-/// (LaunchResult::resume_ns, capture_ns).
+/// microseconds. `launch` includes the `resume` from a kept checkpoint, the
+/// `capture` of one and the `post_strike` run from the end of the strike's
+/// cycle, which the engine times itself (LaunchResult::resume_ns,
+/// capture_ns, post_strike_ns).
 struct Phases {
   explicit Phases(obs::Registry& reg)
       : restore(reg.histogram("campaign.phase.restore_us", 0, 500, 500)),
         resume(reg.histogram("campaign.phase.resume_us", 0, 500, 500)),
         capture(reg.histogram("campaign.phase.capture_us", 0, 500, 500)),
         launch(reg.histogram("campaign.phase.launch_us", 0, 20000, 1000)),
+        post_strike(
+            reg.histogram("campaign.phase.post_strike_us", 0, 5000, 1000)),
         check(reg.histogram("campaign.phase.check_us", 0, 500, 500)) {}
 
   obs::LatencyHistogram& restore;  ///< checkpoint 0, before a launch
   obs::LatencyHistogram& resume;
   obs::LatencyHistogram& capture;
   obs::LatencyHistogram& launch;
+  obs::LatencyHistogram& post_strike;
   obs::LatencyHistogram& check;  ///< the workload's output check
 };
 
@@ -379,9 +386,10 @@ struct Phases {
 /// Campaign::run: a free-list of injection contexts (at most one per
 /// worker), their shared checkpoint 0, the golden run whose issue grid the
 /// armed launches of the first `keepers` contexts capture the checkpoints
-/// those contexts keep on (with its live rows), and the verdict of the
-/// first transient retry, which answers the later ones; and the phase
-/// timers of its injections.
+/// those contexts keep on (with its live rows) and whose tail armed first
+/// attempts stop at reconvergence with, and the verdict of the first
+/// transient retry, which answers the later ones; and the phase timers of
+/// its injections.
 class FastForward {
  public:
   FastForward(const CampaignConfig& config, const Campaign::Golden& golden,
@@ -394,7 +402,10 @@ class FastForward {
         image_bytes_(reg.counter("campaign.fast_forward.image_bytes")),
         skipped_(reg.counter("campaign.fast_forward.skipped_warp_instrs")),
         resumed_retries_(
-            reg.counter("campaign.fast_forward.resumed_retries")) {}
+            reg.counter("campaign.fast_forward.resumed_retries")),
+        reconverged_(reg.counter("campaign.reconverge.injections")),
+        reconverge_skipped_(
+            reg.counter("campaign.reconverge.skipped_warp_instrs")) {}
 
   /// A context for one injection run; give it back with release().
   Result<std::unique_ptr<InjectionContext>> acquire() {
@@ -431,6 +442,10 @@ class FastForward {
   [[nodiscard]] const sim::LiveRows& live_rows() const {
     return golden_.live_rows;
   }
+  /// What an armed first attempt stops at reconvergence with.
+  [[nodiscard]] const sim::GoldenTail* tail() const {
+    return golden_.tail.get();
+  }
 
   /// The first transient retry's verdict, or nullopt until one has run.
   [[nodiscard]] std::optional<RetryVerdict> retry_verdict() {
@@ -458,6 +473,12 @@ class FastForward {
     resumed_retries_.inc();
     skipped_.inc(warp_instrs);
   }
+  /// A launch that stopped at reconvergence, `warp_instrs` short of its
+  /// end.
+  void reconverged(u64 warp_instrs) {
+    reconverged_.inc();
+    reconverge_skipped_.inc(warp_instrs);
+  }
 
   Phases phases;
 
@@ -469,6 +490,8 @@ class FastForward {
   obs::Counter& image_bytes_;
   obs::Counter& skipped_;
   obs::Counter& resumed_retries_;
+  obs::Counter& reconverged_;
+  obs::Counter& reconverge_skipped_;
   std::mutex mutex_;
   std::vector<std::unique_ptr<InjectionContext>> free_;
   std::shared_ptr<const Snapshot> start_;  ///< checkpoint 0, shared
@@ -624,7 +647,12 @@ Result<InjectionRecord> run_injection(
         options.capture = &context->kept;
         options.capture_at = grid->mark_at(bucket - 1);
       }
-      if (resume || capture) {
+      // Every armed first attempt stops once its struck warp rejoins its
+      // golden twin; the pin, the reference, runs to the end.
+      if (ff && strike && config.engine != sim::EngineTier::kInstrumented) {
+        options.golden_tail = ff->tail();
+      }
+      if (resume || capture || options.golden_tail) {
         options.live_rows = &ff->live_rows();
         options.memory_base = context->start.get();
       }
@@ -644,6 +672,14 @@ Result<InjectionRecord> run_injection(
         phases->capture.observe(
             static_cast<f64>(launch.value().capture_ns) * 1e-3);
       }
+      if (launch.value().downgraded) {
+        phases->post_strike.observe(
+            static_cast<f64>(launch.value().post_strike_ns) * 1e-3);
+      }
+    }
+    if (launch.value().reconverged) {
+      ff->reconverged(launch.value().dyn_warp_instrs -
+                      launch.value().reconverged_at);
     }
     if (metrics) {
       tier_counter[static_cast<int>(launch.value().tier_used)]->inc();

@@ -1,14 +1,16 @@
 // Two-phase fault-injection campaign (NVBitFI style):
 //   Phase 1 — golden run with the profiler: dynamic instruction counts per
-//             group, golden output, watchdog budget.
+//             group, golden output, watchdog budget, and the golden tail
+//             (write-once words, final memory pages).
 //   Phase 2 — N independent injection runs fanned out over a host thread
 //             pool; every run strikes exactly one fault at a uniformly
 //             sampled eligible site and is classified against the golden
 //             outcome. Each worker sets the workload up once and restores
 //             it before every run. Where checkpoint images fit, runs go
 //             in strike order and each worker resumes from the
-//             golden-prefix checkpoint its previous run kept (DESIGN.md
-//             §4.14).
+//             golden-prefix checkpoint its previous run kept, and an armed
+//             first attempt stops once its struck warp rejoins its golden
+//             twin (DESIGN.md §4.14).
 //             A transient retry is the golden launch again: the first
 //             one's verdict answers the campaign's later ones.
 //
@@ -21,6 +23,7 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -286,8 +289,10 @@ class Campaign {
 
   /// Replays a single injection (used by tests and for debugging): returns
   /// the record produced for global run index `i` of `config`, on a device
-  /// set up for this call alone, launched from instruction 0. Sharding and
-  /// fast-forward never change what a given index produces. When `prune_map` is given
+  /// set up for this call alone, launched from instruction 0 and run to
+  /// its end: it never resumes and never stops at reconvergence. Sharding,
+  /// fast-forward and early stops never change what a given index
+  /// produces. When `prune_map` is given
   /// and the sampled site is prunable, the record is filled analytically
   /// without simulating (and `*pruned_out` is set when provided) — the
   /// record is field-identical to what the simulation would produce.
@@ -317,8 +322,14 @@ class Campaign {
     /// where each injection's strike falls (strike_bucket).
     sim::IssueGrid grid;
     /// The program's live-in register rows (sa::live_in_rows): what a
-    /// checkpoint keeps of each warp.
+    /// checkpoint keeps of each warp, and which rows an injection's struck
+    /// warp must agree on with its golden twin to stop early.
     sim::LiveRows live_rows;
+    /// The golden launch's write-once words and final memory pages, which
+    /// an armed first attempt of Campaign::run finishes from when it stops
+    /// at reconvergence (DESIGN.md §4.14). Shared: a GoldenCache lookup
+    /// copies the Golden.
+    std::shared_ptr<const sim::GoldenTail> tail;
   };
   static Result<Golden> golden_run(const CampaignConfig& config);
 };

@@ -31,7 +31,8 @@
 // EngineT/CtaT): Simulator::Engine and Simulator::Cta are private nested
 // types of Simulator, reachable only by deduction. The engine provides
 // mem/opts/params/block/grid, dyn_warp/dyn_thread/generic_warp,
-// count_profile(), and the generic dispatch() the fallbacks delegate to.
+// count_profile(), recorder/record_row(), and the generic dispatch() the
+// fallbacks delegate to.
 #pragma once
 
 #include <bit>
@@ -368,10 +369,15 @@ inline TrapKind h_i2f(EngineT& eng, CtaT& cta, WarpState& warp,
              [](WarpState& w, const DecodedInstr& i) { vec_i2f(w, i); });
 }
 
+/// A golden run records its global accesses (LaunchOptions::record_tail):
+/// a load before the row runs, which may overwrite its address row (the
+/// generic loop redoing it records it again, which changes nothing), a
+/// store once it has run.
 template <typename EngineT, typename CtaT>
 inline TrapKind h_ldg_row(EngineT& eng, CtaT& cta, WarpState& warp,
                           const DecodedInstr& instr) {
   return mem_row(eng, cta, warp, instr, [&](u32 exec) {
+    if (eng.recorder) [[unlikely]] eng.record_row(warp, instr, exec);
     return eng.mem.fault_free() && ldg_row(warp, instr, eng.mem, exec);
   });
 }
@@ -380,7 +386,11 @@ template <typename EngineT, typename CtaT>
 inline TrapKind h_stg_row(EngineT& eng, CtaT& cta, WarpState& warp,
                           const DecodedInstr& instr) {
   return mem_row(eng, cta, warp, instr, [&](u32 exec) {
-    return eng.mem.fault_free() && stg_row(warp, instr, eng.mem, exec);
+    if (!eng.mem.fault_free() || !stg_row(warp, instr, eng.mem, exec)) {
+      return false;
+    }
+    if (eng.recorder) [[unlikely]] eng.record_row(warp, instr, exec);
+    return true;
   });
 }
 

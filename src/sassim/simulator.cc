@@ -106,26 +106,206 @@ f32 mufu_eval(MufuKind kind, f32 x) {
 // observables. The Armed instantiation is the threaded tier with a strike
 // pending: it counts the issues a StrikeRequest names and runs the
 // requested one through the Instrumented exec_instr (see
-// Engine::exec_armed).
+// Engine::exec_armed). The Twin instantiation is the threaded tier after
+// the strike while the struck warp's golden twin runs beside it (see
+// Engine::exec_twinned).
 
 struct InstrumentedPolicy {
   static constexpr bool kInstrumented = true;
   static constexpr bool kArmed = false;
+  static constexpr bool kTwin = false;
 };
 struct ThreadedPolicy {
   static constexpr bool kInstrumented = false;
   static constexpr bool kArmed = false;
+  static constexpr bool kTwin = false;
 };
 struct ArmedThreadedPolicy {
   static constexpr bool kInstrumented = false;
   static constexpr bool kArmed = true;
+  static constexpr bool kTwin = false;
+};
+struct TwinPolicy {
+  static constexpr bool kInstrumented = false;
+  static constexpr bool kArmed = false;
+  static constexpr bool kTwin = true;
 };
 
 /// How one engine run over the launch state ended.
 enum class RunExit : u8 {
-  kCompleted,   ///< every CTA retired
-  kTrapped,     ///< Engine::trap fired
-  kDowngraded,  ///< strike made (armed): continue on the threaded tier
+  kCompleted,    ///< every CTA retired
+  kTrapped,      ///< Engine::trap fired
+  kDowngraded,   ///< strike made (armed) or twin given up: continue threaded
+  kReconverged,  ///< the struck warp rejoined its golden twin: stop
+};
+
+constexpr std::size_t kPageBytes = LaunchCheckpoint::kPageBytes;
+
+/// At most this many words a struck warp may store differently from its
+/// twin before the twin gives up.
+constexpr u32 kMaxDiffWords = 256;
+
+/// A word the struck warp stored differently from its twin, and the value
+/// it stored.
+struct DiffWord {
+  u64 addr = 0;
+  u32 value = 0;
+};
+
+/// What a hook-free launch records for its GoldenTail as it runs
+/// (LaunchOptions::record_tail): per word of device memory whether a warp
+/// wrote it and whether that spoils it for write-once (written twice,
+/// written in part or by an atomic, or read after its write), and per page
+/// whether it was written. Only a load of a word already written can spoil
+/// it: a load outside the span of bytes written so far costs one test, a
+/// row load of 32 consecutive words a few more.
+class TailRecorder {
+ public:
+  explicit TailRecorder(std::size_t bytes)
+      : bytes_(bytes),
+        written_((bytes / 4 + 63) / 64),
+        spoiled_(written_.size()),
+        page_written_((bytes + kPageBytes - 1) / kPageBytes) {}
+
+  void load(u64 addr, u32 width) {
+    if (addr + width <= written_lo_ || addr > written_hi_ ||
+        !in_range(addr, width)) {
+      return;
+    }
+    const u64 at = addr - GlobalMemory::kBaseAddress;
+    if (page_written_[at / kPageBytes] == 0) return;
+    for (u64 word = at / 4; word <= (at + width - 1) / 4; ++word) {
+      if (test(written_, word)) set(spoiled_, word);
+    }
+  }
+
+  /// A store of `width` bytes; `whole` when it writes whole words.
+  void store(u64 addr, u32 width, bool whole) {
+    if (!in_range(addr, width)) return;
+    const u64 at = addr - GlobalMemory::kBaseAddress;
+    page_written_[at / kPageBytes] = 1;
+    note_written(addr, addr + width - 1);
+    for (u64 word = at / 4; word <= (at + width - 1) / 4; ++word) {
+      if (!whole || test(written_, word)) set(spoiled_, word);
+      set(written_, word);
+    }
+  }
+
+  [[nodiscard]] bool any_written() const {
+    return written_lo_ <= written_hi_;
+  }
+
+  /// A 4-byte load of lanes `exec` at `addrs` (every lane's, in or out of
+  /// `exec`). Tested first, branch-free, against the span of bytes written
+  /// so far: most loads read nothing written.
+  void load_row(const u64 (&addrs)[kWarpSize], u32 exec) {
+    if (!any_written()) return;
+    const u64 span = written_hi_ - written_lo_;
+    u32 hit = 0;
+    for (u32 lane = 0; lane < kWarpSize; ++lane) {
+      hit |= static_cast<u32>(addrs[lane] - written_lo_ <= span) << lane;
+    }
+    if ((hit & exec) == 0) return;
+    if (exec == ~0u && consecutive(addrs)) {
+      spoil_written((addrs[0] - GlobalMemory::kBaseAddress) / 4);
+      return;
+    }
+    for (u32 rest = exec; rest != 0; rest &= rest - 1) {
+      load(addrs[std::countr_zero(rest)], 4);
+    }
+  }
+
+  /// A 4-byte store of lanes `exec` at `addrs`, in lane order.
+  void store_row(const u64 (&addrs)[kWarpSize], u32 exec) {
+    if (exec == ~0u && consecutive(addrs)) {
+      const u64 word = (addrs[0] - GlobalMemory::kBaseAddress) / 4;
+      note_written(addrs[0], addrs[0] + 4 * kWarpSize - 1);
+      spoil_written(word);
+      set_written(word);
+      page_written_[word / (kPageBytes / 4)] = 1;
+      page_written_[(word + kWarpSize - 1) / (kPageBytes / 4)] = 1;
+      return;
+    }
+    for (u32 rest = exec; rest != 0; rest &= rest - 1) {
+      store(addrs[std::countr_zero(rest)], 4, true);
+    }
+  }
+
+  /// Fills `tail` from what was recorded and the final `memory`.
+  void finish(GoldenTail& tail, std::span<const u8> memory) const {
+    tail.write_once.resize(written_.size());
+    for (std::size_t i = 0; i < written_.size(); ++i) {
+      tail.write_once[i] = written_[i] & ~spoiled_[i];
+    }
+    tail.pages.clear();
+    std::size_t bytes = 0;
+    for (std::size_t page = 0; page < page_written_.size(); ++page) {
+      if (page_written_[page] == 0) continue;
+      tail.pages.push_back(static_cast<u32>(page));
+      bytes += std::min(kPageBytes, memory.size() - page * kPageBytes);
+    }
+    tail.bytes.resize(bytes);
+    u8* out = tail.bytes.data();
+    for (const u32 page : tail.pages) {
+      const std::size_t begin = page * kPageBytes;
+      const std::size_t length = std::min(kPageBytes, memory.size() - begin);
+      std::memcpy(out, &memory[begin], length);
+      out += length;
+    }
+  }
+
+ private:
+  /// Whether lane l's address is addrs[0] + 4l for every lane, all of
+  /// them in range.
+  [[nodiscard]] bool consecutive(const u64 (&addrs)[kWarpSize]) const {
+    u64 off = 0;
+    for (u32 lane = 0; lane < kWarpSize; ++lane) {
+      off |= addrs[lane] - (addrs[0] + 4 * lane);
+    }
+    return off == 0 && in_range(addrs[0], 4 * kWarpSize);
+  }
+  /// Spoils the written words among the 32 from `word` on.
+  void spoil_written(u64 word) {
+    const u64 bits = (u64{1} << kWarpSize) - 1;
+    const u64 shift = word % 64;
+    spoiled_[word / 64] |= written_[word / 64] & (bits << shift);
+    if (shift > 64 - kWarpSize) {
+      spoiled_[word / 64 + 1] |=
+          written_[word / 64 + 1] & (bits >> (64 - shift));
+    }
+  }
+  /// Marks the 32 words from `word` on written.
+  void set_written(u64 word) {
+    const u64 bits = (u64{1} << kWarpSize) - 1;
+    const u64 shift = word % 64;
+    written_[word / 64] |= bits << shift;
+    if (shift > 64 - kWarpSize) {
+      written_[word / 64 + 1] |= bits >> (64 - shift);
+    }
+  }
+  void note_written(u64 lo, u64 hi) {
+    written_lo_ = std::min(written_lo_, lo);
+    written_hi_ = std::max(written_hi_, hi);
+  }
+  [[nodiscard]] bool in_range(u64 addr, u32 width) const {
+    return addr >= GlobalMemory::kBaseAddress &&
+           addr - GlobalMemory::kBaseAddress + width <= bytes_;
+  }
+  static bool test(const std::vector<u64>& bits, u64 i) {
+    return ((bits[i / 64] >> (i % 64)) & 1u) != 0;
+  }
+  static void set(std::vector<u64>& bits, u64 i) {
+    bits[i / 64] |= u64{1} << (i % 64);
+  }
+
+  std::size_t bytes_;
+  /// The lowest and highest byte written so far: nothing written yet when
+  /// lo > hi.
+  u64 written_lo_ = ~u64{0};
+  u64 written_hi_ = 0;
+  std::vector<u64> written_;
+  std::vector<u64> spoiled_;
+  std::vector<u8> page_written_;
 };
 
 }  // namespace
@@ -175,6 +355,16 @@ struct Simulator::Slots {
   u64* sm_next = nullptr;      ///< [sm]: Engine::run scratch
   u32* busy = nullptr;         ///< [sm]: Engine::run scratch
   u32* masks = nullptr;        ///< [slot][warp][word]: capture scratch
+  // An armed launch's golden twin of its struck warp (Engine::start_twin):
+  // its header, after the slots' warps, and its rows ([reg][lane]); the
+  // row masks of the rows that differ from the struck warp's and of the
+  // rows live where it resumes; and the words the struck warp stored
+  // differently (kMaxDiffWords).
+  WarpState* twin = nullptr;
+  u32* twin_rows = nullptr;
+  u32* differs = nullptr;
+  u32* live = nullptr;
+  DiffWord* diff_words = nullptr;
 
   /// Lays the slots of `sms` SMs, of which the first `used` admit CTAs,
   /// out in `arena`, every slot free.
@@ -207,8 +397,12 @@ struct Simulator::Slots {
     const std::size_t at_rows =
         carve(slot_warps * num_regs * kWarpSize * sizeof(u32));
     const std::size_t at_shared = carve(slots * shared_bytes);
+    const std::size_t at_twin_rows =
+        carve(static_cast<std::size_t>(num_regs) * kWarpSize * sizeof(u32));
+    const std::size_t at_differs = carve(2 * mask_words * sizeof(u32));
+    const std::size_t at_diff_words = carve(kMaxDiffWords * sizeof(DiffWord));
     std::byte* base = nullptr;
-    std::tie(warps, base) = Simulator::reserve(arena, slot_warps, bytes);
+    std::tie(warps, base) = Simulator::reserve(arena, slot_warps + 1, bytes);
     ctas = reinterpret_cast<Cta*>(base + at_ctas);
     order = reinterpret_cast<u32*>(base + at_order);
     free = reinterpret_cast<u32*>(base + at_free);
@@ -218,6 +412,11 @@ struct Simulator::Slots {
     masks = reinterpret_cast<u32*>(base + at_masks);
     rows = reinterpret_cast<u32*>(base + at_rows);
     shared = reinterpret_cast<u8*>(base + at_shared);
+    twin = warps + slot_warps;
+    twin_rows = reinterpret_cast<u32*>(base + at_twin_rows);
+    differs = reinterpret_cast<u32*>(base + at_differs);
+    live = differs + mask_words;
+    diff_words = reinterpret_cast<DiffWord*>(base + at_diff_words);
 
     std::fill(in_use, in_use + sms, 0u);
     for (u32 sm = 0; sm < used; ++sm) {
@@ -379,6 +578,20 @@ struct Simulator::Engine {
   u64 next_mark_at = std::numeric_limits<u64>::max();
   u64 resume_ns = 0;
   u64 capture_ns = 0;
+
+  // Hook-free launches with opts.record_tail: what their GoldenTail needs.
+  TailRecorder* recorder = nullptr;
+
+  // Armed launches with opts.golden_tail (DESIGN.md §4.14): the struck warp
+  // while its golden twin (slots.twin) runs beside it, null before the
+  // strike and once the twin gives up; how many words it stored
+  // differently (slots.diff_words); how many more lanes it executed than
+  // the twin; and whether and where the launch stopped.
+  WarpState* twin_of = nullptr;
+  u32 diff_count = 0;
+  i64 thread_delta = 0;
+  bool reconverged = false;
+  u64 reconverged_at = 0;
 
   Engine(const MachineConfig& cfg_in, GlobalMemory& mem_in,
          const Program& prog_in, Dim3 grid_in, Dim3 block_in,
@@ -667,6 +880,9 @@ struct Simulator::Engine {
       return TrapKind::kNone;
     } else if constexpr (Policy::kArmed) {
       return exec_armed(cta, warp, instr);
+    } else if constexpr (Policy::kTwin) {
+      if (&warp == twin_of) return exec_twinned(cta, warp, instr);
+      return exec::threaded_dispatch(*this, cta, warp, instr);
     } else {
       // Threaded tier: handlers do their own exec-mask computation and
       // accounting, so the whole slot is one direct-dispatched call.
@@ -682,10 +898,279 @@ struct Simulator::Engine {
     if (((strike.groups >> group) & 1u) != 0 &&
         strike_seen++ == strike.occurrence) {
       struck = true;
+      if (opts.golden_tail) start_twin(cta, warp, instr);
       opts.hooks.front()->on_strike_slot();
-      return exec_instr<InstrumentedPolicy>(cta, warp, instr);
+      const TrapKind trapped = exec_instr<InstrumentedPolicy>(cta, warp, instr);
+      if (trapped == TrapKind::kNone && twin_of) {
+        // The strike may have written any row (RF): compare them all.
+        for (u16 r = 0; r < prog.num_regs(); ++r) note_row(warp, r);
+        check_reconverged(warp);
+      }
+      return trapped;
     }
     return exec::threaded_dispatch(*this, cta, warp, instr);
+  }
+
+  // ---- the golden twin (DESIGN.md §4.14) ---------------------------------
+
+  /// Just before the struck slot: copies the struck warp into its golden
+  /// twin, which runs the slot without the hook, so every flip model is
+  /// covered. A struck store or atomic (IOA) gets no twin: the hook acts
+  /// inside it.
+  void start_twin(Cta& cta, WarpState& warp, const DecodedInstr& instr) {
+    switch (instr.op) {
+      case Opcode::kStg:
+      case Opcode::kSts:
+      case Opcode::kAtomG:
+      case Opcode::kAtomS:
+        return;
+      default:
+        break;
+    }
+    // A pending upset would make the twin's loads count ECC events.
+    if (!mem.fault_free()) return;
+    slots.twin->copy_from(warp, slots.twin_rows);
+    std::fill(slots.differs, slots.differs + slots.mask_words, 0u);
+    diff_count = 0;
+    twin_of = &warp;
+    (void)twin_step(cta, warp, instr, exec::thr::exec_mask(warp, instr));
+  }
+
+  /// One slot of the struck warp while its twin runs: the twin first, then
+  /// the warp on the threaded tier, then the rows it wrote compared.
+  TrapKind exec_twinned(Cta& cta, WarpState& warp, const DecodedInstr& instr) {
+    const u32 pc = warp.pc;
+    const u32 exec = exec::thr::exec_mask(warp, instr);
+    if (!twin_step(cta, warp, instr, exec)) {
+      return exec::threaded_dispatch(*this, cta, warp, instr);
+    }
+    const TrapKind trapped = exec::threaded_dispatch(*this, cta, warp, instr);
+    if (trapped != TrapKind::kNone) return trapped;
+    if (instr.op == Opcode::kAtomG || instr.op == Opcode::kAtomS) {
+      // The atomics agreed lane for lane, so the old values the warp read
+      // are the ones the twin would have.
+      if (instr.dst_kind == OperandKind::kReg && instr.dst_index != kRegZ) {
+        for (u32 rest = exec; rest != 0; rest &= rest - 1) {
+          const auto lane = static_cast<u32>(std::countr_zero(rest));
+          slots.twin->set_reg(lane, instr.dst_index,
+                              warp.reg(lane, instr.dst_index));
+        }
+      }
+    }
+    for (const u16 r : dec.def_use(pc).dst_regs) note_row(warp, r);
+    check_reconverged(warp);
+    return trapped;
+  }
+
+  /// Runs the twin through `instr`, which the struck warp (exec mask
+  /// `exec`) runs next: ALU and control instructions and loads on the
+  /// generic dispatcher (a word the warp stored differently is one nobody
+  /// reads again, the twin included, so device memory is what the golden
+  /// run would read). Stores and atomics are compared, not run. False,
+  /// with the twin given up, where
+  /// the two can no longer be told apart by live state alone: exec masks
+  /// that differ on a control instruction, store or atomic, store or
+  /// atomic addresses that differ, a shared store, atomic or partial-width
+  /// global store that differs, or a differing store to a word that is
+  /// not write-once.
+  bool twin_step(Cta& cta, const WarpState& warp, const DecodedInstr& instr,
+                 u32 exec) {
+    WarpState& twin = *slots.twin;
+    const u32 twin_exec = exec::thr::exec_mask(twin, instr);
+    thread_delta += std::popcount(exec) - std::popcount(twin_exec);
+    switch (instr.op) {
+      case Opcode::kBar:
+      case Opcode::kExit:
+      case Opcode::kBra:
+      case Opcode::kSync:
+      case Opcode::kSsy:
+        if (exec != twin_exec) return give_up();
+        if (instr.op == Opcode::kBar) {
+          ++twin.pc;  // it issues when the warp does: no barrier state
+          return true;
+        }
+        break;
+      case Opcode::kStg:
+      case Opcode::kSts:
+      case Opcode::kAtomG:
+      case Opcode::kAtomS:
+        if (exec != twin_exec ||
+            !(instr.group == InstrGroup::kStore
+                  ? stores_agree(warp, instr, exec)
+                  : atomics_agree(warp, instr, exec))) {
+          return give_up();
+        }
+        ++twin.pc;
+        return true;
+      default:
+        break;
+    }
+    // The twin is the golden warp and never traps; should it, the trap is
+    // not the launch's.
+    const Trap kept = trap;
+    if (dispatch(cta, twin, instr, twin_exec) != TrapKind::kNone) {
+      trap = kept;
+      return give_up();
+    }
+    return true;
+  }
+
+  bool give_up() {
+    twin_of = nullptr;
+    return false;
+  }
+
+  /// Whether the struck warp's store of lanes `exec` agrees with its
+  /// twin's: the same addresses, and values that differ only in whole
+  /// global words the golden run writes once and never reads again, each
+  /// noted in slots.diff_words.
+  bool stores_agree(const WarpState& warp, const DecodedInstr& instr,
+                    u32 exec) {
+    const WarpState& twin = *slots.twin;
+    const bool global = instr.op == Opcode::kStg;
+    const u32 width = instr.mem_width;
+    const u64 offset = instr.src[1].is_imm() ? instr.src[1].imm : 0;
+    const u64 bytes_mask =
+        width == 8 ? ~u64{0} : (u64{1} << (8 * width)) - 1;
+    const u16 data = instr.src[2].index;
+    for (u32 rest = exec; rest != 0; rest &= rest - 1) {
+      const auto lane = static_cast<u32>(std::countr_zero(rest));
+      const u64 addr = address(warp, lane, instr, global) + offset;
+      if (addr != address(twin, lane, instr, global) + offset) return false;
+      const u64 value = width == 8 ? warp.reg64(lane, data)
+                                   : warp.reg(lane, data);
+      const u64 golden = width == 8 ? twin.reg64(lane, data)
+                                    : twin.reg(lane, data);
+      if (((value ^ golden) & bytes_mask) == 0) continue;
+      if (!global || width < 4) return false;
+      for (u32 k = 0; k < width / 4; ++k) {
+        const auto mine = static_cast<u32>(value >> (32 * k));
+        const auto theirs = static_cast<u32>(golden >> (32 * k));
+        if (mine == theirs) continue;
+        if (diff_count == kMaxDiffWords ||
+            !opts.golden_tail->is_write_once(addr + 4 * k)) {
+          return false;
+        }
+        slots.diff_words[diff_count++] = {addr + 4 * k, mine};
+      }
+    }
+    return true;
+  }
+
+  /// Whether the struck warp's atomic of lanes `exec` is its twin's: the
+  /// same addresses and operands on every lane.
+  bool atomics_agree(const WarpState& warp, const DecodedInstr& instr,
+                     u32 exec) const {
+    const WarpState& twin = *slots.twin;
+    const bool global = instr.op == Opcode::kAtomG;
+    for (u32 rest = exec; rest != 0; rest &= rest - 1) {
+      const auto lane = static_cast<u32>(std::countr_zero(rest));
+      if (address(warp, lane, instr, global) !=
+          address(twin, lane, instr, global)) {
+        return false;
+      }
+      for (int i = 1; i <= 2; ++i) {
+        if (static_cast<u32>(read_operand(warp, lane, instr.src[i],
+                                          instr.dtype)) !=
+            static_cast<u32>(read_operand(twin, lane, instr.src[i],
+                                          instr.dtype))) {
+          return false;
+        }
+      }
+    }
+    return true;
+  }
+
+  /// The base address a memory instruction's lane reads from src[0].
+  u64 address(const WarpState& warp, u32 lane, const DecodedInstr& instr,
+              bool global) const {
+    return global ? read_operand(warp, lane, instr.src[0], DType::kU64)
+                  : static_cast<u32>(read_operand(warp, lane, instr.src[0],
+                                                  DType::kU32));
+  }
+
+  /// Marks register row `r` as differing when the struck warp's value on
+  /// some lane that has not exited differs from the twin's, else clears it.
+  void note_row(const WarpState& warp, u16 r) {
+    if (r == kRegZ) return;
+    const u32* mine = warp.row(r);
+    const u32* theirs = slots.twin->row(r);
+    u32 lanes = 0;
+    for (u32 lane = 0; lane < kWarpSize; ++lane) {
+      lanes |= static_cast<u32>(mine[lane] != theirs[lane]) << lane;
+    }
+    u32& word = slots.differs[r / 32];
+    const u32 bit = 1u << (r % 32);
+    word = (lanes & ~warp.exited()) != 0 ? word | bit : word & ~bit;
+  }
+
+  /// Stops the launch (reconverged) when the struck warp has rejoined its
+  /// twin: the same control, the same predicates on every lane that has
+  /// not exited, and no differing row live where any of its lanes resumes.
+  void check_reconverged(const WarpState& warp) {
+    const WarpState& twin = *slots.twin;
+    if (!warp.same_control(twin)) return;
+    const u32 alive = ~warp.exited();
+    for (u32 lane = 0; lane < kWarpSize; ++lane) {
+      if (((alive >> lane) & 1u) != 0 &&
+          warp.pred_bits(lane) != twin.pred_bits(lane)) {
+        return;
+      }
+    }
+    const std::size_t words = slots.mask_words;
+    if (std::any_of(slots.differs, slots.differs + words,
+                    [](u32 word) { return word != 0; })) {
+      kept_rows(warp, slots.live);
+      for (std::size_t w = 0; w < words; ++w) {
+        // Rows noted before lanes exited may agree on those left.
+        for (u32 rest = slots.differs[w] & slots.live[w]; rest != 0;
+             rest &= rest - 1) {
+          const auto r = static_cast<u16>(w * 32 + std::countr_zero(rest));
+          note_row(warp, r);
+          if ((slots.differs[w] >> (r % 32)) & 1u) return;
+        }
+      }
+    }
+    reconverged = true;
+    reconverged_at = dyn_warp;
+  }
+
+  /// The end of a launch that reconverged: the golden run's final memory,
+  /// with the words the struck warp stored differently, and its counts
+  /// (the warp's lane count may differ from the twin's before the stop).
+  void finish_golden() {
+    const GoldenTail& tail = *opts.golden_tail;
+    mem.restore(*opts.memory_base, opts.memory_base->data, tail.pages,
+                kPageBytes, tail.bytes.data());
+    for (u32 i = 0; i < diff_count; ++i) {
+      mem.write_u32_raw(slots.diff_words[i].addr, slots.diff_words[i].value);
+    }
+    dyn_warp = tail.dyn_warp;
+    dyn_thread = static_cast<u64>(static_cast<i64>(tail.dyn_thread) +
+                                  thread_delta);
+    cycle = tail.cycles;
+  }
+
+  /// Records a global row access of lanes `exec` for the golden tail.
+  [[gnu::noinline]] void record_row(const WarpState& warp,
+                                    const DecodedInstr& instr, u32 exec) {
+    const bool load = instr.op == Opcode::kLdg;
+    if (load && !recorder->any_written()) return;
+    const u64 offset = instr.src[1].is_imm() ? instr.src[1].imm : 0;
+    const u16 base = instr.src[0].index;
+    static constexpr u32 kZeroRow[kWarpSize] = {};
+    const u32* low = base == kRegZ ? kZeroRow : warp.row(base);
+    const u32* high =
+        base == kRegZ ? kZeroRow : warp.row(static_cast<u16>(base + 1));
+    u64 addrs[kWarpSize];
+    for (u32 lane = 0; lane < kWarpSize; ++lane) {
+      addrs[lane] = make64(low[lane], high[lane]) + offset;
+    }
+    if (load) {
+      recorder->load_row(addrs, exec);
+    } else {
+      recorder->store_row(addrs, exec);
+    }
   }
 
   // Executes `instr` for lanes in `exec`, already accounted by the caller;
@@ -1042,6 +1527,7 @@ struct Simulator::Engine {
                 t != TrapKind::kNone) {
               return fire(t, cta, warp, addr);
             }
+            if (recorder) [[unlikely]] recorder->load(addr, width);
             u64 value = 0;
             std::memcpy(&value, buffer, width);
             if (width == 8) {
@@ -1058,6 +1544,7 @@ struct Simulator::Engine {
                 t != TrapKind::kNone) {
               return fire(t, cta, warp, addr);
             }
+            if (recorder) [[unlikely]] recorder->store(addr, width, width >= 4);
           }
         }
         break;
@@ -1134,6 +1621,7 @@ struct Simulator::Engine {
                 t != TrapKind::kNone) {
               return fire(t, cta, warp, addr);
             }
+            if (recorder) [[unlikely]] recorder->store(addr, width, false);
           } else {
             std::memcpy(cta.shared.data() + addr, &updated, width);
           }
@@ -1288,6 +1776,9 @@ struct Simulator::Engine {
         // request, so its state here is the golden prefix's: a checkpoint.
         if (struck) return RunExit::kDowngraded;
       }
+      if constexpr (Policy::kTwin) {
+        if (twin_of == nullptr) return RunExit::kDowngraded;  // given up
+      }
       if (dyn_warp >= next_mark_at) reach_mark();
 
       bool issued_any = false;
@@ -1327,6 +1818,10 @@ struct Simulator::Engine {
             issued_any = true;
             --budget;
             if (trapped != TrapKind::kNone) return RunExit::kTrapped;
+            if constexpr (Policy::kArmed || Policy::kTwin) {
+              // The rest of the launch is the golden run's.
+              if (reconverged) return RunExit::kReconverged;
+            }
             if (op == Opcode::kBar) next_valid = false;  // may park/release
             if (warp.done()) {
               warp_retired = true;
@@ -1470,6 +1965,26 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
   if (options.capture && !strike) {
     return Status::invalid_argument("only an armed launch can capture");
   }
+  if (options.golden_tail) {
+    if (!strike) {
+      return Status::invalid_argument(
+          "only an armed launch can stop at reconvergence");
+    }
+    if (options.profile) {
+      return Status::invalid_argument(
+          "a launch that may stop at reconvergence cannot profile");
+    }
+    if (!options.live_rows || !options.memory_base ||
+        options.memory_base->data.size() != memory_.bytes().size()) {
+      return Status::invalid_argument(
+          "stopping at reconvergence needs live rows and the launch-start "
+          "memory");
+    }
+  }
+  if (options.record_tail && !options.hooks.empty()) {
+    return Status::invalid_argument(
+        "only a hook-free launch can record a golden tail");
+  }
   if (options.issue_grid &&
       (!options.profile || !options.hooks.empty() ||
        options.issue_grid->step == 0)) {
@@ -1503,30 +2018,50 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
   }
   engine.capture = options.capture;
   engine.seek_mark();
+  std::optional<TailRecorder> recorder;
+  if (options.record_tail) {
+    recorder.emplace(memory_.bytes().size());
+    engine.recorder = &*recorder;
+  }
 
   // Tier selection: a lone hook with a strike request runs armed on the
   // threaded tier (unless pinned to instrumented) and continues plain
-  // threaded once the struck slot's cycle is over. Other hooks (or an
-  // explicit kInstrumented pin) take the instrumented engine to the end;
-  // hook-free execution — golden runs included — runs the threaded tier.
-  // Both tiers are bit-identical in every architecturally observable way.
+  // threaded once the struck slot's cycle is over, beside the struck
+  // warp's golden twin while that runs. Other hooks (or an explicit
+  // kInstrumented pin) take the instrumented engine to the end; hook-free
+  // execution — golden runs included — runs the threaded tier. Both tiers
+  // are bit-identical in every architecturally observable way.
   EngineTier tier_used = EngineTier::kThreaded;
   bool downgraded = false;
+  u64 post_strike_ns = 0;
   if (strike) {
     engine.strike = *strike;
     if (resume) engine.strike_seen = resume->issues(strike->groups);
-    if (engine.run<ArmedThreadedPolicy>() == RunExit::kDowngraded) {
+    RunExit exit = engine.run<ArmedThreadedPolicy>();
+    const auto struck_at = std::chrono::steady_clock::now();
+    if (exit == RunExit::kDowngraded) {
       // Past the strike the state is no longer the golden prefix's.
       engine.capture = nullptr;
       engine.seek_mark();
-      (void)engine.run<ThreadedPolicy>();
+      if (engine.twin_of) exit = engine.run<TwinPolicy>();
+      if (exit == RunExit::kDowngraded) (void)engine.run<ThreadedPolicy>();
     }
+    if (exit == RunExit::kReconverged) engine.finish_golden();
     downgraded = engine.struck;
+    if (downgraded) post_strike_ns = elapsed_ns(struck_at);
   } else if (!options.hooks.empty() || pin_instrumented) {
     (void)engine.run<InstrumentedPolicy>();
     tier_used = EngineTier::kInstrumented;
   } else {
     (void)engine.run<ThreadedPolicy>();
+  }
+
+  if (recorder && !engine.trap.fired()) {
+    GoldenTail& tail = *options.record_tail;
+    recorder->finish(tail, memory_.bytes());
+    tail.dyn_warp = engine.dyn_warp;
+    tail.dyn_thread = engine.dyn_thread;
+    tail.cycles = engine.cycle;
   }
 
   LaunchResult result;
@@ -1539,8 +2074,11 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
   result.tier_used = tier_used;
   result.downgraded = downgraded;
   result.captured = engine.captured;
+  result.reconverged = engine.reconverged;
+  result.reconverged_at = engine.reconverged_at;
   result.resume_ns = engine.resume_ns;
   result.capture_ns = engine.capture_ns;
+  result.post_strike_ns = post_strike_ns;
   return result;
 }
 

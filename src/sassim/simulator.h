@@ -29,6 +29,7 @@ namespace gfi::sim {
 struct Profile;
 struct IssueGrid;
 struct LaunchCheckpoint;
+struct GoldenTail;
 
 /// Execution tier the engine runs a launch on. Instructions a hook observes
 /// run on the instrumented template; the tier choice governs what the rest
@@ -106,6 +107,21 @@ struct LaunchOptions {
   /// image needs the same base; without it, every page.
   const LiveRows* live_rows = nullptr;
   const GlobalMemory::Snapshot* memory_base = nullptr;
+  /// Stop at reconvergence, armed launches only (DESIGN.md §4.14): the
+  /// golden run of this launch from `memory_base`, as a hook-free launch
+  /// recorded it into `record_tail`. Needs `live_rows` and `memory_base`;
+  /// incompatible with `profile`. Just before its struck slot the struck
+  /// warp is copied into a golden twin, which runs beside it without the
+  /// fault. Once the warp's pc, masks and SIMT stack equal the twin's, no
+  /// register row that differs is live, the predicates of its lanes that
+  /// have not exited agree, and every word it stored differently is one
+  /// the golden run writes once and never reads again, the rest of the
+  /// launch is the golden run's: the launch ends there, with the golden
+  /// run's final memory (plus the warp's differing words) and counts
+  /// (LaunchResult::reconverged).
+  const GoldenTail* golden_tail = nullptr;
+  /// Hook-free launches only: record what golden_tail needs into this.
+  GoldenTail* record_tail = nullptr;
 };
 
 /// Outcome of one kernel launch.
@@ -126,11 +142,20 @@ struct LaunchResult {
   bool downgraded = false;
   /// True when the launch filled LaunchOptions::capture.
   bool captured = false;
+  /// True when an armed launch stopped where its struck warp rejoined its
+  /// golden twin (LaunchOptions::golden_tail); its counts, cycles and ECC
+  /// counters are then the golden run's. `reconverged_at` is the dynamic
+  /// warp-instruction count where it stopped.
+  bool reconverged = false;
+  u64 reconverged_at = 0;
   /// Wall time of the resume from LaunchOptions::resume_from (resident
   /// CTAs and device memory) and of the capture into
   /// LaunchOptions::capture, 0 when there was none. Telemetry only.
   u64 resume_ns = 0;
   u64 capture_ns = 0;
+  /// Wall time of an armed launch from the end of its strike's cycle to
+  /// its end, 0 when the strike never came. Telemetry only.
+  u64 post_strike_ns = 0;
 
   [[nodiscard]] bool ok() const { return !trap.fired(); }
   /// Wall-model execution time given the arch's SM clock.
@@ -248,6 +273,32 @@ struct LaunchCheckpoint {
   /// strike counter at this boundary.
   [[nodiscard]] u64 issues(u32 groups) const {
     return summed_issues(group_issues.data(), groups);
+  }
+};
+
+/// What an armed launch that stops at reconvergence takes from its golden
+/// run (LaunchOptions::golden_tail), recorded by the hook-free golden
+/// launch itself (LaunchOptions::record_tail): its counts, the words it
+/// writes whole exactly once and never reads or partially writes after
+/// that write (write-once), and its final memory as the kPageBytes pages
+/// it wrote, each whole.
+struct GoldenTail {
+  u64 dyn_warp = 0;
+  u64 dyn_thread = 0;
+  u64 cycles = 0;
+  /// Bit w set when the word at GlobalMemory::kBaseAddress + 4w is
+  /// write-once.
+  std::vector<u64> write_once;
+  std::vector<u32> pages;  ///< indices of the pages written, ascending
+  /// Their final bytes, one page after the other (the last page of device
+  /// memory may be short).
+  std::vector<u8> bytes;
+
+  [[nodiscard]] bool is_write_once(u64 addr) const {
+    const u64 word = (addr - GlobalMemory::kBaseAddress) / 4;
+    return addr >= GlobalMemory::kBaseAddress &&
+           word / 64 < write_once.size() &&
+           ((write_once[word / 64] >> (word % 64)) & 1u) != 0;
   }
 };
 

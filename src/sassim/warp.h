@@ -21,6 +21,8 @@ struct StackEntry {
   u32 mask = 0;
   u32 pc = 0;
   Kind kind = Kind::kSsy;
+
+  bool operator==(const StackEntry&) const = default;
 };
 
 /// Words of a mask with one bit per register of a `num_regs` file.
@@ -118,6 +120,34 @@ class WarpState {
 
   std::vector<StackEntry>& stack() { return stack_; }
   [[nodiscard]] const std::vector<StackEntry>& stack() const { return stack_; }
+
+  /// Same pc, active and exited masks and SIMT stack: from here on the two
+  /// warps issue the same instructions under the same masks as long as
+  /// their predicates and the registers they read agree.
+  [[nodiscard]] bool same_control(const WarpState& other) const {
+    return pc == other.pc && active_ == other.active_ &&
+           exited_ == other.exited_ && stack_ == other.stack_;
+  }
+
+  /// Makes this warp a copy of `other` over the rows at `regs`: header,
+  /// predicates and SIMT stack (into this stack's storage, which allocates
+  /// only when `other` nests deeper than it ever did), and `other`'s
+  /// register rows copied to `regs`.
+  void copy_from(const WarpState& other, u32* regs) {
+    const std::vector<StackEntry>& stack = other.stack_;
+    stack_.assign(stack.begin(), stack.end());
+    pc = other.pc;
+    ready_cycle = other.ready_cycle;
+    at_barrier = other.at_barrier;
+    warp_in_cta_ = other.warp_in_cta_;
+    num_regs_ = other.num_regs_;
+    active_ = other.active_;
+    exited_ = other.exited_;
+    regs_ = regs;
+    std::memcpy(regs_, other.regs_,
+                static_cast<std::size_t>(num_regs_) * kWarpSize * sizeof(u32));
+    std::memcpy(preds_, other.preds_, sizeof(preds_));
+  }
 
   /// Retires `lanes` permanently: removes them from the active mask and
   /// from every stack entry, then pops emptied contexts so execution can

@@ -1,6 +1,7 @@
 // Launches on a reused Device allocate nothing: the resident CTAs live in
 // the device's LaunchArena, and a checkpoint a launch resumes from and
-// captures into keeps its buffers. A counting global operator new, armed
+// captures into keeps its buffers, as does the golden twin of an armed
+// launch that stops at reconvergence. A counting global operator new, armed
 // only around Device::launch, checks it once a warm-up has sized
 // everything. This is its own binary: the replaced operator new would see
 // every other test's allocations too.
@@ -56,6 +57,7 @@ long counted_launch(sim::Device& device, const wl::Workload& workload,
   EXPECT_TRUE(result.value().ok()) << result.value().trap.to_string();
   EXPECT_EQ(result.value().captured, options.capture != nullptr);
   EXPECT_EQ(result.value().resume_ns > 0, options.resume_from != nullptr);
+  EXPECT_EQ(result.value().reconverged, options.golden_tail != nullptr);
   return allocations;
 }
 
@@ -113,6 +115,42 @@ TEST_P(LaunchArenaAlloc, ReusedDeviceLaunchesAllocateNothing) {
     (void)armed(1000, 5000, false);
     EXPECT_EQ(armed(1200, 2000, true), 0)
         << "resume plus capture, round " << round;
+  }
+}
+
+TEST_P(LaunchArenaAlloc, ReconvergingLaunchesAllocateNothing) {
+  const sim::MachineConfig machine = arch::a100();
+  auto workload = wl::make_workload(GetParam());
+  sim::Device device(machine);
+  const wl::LaunchSpec spec = workload->setup(device).value();
+  const sim::GlobalMemory::Snapshot start = device.snapshot();
+  const sim::LiveRows live = sa::live_in_rows(workload->program());
+  sim::GoldenTail tail;
+  sim::LaunchOptions golden;
+  golden.record_tail = &tail;
+  (void)counted_launch(device, *workload, spec, golden);
+
+  // Flips of an FFMA result, which both workloads carry to an output word
+  // they store once: each launch stops once its warp has stored it.
+  fi::FaultSite site;
+  site.model = {fi::InjectionMode::kIov, fi::BitFlipModel::kSingle};
+  site.group = sim::InstrGroup::kFp32Fma;
+  site.lane_sel = 5;
+  site.bit_sel = 3;
+  auto armed = [&](u64 occurrence) {
+    site.target_occurrence = occurrence;
+    fi::InjectorHook hook(site, machine);
+    sim::LaunchOptions options;
+    options.hooks.push_back(&hook);
+    options.golden_tail = &tail;
+    options.live_rows = &live;
+    options.memory_base = &start;
+    device.restore(start);
+    return counted_launch(device, *workload, spec, options);
+  };
+  (void)armed(40);
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(armed(40 + round), 0) << "reconverging launch, round " << round;
   }
 }
 

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,13 @@ CampaignConfig base_config(const std::string& workload) {
   config.seed = 7;
   config.threads = 4;
   return config;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
 }
 
 fs::path scratch_dir(const std::string& name) {
@@ -432,10 +440,13 @@ TEST(ObsCampaign, TelemetryDoesNotPerturbResults) {
   // fast-forward counters included (gemm runs in strike order, capturing
   // checkpoints and resuming from them), and
   // engine.generic_warp_instrs included (histogram's atomics and SSYs run
-  // the generic lane loop; the instrumented pin reports none).
+  // the generic lane loop; the instrumented pin reports none), and so are
+  // the counters and timer of injections that stop at reconvergence.
+  // Journals are byte-identical too.
   for (const char* workload : {"saxpy", "gemm", "histogram"}) {
     const fs::path dir = scratch_dir(std::string("bit_identical_") + workload);
     auto bare_config = base_config(workload);
+    bare_config.journal_path = (dir / "bare.jsonl").string();
     auto bare = Campaign::run(bare_config);
     ASSERT_TRUE(bare.is_ok()) << bare.status().to_string();
 
@@ -449,6 +460,9 @@ TEST(ObsCampaign, TelemetryDoesNotPerturbResults) {
 
     EXPECT_EQ(bare.value().outcome_counts,
               instrumented.value().outcome_counts);
+    EXPECT_EQ(read_file(*bare_config.journal_path),
+              read_file(*instrumented_config.journal_path))
+        << workload;
     ASSERT_EQ(bare.value().records.size(),
               instrumented.value().records.size());
     for (std::size_t i = 0; i < bare.value().records.size(); ++i) {
@@ -473,11 +487,22 @@ TEST(ObsCampaign, TelemetryDoesNotPerturbResults) {
           0u);
     }
     ASSERT_EQ(snapshot.counters.count("engine.generic_warp_instrs"), 1u);
+    // Stopped at reconvergence: some injections of each, every one of them
+    // short of the golden run's end.
+    const u64 reconverged =
+        snapshot.counters.at("campaign.reconverge.injections");
+    EXPECT_GT(reconverged, 0u) << workload;
+    EXPECT_LE(reconverged, snapshot.counters.at("engine.dispatch.downgrades"))
+        << workload;
+    EXPECT_GT(snapshot.counters.at("campaign.reconverge.skipped_warp_instrs"),
+              0u)
+        << workload;
     // Phase timers: every phase has its histogram; gemm resumes and
-    // captures, and every workload launches, checks and journals.
+    // captures, and every workload launches, checks and journals, and runs
+    // past the strike once per launch that struck.
     for (const char* phase :
-         {"restore_us", "resume_us", "capture_us", "launch_us", "check_us",
-          "journal_append_us"}) {
+         {"restore_us", "resume_us", "capture_us", "launch_us",
+          "post_strike_us", "check_us", "journal_append_us"}) {
       ASSERT_EQ(snapshot.histograms.count(std::string("campaign.phase.") +
                                           phase),
                 1u)
@@ -488,6 +513,9 @@ TEST(ObsCampaign, TelemetryDoesNotPerturbResults) {
           .stats.count();
     };
     EXPECT_GT(observed("launch_us"), 0u) << workload;
+    EXPECT_EQ(observed("post_strike_us"),
+              snapshot.counters.at("engine.dispatch.downgrades"))
+        << workload;
     EXPECT_GT(observed("check_us"), 0u) << workload;
     EXPECT_EQ(observed("journal_append_us"),
               snapshot.counters.at("campaign.injections.completed"))
