@@ -14,7 +14,8 @@ int main() {
   Table table("IOV single-bit SDC: composed estimate vs direct measurement");
   table.set_header({"workload", "composed", "direct", "abs diff (pp)"});
 
-  const std::size_t per_group = std::max<std::size_t>(benchx::injections() / 2, 80);
+  const std::size_t per_group =
+      std::max<std::size_t>(benchx::injections() / 2, 80);
   for (const std::string& workload :
        {std::string("gemm"), std::string("conv2d"), std::string("saxpy"),
         std::string("spmv")}) {

@@ -10,7 +10,8 @@ using namespace gfi;
 
 void sweep(const std::string& workload, sim::InstrGroup group,
            const char* label, Table& table) {
-  const std::size_t per_bit = std::max<std::size_t>(benchx::injections() / 6, 30);
+  const std::size_t per_bit =
+      std::max<std::size_t>(benchx::injections() / 6, 30);
   for (u32 bit = 0; bit < 32; ++bit) {
     auto config = benchx::base_config(workload, arch::a100());
     config.group = group;

@@ -59,7 +59,8 @@ int main() {
                  "SDC/DUE/Masked per instruction group, A100 vs H100 "
                  "(pooled workloads)");
 
-  const std::size_t per_campaign = std::max<std::size_t>(benchx::injections() / 3, 50);
+  const std::size_t per_campaign =
+      std::max<std::size_t>(benchx::injections() / 3, 50);
 
   Table table("Per-group outcome rates (95% Wilson CI)");
   table.set_header({"group", "mode", "arch", "SDC", "DUE+Hang", "Masked*",

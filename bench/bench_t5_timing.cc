@@ -12,8 +12,10 @@ int main() {
   table.set_header({"workload", "warp instrs", "A100 cycles", "A100 us",
                     "H100 cycles", "H100 us", "H100 speedup"});
   for (const std::string& name : benchx::suite()) {
-    auto a_gold = fi::Campaign::golden_run(benchx::base_config(name, arch::a100()));
-    auto h_gold = fi::Campaign::golden_run(benchx::base_config(name, arch::h100()));
+    auto a_gold =
+        fi::Campaign::golden_run(benchx::base_config(name, arch::a100()));
+    auto h_gold =
+        fi::Campaign::golden_run(benchx::base_config(name, arch::h100()));
     if (!a_gold.is_ok() || !h_gold.is_ok()) return 1;
     sim::LaunchResult a_time, h_time;
     a_time.cycles = a_gold.value().cycles;

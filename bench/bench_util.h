@@ -70,10 +70,14 @@ inline std::vector<std::string> suite() { return wl::workload_names(); }
 
 /// Prints the experiment banner.
 inline void banner(const char* exp_id, const char* title) {
-  std::printf("==================================================================\n");
+  const char* rule =
+      "==================================================================";
+  std::printf("%s\n", rule);
   std::printf("%s — %s\n", exp_id, title);
-  std::printf("(simulated GPUs; shapes comparable to the paper, absolute numbers are not)\n");
-  std::printf("==================================================================\n\n");
+  std::printf(
+      "(simulated GPUs; shapes comparable to the paper, absolute numbers are "
+      "not)\n");
+  std::printf("%s\n\n", rule);
 }
 
 /// Prints the table and writes `results/<csv_name>.csv` in the source tree;

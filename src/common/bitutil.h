@@ -10,7 +10,9 @@
 namespace gfi {
 
 /// Flips bit `bit` (0 = LSB) of a 32-bit word.
-constexpr u32 flip_bit32(u32 value, u32 bit) { return value ^ (1u << (bit & 31)); }
+constexpr u32 flip_bit32(u32 value, u32 bit) {
+  return value ^ (1u << (bit & 31));
+}
 
 /// Flips bit `bit` (0 = LSB) of a 64-bit word.
 constexpr u64 flip_bit64(u64 value, u32 bit) {

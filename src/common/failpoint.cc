@@ -30,12 +30,14 @@ struct Clause {
   u64 value = 0;
   // Evaluations of this clause so far; only meaningful for hit=/every=.
   // unique_ptr keeps Clause movable while the counter stays addressable.
-  std::unique_ptr<std::atomic<u64>> count = std::make_unique<std::atomic<u64>>(0);
+  std::unique_ptr<std::atomic<u64>> count =
+      std::make_unique<std::atomic<u64>>(0);
 };
 
 struct Registry {
   std::mutex mu;
-  std::vector<Clause> clauses;  // guarded by mu for mutation; stable between set_spec calls
+  // Guarded by mu for mutation; stable between set_spec calls.
+  std::vector<Clause> clauses;
   std::string spec;
 };
 

@@ -32,7 +32,8 @@ void Histogram::add(f64 value, f64 weight) {
 }
 
 f64 Histogram::bin_lo(std::size_t bin) const {
-  return lo_ + (hi_ - lo_) * static_cast<f64>(bin) / static_cast<f64>(counts_.size());
+  return lo_ + (hi_ - lo_) * static_cast<f64>(bin) /
+                   static_cast<f64>(counts_.size());
 }
 
 f64 Histogram::bin_hi(std::size_t bin) const { return bin_lo(bin + 1); }

@@ -149,7 +149,9 @@ inline u32xN ceq(u32xN a, u32xN b) {
   return a;
 }
 inline u32xN select(u32xN m, u32xN a, u32xN b) {
-  for (u32 l = 0; l < kWidth; ++l) a.v[l] = (a.v[l] & m.v[l]) | (b.v[l] & ~m.v[l]);
+  for (u32 l = 0; l < kWidth; ++l) {
+    a.v[l] = (a.v[l] & m.v[l]) | (b.v[l] & ~m.v[l]);
+  }
   return a;
 }
 

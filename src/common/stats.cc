@@ -136,7 +136,8 @@ std::size_t required_sample_size(u64 population, f64 margin, f64 confidence,
   const f64 big_n = static_cast<f64>(population);
   const f64 z = z_for_confidence(confidence);
   const f64 numer = big_n;
-  const f64 denom = 1.0 + margin * margin * (big_n - 1.0) / (z * z * p * (1.0 - p));
+  const f64 denom =
+      1.0 + margin * margin * (big_n - 1.0) / (z * z * p * (1.0 - p));
   const f64 n = numer / denom;
   return static_cast<std::size_t>(std::max(1.0, std::ceil(n)));
 }

@@ -30,7 +30,9 @@ std::string Table::pct(f64 fraction, int precision) {
 
 std::string Table::to_ascii() const {
   std::vector<std::size_t> widths(header_.size());
-  for (std::size_t c = 0; c < header_.size(); ++c) widths[c] = header_[c].size();
+  for (std::size_t c = 0; c < header_.size(); ++c) {
+    widths[c] = header_[c].size();
+  }
   for (const auto& row : rows_) {
     for (std::size_t c = 0; c < row.size(); ++c) {
       widths[c] = std::max(widths[c], row[c].size());

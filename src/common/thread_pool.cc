@@ -58,8 +58,8 @@ void ThreadPool::worker_loop() {
     std::function<void()> job;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      work_available_.wait(lock,
-                           [this] { return shutting_down_ || !queue_.empty(); });
+      work_available_.wait(
+          lock, [this] { return shutting_down_ || !queue_.empty(); });
       if (queue_.empty()) return;  // shutting down
       job = std::move(queue_.front());
       queue_.pop();

@@ -36,7 +36,8 @@ class ThreadPool {
 
   /// Runs fn(i) for i in [0, count) across the pool and waits for completion.
   /// Rethrows the first exception any fn(i) threw, after the batch drains.
-  void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
+  void parallel_for(std::size_t count,
+                    const std::function<void(std::size_t)>& fn);
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 

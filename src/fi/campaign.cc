@@ -100,7 +100,8 @@ Result<FaultSite> sample_site(const CampaignConfig& config,
       break;
     }
     case InjectionMode::kRf:
-      site.target_occurrence = rng.next_below(std::max<u64>(golden_dyn_instrs, 1));
+      site.target_occurrence =
+          rng.next_below(std::max<u64>(golden_dyn_instrs, 1));
       site.reg_sel = static_cast<u16>(rng.next_u32());
       break;
     case InjectionMode::kMemory:
@@ -179,6 +180,10 @@ stats::Interval CampaignResult::rate_interval(Outcome outcome) const {
   return stats::wilson_interval(count(outcome), records.size());
 }
 
+bool needs_golden_tail(const CampaignConfig& config) {
+  return config.model.mode != InjectionMode::kMemory;
+}
+
 Result<Campaign::Golden> Campaign::golden_run(const CampaignConfig& config) {
   auto workload = wl::make_workload(config.workload);
   if (!workload) {
@@ -201,8 +206,13 @@ Result<Campaign::Golden> Campaign::golden_run(const CampaignConfig& config) {
   // keep none, record it too.
   golden.grid.step = kStrikeGridStep;
   options.issue_grid = &golden.grid;
-  auto tail = std::make_shared<sim::GoldenTail>();
-  options.record_tail = tail.get();
+  // Memory mode strikes no instruction, so no launch of its stops at
+  // reconvergence: it records no tail.
+  std::shared_ptr<sim::GoldenTail> tail;
+  if (needs_golden_tail(config)) {
+    tail = std::make_shared<sim::GoldenTail>();
+    options.record_tail = tail.get();
+  }
   auto launch = device.launch(workload->program(), spec.value().grid,
                               spec.value().block, spec.value().params, options);
   if (!launch.is_ok()) return launch.status();
@@ -361,15 +371,16 @@ f64 micros_since(Clock::time_point started) {
 
 /// Telemetry, never journaled: the wall time of an injection's phases, in
 /// microseconds. `launch` includes the `resume` from a kept checkpoint, the
-/// `capture` of one and the `post_strike` run from the end of the strike's
-/// cycle, which the engine times itself (LaunchResult::resume_ns,
-/// capture_ns, post_strike_ns).
+/// `capture` of one, the armed `prefix` up to the struck slot and the
+/// `post_strike` run from it, which the engine times itself
+/// (LaunchResult::resume_ns, capture_ns, prefix_ns, post_strike_ns).
 struct Phases {
   explicit Phases(obs::Registry& reg)
       : restore(reg.histogram("campaign.phase.restore_us", 0, 500, 500)),
         resume(reg.histogram("campaign.phase.resume_us", 0, 500, 500)),
         capture(reg.histogram("campaign.phase.capture_us", 0, 500, 500)),
         launch(reg.histogram("campaign.phase.launch_us", 0, 20000, 1000)),
+        prefix(reg.histogram("campaign.phase.prefix_us", 0, 5000, 1000)),
         post_strike(
             reg.histogram("campaign.phase.post_strike_us", 0, 5000, 1000)),
         check(reg.histogram("campaign.phase.check_us", 0, 500, 500)) {}
@@ -378,6 +389,7 @@ struct Phases {
   obs::LatencyHistogram& resume;
   obs::LatencyHistogram& capture;
   obs::LatencyHistogram& launch;
+  obs::LatencyHistogram& prefix;  ///< armed launches on the threaded tier
   obs::LatencyHistogram& post_strike;
   obs::LatencyHistogram& check;  ///< the workload's output check
 };
@@ -404,8 +416,14 @@ class FastForward {
         resumed_retries_(
             reg.counter("campaign.fast_forward.resumed_retries")),
         reconverged_(reg.counter("campaign.reconverge.injections")),
+        reconverged_ahead_(reg.counter("campaign.reconverge.ahead")),
         reconverge_skipped_(
-            reg.counter("campaign.reconverge.skipped_warp_instrs")) {}
+            reg.counter("campaign.reconverge.skipped_warp_instrs")) {
+    for (const auto& [reason, name] : sim::kTwinGiveUpNames) {
+      gave_up_[static_cast<int>(reason)] =
+          &reg.counter(std::string("campaign.reconverge.gave_up.") + name);
+    }
+  }
 
   /// A context for one injection run; give it back with release().
   Result<std::unique_ptr<InjectionContext>> acquire() {
@@ -474,10 +492,17 @@ class FastForward {
     skipped_.inc(warp_instrs);
   }
   /// A launch that stopped at reconvergence, `warp_instrs` short of its
-  /// end.
-  void reconverged(u64 warp_instrs) {
+  /// end; `ahead` when its struck warp found the stop running ahead.
+  void reconverged(u64 warp_instrs, bool ahead) {
     reconverged_.inc();
+    if (ahead) reconverged_ahead_.inc();
     reconverge_skipped_.inc(warp_instrs);
+  }
+  /// A launch whose struck warp's golden twin gave up for `reason`.
+  void twin_gave_up(sim::TwinGiveUp reason) {
+    if (reason != sim::TwinGiveUp::kNone) {
+      gave_up_[static_cast<int>(reason)]->inc();
+    }
   }
 
   Phases phases;
@@ -491,7 +516,10 @@ class FastForward {
   obs::Counter& skipped_;
   obs::Counter& resumed_retries_;
   obs::Counter& reconverged_;
+  obs::Counter& reconverged_ahead_;
   obs::Counter& reconverge_skipped_;
+  /// Per sim::TwinGiveUp; kNone's stays null.
+  obs::Counter* gave_up_[std::size(sim::kTwinGiveUpNames) + 1] = {};
   std::mutex mutex_;
   std::vector<std::unique_ptr<InjectionContext>> free_;
   std::shared_ptr<const Snapshot> start_;  ///< checkpoint 0, shared
@@ -672,15 +700,22 @@ Result<InjectionRecord> run_injection(
         phases->capture.observe(
             static_cast<f64>(launch.value().capture_ns) * 1e-3);
       }
+      if (!options.hooks.empty() &&
+          config.engine != sim::EngineTier::kInstrumented) {
+        phases->prefix.observe(
+            static_cast<f64>(launch.value().prefix_ns) * 1e-3);
+      }
       if (launch.value().downgraded) {
         phases->post_strike.observe(
             static_cast<f64>(launch.value().post_strike_ns) * 1e-3);
       }
     }
     if (launch.value().reconverged) {
-      ff->reconverged(launch.value().dyn_warp_instrs -
-                      launch.value().reconverged_at);
+      ff->reconverged(
+          launch.value().dyn_warp_instrs - launch.value().reconverged_at,
+          launch.value().reconverged_ahead);
     }
+    if (options.golden_tail) ff->twin_gave_up(launch.value().twin_gave_up);
     if (metrics) {
       tier_counter[static_cast<int>(launch.value().tier_used)]->inc();
       if (launch.value().downgraded) tier_downgrades->inc();

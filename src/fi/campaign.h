@@ -325,14 +325,20 @@ class Campaign {
     /// checkpoint keeps of each warp, and which rows an injection's struck
     /// warp must agree on with its golden twin to stop early.
     sim::LiveRows live_rows;
-    /// The golden launch's write-once words and final memory pages, which
-    /// an armed first attempt of Campaign::run finishes from when it stops
-    /// at reconvergence (DESIGN.md §4.14). Shared: a GoldenCache lookup
-    /// copies the Golden.
+    /// The golden launch's write-once words, final memory pages and their
+    /// writers, which an armed first attempt of Campaign::run finishes from
+    /// when it stops at reconvergence (DESIGN.md §4.14); null when
+    /// needs_golden_tail() is false. Shared: a GoldenCache lookup copies
+    /// the Golden.
     std::shared_ptr<const sim::GoldenTail> tail;
   };
   static Result<Golden> golden_run(const CampaignConfig& config);
 };
+
+/// Whether Campaign::golden_run records a GoldenTail for `config`: in
+/// every mode but memory mode, whose campaigns strike no instruction and
+/// so never stop at reconvergence.
+[[nodiscard]] bool needs_golden_tail(const CampaignConfig& config);
 
 /// How many of the injection contexts of a `workers`-thread Campaign::run
 /// keep a golden-prefix checkpoint (DESIGN.md §4.14): none in memory mode,

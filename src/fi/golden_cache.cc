@@ -47,9 +47,12 @@ Result<Campaign::Golden> GoldenCache::get_or_run(
     const CampaignConfig& config) {
   const std::string key = key_for(config);
   {
+    // A memory campaign's golden run has no tail: a campaign that needs
+    // one runs its own, which then serves both.
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = entries_.find(key);
-    if (it != entries_.end()) {
+    if (it != entries_.end() &&
+        (it->second.tail || !needs_golden_tail(config))) {
       ++hits_;
       return it->second;
     }

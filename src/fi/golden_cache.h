@@ -23,7 +23,8 @@ class GoldenCache {
   /// Returns the golden run for `config`, computing and caching it on miss.
   /// Lookups key on the workload plus every MachineConfig field that can
   /// influence execution, so e.g. toy-with-ECC and toy-without-ECC never
-  /// alias.
+  /// alias. An entry without the GoldenTail `config` needs
+  /// (needs_golden_tail) is a miss, and the rerun replaces it.
   Result<Campaign::Golden> get_or_run(const CampaignConfig& config);
 
   /// Drops every entry (tests).

@@ -103,7 +103,8 @@ Status check_campaign_header_line(const std::string& path,
 /// complete record — the truncation point for crash-safe appends.
 struct JournalContents {
   JournalHeader header;
-  std::vector<std::pair<u64, InjectionRecord>> records;  ///< (global index, record)
+  /// (global index, record)
+  std::vector<std::pair<u64, InjectionRecord>> records;
   /// Planner decisions journaled alongside the records (file order:
   /// allocations before their block's records, a stop event last).
   std::vector<PlanEvent> plan;

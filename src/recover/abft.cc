@@ -213,7 +213,8 @@ class ReduceAbft final : public Workload {
     out_dev_ = out.value();
     if (auto s = device.to_device<u32>(x_dev_, x_); !s.is_ok()) return s;
     const u32 zero = 0;
-    if (auto s = device.to_device<u32>(out_dev_, std::span<const u32>(&zero, 1));
+    if (auto s =
+            device.to_device<u32>(out_dev_, std::span<const u32>(&zero, 1));
         !s.is_ok()) {
       return s;
     }

@@ -439,7 +439,9 @@ BitLiveness BitLiveness::compute(const sim::Program& program, const Cfg& cfg,
       }
       u8 preds = current.preds;
       for (u8 p = 0; p < sim::kPredT; ++p) {
-        if (!reg_live.pred_live_out(pc, p)) preds &= static_cast<u8>(~(1u << p));
+        if (!reg_live.pred_live_out(pc, p)) {
+          preds &= static_cast<u8>(~(1u << p));
+        }
       }
       bl.live_out_preds_[pc] = preds;
       transfer.apply(pc, current, nullptr);

@@ -22,7 +22,8 @@ constexpr u32 kAllBits = 0xffffffffu;
 
 void add(LintReport& report, LintCheck check, Severity severity, u32 pc,
          std::string message) {
-  report.findings.push_back(LintFinding{check, severity, pc, std::move(message)});
+  report.findings.push_back(
+      LintFinding{check, severity, pc, std::move(message)});
 }
 
 bool is_atomic(Opcode op) {

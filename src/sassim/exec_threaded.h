@@ -377,7 +377,7 @@ template <typename EngineT, typename CtaT>
 inline TrapKind h_ldg_row(EngineT& eng, CtaT& cta, WarpState& warp,
                           const DecodedInstr& instr) {
   return mem_row(eng, cta, warp, instr, [&](u32 exec) {
-    if (eng.recorder) [[unlikely]] eng.record_row(warp, instr, exec);
+    if (eng.recorder) [[unlikely]] eng.record_row(cta, warp, instr, exec);
     return eng.mem.fault_free() && ldg_row(warp, instr, eng.mem, exec);
   });
 }
@@ -389,7 +389,7 @@ inline TrapKind h_stg_row(EngineT& eng, CtaT& cta, WarpState& warp,
     if (!eng.mem.fault_free() || !stg_row(warp, instr, eng.mem, exec)) {
       return false;
     }
-    if (eng.recorder) [[unlikely]] eng.record_row(warp, instr, exec);
+    if (eng.recorder) [[unlikely]] eng.record_row(cta, warp, instr, exec);
     return true;
   });
 }

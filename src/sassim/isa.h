@@ -196,7 +196,8 @@ enum class InstrGroup : u8 {
   kControl,   ///< BRA/SSY/SYNC/BAR/EXIT/NOP
 };
 
-inline constexpr int kInstrGroupCount = static_cast<int>(InstrGroup::kControl) + 1;
+inline constexpr int kInstrGroupCount =
+    static_cast<int>(InstrGroup::kControl) + 1;
 
 /// Group of a (static) instruction.
 InstrGroup instr_group(const Instr& instr);

@@ -160,7 +160,7 @@ void KernelBuilder::ldc_u64(u16 dst, u32 param_index) {
           Operand::imm_u(param_index));
 }
 
-// --- integer ------------------------------------------------------------------
+// --- integer -----------------------------------------------------------------
 
 void KernelBuilder::iadd_u32(u16 dst, Operand a, Operand b) {
   emit_op(Opcode::kIAdd, DType::kU32, 0, Operand::reg(dst), a, b);
@@ -368,7 +368,7 @@ void KernelBuilder::hmma(u16 d_base, u16 a_base, u16 b_base, u16 c_base) {
           Operand::reg(a_base), Operand::reg(b_base), Operand::reg(c_base));
 }
 
-// --- finalize ------------------------------------------------------------------
+// --- finalize ----------------------------------------------------------------
 
 Result<Program> KernelBuilder::build() {
   for (const auto& [instr_index, label] : fixups_) {

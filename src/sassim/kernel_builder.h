@@ -34,7 +34,7 @@ class KernelBuilder {
   /// Applies an @P / @!P guard to the most recently emitted instruction.
   void guard_last(u8 pred, bool negated = false);
 
-  // --- control flow -----------------------------------------------------------
+  // --- control flow ----------------------------------------------------------
   void nop();
   void exit_();
   /// Guarded exit: lanes satisfying the guard retire.
@@ -107,13 +107,13 @@ class KernelBuilder {
   void atoms(AtomKind kind, u16 dst, u16 addr_reg, Operand a,
              Operand b = Operand::none(), DType dtype = DType::kU32);
 
-  // --- warp level ---------------------------------------------------------------
+  // --- warp level ------------------------------------------------------------
   void shfl(ShflKind kind, u16 dst, u16 src, Operand lane);
   void vote(VoteKind kind, Operand dst, u8 src_pred, bool negated = false);
   /// m16n8k8 MMA: d_frag(4 regs) = a_frag(4) * b_frag(2) + c_frag(4).
   void hmma(u16 d_base, u16 a_base, u16 b_base, u16 c_base);
 
-  // --- resources ---------------------------------------------------------------
+  // --- resources -------------------------------------------------------------
   /// Declares static shared memory for the kernel (bytes per CTA).
   void set_shared_bytes(u32 bytes) { shared_bytes_ = bytes; }
 

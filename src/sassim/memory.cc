@@ -104,7 +104,8 @@ TrapKind GlobalMemory::fill(u64 dst, u8 value, u64 n) {
   std::vector<u8> chunk(std::min<u64>(n, 1u << 16), value);
   while (n > 0) {
     const u32 step = static_cast<u32>(std::min<u64>(n, chunk.size()));
-    if (TrapKind trap = write(dst, chunk.data(), step); trap != TrapKind::kNone) {
+    if (TrapKind trap = write(dst, chunk.data(), step);
+        trap != TrapKind::kNone) {
       return trap;
     }
     dst += step;

@@ -85,7 +85,9 @@ Status Program::validate() const {
 
     // Control-flow targets must be resolved and in range.
     if (instr.op == Opcode::kBra || instr.op == Opcode::kSsy) {
-      if (!instr.label.empty()) return err(pc, "unresolved label " + instr.label);
+      if (!instr.label.empty()) {
+        return err(pc, "unresolved label " + instr.label);
+      }
       if (instr.target < 0 ||
           static_cast<std::size_t>(instr.target) >= code_.size()) {
         return err(pc, "branch target out of range");
@@ -118,7 +120,9 @@ Status Program::validate() const {
     }
 
     // Predicate indices.
-    if (instr.guard_pred >= kNumPredicates) return err(pc, "bad guard predicate");
+    if (instr.guard_pred >= kNumPredicates) {
+      return err(pc, "bad guard predicate");
+    }
     if (instr.writes_pred()) {
       if (!instr.dst.is_pred() || instr.dst.index >= kNumPredicates) {
         return err(pc, "predicate-writing op needs a predicate destination");
@@ -141,7 +145,9 @@ Status Program::validate() const {
   for (const auto& instr : code_) {
     if (instr.op == Opcode::kExit) has_exit = true;
   }
-  if (!has_exit) return Status::invalid_argument("program '" + name_ + "' has no EXIT");
+  if (!has_exit) {
+    return Status::invalid_argument("program '" + name_ + "' has no EXIT");
+  }
   return Status::ok();
 }
 

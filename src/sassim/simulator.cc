@@ -29,11 +29,15 @@ constexpr u64 kDefaultWatchdog = 256ULL << 20;  // 256M warp instructions
 constexpr std::size_t kArenaAlign = 64;
 using exec::kFullMask;
 
-u64 elapsed_ns(std::chrono::steady_clock::time_point started) {
+using TimePoint = std::chrono::steady_clock::time_point;
+
+u64 ns_between(TimePoint from, TimePoint to) {
   return static_cast<u64>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - started)
-          .count());
+      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
+}
+
+u64 elapsed_ns(TimePoint started) {
+  return ns_between(started, std::chrono::steady_clock::now());
 }
 
 /// Integer compare dispatch for ISETP (and address compares).
@@ -145,8 +149,13 @@ constexpr std::size_t kPageBytes = LaunchCheckpoint::kPageBytes;
 /// twin before the twin gives up.
 constexpr u32 kMaxDiffWords = 256;
 
+/// At most this many words the struck warp's copy may store while it runs
+/// ahead (Engine::run_ahead).
+constexpr u32 kMaxUndoWords = 1024;
+
 /// A word the struck warp stored differently from its twin, and the value
-/// it stored.
+/// it stored; in the undo log of a run ahead, a word it stored to and the
+/// value the word held before.
 struct DiffWord {
   u64 addr = 0;
   u32 value = 0;
@@ -154,17 +163,19 @@ struct DiffWord {
 
 /// What a hook-free launch records for its GoldenTail as it runs
 /// (LaunchOptions::record_tail): per word of device memory whether a warp
-/// wrote it and whether that spoils it for write-once (written twice,
-/// written in part or by an atomic, or read after its write), and per page
-/// whether it was written. Only a load of a word already written can spoil
-/// it: a load outside the span of bytes written so far costs one test, a
-/// row load of 32 consecutive words a few more.
+/// wrote it, whether that spoils it for write-once (written twice,
+/// written in part or by an atomic, or read after its write) and which
+/// warp wrote it (GoldenTail::writer), and per page whether it was
+/// written. Only a load of a word already written can spoil it: a load
+/// outside the span of bytes written so far costs one test, a row load of
+/// 32 consecutive words a few more.
 class TailRecorder {
  public:
   explicit TailRecorder(std::size_t bytes)
       : bytes_(bytes),
         written_((bytes / 4 + 63) / 64),
         spoiled_(written_.size()),
+        writers_(bytes / 4, GoldenTail::kNoWriter),
         page_written_((bytes + kPageBytes - 1) / kPageBytes) {}
 
   void load(u64 addr, u32 width) {
@@ -179,8 +190,9 @@ class TailRecorder {
     }
   }
 
-  /// A store of `width` bytes; `whole` when it writes whole words.
-  void store(u64 addr, u32 width, bool whole) {
+  /// A store of `width` bytes by warp `writer`; `whole` when it writes
+  /// whole words.
+  void store(u64 addr, u32 width, bool whole, u32 writer) {
     if (!in_range(addr, width)) return;
     const u64 at = addr - GlobalMemory::kBaseAddress;
     page_written_[at / kPageBytes] = 1;
@@ -188,6 +200,7 @@ class TailRecorder {
     for (u64 word = at / 4; word <= (at + width - 1) / 4; ++word) {
       if (!whole || test(written_, word)) set(spoiled_, word);
       set(written_, word);
+      note_writer(word, writer);
     }
   }
 
@@ -215,19 +228,23 @@ class TailRecorder {
     }
   }
 
-  /// A 4-byte store of lanes `exec` at `addrs`, in lane order.
-  void store_row(const u64 (&addrs)[kWarpSize], u32 exec) {
+  /// A 4-byte store of lanes `exec` at `addrs` by warp `writer`, in lane
+  /// order.
+  void store_row(const u64 (&addrs)[kWarpSize], u32 exec, u32 writer) {
     if (exec == ~0u && consecutive(addrs)) {
       const u64 word = (addrs[0] - GlobalMemory::kBaseAddress) / 4;
       note_written(addrs[0], addrs[0] + 4 * kWarpSize - 1);
       spoil_written(word);
       set_written(word);
+      for (u32 lane = 0; lane < kWarpSize; ++lane) {
+        note_writer(word + lane, writer);
+      }
       page_written_[word / (kPageBytes / 4)] = 1;
       page_written_[(word + kWarpSize - 1) / (kPageBytes / 4)] = 1;
       return;
     }
     for (u32 rest = exec; rest != 0; rest &= rest - 1) {
-      store(addrs[std::countr_zero(rest)], 4, true);
+      store(addrs[std::countr_zero(rest)], 4, true, writer);
     }
   }
 
@@ -238,19 +255,27 @@ class TailRecorder {
       tail.write_once[i] = written_[i] & ~spoiled_[i];
     }
     tail.pages.clear();
+    tail.page_slots.assign(page_written_.size(), GoldenTail::kNoPage);
     std::size_t bytes = 0;
     for (std::size_t page = 0; page < page_written_.size(); ++page) {
       if (page_written_[page] == 0) continue;
+      tail.page_slots[page] = static_cast<u32>(tail.pages.size());
       tail.pages.push_back(static_cast<u32>(page));
       bytes += std::min(kPageBytes, memory.size() - page * kPageBytes);
     }
     tail.bytes.resize(bytes);
+    tail.writers.assign(tail.pages.size() * GoldenTail::kPageWords,
+                        GoldenTail::kNoWriter);
     u8* out = tail.bytes.data();
+    u32* writers = tail.writers.data();
     for (const u32 page : tail.pages) {
       const std::size_t begin = page * kPageBytes;
       const std::size_t length = std::min(kPageBytes, memory.size() - begin);
       std::memcpy(out, &memory[begin], length);
       out += length;
+      std::copy_n(writers_.begin() + static_cast<std::ptrdiff_t>(begin / 4),
+                  length / 4, writers);
+      writers += GoldenTail::kPageWords;
     }
   }
 
@@ -283,6 +308,13 @@ class TailRecorder {
       written_[word / 64 + 1] |= bits >> (64 - shift);
     }
   }
+  /// Word `word` written by warp `writer`: its writer, or many.
+  void note_writer(u64 word, u32 writer) {
+    u32& was = writers_[word];
+    was = was == GoldenTail::kNoWriter || was == writer
+              ? writer
+              : GoldenTail::kManyWriters;
+  }
   void note_written(u64 lo, u64 hi) {
     written_lo_ = std::min(written_lo_, lo);
     written_hi_ = std::max(written_hi_, hi);
@@ -305,6 +337,7 @@ class TailRecorder {
   u64 written_hi_ = 0;
   std::vector<u64> written_;
   std::vector<u64> spoiled_;
+  std::vector<u32> writers_;  ///< per word, as GoldenTail::writers
   std::vector<u8> page_written_;
 };
 
@@ -357,14 +390,21 @@ struct Simulator::Slots {
   u32* masks = nullptr;        ///< [slot][warp][word]: capture scratch
   // An armed launch's golden twin of its struck warp (Engine::start_twin):
   // its header, after the slots' warps, and its rows ([reg][lane]); the
-  // row masks of the rows that differ from the struck warp's and of the
-  // rows live where it resumes; and the words the struck warp stored
-  // differently (kMaxDiffWords).
+  // row masks of the rows that differ from the struck warp's, of the rows
+  // live where it resumes and of the differing rows at the strike; and the
+  // words the struck warp stored differently (kMaxDiffWords). For a run
+  // ahead (Engine::run_ahead), two more headers after the twin's, for the
+  // copies of the struck warp and its twin, their rows (two blocks like
+  // the twin's), and the undo log of the copy's stores (kMaxUndoWords).
   WarpState* twin = nullptr;
   u32* twin_rows = nullptr;
   u32* differs = nullptr;
   u32* live = nullptr;
+  u32* struck_differs = nullptr;
   DiffWord* diff_words = nullptr;
+  WarpState* ahead = nullptr;
+  u32* ahead_rows = nullptr;
+  DiffWord* undo = nullptr;
 
   /// Lays the slots of `sms` SMs, of which the first `used` admit CTAs,
   /// out in `arena`, every slot free.
@@ -397,12 +437,15 @@ struct Simulator::Slots {
     const std::size_t at_rows =
         carve(slot_warps * num_regs * kWarpSize * sizeof(u32));
     const std::size_t at_shared = carve(slots * shared_bytes);
-    const std::size_t at_twin_rows =
-        carve(static_cast<std::size_t>(num_regs) * kWarpSize * sizeof(u32));
-    const std::size_t at_differs = carve(2 * mask_words * sizeof(u32));
+    const std::size_t warp_rows =
+        static_cast<std::size_t>(num_regs) * kWarpSize;
+    const std::size_t at_twin_rows = carve(warp_rows * sizeof(u32));
+    const std::size_t at_differs = carve(3 * mask_words * sizeof(u32));
     const std::size_t at_diff_words = carve(kMaxDiffWords * sizeof(DiffWord));
+    const std::size_t at_ahead_rows = carve(2 * warp_rows * sizeof(u32));
+    const std::size_t at_undo = carve(kMaxUndoWords * sizeof(DiffWord));
     std::byte* base = nullptr;
-    std::tie(warps, base) = Simulator::reserve(arena, slot_warps + 1, bytes);
+    std::tie(warps, base) = Simulator::reserve(arena, slot_warps + 3, bytes);
     ctas = reinterpret_cast<Cta*>(base + at_ctas);
     order = reinterpret_cast<u32*>(base + at_order);
     free = reinterpret_cast<u32*>(base + at_free);
@@ -416,7 +459,11 @@ struct Simulator::Slots {
     twin_rows = reinterpret_cast<u32*>(base + at_twin_rows);
     differs = reinterpret_cast<u32*>(base + at_differs);
     live = differs + mask_words;
+    struck_differs = live + mask_words;
     diff_words = reinterpret_cast<DiffWord*>(base + at_diff_words);
+    ahead = twin + 1;
+    ahead_rows = reinterpret_cast<u32*>(base + at_ahead_rows);
+    undo = reinterpret_cast<DiffWord*>(base + at_undo);
 
     std::fill(in_use, in_use + sms, 0u);
     for (u32 sm = 0; sm < used; ++sm) {
@@ -586,12 +633,20 @@ struct Simulator::Engine {
   // while its golden twin (slots.twin) runs beside it, null before the
   // strike and once the twin gives up; how many words it stored
   // differently (slots.diff_words); how many more lanes it executed than
-  // the twin; and whether and where the launch stopped.
+  // the twin; whether and where the launch stopped, and whether a run
+  // ahead found the stop; why the twin gave up; and how many words the
+  // undo log of a run ahead holds (slots.undo).
   WarpState* twin_of = nullptr;
   u32 diff_count = 0;
   i64 thread_delta = 0;
   bool reconverged = false;
+  bool reconverged_ahead = false;
   u64 reconverged_at = 0;
+  TwinGiveUp gave_up = TwinGiveUp::kNone;
+  u32 undo_count = 0;
+
+  // Armed launches: when the struck slot ran (LaunchResult::prefix_ns).
+  TimePoint struck_at;
 
   Engine(const MachineConfig& cfg_in, GlobalMemory& mem_in,
          const Program& prog_in, Dim3 grid_in, Dim3 block_in,
@@ -901,10 +956,12 @@ struct Simulator::Engine {
       if (opts.golden_tail) start_twin(cta, warp, instr);
       opts.hooks.front()->on_strike_slot();
       const TrapKind trapped = exec_instr<InstrumentedPolicy>(cta, warp, instr);
+      struck_at = std::chrono::steady_clock::now();
       if (trapped == TrapKind::kNone && twin_of) {
         // The strike may have written any row (RF): compare them all.
         for (u16 r = 0; r < prog.num_regs(); ++r) note_row(warp, r);
         check_reconverged(warp);
+        if (!reconverged) run_ahead(cta, warp);
       }
       return trapped;
     }
@@ -967,12 +1024,11 @@ struct Simulator::Engine {
   /// generic dispatcher (a word the warp stored differently is one nobody
   /// reads again, the twin included, so device memory is what the golden
   /// run would read). Stores and atomics are compared, not run. False,
-  /// with the twin given up, where
-  /// the two can no longer be told apart by live state alone: exec masks
-  /// that differ on a control instruction, store or atomic, store or
-  /// atomic addresses that differ, a shared store, atomic or partial-width
-  /// global store that differs, or a differing store to a word that is
-  /// not write-once.
+  /// with the twin given up, where the two can no longer be told apart by
+  /// live state alone: exec masks that differ on a control instruction,
+  /// store or atomic, store or atomic addresses that differ, a shared
+  /// store, atomic or partial-width global store that differs, or a
+  /// differing store to a word that is not write-once.
   bool twin_step(Cta& cta, const WarpState& warp, const DecodedInstr& instr,
                  u32 exec) {
     WarpState& twin = *slots.twin;
@@ -984,7 +1040,7 @@ struct Simulator::Engine {
       case Opcode::kBra:
       case Opcode::kSync:
       case Opcode::kSsy:
-        if (exec != twin_exec) return give_up();
+        if (exec != twin_exec) return give_up(TwinGiveUp::kControl);
         if (instr.op == Opcode::kBar) {
           ++twin.pc;  // it issues when the warp does: no barrier state
           return true;
@@ -993,15 +1049,15 @@ struct Simulator::Engine {
       case Opcode::kStg:
       case Opcode::kSts:
       case Opcode::kAtomG:
-      case Opcode::kAtomS:
-        if (exec != twin_exec ||
-            !(instr.group == InstrGroup::kStore
-                  ? stores_agree(warp, instr, exec)
-                  : atomics_agree(warp, instr, exec))) {
-          return give_up();
-        }
+      case Opcode::kAtomS: {
+        if (exec != twin_exec) return give_up(TwinGiveUp::kControl);
+        const TwinGiveUp differs = instr.group == InstrGroup::kStore
+                                       ? stores_agree(warp, instr, exec)
+                                       : atomics_agree(warp, instr, exec);
+        if (differs != TwinGiveUp::kNone) return give_up(differs);
         ++twin.pc;
         return true;
+      }
       default:
         break;
     }
@@ -1010,22 +1066,23 @@ struct Simulator::Engine {
     const Trap kept = trap;
     if (dispatch(cta, twin, instr, twin_exec) != TrapKind::kNone) {
       trap = kept;
-      return give_up();
+      return give_up(TwinGiveUp::kTrap);
     }
     return true;
   }
 
-  bool give_up() {
+  bool give_up(TwinGiveUp reason) {
     twin_of = nullptr;
+    gave_up = reason;
     return false;
   }
 
-  /// Whether the struck warp's store of lanes `exec` agrees with its
+  /// kNone when the struck warp's store of lanes `exec` agrees with its
   /// twin's: the same addresses, and values that differ only in whole
   /// global words the golden run writes once and never reads again, each
-  /// noted in slots.diff_words.
-  bool stores_agree(const WarpState& warp, const DecodedInstr& instr,
-                    u32 exec) {
+  /// noted in slots.diff_words. Otherwise why it does not.
+  TwinGiveUp stores_agree(const WarpState& warp, const DecodedInstr& instr,
+                          u32 exec) {
     const WarpState& twin = *slots.twin;
     const bool global = instr.op == Opcode::kStg;
     const u32 width = instr.mem_width;
@@ -1036,49 +1093,51 @@ struct Simulator::Engine {
     for (u32 rest = exec; rest != 0; rest &= rest - 1) {
       const auto lane = static_cast<u32>(std::countr_zero(rest));
       const u64 addr = address(warp, lane, instr, global) + offset;
-      if (addr != address(twin, lane, instr, global) + offset) return false;
+      if (addr != address(twin, lane, instr, global) + offset) {
+        return TwinGiveUp::kStoreAddress;
+      }
       const u64 value = width == 8 ? warp.reg64(lane, data)
                                    : warp.reg(lane, data);
       const u64 golden = width == 8 ? twin.reg64(lane, data)
                                     : twin.reg(lane, data);
       if (((value ^ golden) & bytes_mask) == 0) continue;
-      if (!global || width < 4) return false;
+      if (!global || width < 4) return TwinGiveUp::kPartialStore;
       for (u32 k = 0; k < width / 4; ++k) {
         const auto mine = static_cast<u32>(value >> (32 * k));
         const auto theirs = static_cast<u32>(golden >> (32 * k));
         if (mine == theirs) continue;
-        if (diff_count == kMaxDiffWords ||
-            !opts.golden_tail->is_write_once(addr + 4 * k)) {
-          return false;
+        if (!opts.golden_tail->is_write_once(addr + 4 * k)) {
+          return TwinGiveUp::kNotWriteOnce;
         }
+        if (diff_count == kMaxDiffWords) return TwinGiveUp::kTooManyWords;
         slots.diff_words[diff_count++] = {addr + 4 * k, mine};
       }
     }
-    return true;
+    return TwinGiveUp::kNone;
   }
 
-  /// Whether the struck warp's atomic of lanes `exec` is its twin's: the
-  /// same addresses and operands on every lane.
-  bool atomics_agree(const WarpState& warp, const DecodedInstr& instr,
-                     u32 exec) const {
+  /// kNone when the struck warp's atomic of lanes `exec` is its twin's: the
+  /// same addresses and operands on every lane; else kAtomic.
+  TwinGiveUp atomics_agree(const WarpState& warp, const DecodedInstr& instr,
+                           u32 exec) const {
     const WarpState& twin = *slots.twin;
     const bool global = instr.op == Opcode::kAtomG;
     for (u32 rest = exec; rest != 0; rest &= rest - 1) {
       const auto lane = static_cast<u32>(std::countr_zero(rest));
       if (address(warp, lane, instr, global) !=
           address(twin, lane, instr, global)) {
-        return false;
+        return TwinGiveUp::kAtomic;
       }
       for (int i = 1; i <= 2; ++i) {
         if (static_cast<u32>(read_operand(warp, lane, instr.src[i],
                                           instr.dtype)) !=
             static_cast<u32>(read_operand(twin, lane, instr.src[i],
                                           instr.dtype))) {
-          return false;
+          return TwinGiveUp::kAtomic;
         }
       }
     }
-    return true;
+    return TwinGiveUp::kNone;
   }
 
   /// The base address a memory instruction's lane reads from src[0].
@@ -1135,6 +1194,149 @@ struct Simulator::Engine {
     reconverged_at = dyn_warp;
   }
 
+  // ---- running ahead (DESIGN.md §4.14) -------------------------------------
+
+  /// How a run ahead ended.
+  enum class Ahead : u8 {
+    kStopped,   ///< the copy rejoined the twin's: the launch stops
+    kGaveUp,    ///< a rule of the twin's gave it up: so will the machine's
+    kFellBack,  ///< it cannot go on alone: the machine's twin takes over
+  };
+
+  /// Right after the struck slot: runs copies of the struck warp and its
+  /// twin alone, ahead of every other warp, by the twin's rules. Until its
+  /// control leaves the golden warp's, the warp issues in the golden run's
+  /// slots and reads only its registers and the words it loads. Those the
+  /// copy loads are words no other warp writes in the golden run
+  /// (GoldenTail::writer), which hold at each of the warp's slots what
+  /// they hold now plus its own stores, in program order; so the copy
+  /// computes what the warp will, and the stop, or the give-up, it finds
+  /// is the one the machine's twin would find. Where it cannot go on (a
+  /// barrier, shared memory or an atomic, a load of a word another warp
+  /// writes, a trap, its store log full) it leaves the launch exactly as
+  /// it found it, memory included, and the machine's twin runs.
+  void run_ahead(Cta& cta, const WarpState& warp) {
+    const std::size_t rows = static_cast<std::size_t>(prog.num_regs()) *
+                             kWarpSize;
+    WarpState& mine = slots.ahead[0];
+    mine.copy_from(warp, slots.ahead_rows);
+    WarpState* const twin = slots.twin;
+    slots.ahead[1].copy_from(*twin, slots.ahead_rows + rows);
+    slots.twin = &slots.ahead[1];
+    std::copy_n(slots.differs, slots.mask_words, slots.struck_differs);
+    const u64 kept_warp = dyn_warp;
+    const u64 kept_thread = dyn_thread;
+    const u64 kept_generic = generic_warp;
+    const i64 kept_delta = thread_delta;
+    const u32 kept_diffs = diff_count;
+    const Trap kept_trap = trap;
+    undo_count = 0;
+
+    const Ahead ended = run_ahead_steps(cta, mine, warp_id(cta, warp));
+    slots.twin = twin;
+    if (ended == Ahead::kStopped) {
+      reconverged_ahead = true;
+      return;
+    }
+    for (u32 i = undo_count; i-- > 0;) {
+      mem.write_u32_raw(slots.undo[i].addr, slots.undo[i].value);
+    }
+    std::copy_n(slots.struck_differs, slots.mask_words, slots.differs);
+    dyn_warp = kept_warp;
+    dyn_thread = kept_thread;
+    generic_warp = kept_generic;
+    thread_delta = kept_delta;
+    diff_count = kept_diffs;
+    trap = kept_trap;
+  }
+
+  /// The slots of a run ahead, on the copy `mine` of warp `self` (its
+  /// global id, GoldenTail::writer) and the twin's copy (slots.twin).
+  Ahead run_ahead_steps(Cta& cta, WarpState& mine, u32 self) {
+    const WarpState& twin = *slots.twin;
+    while (!mine.done() && dyn_warp < watchdog) {
+      const DecodedInstr& instr = dec.at(mine.pc);
+      const u32 exec = exec::thr::exec_mask(mine, instr);
+      switch (instr.op) {
+        case Opcode::kBar:
+        case Opcode::kLds:
+        case Opcode::kSts:
+        case Opcode::kAtomS:
+        case Opcode::kAtomG:
+          return Ahead::kFellBack;
+        case Opcode::kLdg:
+          if (!loads_own_words(mine, instr, exec, self) ||
+              !loads_own_words(twin, instr,
+                               exec::thr::exec_mask(twin, instr), self)) {
+            return Ahead::kFellBack;
+          }
+          break;
+        case Opcode::kStg:
+          if (!log_stores(mine, instr, exec)) return Ahead::kFellBack;
+          break;
+        default:
+          break;
+      }
+      const u32 pc = mine.pc;
+      if (!twin_step(cta, mine, instr, exec)) return Ahead::kGaveUp;
+      if (exec::threaded_dispatch(*this, cta, mine, instr) !=
+          TrapKind::kNone) {
+        return Ahead::kFellBack;
+      }
+      for (const u16 r : dec.def_use(pc).dst_regs) note_row(mine, r);
+      check_reconverged(mine);
+      if (reconverged) return Ahead::kStopped;
+    }
+    return Ahead::kFellBack;
+  }
+
+  /// Whether every word the load `instr` of lanes `exec` of `warp` reads
+  /// is one no warp but `self` writes in the golden run.
+  bool loads_own_words(const WarpState& warp, const DecodedInstr& instr,
+                       u32 exec, u32 self) const {
+    const GoldenTail& tail = *opts.golden_tail;
+    const u64 offset = instr.src[1].is_imm() ? instr.src[1].imm : 0;
+    for (u32 rest = exec; rest != 0; rest &= rest - 1) {
+      const auto lane = static_cast<u32>(std::countr_zero(rest));
+      const u64 addr = address(warp, lane, instr, true) + offset;
+      for (u64 k = 0; k < words_spanned(addr, instr.mem_width); ++k) {
+        const u32 writer = tail.writer((addr & ~u64{3}) + 4 * k);
+        if (writer != GoldenTail::kNoWriter && writer != self) return false;
+      }
+    }
+    return true;
+  }
+
+  /// Logs in slots.undo the words the store `instr` of lanes `exec` of
+  /// `warp` is about to write, with what they hold; false when the log
+  /// cannot take them. Words outside device memory are left out: the
+  /// store traps there.
+  bool log_stores(const WarpState& warp, const DecodedInstr& instr,
+                  u32 exec) {
+    const u64 offset = instr.src[1].is_imm() ? instr.src[1].imm : 0;
+    for (u32 rest = exec; rest != 0; rest &= rest - 1) {
+      const auto lane = static_cast<u32>(std::countr_zero(rest));
+      const u64 addr = address(warp, lane, instr, true) + offset;
+      for (u64 k = 0; k < words_spanned(addr, instr.mem_width); ++k) {
+        const u64 word = (addr & ~u64{3}) + 4 * k;
+        if (!mem.row_u32_in_bounds(word, word)) continue;
+        if (undo_count == kMaxUndoWords) return false;
+        slots.undo[undo_count++] = {word, mem.read_u32_raw(word)};
+      }
+    }
+    return true;
+  }
+
+  /// How many words `width` bytes at `addr` touch.
+  static u64 words_spanned(u64 addr, u32 width) {
+    return (addr % 4 + width - 1) / 4 + 1;
+  }
+
+  /// The global id of `warp` of `cta` (GoldenTail::writer).
+  [[nodiscard]] u32 warp_id(const Cta& cta, const WarpState& warp) const {
+    return cta.linear_id * slots.warps_per_cta + warp.warp_in_cta();
+  }
+
   /// The end of a launch that reconverged: the golden run's final memory,
   /// with the words the struck warp stored differently, and its counts
   /// (the warp's lane count may differ from the twin's before the stop).
@@ -1151,8 +1353,9 @@ struct Simulator::Engine {
     cycle = tail.cycles;
   }
 
-  /// Records a global row access of lanes `exec` for the golden tail.
-  [[gnu::noinline]] void record_row(const WarpState& warp,
+  /// Records a global row access of lanes `exec` of `warp` of `cta` for
+  /// the golden tail.
+  [[gnu::noinline]] void record_row(const Cta& cta, const WarpState& warp,
                                     const DecodedInstr& instr, u32 exec) {
     const bool load = instr.op == Opcode::kLdg;
     if (load && !recorder->any_written()) return;
@@ -1169,7 +1372,7 @@ struct Simulator::Engine {
     if (load) {
       recorder->load_row(addrs, exec);
     } else {
-      recorder->store_row(addrs, exec);
+      recorder->store_row(addrs, exec, warp_id(cta, warp));
     }
   }
 
@@ -1388,9 +1591,9 @@ struct Simulator::Engine {
       case Opcode::kPopc:
         for_each_lane([&](u32 lane) {
           const u64 a = src(lane, 0, instr.dtype);
-          write_dst(warp, lane, instr,
-                    static_cast<u64>(std::popcount(
-                        instr.wide ? a : static_cast<u64>(static_cast<u32>(a)))));
+          const u64 bits =
+              instr.wide ? a : static_cast<u64>(static_cast<u32>(a));
+          write_dst(warp, lane, instr, static_cast<u64>(std::popcount(bits)));
         });
         break;
 
@@ -1429,12 +1632,14 @@ struct Simulator::Engine {
             const f64 a = bits_f64(src(lane, 0, DType::kF64));
             const f64 b = bits_f64(src(lane, 1, DType::kF64));
             const f64 c = bits_f64(src(lane, 2, DType::kF64));
-            write_dst(warp, lane, instr, f64_bits(canon_nan(std::fma(a, b, c))));
+            write_dst(warp, lane, instr,
+                      f64_bits(canon_nan(std::fma(a, b, c))));
           } else {
             const f32 a = bits_f32(static_cast<u32>(src(lane, 0, DType::kF32)));
             const f32 b = bits_f32(static_cast<u32>(src(lane, 1, DType::kF32)));
             const f32 c = bits_f32(static_cast<u32>(src(lane, 2, DType::kF32)));
-            write_dst(warp, lane, instr, f32_bits(canon_nan(std::fmaf(a, b, c))));
+            write_dst(warp, lane, instr,
+                      f32_bits(canon_nan(std::fmaf(a, b, c))));
           }
         });
         break;
@@ -1544,7 +1749,9 @@ struct Simulator::Engine {
                 t != TrapKind::kNone) {
               return fire(t, cta, warp, addr);
             }
-            if (recorder) [[unlikely]] recorder->store(addr, width, width >= 4);
+            if (recorder) [[unlikely]] {
+              recorder->store(addr, width, width >= 4, warp_id(cta, warp));
+            }
           }
         }
         break;
@@ -1621,7 +1828,9 @@ struct Simulator::Engine {
                 t != TrapKind::kNone) {
               return fire(t, cta, warp, addr);
             }
-            if (recorder) [[unlikely]] recorder->store(addr, width, false);
+            if (recorder) [[unlikely]] {
+              recorder->store(addr, width, false, warp_id(cta, warp));
+            }
           } else {
             std::memcpy(cta.shared.data() + addr, &updated, width);
           }
@@ -1645,8 +1854,12 @@ struct Simulator::Engine {
           i64 source = lane;
           switch (static_cast<ShflKind>(instr.sub)) {
             case ShflKind::kIdx: source = operand & 31u; break;
-            case ShflKind::kUp: source = static_cast<i64>(lane) - operand; break;
-            case ShflKind::kDown: source = static_cast<i64>(lane) + operand; break;
+            case ShflKind::kUp:
+              source = static_cast<i64>(lane) - operand;
+              break;
+            case ShflKind::kDown:
+              source = static_cast<i64>(lane) + operand;
+              break;
             case ShflKind::kBfly: source = lane ^ operand; break;
           }
           u32 value = gathered[lane];
@@ -1696,23 +1909,25 @@ struct Simulator::Engine {
         f32 a_frag[128];
         f32 b_frag[64];
         f32 c_frag[128];
+        // Element e of the fragment whose first register is `base`.
+        auto element = [&](u16 base, u32 e) {
+          return bits_f32(warp.reg(
+              e % kWarpSize, static_cast<u16>(base + e / kWarpSize)));
+        };
         for (u32 e = 0; e < 128; ++e) {
-          a_frag[e] = bits_f32(warp.reg(e % kWarpSize,
-                                        static_cast<u16>(instr.src[0].index + e / kWarpSize)));
-          c_frag[e] = bits_f32(warp.reg(e % kWarpSize,
-                                        static_cast<u16>(instr.src[2].index + e / kWarpSize)));
+          a_frag[e] = element(instr.src[0].index, e);
+          c_frag[e] = element(instr.src[2].index, e);
         }
-        for (u32 e = 0; e < 64; ++e) {
-          b_frag[e] = bits_f32(warp.reg(e % kWarpSize,
-                                        static_cast<u16>(instr.src[1].index + e / kWarpSize)));
-        }
+        for (u32 e = 0; e < 64; ++e) b_frag[e] = element(instr.src[1].index, e);
         const bool tf32 = cfg.tensor_core_tf32;
         for (u32 i = 0; i < 16; ++i) {
           for (u32 j = 0; j < 8; ++j) {
             f32 acc = c_frag[i * 8 + j];
             for (u32 k = 0; k < 8; ++k) {
-              const f32 a = tf32 ? to_tf32(a_frag[i * 8 + k]) : a_frag[i * 8 + k];
-              const f32 b = tf32 ? to_tf32(b_frag[k * 8 + j]) : b_frag[k * 8 + j];
+              const f32 a =
+                  tf32 ? to_tf32(a_frag[i * 8 + k]) : a_frag[i * 8 + k];
+              const f32 b =
+                  tf32 ? to_tf32(b_frag[k * 8 + j]) : b_frag[k * 8 + j];
               acc = std::fmaf(a, b, acc);
             }
             const u32 e = i * 8 + j;
@@ -2033,12 +2248,13 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
   // are bit-identical in every architecturally observable way.
   EngineTier tier_used = EngineTier::kThreaded;
   bool downgraded = false;
+  u64 prefix_ns = 0;
   u64 post_strike_ns = 0;
   if (strike) {
     engine.strike = *strike;
     if (resume) engine.strike_seen = resume->issues(strike->groups);
+    const auto armed_at = std::chrono::steady_clock::now();
     RunExit exit = engine.run<ArmedThreadedPolicy>();
-    const auto struck_at = std::chrono::steady_clock::now();
     if (exit == RunExit::kDowngraded) {
       // Past the strike the state is no longer the golden prefix's.
       engine.capture = nullptr;
@@ -2048,7 +2264,10 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
     }
     if (exit == RunExit::kReconverged) engine.finish_golden();
     downgraded = engine.struck;
-    if (downgraded) post_strike_ns = elapsed_ns(struck_at);
+    const TimePoint ended = std::chrono::steady_clock::now();
+    prefix_ns = ns_between(armed_at, downgraded ? engine.struck_at : ended);
+    prefix_ns -= std::min(prefix_ns, engine.capture_ns);
+    if (downgraded) post_strike_ns = ns_between(engine.struck_at, ended);
   } else if (!options.hooks.empty() || pin_instrumented) {
     (void)engine.run<InstrumentedPolicy>();
     tier_used = EngineTier::kInstrumented;
@@ -2075,9 +2294,12 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
   result.downgraded = downgraded;
   result.captured = engine.captured;
   result.reconverged = engine.reconverged;
+  result.reconverged_ahead = engine.reconverged_ahead;
   result.reconverged_at = engine.reconverged_at;
+  result.twin_gave_up = engine.gave_up;
   result.resume_ns = engine.resume_ns;
   result.capture_ns = engine.capture_ns;
+  result.prefix_ns = prefix_ns;
   result.post_strike_ns = post_strike_ns;
   return result;
 }

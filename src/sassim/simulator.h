@@ -60,6 +60,34 @@ inline constexpr EngineTierName kEngineTierNames[] = {
   return "threaded";
 }
 
+/// Why the golden twin of an armed launch's struck warp gave up before
+/// the warp rejoined it (LaunchOptions::golden_tail), kNone when it did not.
+enum class TwinGiveUp : u8 {
+  kNone,
+  kControl,        ///< a control instruction, store or atomic ran other lanes
+  kStoreAddress,   ///< a store went to other addresses
+  kPartialStore,   ///< a shared or narrower-than-word store stored otherwise
+  kNotWriteOnce,   ///< a word stored otherwise is not write-once
+  kTooManyWords,   ///< more words stored otherwise than the twin keeps
+  kAtomic,         ///< an atomic had other addresses or operands
+  kTrap,           ///< the twin trapped
+};
+
+/// The one give-up name table: metrics counter suffixes read it.
+struct TwinGiveUpName {
+  TwinGiveUp reason;
+  const char* name;
+};
+inline constexpr TwinGiveUpName kTwinGiveUpNames[] = {
+    {TwinGiveUp::kControl, "control"},
+    {TwinGiveUp::kStoreAddress, "store_address"},
+    {TwinGiveUp::kPartialStore, "shared_or_partial_store"},
+    {TwinGiveUp::kNotWriteOnce, "not_write_once"},
+    {TwinGiveUp::kTooManyWords, "too_many_words"},
+    {TwinGiveUp::kAtomic, "atomic"},
+    {TwinGiveUp::kTrap, "trap"},
+};
+
 /// Per-launch options.
 struct LaunchOptions {
   /// Abort with kWatchdogTimeout after this many dynamic warp instructions.
@@ -118,7 +146,11 @@ struct LaunchOptions {
   /// the golden run writes once and never reads again, the rest of the
   /// launch is the golden run's: the launch ends there, with the golden
   /// run's final memory (plus the warp's differing words) and counts
-  /// (LaunchResult::reconverged).
+  /// (LaunchResult::reconverged). Right after the struck slot, copies of
+  /// the warp and its twin first run ahead of every other warp, as long as
+  /// they meet no barrier, shared memory or atomic and load only words no
+  /// other warp writes in the golden run (GoldenTail::writer): a stop found
+  /// there ends the launch with no other warp run past the strike.
   const GoldenTail* golden_tail = nullptr;
   /// Hook-free launches only: record what golden_tail needs into this.
   GoldenTail* record_tail = nullptr;
@@ -145,16 +177,29 @@ struct LaunchResult {
   /// True when an armed launch stopped where its struck warp rejoined its
   /// golden twin (LaunchOptions::golden_tail); its counts, cycles and ECC
   /// counters are then the golden run's. `reconverged_at` is the dynamic
-  /// warp-instruction count where it stopped.
+  /// warp-instruction count where it stopped: the warp instructions it
+  /// simulated. `reconverged_ahead` when the struck warp's copy found the
+  /// stop running ahead of the other warps; `reconverged_at` then counts
+  /// the launch up to the struck slot and the copy's instructions after it.
   bool reconverged = false;
+  bool reconverged_ahead = false;
   u64 reconverged_at = 0;
+  /// Why the struck warp's golden twin gave up, kNone when it did not (or
+  /// never ran). Telemetry only.
+  TwinGiveUp twin_gave_up = TwinGiveUp::kNone;
   /// Wall time of the resume from LaunchOptions::resume_from (resident
   /// CTAs and device memory) and of the capture into
   /// LaunchOptions::capture, 0 when there was none. Telemetry only.
   u64 resume_ns = 0;
   u64 capture_ns = 0;
-  /// Wall time of an armed launch from the end of its strike's cycle to
-  /// its end, 0 when the strike never came. Telemetry only.
+  /// Wall time of an armed launch from the end of its resume (or its
+  /// start) to its struck slot, less the capture: to its end when the
+  /// strike never came. Telemetry only; an unarmed launch reports 0.
+  u64 prefix_ns = 0;
+  /// Wall time of an armed launch from its struck slot to its end, 0 when
+  /// the strike never came. Telemetry only. An armed launch takes
+  /// resume_ns + capture_ns + prefix_ns + post_strike_ns in all, less
+  /// its set-up.
   u64 post_strike_ns = 0;
 
   [[nodiscard]] bool ok() const { return !trap.fired(); }
@@ -280,9 +325,16 @@ struct LaunchCheckpoint {
 /// run (LaunchOptions::golden_tail), recorded by the hook-free golden
 /// launch itself (LaunchOptions::record_tail): its counts, the words it
 /// writes whole exactly once and never reads or partially writes after
-/// that write (write-once), and its final memory as the kPageBytes pages
-/// it wrote, each whole.
+/// that write (write-once), its final memory as the kPageBytes pages it
+/// wrote, each whole, and the warp that writes each word of those pages.
 struct GoldenTail {
+  static constexpr std::size_t kPageBytes = LaunchCheckpoint::kPageBytes;
+  static constexpr std::size_t kPageWords = kPageBytes / 4;
+  /// Writer ids other than a warp's: no warp writes the word, or several do.
+  static constexpr u32 kNoWriter = ~u32{0};
+  static constexpr u32 kManyWriters = ~u32{0} - 1;
+  static constexpr u32 kNoPage = ~u32{0};
+
   u64 dyn_warp = 0;
   u64 dyn_thread = 0;
   u64 cycles = 0;
@@ -293,6 +345,26 @@ struct GoldenTail {
   /// Their final bytes, one page after the other (the last page of device
   /// memory may be short).
   std::vector<u8> bytes;
+  /// Per page of device memory, its place in `pages`, kNoPage when the
+  /// golden run does not write it.
+  std::vector<u32> page_slots;
+  /// kPageWords per page of `pages`: the writer of each word, as writer()
+  /// returns it.
+  std::vector<u32> writers;
+
+  /// The one warp that writes the word holding `addr` (any store, whole or
+  /// partial, or atomic): its CTA's linear id times the warps per CTA plus
+  /// its warp in the CTA. kNoWriter when no warp writes it, kManyWriters
+  /// when more than one does.
+  [[nodiscard]] u32 writer(u64 addr) const {
+    if (addr < GlobalMemory::kBaseAddress) return kNoWriter;
+    const u64 at = addr - GlobalMemory::kBaseAddress;
+    const u64 page = at / kPageBytes;
+    if (page >= page_slots.size() || page_slots[page] == kNoPage) {
+      return kNoWriter;
+    }
+    return writers[page_slots[page] * kPageWords + at % kPageBytes / 4];
+  }
 
   [[nodiscard]] bool is_write_once(u64 addr) const {
     const u64 word = (addr - GlobalMemory::kBaseAddress) / 4;

@@ -105,7 +105,8 @@ class GemmHmma final : public Workload {
       // 16x8 tile; i = e>>3, kk = e&7.
       for (u16 slot = 0; slot < 4; ++slot) {
         b.iadd_u32(14, Operand::reg(0), Operand::imm_u(slot * 32u));
-        b.shf(ShiftKind::kRightLogical, 15, Operand::reg(14), Operand::imm_u(3));
+        b.shf(ShiftKind::kRightLogical, 15, Operand::reg(14),
+              Operand::imm_u(3));
         b.lop(LopKind::kAnd, 16, Operand::reg(14), Operand::imm_u(7));
         b.imad_u32(17, Operand::reg(2), Operand::imm_u(16), Operand::reg(15));
         b.imul_u32(17, Operand::reg(17), Operand::reg(5));   // row*K
@@ -117,7 +118,8 @@ class GemmHmma final : public Workload {
       // Load the B fragment: 8x8 tile, krow = e>>3, j = e&7.
       for (u16 slot = 0; slot < 2; ++slot) {
         b.iadd_u32(14, Operand::reg(0), Operand::imm_u(slot * 32u));
-        b.shf(ShiftKind::kRightLogical, 15, Operand::reg(14), Operand::imm_u(3));
+        b.shf(ShiftKind::kRightLogical, 15, Operand::reg(14),
+              Operand::imm_u(3));
         b.lop(LopKind::kAnd, 16, Operand::reg(14), Operand::imm_u(7));
         b.iadd_u32(17, Operand::reg(12), Operand::reg(15));  // k0 + krow
         b.imul_u32(17, Operand::reg(17), Operand::reg(4));   // * N

@@ -39,7 +39,8 @@ class McPi final : public Workload {
     if (!hits.is_ok()) return hits.status();
     hits_dev_ = hits.value();
     const u32 zero = 0;
-    if (auto s = device.to_device<u32>(hits_dev_, std::span<const u32>(&zero, 1));
+    if (auto s =
+            device.to_device<u32>(hits_dev_, std::span<const u32>(&zero, 1));
         !s.is_ok()) {
       return s;
     }
@@ -62,8 +63,10 @@ class McPi final : public Workload {
         const u32 xi = state >> 16;  // 16-bit x
         state = state * kLcgA + kLcgC;
         const u32 yi = state >> 16;  // 16-bit y
-        const f32 x = static_cast<f32>(static_cast<i32>(xi)) * (1.0f / 65536.0f);
-        const f32 y = static_cast<f32>(static_cast<i32>(yi)) * (1.0f / 65536.0f);
+        const f32 x =
+            static_cast<f32>(static_cast<i32>(xi)) * (1.0f / 65536.0f);
+        const f32 y =
+            static_cast<f32>(static_cast<i32>(yi)) * (1.0f / 65536.0f);
         const f32 r2 = std::fmaf(x, x, y * y);
         if (r2 <= 1.0f) ++want;
       }

@@ -47,7 +47,8 @@ class ReduceU32 final : public Workload {
     out_dev_ = out.value();
     if (auto s = device.to_device<u32>(x_dev_, x_); !s.is_ok()) return s;
     const u32 zero = 0;
-    if (auto s = device.to_device<u32>(out_dev_, std::span<const u32>(&zero, 1));
+    if (auto s =
+            device.to_device<u32>(out_dev_, std::span<const u32>(&zero, 1));
         !s.is_ok()) {
       return s;
     }
@@ -152,7 +153,8 @@ class DotProd final : public Workload {
     if (auto s = device.to_device<f32>(x_dev_, x_); !s.is_ok()) return s;
     if (auto s = device.to_device<f32>(y_dev_, y_); !s.is_ok()) return s;
     const f32 zero = 0.0f;
-    if (auto s = device.to_device<f32>(out_dev_, std::span<const f32>(&zero, 1));
+    if (auto s =
+            device.to_device<f32>(out_dev_, std::span<const f32>(&zero, 1));
         !s.is_ok()) {
       return s;
     }

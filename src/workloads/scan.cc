@@ -84,9 +84,8 @@ class Scan final : public Workload {
       // Read the neighbour before anyone overwrites it this step.
       b.isetp(CmpOp::kGe, 0, Operand::reg(3), Operand::imm_u(dist));
       b.if_then(0, false, [&] {
-        b.iadd_u32(19, Operand::reg(17),
-                   Operand::imm_u(static_cast<u64>(-static_cast<i64>(dist) * 4) &
-                                  0xffffffffu));
+        const u64 back = static_cast<u64>(-static_cast<i64>(dist) * 4);
+        b.iadd_u32(19, Operand::reg(17), Operand::imm_u(back & 0xffffffffu));
         b.lds(18, 19);
       });
       b.bar();

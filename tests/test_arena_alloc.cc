@@ -1,10 +1,11 @@
 // Launches on a reused Device allocate nothing: the resident CTAs live in
 // the device's LaunchArena, and a checkpoint a launch resumes from and
-// captures into keeps its buffers, as does the golden twin of an armed
-// launch that stops at reconvergence. A counting global operator new, armed
-// only around Device::launch, checks it once a warm-up has sized
-// everything. This is its own binary: the replaced operator new would see
-// every other test's allocations too.
+// captures into keeps its buffers, as do the golden twin of an armed
+// launch that stops at reconvergence and the copies of the struck warp and
+// its twin that find the stop running ahead. A counting global operator
+// new, armed only around Device::launch, checks it once a warm-up has
+// sized everything. This is its own binary: the replaced operator new
+// would see every other test's allocations too.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -44,10 +45,12 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 namespace gfi {
 namespace {
 
-/// Allocations made by one Device::launch.
+/// Allocations made by one Device::launch; `ahead` set when it stopped at
+/// reconvergence running ahead.
 long counted_launch(sim::Device& device, const wl::Workload& workload,
                     const wl::LaunchSpec& spec,
-                    const sim::LaunchOptions& options) {
+                    const sim::LaunchOptions& options,
+                    bool* ahead = nullptr) {
   allocations = 0;
   counting = true;
   auto result = device.launch(workload.program(), spec.grid, spec.block,
@@ -58,6 +61,7 @@ long counted_launch(sim::Device& device, const wl::Workload& workload,
   EXPECT_EQ(result.value().captured, options.capture != nullptr);
   EXPECT_EQ(result.value().resume_ns > 0, options.resume_from != nullptr);
   EXPECT_EQ(result.value().reconverged, options.golden_tail != nullptr);
+  if (ahead) *ahead = result.value().reconverged_ahead;
   return allocations;
 }
 
@@ -131,7 +135,8 @@ TEST_P(LaunchArenaAlloc, ReconvergingLaunchesAllocateNothing) {
   (void)counted_launch(device, *workload, spec, golden);
 
   // Flips of an FFMA result, which both workloads carry to an output word
-  // they store once: each launch stops once its warp has stored it.
+  // they store once: each launch stops once its warp has stored it, found
+  // by the warp's copy running ahead of the others.
   fi::FaultSite site;
   site.model = {fi::InjectionMode::kIov, fi::BitFlipModel::kSingle};
   site.group = sim::InstrGroup::kFp32Fma;
@@ -146,7 +151,11 @@ TEST_P(LaunchArenaAlloc, ReconvergingLaunchesAllocateNothing) {
     options.live_rows = &live;
     options.memory_base = &start;
     device.restore(start);
-    return counted_launch(device, *workload, spec, options);
+    bool ahead = false;
+    const long allocated =
+        counted_launch(device, *workload, spec, options, &ahead);
+    EXPECT_TRUE(ahead) << "occurrence " << occurrence;
+    return allocated;
   };
   (void)armed(40);
   for (int round = 0; round < 2; ++round) {

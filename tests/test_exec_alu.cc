@@ -284,8 +284,8 @@ TEST(ExecFp, F2IConversionsSaturateAndTruncate) {
     b.f2i(10, Operand::reg(4));
   });
   for (u32 lane = 0; lane < 32; ++lane) {
-    EXPECT_EQ(out[lane],
-              static_cast<u32>(static_cast<i32>(static_cast<f32>(lane) * 1.75f)));
+    const f32 scaled = static_cast<f32>(lane) * 1.75f;
+    EXPECT_EQ(out[lane], static_cast<u32>(static_cast<i32>(scaled)));
   }
 }
 

@@ -497,11 +497,29 @@ TEST(ObsCampaign, TelemetryDoesNotPerturbResults) {
     EXPECT_GT(snapshot.counters.at("campaign.reconverge.skipped_warp_instrs"),
               0u)
         << workload;
+    // Stops the struck warp found running ahead, and twins given up, by
+    // reason: one counter each, every one present; a launch stops or gives
+    // its twin up at most once.
+    const u64 ahead = snapshot.counters.at("campaign.reconverge.ahead");
+    EXPECT_LE(ahead, reconverged) << workload;
+    if (std::string(workload) != "histogram") {
+      EXPECT_GT(ahead, 0u) << workload;
+    }
+    u64 gave_up = 0;
+    for (const auto& [reason, name] : sim::kTwinGiveUpNames) {
+      const std::string counter =
+          std::string("campaign.reconverge.gave_up.") + name;
+      ASSERT_EQ(snapshot.counters.count(counter), 1u) << counter;
+      gave_up += snapshot.counters.at(counter);
+    }
+    EXPECT_LE(reconverged + gave_up,
+              snapshot.counters.at("engine.dispatch.downgrades"))
+        << workload;
     // Phase timers: every phase has its histogram; gemm resumes and
     // captures, and every workload launches, checks and journals, and runs
     // past the strike once per launch that struck.
     for (const char* phase :
-         {"restore_us", "resume_us", "capture_us", "launch_us",
+         {"restore_us", "resume_us", "capture_us", "launch_us", "prefix_us",
           "post_strike_us", "check_us", "journal_append_us"}) {
       ASSERT_EQ(snapshot.histograms.count(std::string("campaign.phase.") +
                                           phase),
@@ -516,6 +534,8 @@ TEST(ObsCampaign, TelemetryDoesNotPerturbResults) {
     EXPECT_EQ(observed("post_strike_us"),
               snapshot.counters.at("engine.dispatch.downgrades"))
         << workload;
+    // Every armed launch times its prefix, whether or not the strike came.
+    EXPECT_GE(observed("prefix_us"), observed("post_strike_us")) << workload;
     EXPECT_GT(observed("check_us"), 0u) << workload;
     EXPECT_EQ(observed("journal_append_us"),
               snapshot.counters.at("campaign.injections.completed"))

@@ -15,6 +15,17 @@
 //  - a differing word that another warp reads later does not stop;
 //  - a differing shared store does not stop;
 //  - a flip that changes a branch does not stop.
+// Right after the strike, copies of the struck warp and its twin run ahead
+// of every other warp; the last tests pin where they must not:
+//  - a load of a word another warp writes after the strike falls back to
+//    the machine-level twin;
+//  - so does one after which the twin gives up, and the stores the copy
+//    made are undone: another warp reads one before the struck warp
+//    stores it;
+//  - a flip that rejoins only after a barrier and a shared load stops
+//    through the machine-level twin;
+//  - a memory campaign's golden run, which has no tail, does not keep a
+//    later IOV campaign from stopping early.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -27,6 +38,7 @@
 
 #include "arch/arch.h"
 #include "fi/campaign.h"
+#include "fi/golden_cache.h"
 #include "fi/injector.h"
 #include "fi/journal.h"
 #include "obs/registry.h"
@@ -161,6 +173,113 @@ sim::Program branch() {
   return wl::must_build(b);
 }
 
+/// Warp 0 of each CTA (the struck one) runs `then_body` and warp 1
+/// `else_body`, with R20 = tid.x, R22:R23 = &aux[gid ^ 32] (the same
+/// lane's word of the other warp) and R28:R29 = &out[gid ^ 32].
+sim::Program split(const char* name, u32 shared_bytes,
+                   const std::function<void(KernelBuilder&)>& then_body,
+                   const std::function<void(KernelBuilder&)>& else_body) {
+  KernelBuilder b(name);
+  b.set_shared_bytes(shared_bytes);
+  prologue(b);
+  b.s2r(20, sim::SpecialReg::kTidX);
+  b.lop(sim::LopKind::kXor, 21, Operand::reg(0), Operand::imm_u(32));
+  b.imad_wide(22, Operand::reg(21), Operand::imm_u(4), Operand::reg(8));
+  b.imad_wide(28, Operand::reg(21), Operand::imm_u(4), Operand::reg(6));
+  b.isetp(CmpOp::kLt, 0, Operand::reg(20), Operand::imm_u(32));
+  b.if_then_else(0, false, [&] { then_body(b); }, [&] { else_body(b); });
+  b.exit_();
+  return wl::must_build(b);
+}
+
+/// `count` dependent additions: time for the other warp to move on.
+void delay(KernelBuilder& b, int count) {
+  for (int i = 0; i < count; ++i) {
+    b.iadd_u32(26, Operand::reg(26), Operand::imm_u(1));
+  }
+}
+
+/// The struck warp stores its FFMA result to out, then multiplies it by
+/// the aux word of the other warp's lane, which that warp sets to 1.0 just
+/// after the strike, and stores the product to aux. The other warp copies
+/// the struck warp's out word to its own before the struck warp stores it.
+/// Run ahead, the copy's load reads a word another warp writes; had it
+/// gone on, it would read the 0 the word held at the strike; had its
+/// stores not been undone, the other warp would copy the flipped value.
+sim::Program foreign() {
+  return split(
+      "reconverge_foreign", 0,
+      [](KernelBuilder& b) {
+        b.ffma_f32(18, Operand::reg(16), Operand::imm_f32(2.0f),
+                   Operand::imm_f32(1.0f));
+        delay(b, 16);
+        b.stg(12, 18);
+        delay(b, 16);
+        b.ldg(24, 22);
+        b.fmul_f32(19, Operand::reg(18), Operand::reg(24));
+        b.stg(14, 19);
+      },
+      [](KernelBuilder& b) {
+        b.mov_f32(24, 1.0f);
+        b.stg(14, 24);
+        b.ldg(25, 28);
+        b.stg(12, 25);
+      });
+}
+
+/// As foreign(), except that after its load the struck warp branches on
+/// its FFMA result, where a flip of bit 30 makes the twin give up; the
+/// other warp's copy of the out word then stays in the final memory.
+sim::Program undo() {
+  return split(
+      "reconverge_undo", 0,
+      [](KernelBuilder& b) {
+        b.ffma_f32(18, Operand::reg(16), Operand::imm_f32(2.0f),
+                   Operand::imm_f32(1.0f));
+        delay(b, 16);
+        b.stg(12, 18);
+        delay(b, 16);
+        b.ldg(24, 22);
+        b.fsetp(CmpOp::kLt, 1, Operand::reg(18), Operand::imm_f32(100.0f));
+        b.if_then(1, false, [&] {
+          b.fmul_f32(19, Operand::reg(18), Operand::reg(24));
+          b.stg(14, 19);
+        });
+      },
+      [](KernelBuilder& b) {
+        b.mov_f32(24, 1.0f);
+        b.stg(14, 24);
+        b.ldg(25, 28);
+        b.stg(12, 25);
+      });
+}
+
+/// The struck warp waits at a barrier for the other warp to set its lane's
+/// shared word to 1.0, then stores the product of that word and its FFMA
+/// result to out, which rejoins the twin (out is write-once). Run ahead,
+/// the copy meets the barrier before it rejoins: had it gone on, its
+/// shared load would read the 0 the word held at the strike.
+sim::Program barrier() {
+  return split(
+      "reconverge_barrier", kBlock * 4,
+      [](KernelBuilder& b) {
+        b.ffma_f32(18, Operand::reg(16), Operand::imm_f32(2.0f),
+                   Operand::imm_f32(1.0f));
+        b.bar();
+        b.lop(sim::LopKind::kXor, 21, Operand::reg(20), Operand::imm_u(32));
+        b.shf(sim::ShiftKind::kLeft, 21, Operand::reg(21), Operand::imm_u(2));
+        b.lds(24, 21);
+        b.fmul_f32(19, Operand::reg(18), Operand::reg(24));
+        b.stg(12, 19);
+      },
+      [](KernelBuilder& b) {
+        b.shf(sim::ShiftKind::kLeft, 21, Operand::reg(20), Operand::imm_u(2));
+        b.mov_f32(24, 1.0f);
+        b.sts(21, 24);
+        b.bar();
+      });
+}
+
 /// One of the kernels above over kThreads threads: in (inputs in
 /// [0.1, 0.4)), out and aux. Its reference is its own output on a fresh
 /// device; a mismatch beyond 1e-6 is an SDC.
@@ -252,6 +371,15 @@ void register_kernels() {
         return std::make_unique<KernelWorkload>(build());
       });
     }
+    wl::register_workload("reconverge_foreign", [] {
+      return std::make_unique<KernelWorkload>(foreign());
+    });
+    wl::register_workload("reconverge_undo", [] {
+      return std::make_unique<KernelWorkload>(undo());
+    });
+    wl::register_workload("reconverge_barrier", [] {
+      return std::make_unique<KernelWorkload>(barrier());
+    });
     return true;
   }();
   (void)registered;
@@ -364,11 +492,12 @@ struct Swept {
   u64 reconverged[2] = {0, 0};
 };
 
-Swept campaign(const std::string& name, std::optional<u32> bit) {
+Swept campaign(const std::string& name, std::optional<u32> bit,
+               fi::InjectionMode mode = fi::InjectionMode::kIov) {
   fi::CampaignConfig config;
   config.workload = name;
   config.machine = machine();
-  config.model = {fi::InjectionMode::kIov, fi::BitFlipModel::kSingle};
+  config.model = {mode, fi::BitFlipModel::kSingle};
   config.group = sim::InstrGroup::kFp32Fma;
   config.fixed_bit = bit;
   config.num_injections = 24;
@@ -424,6 +553,94 @@ TEST(Reconverge, WriteOnceOutputKeepsSdcRecords) {
     EXPECT_EQ(record.outcome, fi::Outcome::kSdc);
     EXPECT_GT(record.error_magnitude, 1.0);
   }
+}
+
+/// The launch of the strike on `name`'s first warp (bit 20, lane 5) stops
+/// at reconvergence, and not ahead, with the pin's memory and counts; its
+/// campaign matches the pin with 1 and 3 workers, every injection stopped.
+void expect_stops_behind(const std::string& name) {
+  const fi::FaultSite site = ffma_site(0, 20);
+  const Ran pinned = strike(name, site, false);
+  const Ran stopped = strike(name, site, true);
+  EXPECT_TRUE(stopped.result.reconverged) << name;
+  EXPECT_FALSE(stopped.result.reconverged_ahead) << name;
+  EXPECT_EQ(stopped.result.trap.kind, pinned.result.trap.kind) << name;
+  EXPECT_EQ(stopped.result.dyn_warp_instrs, pinned.result.dyn_warp_instrs)
+      << name;
+  EXPECT_EQ(stopped.result.dyn_thread_instrs,
+            pinned.result.dyn_thread_instrs)
+      << name;
+  EXPECT_EQ(stopped.result.cycles, pinned.result.cycles) << name;
+  EXPECT_TRUE(stopped.memory.data == pinned.memory.data)
+      << name << ": final memory differs";
+  // Occurrences past the four struck warps do not strike.
+  const Swept swept = campaign(name, 20);
+  for (const fi::InjectionRecord& record : swept.records) {
+    if (record.outcome == fi::Outcome::kNotActivated) continue;
+    EXPECT_EQ(record.outcome, fi::Outcome::kSdc) << name;
+  }
+  EXPECT_GT(swept.reconverged[0], 0u) << name;
+  EXPECT_EQ(swept.reconverged[0], swept.reconverged[1]) << name;
+}
+
+TEST(Reconverge, RunAheadRefusesForeignWrites) {
+  register_kernels();
+  expect_stops_behind("reconverge_foreign");
+}
+
+TEST(Reconverge, RunAheadUndoesItsStoresOnFallingBack) {
+  register_kernels();
+  const fi::FaultSite site = ffma_site(0, 30);
+  const Ran pinned = strike("reconverge_undo", site, false);
+  const Ran stopped = strike("reconverge_undo", site, true);
+  EXPECT_FALSE(stopped.result.reconverged);
+  EXPECT_EQ(stopped.result.twin_gave_up, sim::TwinGiveUp::kControl);
+  EXPECT_EQ(stopped.result.dyn_warp_instrs, pinned.result.dyn_warp_instrs);
+  EXPECT_EQ(stopped.result.cycles, pinned.result.cycles);
+  EXPECT_TRUE(stopped.memory.data == pinned.memory.data)
+      << "final memory differs";
+  (void)campaign("reconverge_undo", 30);
+}
+
+TEST(Reconverge, RunAheadFallsBackAtBarrier) {
+  register_kernels();
+  expect_stops_behind("reconverge_barrier");
+}
+
+TEST(Reconverge, RunAheadStopsWithNoOtherWarpRun) {
+  // The output flip stops ahead, right after the warp's store: the count
+  // where it stopped is the strike's plus the store's, whatever the other
+  // warps were to run in between.
+  register_kernels();
+  const Ran stopped = strike("reconverge_output", ffma_site(3, 30), true);
+  ASSERT_TRUE(stopped.result.reconverged);
+  EXPECT_TRUE(stopped.result.reconverged_ahead);
+  EXPECT_EQ(stopped.result.reconverged_at,
+            stopped.effect.struck_dyn_index + 2);
+}
+
+TEST(Reconverge, MemoryCampaignGoldenLeavesIovCampaignsATail) {
+  // A memory campaign's golden run records no tail; an IOV campaign of the
+  // same workload in the same process must not take it from the cache.
+  register_kernels();
+  auto& cache = fi::GoldenCache::instance();
+  cache.clear();
+  (void)campaign("reconverge_output", 30, fi::InjectionMode::kMemory);
+  fi::CampaignConfig config;
+  config.workload = "reconverge_output";
+  config.machine = machine();
+  config.model = {fi::InjectionMode::kMemory, fi::BitFlipModel::kSingle};
+  auto memory_golden = cache.get_or_run(config);
+  ASSERT_TRUE(memory_golden.is_ok());
+  EXPECT_EQ(memory_golden.value().tail, nullptr);
+
+  const Swept high = campaign("reconverge_output", 30);
+  EXPECT_EQ(high.reconverged[0], high.records.size());
+  EXPECT_EQ(high.reconverged[1], high.records.size());
+  config.model.mode = fi::InjectionMode::kIov;
+  auto iov_golden = cache.get_or_run(config);
+  ASSERT_TRUE(iov_golden.is_ok());
+  EXPECT_NE(iov_golden.value().tail, nullptr);
 }
 
 }  // namespace

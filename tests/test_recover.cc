@@ -309,7 +309,8 @@ TEST(Abft, ChecksumsConvertSdcsIntoRecoverableTraps) {
   // The checksum trap fires where the plain kernel would go silently wrong,
   // and the retry executor then recovers those runs.
   EXPECT_GT(abft.value().count(Outcome::kRecoveredRetry), 0u);
-  EXPECT_LT(abft.value().rate(Outcome::kSdc), plain.value().rate(Outcome::kSdc));
+  EXPECT_LT(abft.value().rate(Outcome::kSdc),
+            plain.value().rate(Outcome::kSdc));
 }
 
 // -------------------------------------------------- journal round-trip ----

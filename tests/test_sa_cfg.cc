@@ -223,14 +223,14 @@ TEST(SaCfg, WideOpsDefineAndUseRegisterPairs) {
 
 TEST(SaCfg, PredicateLivenessThroughSetpAndSel) {
   KernelBuilder b("preds");
-  b.mov_u32(2, Operand::imm_u(3));                               // pc 0
-  b.isetp(CmpOp::kLt, 0, Operand::reg(2), Operand::imm_u(5));    // pc 1: P0
-  b.sel(4, Operand::imm_u(1), Operand::imm_u(0), 0);             // pc 2: reads P0
-  b.isetp(CmpOp::kGe, 1, Operand::reg(4), Operand::imm_u(1));    // pc 3: P1
-  b.ldc_u64(6, 0);                                               // pc 4
-  b.stg(6, 4);                                                   // pc 5 @P1
+  b.mov_u32(2, Operand::imm_u(3));                             // pc 0
+  b.isetp(CmpOp::kLt, 0, Operand::reg(2), Operand::imm_u(5));  // pc 1: P0
+  b.sel(4, Operand::imm_u(1), Operand::imm_u(0), 0);           // pc 2: reads P0
+  b.isetp(CmpOp::kGe, 1, Operand::reg(4), Operand::imm_u(1));  // pc 3: P1
+  b.ldc_u64(6, 0);                                             // pc 4
+  b.stg(6, 4);                                                 // pc 5 @P1
   b.guard_last(1);
-  b.exit_();                                                     // pc 6
+  b.exit_();                                                   // pc 6
   const Program program = must_build(b);
 
   const auto sel = sim::def_use(program.at(2));

@@ -71,7 +71,8 @@ fi::CampaignConfig base_config(const std::string& workload, u64 seed,
 }
 
 TEST(SaPrune, PruneMapFindUsesInjectorCoordinates) {
-  const auto map = fi::Campaign::build_prune_map(base_config("histogram", 1, 1));
+  const auto map =
+      fi::Campaign::build_prune_map(base_config("histogram", 1, 1));
   ASSERT_TRUE(map.is_ok()) << map.status().to_string();
   EXPECT_GT(map.value().num_prunable(), 0u);
 

@@ -227,8 +227,9 @@ TEST(Profiler, CountsMatchLaunchTotals) {
   EXPECT_EQ(profile.total_warp_instrs, launch.value().dyn_warp_instrs);
   EXPECT_EQ(profile.total_thread_instrs, launch.value().dyn_thread_instrs);
   // Kernel: LDC + ATOMG + EXIT per warp, 4 warps total.
-  EXPECT_EQ(profile.warp_instrs_by_opcode[static_cast<int>(sim::Opcode::kAtomG)],
-            4u);
+  EXPECT_EQ(
+      profile.warp_instrs_by_opcode[static_cast<int>(sim::Opcode::kAtomG)],
+      4u);
   EXPECT_EQ(profile.group_warp_count(sim::InstrGroup::kAtomic), 4u);
   EXPECT_EQ(profile.group_thread_count(sim::InstrGroup::kAtomic), 4u * 32u);
 }

@@ -271,7 +271,7 @@ INSTANTIATE_TEST_SUITE_P(
              fi::to_string(std::get<1>(info.param));
     });
 
-// ---- FFMA chains -------------------------------------------------------------
+// ---- FFMA chains ------------------------------------------------------------
 //
 // A strike on the second FFMA of an adjacent pair, whose sources may include
 // the first one's destination: the struck FFMA must run once, on the
