@@ -416,7 +416,6 @@ class FastForward {
         resumed_retries_(
             reg.counter("campaign.fast_forward.resumed_retries")),
         reconverged_(reg.counter("campaign.reconverge.injections")),
-        reconverged_ahead_(reg.counter("campaign.reconverge.ahead")),
         reconverge_skipped_(
             reg.counter("campaign.reconverge.skipped_warp_instrs")) {
     for (const auto& [reason, name] : sim::kTwinGiveUpNames) {
@@ -492,13 +491,13 @@ class FastForward {
     skipped_.inc(warp_instrs);
   }
   /// A launch that stopped at reconvergence, `warp_instrs` short of its
-  /// end; `ahead` when its struck warp found the stop running ahead.
-  void reconverged(u64 warp_instrs, bool ahead) {
+  /// end.
+  void reconverged(u64 warp_instrs) {
     reconverged_.inc();
-    if (ahead) reconverged_ahead_.inc();
     reconverge_skipped_.inc(warp_instrs);
   }
-  /// A launch whose struck warp's golden twin gave up for `reason`.
+  /// A launch whose struck warp's golden twin gave up, or whose run ahead
+  /// could not go on, for `reason`.
   void twin_gave_up(sim::TwinGiveUp reason) {
     if (reason != sim::TwinGiveUp::kNone) {
       gave_up_[static_cast<int>(reason)]->inc();
@@ -516,9 +515,9 @@ class FastForward {
   obs::Counter& skipped_;
   obs::Counter& resumed_retries_;
   obs::Counter& reconverged_;
-  obs::Counter& reconverged_ahead_;
   obs::Counter& reconverge_skipped_;
-  /// Per sim::TwinGiveUp; kNone's stays null.
+  /// Per sim::TwinGiveUp, by its value (kTwinGiveUpNames lists every
+  /// reason after kNone in order); kNone's stays null.
   obs::Counter* gave_up_[std::size(sim::kTwinGiveUpNames) + 1] = {};
   std::mutex mutex_;
   std::vector<std::unique_ptr<InjectionContext>> free_;
@@ -711,9 +710,8 @@ Result<InjectionRecord> run_injection(
       }
     }
     if (launch.value().reconverged) {
-      ff->reconverged(
-          launch.value().dyn_warp_instrs - launch.value().reconverged_at,
-          launch.value().reconverged_ahead);
+      ff->reconverged(launch.value().dyn_warp_instrs -
+                      launch.value().reconverged_at);
     }
     if (options.golden_tail) ff->twin_gave_up(launch.value().twin_gave_up);
     if (metrics) {

@@ -110,36 +110,29 @@ f32 mufu_eval(MufuKind kind, f32 x) {
 // observables. The Armed instantiation is the threaded tier with a strike
 // pending: it counts the issues a StrikeRequest names and runs the
 // requested one through the Instrumented exec_instr (see
-// Engine::exec_armed). The Twin instantiation is the threaded tier after
-// the strike while the struck warp's golden twin runs beside it (see
-// Engine::exec_twinned).
+// Engine::exec_armed). A golden twin of the struck warp, when the launch
+// may stop at reconvergence, runs only inside that slot: at the strike and
+// ahead of every other warp right after it (Engine::run_ahead). Past the
+// struck slot the launch is stopped or runs plain threaded.
 
 struct InstrumentedPolicy {
   static constexpr bool kInstrumented = true;
   static constexpr bool kArmed = false;
-  static constexpr bool kTwin = false;
 };
 struct ThreadedPolicy {
   static constexpr bool kInstrumented = false;
   static constexpr bool kArmed = false;
-  static constexpr bool kTwin = false;
 };
 struct ArmedThreadedPolicy {
   static constexpr bool kInstrumented = false;
   static constexpr bool kArmed = true;
-  static constexpr bool kTwin = false;
-};
-struct TwinPolicy {
-  static constexpr bool kInstrumented = false;
-  static constexpr bool kArmed = false;
-  static constexpr bool kTwin = true;
 };
 
 /// How one engine run over the launch state ended.
 enum class RunExit : u8 {
   kCompleted,    ///< every CTA retired
   kTrapped,      ///< Engine::trap fired
-  kDowngraded,   ///< strike made (armed) or twin given up: continue threaded
+  kDowngraded,   ///< strike made (armed): continue threaded
   kReconverged,  ///< the struck warp rejoined its golden twin: stop
 };
 
@@ -390,17 +383,16 @@ struct Simulator::Slots {
   u32* masks = nullptr;        ///< [slot][warp][word]: capture scratch
   // An armed launch's golden twin of its struck warp (Engine::start_twin):
   // its header, after the slots' warps, and its rows ([reg][lane]); the
-  // row masks of the rows that differ from the struck warp's, of the rows
-  // live where it resumes and of the differing rows at the strike; and the
-  // words the struck warp stored differently (kMaxDiffWords). For a run
-  // ahead (Engine::run_ahead), two more headers after the twin's, for the
-  // copies of the struck warp and its twin, their rows (two blocks like
-  // the twin's), and the undo log of the copy's stores (kMaxUndoWords).
+  // row masks of the rows that differ from the struck warp's and of the
+  // rows live where it resumes; and the words the struck warp stored
+  // differently (kMaxDiffWords). For a run ahead (Engine::run_ahead), one
+  // more header after the twin's, for the copy of the struck warp, its
+  // rows (a block like the twin's), and the undo log of the copy's stores
+  // (kMaxUndoWords).
   WarpState* twin = nullptr;
   u32* twin_rows = nullptr;
   u32* differs = nullptr;
   u32* live = nullptr;
-  u32* struck_differs = nullptr;
   DiffWord* diff_words = nullptr;
   WarpState* ahead = nullptr;
   u32* ahead_rows = nullptr;
@@ -440,12 +432,12 @@ struct Simulator::Slots {
     const std::size_t warp_rows =
         static_cast<std::size_t>(num_regs) * kWarpSize;
     const std::size_t at_twin_rows = carve(warp_rows * sizeof(u32));
-    const std::size_t at_differs = carve(3 * mask_words * sizeof(u32));
+    const std::size_t at_differs = carve(2 * mask_words * sizeof(u32));
     const std::size_t at_diff_words = carve(kMaxDiffWords * sizeof(DiffWord));
-    const std::size_t at_ahead_rows = carve(2 * warp_rows * sizeof(u32));
+    const std::size_t at_ahead_rows = carve(warp_rows * sizeof(u32));
     const std::size_t at_undo = carve(kMaxUndoWords * sizeof(DiffWord));
     std::byte* base = nullptr;
-    std::tie(warps, base) = Simulator::reserve(arena, slot_warps + 3, bytes);
+    std::tie(warps, base) = Simulator::reserve(arena, slot_warps + 2, bytes);
     ctas = reinterpret_cast<Cta*>(base + at_ctas);
     order = reinterpret_cast<u32*>(base + at_order);
     free = reinterpret_cast<u32*>(base + at_free);
@@ -459,7 +451,6 @@ struct Simulator::Slots {
     twin_rows = reinterpret_cast<u32*>(base + at_twin_rows);
     differs = reinterpret_cast<u32*>(base + at_differs);
     live = differs + mask_words;
-    struck_differs = live + mask_words;
     diff_words = reinterpret_cast<DiffWord*>(base + at_diff_words);
     ahead = twin + 1;
     ahead_rows = reinterpret_cast<u32*>(base + at_ahead_rows);
@@ -629,18 +620,15 @@ struct Simulator::Engine {
   // Hook-free launches with opts.record_tail: what their GoldenTail needs.
   TailRecorder* recorder = nullptr;
 
-  // Armed launches with opts.golden_tail (DESIGN.md §4.14): the struck warp
-  // while its golden twin (slots.twin) runs beside it, null before the
-  // strike and once the twin gives up; how many words it stored
-  // differently (slots.diff_words); how many more lanes it executed than
-  // the twin; whether and where the launch stopped, and whether a run
-  // ahead found the stop; why the twin gave up; and how many words the
-  // undo log of a run ahead holds (slots.undo).
-  WarpState* twin_of = nullptr;
+  // Armed launches with opts.golden_tail (DESIGN.md §4.14): how many
+  // words the struck warp stored differently from its golden twin
+  // (slots.twin) in slots.diff_words; how many more lanes it executed than
+  // the twin; whether and where the launch stopped; why the twin gave up
+  // or its run ahead could not go on; and how many words the undo log of
+  // the run ahead holds (slots.undo).
   u32 diff_count = 0;
   i64 thread_delta = 0;
   bool reconverged = false;
-  bool reconverged_ahead = false;
   u64 reconverged_at = 0;
   TwinGiveUp gave_up = TwinGiveUp::kNone;
   u32 undo_count = 0;
@@ -935,9 +923,6 @@ struct Simulator::Engine {
       return TrapKind::kNone;
     } else if constexpr (Policy::kArmed) {
       return exec_armed(cta, warp, instr);
-    } else if constexpr (Policy::kTwin) {
-      if (&warp == twin_of) return exec_twinned(cta, warp, instr);
-      return exec::threaded_dispatch(*this, cta, warp, instr);
     } else {
       // Threaded tier: handlers do their own exec-mask computation and
       // accounting, so the whole slot is one direct-dispatched call.
@@ -953,11 +938,11 @@ struct Simulator::Engine {
     if (((strike.groups >> group) & 1u) != 0 &&
         strike_seen++ == strike.occurrence) {
       struck = true;
-      if (opts.golden_tail) start_twin(cta, warp, instr);
+      const bool twinned = opts.golden_tail && start_twin(cta, warp, instr);
       opts.hooks.front()->on_strike_slot();
       const TrapKind trapped = exec_instr<InstrumentedPolicy>(cta, warp, instr);
       struck_at = std::chrono::steady_clock::now();
-      if (trapped == TrapKind::kNone && twin_of) {
+      if (trapped == TrapKind::kNone && twinned) {
         // The strike may have written any row (RF): compare them all.
         for (u16 r = 0; r < prog.num_regs(); ++r) note_row(warp, r);
         check_reconverged(warp);
@@ -972,63 +957,36 @@ struct Simulator::Engine {
 
   /// Just before the struck slot: copies the struck warp into its golden
   /// twin, which runs the slot without the hook, so every flip model is
-  /// covered. A struck store or atomic (IOA) gets no twin: the hook acts
-  /// inside it.
-  void start_twin(Cta& cta, WarpState& warp, const DecodedInstr& instr) {
+  /// covered; false when no twin runs on. A struck store or atomic (IOA)
+  /// gets no twin: the hook acts inside it.
+  bool start_twin(Cta& cta, WarpState& warp, const DecodedInstr& instr) {
     switch (instr.op) {
       case Opcode::kStg:
       case Opcode::kSts:
       case Opcode::kAtomG:
       case Opcode::kAtomS:
-        return;
+        return false;
       default:
         break;
     }
     // A pending upset would make the twin's loads count ECC events.
-    if (!mem.fault_free()) return;
+    if (!mem.fault_free()) return false;
     slots.twin->copy_from(warp, slots.twin_rows);
     std::fill(slots.differs, slots.differs + slots.mask_words, 0u);
     diff_count = 0;
-    twin_of = &warp;
-    (void)twin_step(cta, warp, instr, exec::thr::exec_mask(warp, instr));
-  }
-
-  /// One slot of the struck warp while its twin runs: the twin first, then
-  /// the warp on the threaded tier, then the rows it wrote compared.
-  TrapKind exec_twinned(Cta& cta, WarpState& warp, const DecodedInstr& instr) {
-    const u32 pc = warp.pc;
-    const u32 exec = exec::thr::exec_mask(warp, instr);
-    if (!twin_step(cta, warp, instr, exec)) {
-      return exec::threaded_dispatch(*this, cta, warp, instr);
-    }
-    const TrapKind trapped = exec::threaded_dispatch(*this, cta, warp, instr);
-    if (trapped != TrapKind::kNone) return trapped;
-    if (instr.op == Opcode::kAtomG || instr.op == Opcode::kAtomS) {
-      // The atomics agreed lane for lane, so the old values the warp read
-      // are the ones the twin would have.
-      if (instr.dst_kind == OperandKind::kReg && instr.dst_index != kRegZ) {
-        for (u32 rest = exec; rest != 0; rest &= rest - 1) {
-          const auto lane = static_cast<u32>(std::countr_zero(rest));
-          slots.twin->set_reg(lane, instr.dst_index,
-                              warp.reg(lane, instr.dst_index));
-        }
-      }
-    }
-    for (const u16 r : dec.def_use(pc).dst_regs) note_row(warp, r);
-    check_reconverged(warp);
-    return trapped;
+    return twin_step(cta, warp, instr, exec::thr::exec_mask(warp, instr));
   }
 
   /// Runs the twin through `instr`, which the struck warp (exec mask
   /// `exec`) runs next: ALU and control instructions and loads on the
   /// generic dispatcher (a word the warp stored differently is one nobody
   /// reads again, the twin included, so device memory is what the golden
-  /// run would read). Stores and atomics are compared, not run. False,
+  /// run would read). A global store is compared, not run; the twin meets
+  /// no other store and no atomic (start_twin, run_ahead_steps). False,
   /// with the twin given up, where the two can no longer be told apart by
-  /// live state alone: exec masks that differ on a control instruction,
-  /// store or atomic, store or atomic addresses that differ, a shared
-  /// store, atomic or partial-width global store that differs, or a
-  /// differing store to a word that is not write-once.
+  /// live state alone: exec masks that differ on a control instruction or
+  /// store, store addresses that differ, a partial-width store that
+  /// differs, or a differing store to a word that is not write-once.
   bool twin_step(Cta& cta, const WarpState& warp, const DecodedInstr& instr,
                  u32 exec) {
     WarpState& twin = *slots.twin;
@@ -1046,14 +1004,9 @@ struct Simulator::Engine {
           return true;
         }
         break;
-      case Opcode::kStg:
-      case Opcode::kSts:
-      case Opcode::kAtomG:
-      case Opcode::kAtomS: {
+      case Opcode::kStg: {
         if (exec != twin_exec) return give_up(TwinGiveUp::kControl);
-        const TwinGiveUp differs = instr.group == InstrGroup::kStore
-                                       ? stores_agree(warp, instr, exec)
-                                       : atomics_agree(warp, instr, exec);
+        const TwinGiveUp differs = stores_agree(warp, instr, exec);
         if (differs != TwinGiveUp::kNone) return give_up(differs);
         ++twin.pc;
         return true;
@@ -1072,28 +1025,25 @@ struct Simulator::Engine {
   }
 
   bool give_up(TwinGiveUp reason) {
-    twin_of = nullptr;
     gave_up = reason;
     return false;
   }
 
-  /// kNone when the struck warp's store of lanes `exec` agrees with its
-  /// twin's: the same addresses, and values that differ only in whole
-  /// global words the golden run writes once and never reads again, each
-  /// noted in slots.diff_words. Otherwise why it does not.
+  /// kNone when the struck warp's global store of lanes `exec` agrees with
+  /// its twin's: the same addresses, and values that differ only in whole
+  /// words the golden run writes once and never reads again, each noted in
+  /// slots.diff_words. Otherwise why it does not.
   TwinGiveUp stores_agree(const WarpState& warp, const DecodedInstr& instr,
                           u32 exec) {
     const WarpState& twin = *slots.twin;
-    const bool global = instr.op == Opcode::kStg;
     const u32 width = instr.mem_width;
-    const u64 offset = instr.src[1].is_imm() ? instr.src[1].imm : 0;
     const u64 bytes_mask =
         width == 8 ? ~u64{0} : (u64{1} << (8 * width)) - 1;
     const u16 data = instr.src[2].index;
     for (u32 rest = exec; rest != 0; rest &= rest - 1) {
       const auto lane = static_cast<u32>(std::countr_zero(rest));
-      const u64 addr = address(warp, lane, instr, global) + offset;
-      if (addr != address(twin, lane, instr, global) + offset) {
+      const u64 addr = address(warp, lane, instr);
+      if (addr != address(twin, lane, instr)) {
         return TwinGiveUp::kStoreAddress;
       }
       const u64 value = width == 8 ? warp.reg64(lane, data)
@@ -1101,7 +1051,7 @@ struct Simulator::Engine {
       const u64 golden = width == 8 ? twin.reg64(lane, data)
                                     : twin.reg(lane, data);
       if (((value ^ golden) & bytes_mask) == 0) continue;
-      if (!global || width < 4) return TwinGiveUp::kPartialStore;
+      if (width < 4) return TwinGiveUp::kPartialStore;
       for (u32 k = 0; k < width / 4; ++k) {
         const auto mine = static_cast<u32>(value >> (32 * k));
         const auto theirs = static_cast<u32>(golden >> (32 * k));
@@ -1116,36 +1066,12 @@ struct Simulator::Engine {
     return TwinGiveUp::kNone;
   }
 
-  /// kNone when the struck warp's atomic of lanes `exec` is its twin's: the
-  /// same addresses and operands on every lane; else kAtomic.
-  TwinGiveUp atomics_agree(const WarpState& warp, const DecodedInstr& instr,
-                           u32 exec) const {
-    const WarpState& twin = *slots.twin;
-    const bool global = instr.op == Opcode::kAtomG;
-    for (u32 rest = exec; rest != 0; rest &= rest - 1) {
-      const auto lane = static_cast<u32>(std::countr_zero(rest));
-      if (address(warp, lane, instr, global) !=
-          address(twin, lane, instr, global)) {
-        return TwinGiveUp::kAtomic;
-      }
-      for (int i = 1; i <= 2; ++i) {
-        if (static_cast<u32>(read_operand(warp, lane, instr.src[i],
-                                          instr.dtype)) !=
-            static_cast<u32>(read_operand(twin, lane, instr.src[i],
-                                          instr.dtype))) {
-          return TwinGiveUp::kAtomic;
-        }
-      }
-    }
-    return TwinGiveUp::kNone;
-  }
-
-  /// The base address a memory instruction's lane reads from src[0].
-  u64 address(const WarpState& warp, u32 lane, const DecodedInstr& instr,
-              bool global) const {
-    return global ? read_operand(warp, lane, instr.src[0], DType::kU64)
-                  : static_cast<u32>(read_operand(warp, lane, instr.src[0],
-                                                  DType::kU32));
+  /// The address a global load or store's lane accesses: src[0] plus the
+  /// immediate offset.
+  u64 address(const WarpState& warp, u32 lane,
+              const DecodedInstr& instr) const {
+    const u64 offset = instr.src[1].is_imm() ? instr.src[1].imm : 0;
+    return read_operand(warp, lane, instr.src[0], DType::kU64) + offset;
   }
 
   /// Marks register row `r` as differing when the struck warp's value on
@@ -1196,98 +1122,81 @@ struct Simulator::Engine {
 
   // ---- running ahead (DESIGN.md §4.14) -------------------------------------
 
-  /// How a run ahead ended.
-  enum class Ahead : u8 {
-    kStopped,   ///< the copy rejoined the twin's: the launch stops
-    kGaveUp,    ///< a rule of the twin's gave it up: so will the machine's
-    kFellBack,  ///< it cannot go on alone: the machine's twin takes over
-  };
-
-  /// Right after the struck slot: runs copies of the struck warp and its
-  /// twin alone, ahead of every other warp, by the twin's rules. Until its
-  /// control leaves the golden warp's, the warp issues in the golden run's
-  /// slots and reads only its registers and the words it loads. Those the
-  /// copy loads are words no other warp writes in the golden run
-  /// (GoldenTail::writer), which hold at each of the warp's slots what
-  /// they hold now plus its own stores, in program order; so the copy
-  /// computes what the warp will, and the stop, or the give-up, it finds
-  /// is the one the machine's twin would find. Where it cannot go on (a
-  /// barrier, shared memory or an atomic, a load of a word another warp
-  /// writes, a trap, its store log full) it leaves the launch exactly as
-  /// it found it, memory included, and the machine's twin runs.
+  /// Right after the struck slot: runs a copy of the struck warp, and its
+  /// twin, alone, ahead of every other warp, by the twin's rules. Until
+  /// its control leaves the golden warp's, the warp issues in the golden
+  /// run's slots and reads only its registers and the words it loads.
+  /// Those the copy loads are words no other warp writes in the golden run
+  /// (GoldenTail::writer), which hold at each of the warp's slots what they
+  /// hold now plus its own stores, in program order; so the copy computes
+  /// what the warp will, and a stop it finds is exact. Where the twin gives
+  /// up, or the copy cannot go on (a barrier, shared memory, an atomic, a
+  /// load of a word another warp writes, a trap, its store log full, the
+  /// watchdog), it leaves the launch exactly as it found it, memory
+  /// included, and the launch runs on with no twin.
   void run_ahead(Cta& cta, const WarpState& warp) {
-    const std::size_t rows = static_cast<std::size_t>(prog.num_regs()) *
-                             kWarpSize;
-    WarpState& mine = slots.ahead[0];
+    WarpState& mine = *slots.ahead;
     mine.copy_from(warp, slots.ahead_rows);
-    WarpState* const twin = slots.twin;
-    slots.ahead[1].copy_from(*twin, slots.ahead_rows + rows);
-    slots.twin = &slots.ahead[1];
-    std::copy_n(slots.differs, slots.mask_words, slots.struck_differs);
     const u64 kept_warp = dyn_warp;
     const u64 kept_thread = dyn_thread;
     const u64 kept_generic = generic_warp;
-    const i64 kept_delta = thread_delta;
-    const u32 kept_diffs = diff_count;
     const Trap kept_trap = trap;
     undo_count = 0;
-
-    const Ahead ended = run_ahead_steps(cta, mine, warp_id(cta, warp));
-    slots.twin = twin;
-    if (ended == Ahead::kStopped) {
-      reconverged_ahead = true;
-      return;
-    }
+    if (run_ahead_steps(cta, mine, warp_id(cta, warp))) return;
     for (u32 i = undo_count; i-- > 0;) {
       mem.write_u32_raw(slots.undo[i].addr, slots.undo[i].value);
     }
-    std::copy_n(slots.struck_differs, slots.mask_words, slots.differs);
     dyn_warp = kept_warp;
     dyn_thread = kept_thread;
     generic_warp = kept_generic;
-    thread_delta = kept_delta;
-    diff_count = kept_diffs;
     trap = kept_trap;
   }
 
   /// The slots of a run ahead, on the copy `mine` of warp `self` (its
-  /// global id, GoldenTail::writer) and the twin's copy (slots.twin).
-  Ahead run_ahead_steps(Cta& cta, WarpState& mine, u32 self) {
+  /// global id, GoldenTail::writer) and the twin: true when the copy
+  /// rejoins the twin, false (gave_up says why) when it cannot.
+  bool run_ahead_steps(Cta& cta, WarpState& mine, u32 self) {
     const WarpState& twin = *slots.twin;
     while (!mine.done() && dyn_warp < watchdog) {
       const DecodedInstr& instr = dec.at(mine.pc);
       const u32 exec = exec::thr::exec_mask(mine, instr);
       switch (instr.op) {
         case Opcode::kBar:
+          return give_up(TwinGiveUp::kBarrier);
         case Opcode::kLds:
         case Opcode::kSts:
+          return give_up(TwinGiveUp::kShared);
         case Opcode::kAtomS:
         case Opcode::kAtomG:
-          return Ahead::kFellBack;
+          return give_up(TwinGiveUp::kAtomic);
         case Opcode::kLdg:
           if (!loads_own_words(mine, instr, exec, self) ||
               !loads_own_words(twin, instr,
                                exec::thr::exec_mask(twin, instr), self)) {
-            return Ahead::kFellBack;
+            return give_up(TwinGiveUp::kForeignLoad);
           }
           break;
         case Opcode::kStg:
-          if (!log_stores(mine, instr, exec)) return Ahead::kFellBack;
+          if (!log_stores(mine, instr, exec)) {
+            return give_up(TwinGiveUp::kUndoFull);
+          }
           break;
         default:
           break;
       }
       const u32 pc = mine.pc;
-      if (!twin_step(cta, mine, instr, exec)) return Ahead::kGaveUp;
+      if (!twin_step(cta, mine, instr, exec)) return false;
       if (exec::threaded_dispatch(*this, cta, mine, instr) !=
           TrapKind::kNone) {
-        return Ahead::kFellBack;
+        return give_up(TwinGiveUp::kTrap);
       }
       for (const u16 r : dec.def_use(pc).dst_regs) note_row(mine, r);
       check_reconverged(mine);
-      if (reconverged) return Ahead::kStopped;
+      if (reconverged) return true;
     }
-    return Ahead::kFellBack;
+    // A copy that exits has rejoined its twin or given up at the EXIT: only
+    // the watchdog ends the loop.
+    return give_up(TwinGiveUp::kWatchdog);
   }
 
   /// Whether every word the load `instr` of lanes `exec` of `warp` reads
@@ -1295,10 +1204,9 @@ struct Simulator::Engine {
   bool loads_own_words(const WarpState& warp, const DecodedInstr& instr,
                        u32 exec, u32 self) const {
     const GoldenTail& tail = *opts.golden_tail;
-    const u64 offset = instr.src[1].is_imm() ? instr.src[1].imm : 0;
     for (u32 rest = exec; rest != 0; rest &= rest - 1) {
       const auto lane = static_cast<u32>(std::countr_zero(rest));
-      const u64 addr = address(warp, lane, instr, true) + offset;
+      const u64 addr = address(warp, lane, instr);
       for (u64 k = 0; k < words_spanned(addr, instr.mem_width); ++k) {
         const u32 writer = tail.writer((addr & ~u64{3}) + 4 * k);
         if (writer != GoldenTail::kNoWriter && writer != self) return false;
@@ -1313,10 +1221,9 @@ struct Simulator::Engine {
   /// store traps there.
   bool log_stores(const WarpState& warp, const DecodedInstr& instr,
                   u32 exec) {
-    const u64 offset = instr.src[1].is_imm() ? instr.src[1].imm : 0;
     for (u32 rest = exec; rest != 0; rest &= rest - 1) {
       const auto lane = static_cast<u32>(std::countr_zero(rest));
-      const u64 addr = address(warp, lane, instr, true) + offset;
+      const u64 addr = address(warp, lane, instr);
       for (u64 k = 0; k < words_spanned(addr, instr.mem_width); ++k) {
         const u64 word = (addr & ~u64{3}) + 4 * k;
         if (!mem.row_u32_in_bounds(word, word)) continue;
@@ -1991,9 +1898,6 @@ struct Simulator::Engine {
         // request, so its state here is the golden prefix's: a checkpoint.
         if (struck) return RunExit::kDowngraded;
       }
-      if constexpr (Policy::kTwin) {
-        if (twin_of == nullptr) return RunExit::kDowngraded;  // given up
-      }
       if (dyn_warp >= next_mark_at) reach_mark();
 
       bool issued_any = false;
@@ -2033,7 +1937,7 @@ struct Simulator::Engine {
             issued_any = true;
             --budget;
             if (trapped != TrapKind::kNone) return RunExit::kTrapped;
-            if constexpr (Policy::kArmed || Policy::kTwin) {
+            if constexpr (Policy::kArmed) {
               // The rest of the launch is the golden run's.
               if (reconverged) return RunExit::kReconverged;
             }
@@ -2241,8 +2145,8 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
 
   // Tier selection: a lone hook with a strike request runs armed on the
   // threaded tier (unless pinned to instrumented) and continues plain
-  // threaded once the struck slot's cycle is over, beside the struck
-  // warp's golden twin while that runs. Other hooks (or an explicit
+  // threaded once the struck slot's cycle is over, unless it stopped at
+  // reconvergence in the struck slot. Other hooks (or an explicit
   // kInstrumented pin) take the instrumented engine to the end; hook-free
   // execution — golden runs included — runs the threaded tier. Both tiers
   // are bit-identical in every architecturally observable way.
@@ -2254,15 +2158,15 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
     engine.strike = *strike;
     if (resume) engine.strike_seen = resume->issues(strike->groups);
     const auto armed_at = std::chrono::steady_clock::now();
-    RunExit exit = engine.run<ArmedThreadedPolicy>();
+    const RunExit exit = engine.run<ArmedThreadedPolicy>();
     if (exit == RunExit::kDowngraded) {
       // Past the strike the state is no longer the golden prefix's.
       engine.capture = nullptr;
       engine.seek_mark();
-      if (engine.twin_of) exit = engine.run<TwinPolicy>();
-      if (exit == RunExit::kDowngraded) (void)engine.run<ThreadedPolicy>();
+      (void)engine.run<ThreadedPolicy>();
+    } else if (exit == RunExit::kReconverged) {
+      engine.finish_golden();
     }
-    if (exit == RunExit::kReconverged) engine.finish_golden();
     downgraded = engine.struck;
     const TimePoint ended = std::chrono::steady_clock::now();
     prefix_ns = ns_between(armed_at, downgraded ? engine.struck_at : ended);
@@ -2294,7 +2198,6 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
   result.downgraded = downgraded;
   result.captured = engine.captured;
   result.reconverged = engine.reconverged;
-  result.reconverged_ahead = engine.reconverged_ahead;
   result.reconverged_at = engine.reconverged_at;
   result.twin_gave_up = engine.gave_up;
   result.resume_ns = engine.resume_ns;

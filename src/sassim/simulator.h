@@ -60,20 +60,28 @@ inline constexpr EngineTierName kEngineTierNames[] = {
   return "threaded";
 }
 
-/// Why the golden twin of an armed launch's struck warp gave up before
-/// the warp rejoined it (LaunchOptions::golden_tail), kNone when it did not.
+/// Why the golden twin of an armed launch's struck warp gave up, or the
+/// warp's copy running ahead of the other warps could not go on, before
+/// the warp rejoined the twin (LaunchOptions::golden_tail); kNone when
+/// neither happened. Either way the launch runs to its end.
 enum class TwinGiveUp : u8 {
   kNone,
-  kControl,        ///< a control instruction, store or atomic ran other lanes
+  kControl,        ///< a control instruction or store ran other lanes
   kStoreAddress,   ///< a store went to other addresses
-  kPartialStore,   ///< a shared or narrower-than-word store stored otherwise
+  kPartialStore,   ///< a narrower-than-word store stored otherwise
   kNotWriteOnce,   ///< a word stored otherwise is not write-once
   kTooManyWords,   ///< more words stored otherwise than the twin keeps
-  kAtomic,         ///< an atomic had other addresses or operands
-  kTrap,           ///< the twin trapped
+  kAtomic,         ///< an atomic (ATOMS or ATOMG)
+  kTrap,           ///< the copy or the twin trapped
+  kBarrier,        ///< a BAR
+  kShared,         ///< a shared load or store (LDS, STS)
+  kForeignLoad,    ///< a load of a word another warp writes
+  kUndoFull,       ///< more stores than the undo log holds
+  kWatchdog,       ///< the launch's watchdog
 };
 
-/// The one give-up name table: metrics counter suffixes read it.
+/// The one give-up name table, every reason after kNone in enum order:
+/// metrics counter suffixes read it.
 struct TwinGiveUpName {
   TwinGiveUp reason;
   const char* name;
@@ -81,12 +89,26 @@ struct TwinGiveUpName {
 inline constexpr TwinGiveUpName kTwinGiveUpNames[] = {
     {TwinGiveUp::kControl, "control"},
     {TwinGiveUp::kStoreAddress, "store_address"},
-    {TwinGiveUp::kPartialStore, "shared_or_partial_store"},
+    {TwinGiveUp::kPartialStore, "partial_store"},
     {TwinGiveUp::kNotWriteOnce, "not_write_once"},
     {TwinGiveUp::kTooManyWords, "too_many_words"},
     {TwinGiveUp::kAtomic, "atomic"},
     {TwinGiveUp::kTrap, "trap"},
+    {TwinGiveUp::kBarrier, "barrier"},
+    {TwinGiveUp::kShared, "shared"},
+    {TwinGiveUp::kForeignLoad, "foreign_load"},
+    {TwinGiveUp::kUndoFull, "undo_full"},
+    {TwinGiveUp::kWatchdog, "watchdog"},
 };
+static_assert(
+    [] {
+      int next = static_cast<int>(TwinGiveUp::kNone) + 1;
+      for (const TwinGiveUpName& entry : kTwinGiveUpNames) {
+        if (static_cast<int>(entry.reason) != next++) return false;
+      }
+      return next == static_cast<int>(TwinGiveUp::kWatchdog) + 1;
+    }(),
+    "kTwinGiveUpNames lists every reason after kNone, in enum order");
 
 /// Per-launch options.
 struct LaunchOptions {
@@ -139,18 +161,19 @@ struct LaunchOptions {
   /// golden run of this launch from `memory_base`, as a hook-free launch
   /// recorded it into `record_tail`. Needs `live_rows` and `memory_base`;
   /// incompatible with `profile`. Just before its struck slot the struck
-  /// warp is copied into a golden twin, which runs beside it without the
-  /// fault. Once the warp's pc, masks and SIMT stack equal the twin's, no
-  /// register row that differs is live, the predicates of its lanes that
-  /// have not exited agree, and every word it stored differently is one
-  /// the golden run writes once and never reads again, the rest of the
-  /// launch is the golden run's: the launch ends there, with the golden
+  /// warp is copied into a golden twin, which runs the slot without the
+  /// fault. Right after it, a copy of the warp and the twin run ahead of
+  /// every other warp, as long as they meet no barrier, shared memory or
+  /// atomic and load only words no other warp writes in the golden run
+  /// (GoldenTail::writer). Once the warp's pc, masks and SIMT stack equal
+  /// the twin's, no register row that differs is live, the predicates of
+  /// its lanes that have not exited agree, and every word it stored
+  /// differently is one the golden run writes once and never reads again,
+  /// the rest of the launch is the golden run's: the launch ends there,
+  /// at the struck slot or with no other warp run past it, with the golden
   /// run's final memory (plus the warp's differing words) and counts
-  /// (LaunchResult::reconverged). Right after the struck slot, copies of
-  /// the warp and its twin first run ahead of every other warp, as long as
-  /// they meet no barrier, shared memory or atomic and load only words no
-  /// other warp writes in the golden run (GoldenTail::writer): a stop found
-  /// there ends the launch with no other warp run past the strike.
+  /// (LaunchResult::reconverged). Where the copy cannot go on, or the twin
+  /// gives up, the launch runs to its end.
   const GoldenTail* golden_tail = nullptr;
   /// Hook-free launches only: record what golden_tail needs into this.
   GoldenTail* record_tail = nullptr;
@@ -178,14 +201,14 @@ struct LaunchResult {
   /// golden twin (LaunchOptions::golden_tail); its counts, cycles and ECC
   /// counters are then the golden run's. `reconverged_at` is the dynamic
   /// warp-instruction count where it stopped: the warp instructions it
-  /// simulated. `reconverged_ahead` when the struck warp's copy found the
-  /// stop running ahead of the other warps; `reconverged_at` then counts
-  /// the launch up to the struck slot and the copy's instructions after it.
+  /// simulated, the launch up to the struck slot and the struck warp's
+  /// copy's instructions after it (the struck index + 1 for a stop at the
+  /// strike itself).
   bool reconverged = false;
-  bool reconverged_ahead = false;
   u64 reconverged_at = 0;
-  /// Why the struck warp's golden twin gave up, kNone when it did not (or
-  /// never ran). Telemetry only.
+  /// Why the struck warp's golden twin gave up, or its copy could not run
+  /// on ahead, kNone when neither happened (or no twin ran). Telemetry
+  /// only.
   TwinGiveUp twin_gave_up = TwinGiveUp::kNone;
   /// Wall time of the resume from LaunchOptions::resume_from (resident
   /// CTAs and device memory) and of the capture into

@@ -45,12 +45,12 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 namespace gfi {
 namespace {
 
-/// Allocations made by one Device::launch; `ahead` set when it stopped at
-/// reconvergence running ahead.
+/// Allocations made by one Device::launch; `stopped_at` set to
+/// LaunchResult::reconverged_at.
 long counted_launch(sim::Device& device, const wl::Workload& workload,
                     const wl::LaunchSpec& spec,
                     const sim::LaunchOptions& options,
-                    bool* ahead = nullptr) {
+                    u64* stopped_at = nullptr) {
   allocations = 0;
   counting = true;
   auto result = device.launch(workload.program(), spec.grid, spec.block,
@@ -61,7 +61,7 @@ long counted_launch(sim::Device& device, const wl::Workload& workload,
   EXPECT_EQ(result.value().captured, options.capture != nullptr);
   EXPECT_EQ(result.value().resume_ns > 0, options.resume_from != nullptr);
   EXPECT_EQ(result.value().reconverged, options.golden_tail != nullptr);
-  if (ahead) *ahead = result.value().reconverged_ahead;
+  if (stopped_at) *stopped_at = result.value().reconverged_at;
   return allocations;
 }
 
@@ -151,10 +151,11 @@ TEST_P(LaunchArenaAlloc, ReconvergingLaunchesAllocateNothing) {
     options.live_rows = &live;
     options.memory_base = &start;
     device.restore(start);
-    bool ahead = false;
+    u64 stopped_at = 0;
     const long allocated =
-        counted_launch(device, *workload, spec, options, &ahead);
-    EXPECT_TRUE(ahead) << "occurrence " << occurrence;
+        counted_launch(device, *workload, spec, options, &stopped_at);
+    EXPECT_GT(stopped_at, hook.effect().struck_dyn_index + 1)
+        << "occurrence " << occurrence;
     return allocated;
   };
   (void)armed(40);

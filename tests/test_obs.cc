@@ -497,14 +497,9 @@ TEST(ObsCampaign, TelemetryDoesNotPerturbResults) {
     EXPECT_GT(snapshot.counters.at("campaign.reconverge.skipped_warp_instrs"),
               0u)
         << workload;
-    // Stops the struck warp found running ahead, and twins given up, by
-    // reason: one counter each, every one present; a launch stops or gives
-    // its twin up at most once.
-    const u64 ahead = snapshot.counters.at("campaign.reconverge.ahead");
-    EXPECT_LE(ahead, reconverged) << workload;
-    if (std::string(workload) != "histogram") {
-      EXPECT_GT(ahead, 0u) << workload;
-    }
+    // Twins given up, or runs ahead that could not go on, by reason: one
+    // counter each, every one present; a launch stops or gives its twin up
+    // at most once.
     u64 gave_up = 0;
     for (const auto& [reason, name] : sim::kTwinGiveUpNames) {
       const std::string counter =

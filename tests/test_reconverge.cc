@@ -15,15 +15,14 @@
 //  - a differing word that another warp reads later does not stop;
 //  - a differing shared store does not stop;
 //  - a flip that changes a branch does not stop.
-// Right after the strike, copies of the struck warp and its twin run ahead
-// of every other warp; the last tests pin where they must not:
-//  - a load of a word another warp writes after the strike falls back to
-//    the machine-level twin;
-//  - so does one after which the twin gives up, and the stores the copy
-//    made are undone: another warp reads one before the struck warp
-//    stores it;
-//  - a flip that rejoins only after a barrier and a shared load stops
-//    through the machine-level twin;
+// Past the strike only a copy of the struck warp and its twin, running
+// ahead of every other warp, find a stop; the last tests pin where they
+// must not go on, and the launch then runs to its end:
+//  - at a load of a word another warp writes after the strike;
+//  - there too when the copy has stored a word another warp reads before
+//    the struck warp stores it: the copy's stores are undone;
+//  - at a barrier, before a flip that rejoins only after it and a shared
+//    load;
 //  - a memory campaign's golden run, which has no tail, does not keep a
 //    later IOV campaign from stopping early.
 #include <gtest/gtest.h>
@@ -228,8 +227,7 @@ sim::Program foreign() {
 }
 
 /// As foreign(), except that after its load the struck warp branches on
-/// its FFMA result, where a flip of bit 30 makes the twin give up; the
-/// other warp's copy of the out word then stays in the final memory.
+/// its FFMA result, where a flip of bit 30 would make the twin give up.
 sim::Program undo() {
   return split(
       "reconverge_undo", 0,
@@ -256,9 +254,9 @@ sim::Program undo() {
 
 /// The struck warp waits at a barrier for the other warp to set its lane's
 /// shared word to 1.0, then stores the product of that word and its FFMA
-/// result to out, which rejoins the twin (out is write-once). Run ahead,
-/// the copy meets the barrier before it rejoins: had it gone on, its
-/// shared load would read the 0 the word held at the strike.
+/// result to out, which would rejoin the twin (out is write-once). Run
+/// ahead, the copy meets the barrier before it rejoins: had it gone on,
+/// its shared load would read the 0 the word held at the strike.
 sim::Program barrier() {
   return split(
       "reconverge_barrier", kBlock * 4,
@@ -555,15 +553,16 @@ TEST(Reconverge, WriteOnceOutputKeepsSdcRecords) {
   }
 }
 
-/// The launch of the strike on `name`'s first warp (bit 20, lane 5) stops
-/// at reconvergence, and not ahead, with the pin's memory and counts; its
-/// campaign matches the pin with 1 and 3 workers, every injection stopped.
-void expect_stops_behind(const std::string& name) {
+/// The launch of the strike on `name`'s first warp (bit 20, lane 5) does
+/// not stop, its run ahead given up for `reason`, and leaves the pin's
+/// memory and counts; its campaign matches the pin with 1 and 3 workers,
+/// no injection stopped.
+void expect_runs_to_end(const std::string& name, sim::TwinGiveUp reason) {
   const fi::FaultSite site = ffma_site(0, 20);
   const Ran pinned = strike(name, site, false);
   const Ran stopped = strike(name, site, true);
-  EXPECT_TRUE(stopped.result.reconverged) << name;
-  EXPECT_FALSE(stopped.result.reconverged_ahead) << name;
+  EXPECT_FALSE(stopped.result.reconverged) << name;
+  EXPECT_EQ(stopped.result.twin_gave_up, reason) << name;
   EXPECT_EQ(stopped.result.trap.kind, pinned.result.trap.kind) << name;
   EXPECT_EQ(stopped.result.dyn_warp_instrs, pinned.result.dyn_warp_instrs)
       << name;
@@ -579,13 +578,13 @@ void expect_stops_behind(const std::string& name) {
     if (record.outcome == fi::Outcome::kNotActivated) continue;
     EXPECT_EQ(record.outcome, fi::Outcome::kSdc) << name;
   }
-  EXPECT_GT(swept.reconverged[0], 0u) << name;
-  EXPECT_EQ(swept.reconverged[0], swept.reconverged[1]) << name;
+  EXPECT_EQ(swept.reconverged[0], 0u) << name;
+  EXPECT_EQ(swept.reconverged[1], 0u) << name;
 }
 
 TEST(Reconverge, RunAheadRefusesForeignWrites) {
   register_kernels();
-  expect_stops_behind("reconverge_foreign");
+  expect_runs_to_end("reconverge_foreign", sim::TwinGiveUp::kForeignLoad);
 }
 
 TEST(Reconverge, RunAheadUndoesItsStoresOnFallingBack) {
@@ -594,7 +593,7 @@ TEST(Reconverge, RunAheadUndoesItsStoresOnFallingBack) {
   const Ran pinned = strike("reconverge_undo", site, false);
   const Ran stopped = strike("reconverge_undo", site, true);
   EXPECT_FALSE(stopped.result.reconverged);
-  EXPECT_EQ(stopped.result.twin_gave_up, sim::TwinGiveUp::kControl);
+  EXPECT_EQ(stopped.result.twin_gave_up, sim::TwinGiveUp::kForeignLoad);
   EXPECT_EQ(stopped.result.dyn_warp_instrs, pinned.result.dyn_warp_instrs);
   EXPECT_EQ(stopped.result.cycles, pinned.result.cycles);
   EXPECT_TRUE(stopped.memory.data == pinned.memory.data)
@@ -604,7 +603,7 @@ TEST(Reconverge, RunAheadUndoesItsStoresOnFallingBack) {
 
 TEST(Reconverge, RunAheadFallsBackAtBarrier) {
   register_kernels();
-  expect_stops_behind("reconverge_barrier");
+  expect_runs_to_end("reconverge_barrier", sim::TwinGiveUp::kBarrier);
 }
 
 TEST(Reconverge, RunAheadStopsWithNoOtherWarpRun) {
@@ -614,7 +613,6 @@ TEST(Reconverge, RunAheadStopsWithNoOtherWarpRun) {
   register_kernels();
   const Ran stopped = strike("reconverge_output", ffma_site(3, 30), true);
   ASSERT_TRUE(stopped.result.reconverged);
-  EXPECT_TRUE(stopped.result.reconverged_ahead);
   EXPECT_EQ(stopped.result.reconverged_at,
             stopped.effect.struck_dyn_index + 2);
 }
