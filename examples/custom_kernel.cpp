@@ -54,7 +54,7 @@ int main() {
 
   sim::ProfilerHook profiler;
   sim::LaunchOptions options;
-  options.hooks.push_back(&profiler);
+  options.hook = &profiler;
   auto launch = device.launch(program.value(), Dim3(1), Dim3(n), params,
                               options);
   std::printf("clean run: %llu warp instrs, %llu cycles (%.2f us on %s)\n",
@@ -81,7 +81,7 @@ int main() {
   site.bit_sel = 31;  // FP32 sign
   fi::InjectorHook injector(site, device.config());
   sim::LaunchOptions fi_options;
-  fi_options.hooks.push_back(&injector);
+  fi_options.hook = &injector;
   (void)device.launch(program.value(), Dim3(1), Dim3(n), params, fi_options);
 
   std::vector<f32> result(n);

@@ -32,8 +32,9 @@ namespace {
 /// hangs are caught without misclassifying slow-but-progressing runs.
 u64 watchdog_for(const CampaignConfig& config, u64 golden_dyn_instrs) {
   if (config.watchdog_instrs) return *config.watchdog_instrs;
-  return golden_dyn_instrs * config.watchdog_multiplier +
-         config.watchdog_floor;
+  constexpr u64 kMultiplier = 3;
+  constexpr u64 kFloor = 10000;
+  return golden_dyn_instrs * kMultiplier + kFloor;
 }
 
 /// Samples the group to strike for instruction-targeted modes, weighted by
@@ -194,7 +195,7 @@ Result<Campaign::Golden> Campaign::golden_run(const CampaignConfig& config) {
   if (!spec.is_ok()) return spec.status();
 
   // Profile natively (LaunchOptions::profile) instead of via ProfilerHook:
-  // with no hooks attached the golden run stays on the hook-free tier.
+  // with no hook attached the golden run stays on the hook-free tier.
   // The engine's counts are identical to the hook's.
   Golden golden;
   sim::LaunchOptions options;
@@ -232,6 +233,7 @@ Result<Campaign::Golden> Campaign::golden_run(const CampaignConfig& config) {
   golden.dyn_instrs = launch.value().dyn_warp_instrs;
   golden.cycles = launch.value().cycles;
   golden.tail = std::move(tail);
+  golden.check = checked.value();
   return golden;
 }
 
@@ -323,7 +325,6 @@ struct InjectionContext {
   /// bucket (0 while none is kept).
   sim::LaunchCheckpoint kept;
   std::size_t kept_bucket = 0;
-  bool keeps = false;  ///< whether this context keeps checkpoints
 };
 
 /// Sets a context up. Setup is deterministic, so every context of a
@@ -347,19 +348,17 @@ Result<std::unique_ptr<InjectionContext>> make_context(
 }
 
 /// Whether a campaign's retries relaunch without the fault on the default
-/// tier: each is then the golden launch from checkpoint 0, so every one
-/// reports what the campaign's first one did.
-bool shares_retry_verdict(const CampaignConfig& config) {
+/// tier, with a watchdog that lets a fault-free launch finish: each is then
+/// the golden launch from checkpoint 0, so it reports no trap,
+/// golden.dyn_instrs and golden.check. A budget at or below the golden
+/// length hangs every relaunch, so those retries are simulated.
+bool shares_retry_verdict(const CampaignConfig& config,
+                          const Campaign::Golden& golden) {
   return config.max_retries > 0 &&
          config.model.persistence == FaultPersistence::kTransient &&
-         config.engine != sim::EngineTier::kInstrumented;
+         config.engine != sim::EngineTier::kInstrumented &&
+         watchdog_for(config, golden.dyn_instrs) > golden.dyn_instrs;
 }
-
-/// What a transient retry reported: its attempt and its output check.
-struct RetryVerdict {
-  recover::Attempt attempt;
-  std::optional<wl::Workload::Checked> check;
-};
 
 using Clock = std::chrono::steady_clock;
 
@@ -396,20 +395,13 @@ struct Phases {
 
 /// Campaign-scoped fast-forward state, shared by the workers of one
 /// Campaign::run: a free-list of injection contexts (at most one per
-/// worker), their shared checkpoint 0, the golden run whose issue grid the
-/// armed launches of the first `keepers` contexts capture the checkpoints
-/// those contexts keep on (with its live rows) and whose tail armed first
-/// attempts stop at reconvergence with, and the verdict of the first
-/// transient retry, which answers the later ones; and the phase timers of
-/// its injections.
+/// worker), their shared checkpoint 0, and the telemetry of its
+/// injections.
 class FastForward {
  public:
-  FastForward(const CampaignConfig& config, const Campaign::Golden& golden,
-              std::size_t keepers, obs::Registry& reg)
+  FastForward(const CampaignConfig& config, obs::Registry& reg)
       : phases(reg),
         config_(config),
-        golden_(golden),
-        keepers_(keepers),
         checkpoints_(reg.counter("campaign.fast_forward.checkpoints")),
         image_bytes_(reg.counter("campaign.fast_forward.image_bytes")),
         skipped_(reg.counter("campaign.fast_forward.skipped_warp_instrs")),
@@ -440,40 +432,12 @@ class FastForward {
     if (!made.is_ok()) return made.status();
     std::lock_guard<std::mutex> lock(mutex_);
     if (!start_) start_ = made.value()->start;
-    if (keepers_ > 0) {
-      made.value()->keeps = true;
-      --keepers_;
-    }
     return made;
   }
 
   void release(std::unique_ptr<InjectionContext> context) {
     std::lock_guard<std::mutex> lock(mutex_);
     free_.push_back(std::move(context));
-  }
-
-  /// The golden issue grid, which a context that keeps checkpoints
-  /// captures them on.
-  [[nodiscard]] const sim::IssueGrid& grid() const { return golden_.grid; }
-  /// The live rows a checkpoint keeps of each warp.
-  [[nodiscard]] const sim::LiveRows& live_rows() const {
-    return golden_.live_rows;
-  }
-  /// What an armed first attempt stops at reconvergence with.
-  [[nodiscard]] const sim::GoldenTail* tail() const {
-    return golden_.tail.get();
-  }
-
-  /// The first transient retry's verdict, or nullopt until one has run.
-  [[nodiscard]] std::optional<RetryVerdict> retry_verdict() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return verdict_;
-  }
-  /// Keeps `verdict` unless one is already kept; every transient retry of
-  /// the campaign reports the same one.
-  void offer_retry_verdict(const RetryVerdict& verdict) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!verdict_) verdict_ = verdict;
   }
 
   /// Telemetry, never journaled: checkpoints captured and the image bytes
@@ -508,8 +472,6 @@ class FastForward {
 
  private:
   const CampaignConfig& config_;
-  const Campaign::Golden& golden_;
-  std::size_t keepers_;  ///< contexts still to make that keep checkpoints
   obs::Counter& checkpoints_;
   obs::Counter& image_bytes_;
   obs::Counter& skipped_;
@@ -522,16 +484,16 @@ class FastForward {
   std::mutex mutex_;
   std::vector<std::unique_ptr<InjectionContext>> free_;
   std::shared_ptr<const Snapshot> start_;  ///< checkpoint 0, shared
-  std::optional<RetryVerdict> verdict_;
 };
 
-/// One injection on `context`; `ff`, when given, is the campaign's
-/// fast-forward state (Campaign::run), null for standalone replays.
+/// One injection. Campaign::run passes its golden run and fast-forward
+/// state; standalone replays pass neither.
 Result<InjectionRecord> run_injection(
     const CampaignConfig& config, const sim::Profile& profile,
     u64 golden_dyn_instrs, std::size_t run_index,
     const sa::PruneMap* prune_map, bool* pruned_out, obs::Registry* metrics,
-    std::optional<sim::InstrGroup> stratum, FastForward* ff) {
+    std::optional<sim::InstrGroup> stratum, const Campaign::Golden* golden,
+    FastForward* ff) {
   Rng rng = Rng::for_stream(config.seed, run_index);
   auto site = sample_site(config, profile, golden_dyn_instrs, rng, stratum);
   if (!site.is_ok()) return site.status();
@@ -587,15 +549,17 @@ Result<InjectionRecord> run_injection(
   InjectionRecord record;
   record.site = site.value();
 
-  // Fast-forward: in strike order an armed first attempt resumes from the
-  // checkpoint its context kept unless that lies past its strike, and
-  // captures the mark before its strike in its place unless the kept one
-  // is already there. Everything else starts from checkpoint 0, the
-  // post-setup snapshot.
+  // Fast-forward, unless pinned: in strike order an armed first attempt
+  // resumes from the checkpoint its context kept unless that lies past its
+  // strike, captures the mark before its strike in its place unless the
+  // kept one is already there, and stops once its struck warp rejoins its
+  // golden twin. Everything else starts from checkpoint 0, the post-setup
+  // snapshot, and runs to the end.
   const std::optional<sim::StrikeRequest> strike =
       InjectorHook(site.value(), device.config()).strike_request();
-  const sim::IssueGrid* grid =
-      ff && strike && context->keeps ? &ff->grid() : nullptr;
+  const bool fast =
+      ff && strike && config.engine != sim::EngineTier::kInstrumented;
+  const sim::IssueGrid* grid = fast ? &golden->grid : nullptr;
   const std::size_t bucket = grid ? grid->bucket(*strike) : 0;
   const sim::LaunchCheckpoint* resume = nullptr;
   if (grid && context->kept_bucket > 0 &&
@@ -666,7 +630,7 @@ Result<InjectionRecord> run_injection(
         device.memory().inject_fault(mem_fault->addr, mem_fault->mask);
       }
     } else if (armed) {
-      options.hooks.push_back(&injector);
+      options.hook = &injector;
     }
     if (attempt == 0) {
       options.resume_from = resume;
@@ -674,13 +638,9 @@ Result<InjectionRecord> run_injection(
         options.capture = &context->kept;
         options.capture_at = grid->mark_at(bucket - 1);
       }
-      // Every armed first attempt stops once its struck warp rejoins its
-      // golden twin; the pin, the reference, runs to the end.
-      if (ff && strike && config.engine != sim::EngineTier::kInstrumented) {
-        options.golden_tail = ff->tail();
-      }
-      if (resume || capture || options.golden_tail) {
-        options.live_rows = &ff->live_rows();
+      if (fast) {
+        options.golden_tail = golden->tail.get();
+        options.live_rows = &golden->live_rows;
         options.memory_base = context->start.get();
       }
     }
@@ -699,8 +659,7 @@ Result<InjectionRecord> run_injection(
         phases->capture.observe(
             static_cast<f64>(launch.value().capture_ns) * 1e-3);
       }
-      if (!options.hooks.empty() &&
-          config.engine != sim::EngineTier::kInstrumented) {
+      if (options.hook && config.engine != sim::EngineTier::kInstrumented) {
         phases->prefix.observe(
             static_cast<f64>(launch.value().prefix_ns) * 1e-3);
       }
@@ -756,25 +715,18 @@ Result<InjectionRecord> run_injection(
   };
 
   // A transient retry relaunches the unfaulted kernel from checkpoint 0: it
-  // is the golden launch. The campaign simulates its first one and answers
-  // the others from that verdict, with no restore, launch or check.
+  // is the golden launch. The campaign answers it from the golden run's
+  // verdict, with no restore, launch or check.
   auto attempt_fn = [&](u32 attempt) -> Result<recover::Attempt> {
-    if (attempt == 0 || !ff || !shares_retry_verdict(config)) {
+    if (attempt == 0 || !ff || !shares_retry_verdict(config, *golden)) {
       return simulate(attempt);
     }
-    if (auto verdict = ff->retry_verdict()) {
-      ff->resumed_retry(verdict->attempt.dyn_instrs);
-      if (metrics) {
-        tier_counter[static_cast<int>(sim::EngineTier::kThreaded)]->inc();
-      }
-      final_check = verdict->check;
-      return verdict->attempt;
+    ff->resumed_retry(golden->dyn_instrs);
+    if (metrics) {
+      tier_counter[static_cast<int>(sim::EngineTier::kThreaded)]->inc();
     }
-    auto simulated = simulate(attempt);
-    if (simulated.is_ok()) {
-      ff->offer_retry_verdict({simulated.value(), final_check});
-    }
-    return simulated;
+    final_check = golden->check;
+    return recover::Attempt{.trap = {}, .dyn_instrs = golden->dyn_instrs};
   };
 
   auto executed = recover::run_with_retry(
@@ -828,9 +780,8 @@ Result<InjectionRecord> run_injection(
 
 }  // namespace
 
-std::size_t kept_checkpoints(const CampaignConfig& config,
-                             std::size_t workers) {
-  return config.model.mode == InjectionMode::kMemory ? 0 : workers;
+bool runs_in_strike_order(const CampaignConfig& config) {
+  return config.model.mode != InjectionMode::kMemory;
 }
 
 std::size_t strike_bucket(const CampaignConfig& config,
@@ -851,12 +802,11 @@ std::size_t strike_bucket(const CampaignConfig& config,
 
 std::vector<std::size_t> run_order(const CampaignConfig& config,
                                    const Campaign::Golden& golden,
-                                   std::size_t workers,
                                    std::span<const u64> indices,
                                    const PlanEvent* alloc) {
   std::vector<std::pair<std::size_t, std::size_t>> keyed;  // bucket, pos
   keyed.reserve(indices.size());
-  const bool by_strike = kept_checkpoints(config, workers) > 0;
+  const bool by_strike = runs_in_strike_order(config);
   for (std::size_t pos = 0; pos < indices.size(); ++pos) {
     keyed.emplace_back(
         by_strike ? strike_bucket(config, golden, indices[pos], alloc) : 0,
@@ -875,7 +825,8 @@ Result<InjectionRecord> Campaign::run_single(
     const sa::PruneMap* prune_map, bool* pruned_out, obs::Registry* metrics,
     std::optional<sim::InstrGroup> stratum) {
   return run_injection(config, profile, golden_dyn_instrs, run_index,
-                       prune_map, pruned_out, metrics, stratum, nullptr);
+                       prune_map, pruned_out, metrics, stratum, nullptr,
+                       nullptr);
 }
 
 Result<sa::PruneMap> Campaign::build_prune_map(const CampaignConfig& config) {
@@ -891,7 +842,7 @@ Result<sa::PruneMap> Campaign::build_prune_map(const CampaignConfig& config) {
   map.analysis = sa::StaticSiteAnalysis::analyze(workload->program());
   sa::SiteMapHook hook(map);
   sim::LaunchOptions options;
-  options.hooks.push_back(&hook);
+  options.hook = &hook;
   options.engine = config.engine;
   auto launch = device.launch(workload->program(), spec.value().grid,
                               spec.value().block, spec.value().params, options);
@@ -1095,17 +1046,12 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
   std::vector<Status> errors(result.run_indices.size());
   std::vector<u8> pruned_flags(result.run_indices.size(), 0);
   ThreadPool pool(config.threads);
-  // Strike order (DESIGN.md §4.14): where contexts keep checkpoints,
-  // pending injections run by the grid bucket of their strike, then index
-  // (run_order), so each worker's next strike lies at or past the
-  // checkpoint its context kept. The order is the same on every tier; only
-  // armed launches keep checkpoints.
-  const std::size_t keepers =
-      kept_checkpoints(config, pool.size());
-  const bool by_strike = keepers > 0;
-  FastForward ff(config, golden.value(),
-                 config.engine == sim::EngineTier::kInstrumented ? 0 : keepers,
-                 reg);
+  // Strike order (DESIGN.md §4.14): pending injections run by the grid
+  // bucket of their strike, then index (run_order), so each worker's next
+  // strike lies at or past the checkpoint its context kept. The order is
+  // the same on every tier; only armed launches keep checkpoints.
+  const bool by_strike = runs_in_strike_order(config);
+  FastForward ff(config, reg);
   // `slots` in run order.
   auto in_run_order = [&](std::vector<std::size_t> slots,
                           const PlanEvent* alloc) {
@@ -1117,7 +1063,7 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
     std::vector<std::size_t> order;
     order.reserve(slots.size());
     for (const std::size_t pos :
-         run_order(config, golden.value(), pool.size(), indices, alloc)) {
+         run_order(config, golden.value(), indices, alloc)) {
       order.push_back(slots[pos]);
     }
     return order;
@@ -1140,7 +1086,7 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
                                 result.golden_dyn_instrs,
                                 result.run_indices[slot],
                                 prune_map ? &*prune_map : nullptr, &pruned,
-                                &reg, stratum, &ff);
+                                &reg, stratum, &golden.value(), &ff);
     latency.observe(
         std::chrono::duration_cast<std::chrono::duration<f64, std::milli>>(
             std::chrono::steady_clock::now() - started)

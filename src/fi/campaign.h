@@ -11,8 +11,8 @@
 //             golden-prefix checkpoint its previous run kept, and an armed
 //             first attempt stops once its struck warp rejoins its golden
 //             twin (DESIGN.md §4.14).
-//             A transient retry is the golden launch again: the first
-//             one's verdict answers the campaign's later ones.
+//             A transient retry is the golden launch again: the golden
+//             run's verdict answers it.
 //
 // Injection i depends only on (config.seed, i), which makes runs resumable
 // (fi/journal.h), shardable (CampaignConfig::shard_*), and replayable
@@ -37,6 +37,7 @@
 #include "sassim/profiler.h"
 #include "sassim/simulator.h"
 #include "sassim/trap.h"
+#include "workloads/workload.h"
 
 namespace gfi::sa {
 struct PruneMap;
@@ -163,13 +164,10 @@ struct CampaignConfig {
   std::optional<std::string> journal_path;
 
   // --- per-injection watchdog --------------------------------------------
-  /// A faulty run is aborted as kHang after
-  ///   golden_dyn_instrs * watchdog_multiplier + watchdog_floor
+  /// A faulty run is aborted as kHang after 3 * golden_dyn_instrs + 10000
   /// dynamic warp instructions: generous enough that slow-but-progressing
   /// runs finish, tight enough that one hung injection cannot wedge a shard.
-  u64 watchdog_multiplier = 3;
-  u64 watchdog_floor = 10000;
-  /// Absolute override of the budget (tests / pathological kernels).
+  /// This overrides that budget (tests / pathological kernels).
   std::optional<u64> watchdog_instrs;
 
   // --- recovery ----------------------------------------------------------
@@ -200,9 +198,10 @@ struct CampaignConfig {
   /// this many extra times. A retry that completes and passes its check is
   /// kRecoveredRetry; one that traps on every attempt is kUnrecoverableDue.
   /// Whether the retry sees the fault again is model.persistence. SDCs are
-  /// never retried — nothing detected them. Campaign::run simulates its
-  /// first transient retry on the default tier and answers the later ones
-  /// from its verdict; run_single and the kInstrumented pin simulate all.
+  /// never retried — nothing detected them. Campaign::run answers a
+  /// transient retry on the default tier from the golden run's verdict
+  /// when the watchdog budget exceeds the golden length; run_single and
+  /// the kInstrumented pin simulate every retry.
   u32 max_retries = 0;
 
   // --- observability (src/obs) -------------------------------------------
@@ -331,6 +330,9 @@ class Campaign {
     /// needs_golden_tail() is false. Shared: a GoldenCache lookup copies
     /// the Golden.
     std::shared_ptr<const sim::GoldenTail> tail;
+    /// The golden launch's output check: with no trap and dyn_instrs warp
+    /// instructions, what every transient retry of Campaign::run reports.
+    wl::Workload::Checked check;
   };
   static Result<Golden> golden_run(const CampaignConfig& config);
 };
@@ -340,12 +342,12 @@ class Campaign {
 /// so never stop at reconvergence.
 [[nodiscard]] bool needs_golden_tail(const CampaignConfig& config);
 
-/// How many of the injection contexts of a `workers`-thread Campaign::run
-/// keep a golden-prefix checkpoint (DESIGN.md §4.14): none in memory mode,
-/// which strikes no instruction; else every one. A campaign whose contexts
-/// keep none runs in index order.
-[[nodiscard]] std::size_t kept_checkpoints(const CampaignConfig& config,
-                                           std::size_t workers);
+/// Whether Campaign::run takes its pending injections in strike order
+/// (DESIGN.md §4.14): in every mode but memory mode, which strikes no
+/// instruction and runs in index order. Every context of a strike-ordered
+/// campaign keeps golden-prefix checkpoints unless the campaign is pinned
+/// to kInstrumented.
+[[nodiscard]] bool runs_in_strike_order(const CampaignConfig& config);
 
 /// The strike-order key of global injection `run_index`, whose planner
 /// block has the stratified allocation `alloc` (null without one): how
@@ -355,13 +357,12 @@ class Campaign {
                                         const Campaign::Golden& golden,
                                         u64 run_index, const PlanEvent* alloc);
 
-/// The order in which a `workers`-thread Campaign::run runs the pending
-/// global injections `indices` (ascending) of a flat slice or of one
-/// planner block with allocation `alloc`: positions into `indices`, by
-/// (strike_bucket, index) when its contexts keep checkpoints, else as
-/// given.
+/// The order in which Campaign::run runs the pending global injections
+/// `indices` (ascending) of a flat slice or of one planner block with
+/// allocation `alloc`: positions into `indices`, by (strike_bucket, index)
+/// when it runs in strike order, else as given.
 [[nodiscard]] std::vector<std::size_t> run_order(
     const CampaignConfig& config, const Campaign::Golden& golden,
-    std::size_t workers, std::span<const u64> indices, const PlanEvent* alloc);
+    std::span<const u64> indices, const PlanEvent* alloc);
 
 }  // namespace gfi::fi

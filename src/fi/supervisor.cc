@@ -149,7 +149,7 @@ std::optional<u64> crash_candidate(const CampaignConfig& campaign,
     if (it == allocs.end()) return pending.front();  // block not started
     alloc = &it->second;
   }
-  return pending[run_order(campaign, golden, 1, pending, alloc).front()];
+  return pending[run_order(campaign, golden, pending, alloc).front()];
 }
 
 /// Append-only flushed event log mirroring the journal's crash-safety

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <optional>
-#include <span>
 
 #include "common/types.h"
 #include "sassim/isa.h"
@@ -89,18 +88,18 @@ class InstrumentHook {
 /// end callback exactly once.
 class LaunchScope {
  public:
-  LaunchScope(std::span<InstrumentHook* const> hooks, const Program& program)
-      : hooks_(hooks) {
-    for (InstrumentHook* hook : hooks_) hook->on_launch_begin(program);
+  /// `hook` may be null: a hook-free launch.
+  LaunchScope(InstrumentHook* hook, const Program& program) : hook_(hook) {
+    if (hook_) hook_->on_launch_begin(program);
   }
   ~LaunchScope() {
-    for (InstrumentHook* hook : hooks_) hook->on_launch_end();
+    if (hook_) hook_->on_launch_end();
   }
   LaunchScope(const LaunchScope&) = delete;
   LaunchScope& operator=(const LaunchScope&) = delete;
 
  private:
-  std::span<InstrumentHook* const> hooks_;
+  InstrumentHook* hook_;
 };
 
 }  // namespace gfi::sim

@@ -102,7 +102,7 @@ f32 mufu_eval(MufuKind kind, f32 x) {
 // The scheduler loop is templated over one of these tags. The Instrumented
 // instantiation reproduces the historical inner loop bit-for-bit:
 // InstrContext built per dynamic instruction, guard mask computed before
-// *and* after the on_before hooks (predicate injection must take effect),
+// *and* after the on_before hook (predicate injection must take effect),
 // store addresses routed through transform_store_address. The Threaded
 // instantiation strips every one of those and dispatches on the predecoded
 // handler ids (exec_threaded.h), falling back to the generic dispatcher for
@@ -900,13 +900,13 @@ struct Simulator::Engine {
       dyn_thread += static_cast<u64>(std::popcount(ctx.exec_mask));
       if (opts.profile) count_profile(instr, ctx.exec_mask);
 
-      for (InstrumentHook* hook : opts.hooks) {
-        hook->on_before_instr(ctx);
+      if (opts.hook) {
+        opts.hook->on_before_instr(ctx);
         if (ctx.requested_trap != TrapKind::kNone) {
           return fire(ctx.requested_trap, cta, warp);
         }
       }
-      // Hooks may have mutated predicates (predicate-register injection);
+      // The hook may have mutated predicates (predicate-register injection);
       // recompute the executed lane set so the corruption takes effect.
       const u32 exec = warp.guard_mask(instr.guard_pred, instr.guard_negated);
       ctx.exec_mask = exec;
@@ -914,8 +914,8 @@ struct Simulator::Engine {
       TrapKind result = dispatch(cta, warp, instr, exec, &ctx);
       if (result != TrapKind::kNone) return result;
 
-      for (InstrumentHook* hook : opts.hooks) {
-        hook->on_after_instr(ctx);
+      if (opts.hook) {
+        opts.hook->on_after_instr(ctx);
         if (ctx.requested_trap != TrapKind::kNone) {
           return fire(ctx.requested_trap, cta, warp);
         }
@@ -939,7 +939,7 @@ struct Simulator::Engine {
         strike_seen++ == strike.occurrence) {
       struck = true;
       const bool twinned = opts.golden_tail && start_twin(cta, warp, instr);
-      opts.hooks.front()->on_strike_slot();
+      opts.hook->on_strike_slot();
       const TrapKind trapped = exec_instr<InstrumentedPolicy>(cta, warp, instr);
       struck_at = std::chrono::steady_clock::now();
       if (trapped == TrapKind::kNone && twinned) {
@@ -971,6 +971,11 @@ struct Simulator::Engine {
     }
     // A pending upset would make the twin's loads count ECC events.
     if (!mem.fault_free()) return false;
+    // A stop ends the launch with the golden run's count, which must not
+    // reach the watchdog: the launch would have hung.
+    if (opts.golden_tail->dyn_warp >= watchdog) {
+      return give_up(TwinGiveUp::kWatchdog);
+    }
     slots.twin->copy_from(warp, slots.twin_rows);
     std::fill(slots.differs, slots.differs + slots.mask_words, 0u);
     diff_count = 0;
@@ -1625,10 +1630,8 @@ struct Simulator::Engine {
           if (!((exec >> lane) & 1u)) continue;
           u64 addr = read_operand(warp, lane, instr.src[0], DType::kU64);
           if (instr.src[1].is_imm()) addr += instr.src[1].imm;
-          if (ctx && instr.op == Opcode::kStg) {
-            for (InstrumentHook* hook : opts.hooks) {
-              addr = hook->transform_store_address(addr, *ctx, lane);
-            }
+          if (ctx && opts.hook && instr.op == Opcode::kStg) {
+            addr = opts.hook->transform_store_address(addr, *ctx, lane);
           }
           if (addr % width != 0) {
             return fire(TrapKind::kMisalignedAddress, cta, warp, addr);
@@ -2041,8 +2044,8 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
 
   const bool pin_instrumented = options.engine == EngineTier::kInstrumented;
   std::optional<StrikeRequest> strike;
-  if (options.hooks.size() == 1 && !pin_instrumented) {
-    strike = options.hooks.front()->strike_request();
+  if (options.hook && !pin_instrumented) {
+    strike = options.hook->strike_request();
   }
   const LaunchCheckpoint* resume = options.resume_from;
   if (resume) {
@@ -2100,13 +2103,12 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
           "memory");
     }
   }
-  if (options.record_tail && !options.hooks.empty()) {
+  if (options.record_tail && options.hook) {
     return Status::invalid_argument(
         "only a hook-free launch can record a golden tail");
   }
   if (options.issue_grid &&
-      (!options.profile || !options.hooks.empty() ||
-       options.issue_grid->step == 0)) {
+      (!options.profile || options.hook || options.issue_grid->step == 0)) {
     return Status::invalid_argument(
         "an issue grid needs a step and a hook-free, profiled launch");
   }
@@ -2122,7 +2124,7 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
                        grid, block, occupancy, program.num_regs(),
                        program.shared_bytes());
 
-  LaunchScope scope(options.hooks, program);
+  LaunchScope scope(options.hook, program);
 
   if (resume) {
     const auto started = std::chrono::steady_clock::now();
@@ -2143,10 +2145,10 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
     engine.recorder = &*recorder;
   }
 
-  // Tier selection: a lone hook with a strike request runs armed on the
+  // Tier selection: a hook with a strike request runs armed on the
   // threaded tier (unless pinned to instrumented) and continues plain
   // threaded once the struck slot's cycle is over, unless it stopped at
-  // reconvergence in the struck slot. Other hooks (or an explicit
+  // reconvergence in the struck slot. Any other hook (or an explicit
   // kInstrumented pin) take the instrumented engine to the end; hook-free
   // execution — golden runs included — runs the threaded tier. Both tiers
   // are bit-identical in every architecturally observable way.
@@ -2172,7 +2174,7 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
     prefix_ns = ns_between(armed_at, downgraded ? engine.struck_at : ended);
     prefix_ns -= std::min(prefix_ns, engine.capture_ns);
     if (downgraded) post_strike_ns = ns_between(engine.struck_at, ended);
-  } else if (!options.hooks.empty() || pin_instrumented) {
+  } else if (options.hook || pin_instrumented) {
     (void)engine.run<InstrumentedPolicy>();
     tier_used = EngineTier::kInstrumented;
   } else {

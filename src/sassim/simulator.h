@@ -34,7 +34,7 @@ struct GoldenTail;
 /// Execution tier the engine runs a launch on. Instructions a hook observes
 /// run on the instrumented template; the tier choice governs what the rest
 /// runs on: hook-free launches and all but the struck slot of an armed one
-/// (a lone hook with a StrikeRequest). Both tiers are bit-identical in every
+/// (a hook with a StrikeRequest). Both tiers are bit-identical in every
 /// architecturally observable way — results, traps, cycles, dynamic-
 /// instruction counts, journals — differing only in speed.
 enum class EngineTier : u8 {
@@ -77,7 +77,7 @@ enum class TwinGiveUp : u8 {
   kShared,         ///< a shared load or store (LDS, STS)
   kForeignLoad,    ///< a load of a word another warp writes
   kUndoFull,       ///< more stores than the undo log holds
-  kWatchdog,       ///< the launch's watchdog
+  kWatchdog,       ///< the launch's watchdog, or a golden run that reaches it
 };
 
 /// The one give-up name table, every reason after kNone in enum order:
@@ -115,11 +115,11 @@ struct LaunchOptions {
   /// Abort with kWatchdogTimeout after this many dynamic warp instructions.
   /// 0 selects the default (256M).
   u64 watchdog_instrs = 0;
-  /// Instrumentation hooks, invoked in order around every instruction.
-  /// A launch with no hooks runs on the threaded tier. A lone hook with a
-  /// StrikeRequest runs armed: only its struck instruction runs
-  /// instrumented. Any other hooked launch runs instrumented to the end.
-  std::vector<InstrumentHook*> hooks;
+  /// Instrumentation hook, invoked around every instruction. A launch
+  /// with no hook runs on the threaded tier. A hook with a StrikeRequest
+  /// runs armed: only its struck instruction runs instrumented. Any other
+  /// hooked launch runs instrumented to the end.
+  InstrumentHook* hook = nullptr;
   /// When set, the engine accumulates a dynamic-instruction Profile here
   /// natively — no ProfilerHook needed, so a profile-only launch stays on
   /// the hook-free tier. Counts match ProfilerHook's exactly.
@@ -133,7 +133,7 @@ struct LaunchOptions {
   /// With `profile`: rows of the profile's per-group issue counts on this
   /// grid's marks, appended as the launch reaches them (IssueGrid).
   IssueGrid* issue_grid = nullptr;
-  /// Fast-forward, armed launches only (a lone hook with a StrikeRequest,
+  /// Fast-forward, armed launches only (a hook with a StrikeRequest,
   /// engine not pinned): capture the launch state into this checkpoint at
   /// the first cycle boundary whose dynamic warp-instruction count reaches
   /// `capture_at`, unless the strike fires first (LaunchResult::captured).
@@ -173,7 +173,8 @@ struct LaunchOptions {
   /// at the struck slot or with no other warp run past it, with the golden
   /// run's final memory (plus the warp's differing words) and counts
   /// (LaunchResult::reconverged). Where the copy cannot go on, or the twin
-  /// gives up, the launch runs to its end.
+  /// gives up, or the golden run reaches `watchdog_instrs`, the launch runs
+  /// to its end.
   const GoldenTail* golden_tail = nullptr;
   /// Hook-free launches only: record what golden_tail needs into this.
   GoldenTail* record_tail = nullptr;

@@ -196,7 +196,7 @@ TEST(LaunchArena, ResumeAfterALargerLaunchMatchesInstrumented) {
     last.target_occurrence = ~u64{0} >> 1;  // never reached
     fi::InjectorHook hook(last, machine);
     sim::LaunchOptions options;
-    options.hooks.push_back(&hook);
+    options.hook = &hook;
     options.capture = &checkpoint;
     options.capture_at = 2000;
     options.live_rows = &live;
@@ -217,7 +217,7 @@ TEST(LaunchArena, ResumeAfterALargerLaunchMatchesInstrumented) {
     fi::InjectorHook reference_hook(site, machine);
     sim::LaunchOptions pinned;
     pinned.engine = EngineTier::kInstrumented;
-    pinned.hooks.push_back(&reference_hook);
+    pinned.hook = &reference_hook;
     auto reference = fresh.launch(saxpy->program(), fresh_spec.grid,
                                   fresh_spec.block, fresh_spec.params, pinned);
     ASSERT_TRUE(reference.is_ok()) << reference.status().to_string();
@@ -230,7 +230,7 @@ TEST(LaunchArena, ResumeAfterALargerLaunchMatchesInstrumented) {
     ASSERT_EQ(reused_spec.params, spec.params);
     fi::InjectorHook hook(site, machine);
     sim::LaunchOptions options;
-    options.hooks.push_back(&hook);
+    options.hook = &hook;
     options.resume_from = &checkpoint;
     options.memory_base = &start;
     auto resumed = device.launch(saxpy->program(), reused_spec.grid,

@@ -104,7 +104,7 @@ TEST_P(LaunchArenaAlloc, ReusedDeviceLaunchesAllocateNothing) {
     site.target_occurrence = (resume ? kept.issues(groups) : 0) + strike_after;
     fi::InjectorHook hook(site, machine);
     sim::LaunchOptions options;
-    options.hooks.push_back(&hook);
+    options.hook = &hook;
     options.resume_from = resume ? &kept : nullptr;
     options.capture = &kept;
     options.capture_at = capture_at;
@@ -146,7 +146,7 @@ TEST_P(LaunchArenaAlloc, ReconvergingLaunchesAllocateNothing) {
     site.target_occurrence = occurrence;
     fi::InjectorHook hook(site, machine);
     sim::LaunchOptions options;
-    options.hooks.push_back(&hook);
+    options.hook = &hook;
     options.golden_tail = &tail;
     options.live_rows = &live;
     options.memory_base = &start;

@@ -210,7 +210,7 @@ TEST(ExecEdge, InjectionReplayIsDeterministic) {
     auto program = must(b);
     fi::InjectorHook injector(site, device.config());
     sim::LaunchOptions options;
-    options.hooks.push_back(&injector);
+    options.hook = &injector;
     const u64 params[] = {out.value()};
     auto launch = device.launch(program, Dim3(1), Dim3(32), params, options);
     EXPECT_TRUE(launch.value().ok());

@@ -6,7 +6,6 @@
 // contract (invocation order, launch_end on every exit path) is pinned here.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <thread>
 #include <vector>
@@ -130,7 +129,7 @@ TEST(ExecPaths, EmptyHookVectorTakesSameResultsAsInstrumented) {
 
     sim::TracerHook tracer(/*max_entries=*/4);
     LaunchOptions hooked;
-    hooked.hooks.push_back(&tracer);
+    hooked.hook = &tracer;
     const RunOutput c = run_workload(name, nullptr, hooked);
     EXPECT_TRUE(identical(a, c)) << name;
     EXPECT_EQ(c.result.tier_used, sim::EngineTier::kInstrumented) << name;
@@ -183,7 +182,7 @@ TEST(ExecPaths, NativeProfileMatchesProfilerHook) {
 
     sim::ProfilerHook hook;
     LaunchOptions instrumented;
-    instrumented.hooks.push_back(&hook);
+    instrumented.hook = &hook;
     (void)run_workload(name, nullptr, instrumented);
 
     const sim::Profile& via_hook = hook.profile();
@@ -199,66 +198,55 @@ TEST(ExecPaths, NativeProfileMatchesProfilerHook) {
   }
 }
 
-/// Records the exact callback sequence, tagged with this hook's id, into a
-/// log shared by all hooks of a launch.
+/// Records the exact callback sequence into `log`; with `trap_first`, it
+/// also requests a trap on the first instruction it sees.
 class OrderRecordingHook final : public sim::InstrumentHook {
  public:
-  OrderRecordingHook(std::vector<std::string>* log, std::string id)
-      : log_(log), id_(std::move(id)) {}
+  OrderRecordingHook(std::vector<std::string>* log, bool trap_first = false)
+      : log_(log), trap_first_(trap_first) {}
 
   void on_launch_begin(const sim::Program&) override {
-    log_->push_back(id_ + ":begin");
+    log_->push_back("begin");
   }
-  void on_launch_end() override { log_->push_back(id_ + ":end"); }
+  void on_launch_end() override { log_->push_back("end"); }
   void on_before_instr(sim::InstrContext& ctx) override {
-    if (ctx.dyn_index < 2) log_->push_back(id_ + ":before");
+    if (ctx.dyn_index < 2) log_->push_back("before");
+    if (trap_first_) ctx.requested_trap = sim::TrapKind::kEccDoubleBit;
   }
   void on_after_instr(sim::InstrContext& ctx) override {
-    if (ctx.dyn_index < 2) log_->push_back(id_ + ":after");
+    if (ctx.dyn_index < 2) log_->push_back("after");
   }
 
  private:
   std::vector<std::string>* log_;
-  std::string id_;
+  bool trap_first_;
 };
 
 TEST(ExecPaths, HookInvocationOrderIsPinned) {
-  // Two hooks, first two dynamic instructions: begin in registration order,
-  // then per instruction all on_before in order followed by all on_after in
-  // order, and finally end in registration order.
+  // First two dynamic instructions: begin, then per instruction on_before
+  // followed by on_after, and finally end.
   std::vector<std::string> log;
-  OrderRecordingHook first(&log, "a");
-  OrderRecordingHook second(&log, "b");
+  OrderRecordingHook recorder(&log);
   LaunchOptions options;
-  options.hooks.push_back(&first);
-  options.hooks.push_back(&second);
+  options.hook = &recorder;
   (void)sim_test::run_lane_kernel(
       [](KernelBuilder& b) { b.mov_u32(10, Operand::imm_u(7)); }, options);
   const std::vector<std::string> expected = {
-      "a:begin", "b:begin",                        // launch start
-      "a:before", "b:before", "a:after", "b:after",  // dyn 0
-      "a:before", "b:before", "a:after", "b:after",  // dyn 1
-      "a:end", "b:end",                            // launch end
+      "begin",            // launch start
+      "before", "after",  // dyn 0
+      "before", "after",  // dyn 1
+      "end",              // launch end
   };
   EXPECT_EQ(log, expected);
 }
 
-/// Requests a trap on the first instruction it sees.
-class TrapOnFirstHook final : public sim::InstrumentHook {
- public:
-  void on_before_instr(sim::InstrContext& ctx) override {
-    ctx.requested_trap = sim::TrapKind::kEccDoubleBit;
-  }
-};
-
 TEST(ExecPaths, LaunchEndFiresOnTrapExit) {
-  // The RAII launch scope must pair begin/end even when the launch aborts.
+  // The RAII launch scope must pair begin/end even when the launch aborts:
+  // the hook's own trap request ends it before on_after_instr.
   std::vector<std::string> log;
-  OrderRecordingHook recorder(&log, "r");
-  TrapOnFirstHook trapper;
+  OrderRecordingHook trapper(&log, /*trap_first=*/true);
   LaunchOptions options;
-  options.hooks.push_back(&recorder);
-  options.hooks.push_back(&trapper);
+  options.hook = &trapper;
 
   KernelBuilder b("trap_path");
   b.mov_u32(10, Operand::imm_u(1));
@@ -268,10 +256,8 @@ TEST(ExecPaths, LaunchEndFiresOnTrapExit) {
   auto launch = device.launch(program, Dim3(1), Dim3(32), {{0}}, options);
   ASSERT_TRUE(launch.is_ok());
   EXPECT_EQ(launch.value().trap.kind, TrapKind::kEccDoubleBit);
-  ASSERT_FALSE(log.empty());
-  EXPECT_EQ(log.front(), "r:begin");
-  EXPECT_EQ(log.back(), "r:end");
-  EXPECT_EQ(std::count(log.begin(), log.end(), "r:end"), 1);
+  const std::vector<std::string> expected = {"begin", "before", "end"};
+  EXPECT_EQ(log, expected);
 }
 
 TEST(ExecPaths, DecodedProgramAgreesWithInstructionStream) {

@@ -11,14 +11,15 @@
 // global stores must stop some injections at reconvergence (DESIGN.md
 // §4.14). Journal line order is (strike bucket, index) on both
 // tiers, and a killed journal resumes to the same bytes. Transient
-// retries, the golden launch again, are answered from the campaign's
-// first one: their journals must match the pin too, in memory, IOV and RF
-// modes and across a journal kill and resume. The sassim-level tests check
-// the golden issue grid against captured checkpoints, strike just before,
-// at and after a mark's own count, strike across an adjacent FFMA pair
-// split by a checkpoint, and check what a pruned image keeps: the rows live
-// where a divergent warp's lanes resume (dead rows load as zero), and the
-// memory pages that differ from launch start.
+// retries, the golden launch again, are answered from the golden run's
+// verdict: their journals must match the pin too, in memory, IOV and RF
+// modes, across a journal kill and resume, and under a watchdog too short
+// for a fault-free launch, whose retries are simulated. The sassim-level
+// tests check the golden issue grid against captured checkpoints, strike
+// just before, at and after a mark's own count, strike across an adjacent
+// FFMA pair split by a checkpoint, and check what a pruned image keeps: the
+// rows live where a divergent warp's lanes resume (dead rows load as zero),
+// and the memory pages that differ from launch start.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -220,13 +221,19 @@ u64 counter(obs::Registry& metrics, const std::string& name) {
   return metrics.counter(name).value();
 }
 
+/// How many launches a campaign timed.
+u64 launches(obs::Registry& metrics) {
+  const auto sample =
+      metrics.histogram("campaign.phase.launch_us", 0, 20000, 1000).sample();
+  return sample.stats.count();
+}
+
 /// Retry campaigns of `config` under both persistences, with 1 and 3
 /// workers, against the instrumented pin. A transient retry relaunches the
-/// unfaulted kernel from checkpoint 0, so it is the golden launch: the
-/// first of a campaign is simulated and its verdict answers the later ones
-/// (with one worker, all but that first). A stuck-at retry re-arms the
-/// fault and is always simulated; an armed first attempt still resumes
-/// mid-launch.
+/// unfaulted kernel from checkpoint 0, so it is the golden launch: every
+/// one is answered from the golden run's verdict and launches nothing. A
+/// stuck-at retry re-arms the fault and is always simulated; an armed
+/// first attempt still resumes mid-launch.
 void retry_sweep(fi::CampaignConfig config) {
   for (const fi::FaultPersistence persistence :
        {fi::FaultPersistence::kTransient, fi::FaultPersistence::kStuckAt}) {
@@ -258,12 +265,14 @@ void retry_sweep(fi::CampaignConfig config) {
           counter(metrics, "campaign.fast_forward.resumed_retries");
       const u64 skipped =
           counter(metrics, "campaign.fast_forward.skipped_warp_instrs");
+      const u64 retries = counter(metrics, "campaign.retries");
       if (persistence == fi::FaultPersistence::kStuckAt) {
         EXPECT_EQ(resumed, 0u) << what;
-      } else if (threads == 1) {
-        EXPECT_EQ(resumed, counter(metrics, "campaign.retries") - 1) << what;
+        EXPECT_EQ(launches(metrics), config.num_injections + retries) << what;
       } else {
-        EXPECT_GT(resumed, 0u) << what << ", " << threads << " threads";
+        EXPECT_EQ(resumed, retries) << what << ", " << threads << " threads";
+        EXPECT_EQ(launches(metrics), config.num_injections)
+            << what << ", " << threads << " threads: a retry launched";
       }
       if (config.model.mode != InjectionMode::kMemory ||
           persistence == fi::FaultPersistence::kTransient) {
@@ -306,8 +315,8 @@ TEST(FastForwardRetry, IovGemmRetriesMatchInstrumentedPin) {
 }
 
 /// A journaled transient-retry campaign killed mid-run resumes to the same
-/// journal. The shared retry verdict is per Campaign::run, so the resumed
-/// run has none yet: its first retry simulates again.
+/// journal, and the resumed run answers every retry it meets from the
+/// golden run's verdict.
 TEST(FastForwardRetry, JournalKillAndResumeStaysIdentical) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::path(::testing::TempDir()) / "gfi_ff_retry_resume";
@@ -350,15 +359,72 @@ TEST(FastForwardRetry, JournalKillAndResumeStaysIdentical) {
     const u64 resumed_retries =
         counter(metrics, "campaign.fast_forward.resumed_retries");
     ASSERT_GT(retries, 1u) << "cut at " << cut;
-    EXPECT_EQ(resumed_retries, retries - 1) << "cut at " << cut;
+    EXPECT_EQ(resumed_retries, retries) << "cut at " << cut;
   }
   fs::remove_all(dir);
 }
 
+/// A watchdog budget at or below the golden length hangs a fault-free
+/// relaunch, so a transient retry under it is not the golden launch: every
+/// retry is simulated, hangs, and the records match the pin and
+/// standalone run_single at 1 and 3 workers.
+TEST(FastForwardRetry, ShortWatchdogRetriesAreSimulated) {
+  fi::CampaignConfig config;
+  config.machine = machine();
+  config.max_retries = 2;
+  config.num_injections = 20;
+  config.seed = 17;
+  for (const auto& [workload, mode] :
+       {std::pair{"saxpy", InjectionMode::kMemory},
+        std::pair{"vecadd", InjectionMode::kIov}}) {
+    config.workload = workload;
+    config.model = {mode, BitFlipModel::kDouble,
+                    fi::FaultPersistence::kTransient};
+    auto golden = fi::Campaign::golden_run(config);
+    ASSERT_TRUE(golden.is_ok()) << golden.status().to_string();
+    const u64 length = golden.value().dyn_instrs;
+    for (const u64 budget : {length, length / 2}) {
+      const std::string what =
+          std::string(workload) + ", watchdog " + std::to_string(budget);
+      config.watchdog_instrs = budget;
+      config.engine = EngineTier::kInstrumented;
+      config.threads = 1;
+      auto pinned = fi::Campaign::run(config);
+      ASSERT_TRUE(pinned.is_ok()) << pinned.status().to_string();
+      const std::vector<std::string> want = record_lines(pinned.value());
+      for (const fi::InjectionRecord& record : pinned.value().records) {
+        EXPECT_EQ(record.attempts, config.max_retries + 1) << what;
+        EXPECT_EQ(record.trap, sim::TrapKind::kWatchdogTimeout) << what;
+        EXPECT_EQ(record.outcome, fi::Outcome::kUnrecoverableDue) << what;
+      }
+      for (std::size_t i = 0; i < config.num_injections; ++i) {
+        auto single = fi::Campaign::run_single(config, golden.value().profile,
+                                               length, i);
+        ASSERT_TRUE(single.is_ok()) << single.status().to_string();
+        EXPECT_EQ(fi::Journal::record_line(i, single.value()), want[i])
+            << what << ", standalone";
+      }
+      config.engine = EngineTier::kThreaded;
+      for (const std::size_t threads : {1, 3}) {
+        obs::Registry metrics;
+        config.threads = threads;
+        config.metrics = &metrics;
+        auto fast = fi::Campaign::run(config);
+        config.metrics = nullptr;
+        ASSERT_TRUE(fast.is_ok()) << fast.status().to_string();
+        EXPECT_EQ(record_lines(fast.value()), want)
+            << what << ", " << threads << " threads";
+        EXPECT_EQ(counter(metrics, "campaign.fast_forward.resumed_retries"),
+                  0u)
+            << what;
+      }
+    }
+  }
+}
+
 /// Memory mode never resumes mid-launch (no strike to arm), but every
 /// injection after a worker's first runs on a restored, reused device, and
-/// every transient retry but the campaign's first is answered from that
-/// first one's verdict.
+/// every transient retry is answered from the golden run's verdict.
 TEST(FastForwardMemory, ReusedDevicesMatchFreshOnes) {
   for (const char* workload : {"saxpy", "spmv", "histogram"}) {
     fi::CampaignConfig config;
@@ -389,7 +455,7 @@ TEST(FastForwardMemory, ReusedDevicesMatchFreshOnes) {
       const u64 resumed =
           counter(metrics, "campaign.fast_forward.resumed_retries");
       EXPECT_GT(resumed, 0u) << workload << ", " << threads << " threads";
-      EXPECT_LT(resumed, counter(metrics, "campaign.retries"));
+      EXPECT_EQ(resumed, counter(metrics, "campaign.retries"));
       // Every skipped instruction belongs to a whole golden launch.
       const u64 skipped =
           counter(metrics, "campaign.fast_forward.skipped_warp_instrs");
@@ -401,32 +467,35 @@ TEST(FastForwardMemory, ReusedDevicesMatchFreshOnes) {
 
 // ---- strike order -----------------------------------------------------------
 
-/// The gate over the kept-image bounds: as many images as fit 2 MiB, at
-/// most one per worker. Where not every worker's fits, the contexts that
-/// fit keep one and the campaign still runs in strike order. The wide,
-/// shallow kernels keep one too: their images hold few live rows.
+/// A campaign runs in strike order in every mode but memory mode, and
+/// then every context keeps checkpoints unless the campaign is pinned. The
+/// wide, shallow kernels keep one too: their images hold few live rows.
 TEST(StrikeOrder, EveryContextKeepsACheckpoint) {
   harden::register_hardened_workloads();
   fi::CampaignConfig config;
-  config.workload = "histogram";
   config.machine = machine();
-  for (const std::size_t workers : {1u, 4u, 8u}) {
-    EXPECT_EQ(fi::kept_checkpoints(config, workers), workers);
-  }
+  EXPECT_TRUE(fi::runs_in_strike_order(config));
   config.model = {InjectionMode::kMemory, BitFlipModel::kDouble};
-  EXPECT_EQ(fi::kept_checkpoints(config, 1), 0u)
+  EXPECT_FALSE(fi::runs_in_strike_order(config))
       << "memory mode has no strike";
 
   // Under one and four workers every context keeps checkpoints, the three
-  // largest images included; the records still match the instrumented pin.
+  // largest images included; the records still match the instrumented
+  // pin, which keeps none.
   config.model = {};
   config.num_injections = 24;
   for (const char* workload : {"gemm", "saxpy_swift", "vecadd"}) {
     config.workload = workload;
     config.threads = 1;
     config.engine = EngineTier::kInstrumented;
+    obs::Registry pinned_metrics;
+    config.metrics = &pinned_metrics;
     auto pinned = fi::Campaign::run(config);
+    config.metrics = nullptr;
     ASSERT_TRUE(pinned.is_ok()) << pinned.status().to_string();
+    EXPECT_EQ(counter(pinned_metrics, "campaign.fast_forward.checkpoints"),
+              0u)
+        << workload << ": the pin kept a checkpoint";
     config.engine = EngineTier::kThreaded;
     for (const u32 threads : {1u, 4u}) {
       obs::Registry metrics;
@@ -507,7 +576,7 @@ TEST(StrikeOrder, JournalsFollowRunOrderOnBothTiers) {
     config.seed = 21;
     auto golden = fi::Campaign::golden_run(config);
     ASSERT_TRUE(golden.is_ok()) << golden.status().to_string();
-    ASSERT_GT(fi::kept_checkpoints(config, 1), 0u) << workload;
+    ASSERT_TRUE(fi::runs_in_strike_order(config)) << workload;
     const fi::JournalContents cut = both_tiers(config, workload);
     ASSERT_EQ(cut.records.size(), config.num_injections - 1) << workload;
     std::vector<std::pair<std::size_t, u64>> keys;
@@ -702,7 +771,7 @@ class Bench {
     if (!resume) device_.restore(start_);
     fi::InjectorHook hook(site, machine());
     sim::LaunchOptions options;
-    options.hooks.push_back(&hook);
+    options.hook = &hook;
     options.resume_from = resume;
     options.capture = capture;
     options.capture_at = capture_at;
@@ -752,7 +821,7 @@ class Bench {
     auto spec = workload->setup(device);
     sim::LaunchOptions options;
     options.engine = tier;
-    if (hook) options.hooks.push_back(hook);
+    options.hook = hook;
     auto result = device.launch(workload->program(), spec.value().grid,
                                 spec.value().block, spec.value().params,
                                 options);
@@ -940,11 +1009,11 @@ TEST(FastForwardLaunch, ResumeRejectsMisuse) {
   EXPECT_EQ(launch(options).status().code(), StatusCode::kInvalidArgument)
       << "hook-free launch resumed";
   fi::InjectorHook early(make_site(InjectionMode::kIov, 0), machine());
-  options.hooks.push_back(&early);
+  options.hook = &early;
   EXPECT_FALSE(launch(options).is_ok()) << "resumed past the strike";
   fi::InjectorHook late(
       make_site(InjectionMode::kIov, checkpoint.issues(groups)), machine());
-  options.hooks = {&late};
+  options.hook = &late;
   sim::Profile profile;
   options.profile = &profile;
   EXPECT_FALSE(launch(options).is_ok()) << "profiled a skipped prefix";
@@ -1046,7 +1115,7 @@ TEST(FastForwardImage, MaskedRowsRoundTripMidDivergence) {
   const sim::GlobalMemory::Snapshot start = device.snapshot();
   auto launch = [&](const FaultSite& site, sim::LaunchOptions options) {
     fi::InjectorHook hook(site, machine());
-    options.hooks.push_back(&hook);
+    options.hook = &hook;
     auto result = device.launch(program.value(), Dim3(1), Dim3(32), params,
                                 options);
     EXPECT_TRUE(result.is_ok()) << result.status().to_string();

@@ -110,7 +110,7 @@ TEST(Swift, DetectsCorruptedStoreValue) {
     site.bit_sel = 12;
     fi::InjectorHook injector(site, device.config());
     sim::LaunchOptions options;
-    options.hooks.push_back(&injector);
+    options.hook = &injector;
     auto launch = device.launch(hardened.value(), Dim3(1), Dim3(32), params,
                                 options);
     ASSERT_TRUE(launch.is_ok());

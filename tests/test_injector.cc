@@ -47,7 +47,7 @@ RunOutput run_with_injection(const FaultSite& site,
   const u64 params[] = {out.value()};
   InjectorHook injector(site, device.config());
   LaunchOptions options;
-  options.hooks.push_back(&injector);
+  options.hook = &injector;
   options.watchdog_instrs = 100000;
   auto launch = device.launch(program, Dim3(1), Dim3(32), params, options);
   EXPECT_TRUE(launch.is_ok()) << launch.status().to_string();
@@ -150,7 +150,7 @@ TEST(Injector, PredFlipChangesCompareOutcome) {
   site.lane_sel = 7;
   InjectorHook injector(site, device.config());
   LaunchOptions options;
-  options.hooks.push_back(&injector);
+  options.hook = &injector;
   const u64 params[] = {out.value()};
   auto launch = device.launch(program, Dim3(1), Dim3(32), params, options);
   ASSERT_TRUE(launch.is_ok());

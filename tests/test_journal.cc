@@ -531,8 +531,7 @@ TEST(Watchdog, TinyBudgetClassifiesEveryInjectionAsHang) {
 TEST(Watchdog, MultiplierBudgetLeavesHealthyRunsAlone) {
   auto config = base_config("vecadd");
   config.num_injections = 20;
-  config.watchdog_multiplier = 3;
-  config.watchdog_floor = 10000;
+  // No override: the budget is 3 * golden length + 10000.
   auto result = Campaign::run(config);
   ASSERT_TRUE(result.is_ok());
   // IOV strikes on vecadd cannot extend control flow by 3x.

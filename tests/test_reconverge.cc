@@ -420,7 +420,7 @@ Ran strike(const std::string& name, const fi::FaultSite& site, bool stop) {
   }
   fi::InjectorHook hook(site, machine());
   sim::LaunchOptions options;
-  options.hooks.push_back(&hook);
+  options.hook = &hook;
   if (stop) {
     options.golden_tail = &tail;
     options.live_rows = &live;

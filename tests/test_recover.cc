@@ -500,7 +500,7 @@ TEST(TrapTaxonomy, BarrierDivergence) {
   b.exit_();
   RaiseTrapHook hook(TrapKind::kBarrierDivergence);
   sim::LaunchOptions options;
-  options.hooks.push_back(&hook);
+  options.hook = &hook;
   auto trapped = device.launch(must(b), Dim3(1), Dim3(32), {}, options);
   ASSERT_TRUE(trapped.is_ok());
   EXPECT_EQ(trapped.value().trap.kind, TrapKind::kBarrierDivergence);

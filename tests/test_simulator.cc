@@ -170,7 +170,7 @@ TEST(Simulator, HooksSeeEveryInstruction) {
   auto program = make_count_kernel();
   CountingHook hook;
   LaunchOptions options;
-  options.hooks.push_back(&hook);
+  options.hook = &hook;
   const u64 params[] = {counter.value()};
   auto launch = device.launch(program, Dim3(4), Dim3(64), params, options);
   ASSERT_TRUE(launch.is_ok());
@@ -198,7 +198,7 @@ TEST(Simulator, HookRequestedTrapAbortsLaunch) {
   auto program = make_count_kernel();
   TrapRequestingHook hook;
   LaunchOptions options;
-  options.hooks.push_back(&hook);
+  options.hook = &hook;
   const u64 params[] = {counter.value()};
   auto launch = device.launch(program, Dim3(4), Dim3(64), params, options);
   ASSERT_TRUE(launch.is_ok());
@@ -218,7 +218,7 @@ TEST(Profiler, CountsMatchLaunchTotals) {
   auto program = make_count_kernel();
   sim::ProfilerHook profiler;
   LaunchOptions options;
-  options.hooks.push_back(&profiler);
+  options.hook = &profiler;
   const u64 params[] = {counter.value()};
   auto launch = device.launch(program, Dim3(2), Dim3(64), params, options);
   ASSERT_TRUE(launch.is_ok());

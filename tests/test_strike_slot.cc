@@ -94,7 +94,7 @@ Run launch(const WorkloadMaker& make, sim::InstrumentHook* hook,
   sim::LaunchOptions options;
   options.engine = tier;
   options.watchdog_instrs = watchdog;
-  if (hook) options.hooks.push_back(hook);
+  options.hook = hook;
   auto result = device.launch(workload->program(), spec.value().grid,
                               spec.value().block, spec.value().params,
                               options);

@@ -53,7 +53,7 @@ TEST(Tracer, RecordsEveryInstructionInOrder) {
   Device device(arch::toy());
   TracerHook tracer;
   sim::LaunchOptions options;
-  options.hooks.push_back(&tracer);
+  options.hook = &tracer;
   auto launch = device.launch(tiny_kernel(), Dim3(1), Dim3(32), {}, options);
   ASSERT_TRUE(launch.is_ok());
   ASSERT_EQ(tracer.entries().size(), 3u);
@@ -70,7 +70,7 @@ TEST(Tracer, FiltersByGroupAndWarp) {
   TracerHook tracer;
   tracer.set_filter(TracerHook::only_group(sim::InstrGroup::kControl));
   sim::LaunchOptions options;
-  options.hooks.push_back(&tracer);
+  options.hook = &tracer;
   auto launch = device.launch(tiny_kernel(), Dim3(1), Dim3(64), {}, options);
   ASSERT_TRUE(launch.is_ok());
   // Only the two warps' EXITs survive the filter.
@@ -89,7 +89,7 @@ TEST(Tracer, WindowFilterAndTruncation) {
   TracerHook tracer(/*max_entries=*/2);
   tracer.set_filter(TracerHook::window(0, 5));
   sim::LaunchOptions options;
-  options.hooks.push_back(&tracer);
+  options.hook = &tracer;
   (void)device.launch(tiny_kernel(), Dim3(4), Dim3(32), {}, options);
   EXPECT_EQ(tracer.entries().size(), 2u);
   EXPECT_TRUE(tracer.truncated());

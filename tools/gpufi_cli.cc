@@ -613,7 +613,7 @@ int cmd_trace(const Options& options) {
   }
   sim::TracerHook tracer(/*max_entries=*/64);
   sim::LaunchOptions launch_options;
-  launch_options.hooks.push_back(&tracer);
+  launch_options.hook = &tracer;
   auto launch = device.launch(workload->program(), spec.value().grid,
                               spec.value().block, spec.value().params,
                               launch_options);
