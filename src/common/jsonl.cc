@@ -1,5 +1,7 @@
 #include "common/jsonl.h"
 
+#include <unistd.h>
+
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -232,6 +234,33 @@ Result<std::FILE*> open_append(const std::string& path, u64 valid_bytes) {
                             std::strerror(errno));
   }
   return file;
+}
+
+Status write_atomically(const std::string& path, const std::string& content) {
+  const std::string tmp = path + ".tmp-" + std::to_string(::getpid());
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) {
+      return Status::internal("cannot create " + tmp + ": " +
+                              std::strerror(errno));
+    }
+    out << content;
+    out.flush();
+    if (!out) {
+      std::error_code ec;
+      std::filesystem::remove(tmp, ec);
+      return Status::internal("write to " + tmp + " failed: " +
+                              std::strerror(errno));
+    }
+  }
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    std::filesystem::remove(tmp, ec);
+    return Status::internal("cannot rename " + tmp + " to " + path + ": " +
+                            ec.message());
+  }
+  return Status::ok();
 }
 
 }  // namespace gfi::jsonl

@@ -3,7 +3,7 @@
 // journal (fi/journal.cc), the plan file (fi/planner.cc), the supervisor
 // state log (fi/supervisor.cc) and the heartbeat sidecar (obs/heartbeat.cc).
 // Leases use the line format too, but they are one-line files replaced by
-// rename, not append logs.
+// rename (write_atomically), not append logs.
 //
 // The log rule (read_log + open_append): a writer appends whole lines, so a
 // crash leaves at worst one unterminated last line, which readers drop. A
@@ -123,5 +123,12 @@ Result<u64> read_log(const std::string& path, const LineParser& header,
 /// Cuts `path` back to `valid_bytes` (read_log's result) and opens it for
 /// appending. The caller owns the returned stream.
 Result<std::FILE*> open_append(const std::string& path, u64 valid_bytes);
+
+// --------------------------------------------------------- whole files ---
+
+/// Writes `content` to `path` through a temp file and a rename, so a crash
+/// never leaves a torn file there: leases, sorted and merged journals, and
+/// metrics snapshots.
+Status write_atomically(const std::string& path, const std::string& content);
 
 }  // namespace gfi::jsonl

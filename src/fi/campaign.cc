@@ -12,8 +12,8 @@
 #include "common/bitutil.h"
 #include "common/failpoint.h"
 #include "common/logging.h"
+#include "common/parallel_for.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "fi/golden_cache.h"
 #include "fi/journal.h"
 #include "fi/planner.h"
@@ -394,9 +394,8 @@ struct Phases {
 };
 
 /// Campaign-scoped fast-forward state, shared by the workers of one
-/// Campaign::run: a free-list of injection contexts (at most one per
-/// worker), their shared checkpoint 0, and the telemetry of its
-/// injections.
+/// Campaign::run: one injection context per worker, their shared
+/// checkpoint 0, and the telemetry of its injections.
 class FastForward {
  public:
   FastForward(const CampaignConfig& config, obs::Registry& reg)
@@ -409,35 +408,30 @@ class FastForward {
             reg.counter("campaign.fast_forward.resumed_retries")),
         reconverged_(reg.counter("campaign.reconverge.injections")),
         reconverge_skipped_(
-            reg.counter("campaign.reconverge.skipped_warp_instrs")) {
+            reg.counter("campaign.reconverge.skipped_warp_instrs")),
+        contexts_(worker_count(config.threads)) {
     for (const auto& [reason, name] : sim::kTwinGiveUpNames) {
       gave_up_[static_cast<int>(reason)] =
           &reg.counter(std::string("campaign.reconverge.gave_up.") + name);
     }
   }
 
-  /// A context for one injection run; give it back with release().
-  Result<std::unique_ptr<InjectionContext>> acquire() {
+  /// Worker `worker`'s context (parallel_for's worker id), made on its
+  /// first injection run.
+  Result<InjectionContext*> context(std::size_t worker) {
+    std::unique_ptr<InjectionContext>& context = contexts_[worker];
+    if (context) return context.get();
     std::shared_ptr<const Snapshot> start;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (!free_.empty()) {
-        auto context = std::move(free_.back());
-        free_.pop_back();
-        return context;
-      }
       start = start_;
     }
     auto made = make_context(config_, std::move(start));
     if (!made.is_ok()) return made.status();
+    context = std::move(made).take();
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!start_) start_ = made.value()->start;
-    return made;
-  }
-
-  void release(std::unique_ptr<InjectionContext> context) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    free_.push_back(std::move(context));
+    if (!start_) start_ = context->start;
+    return context.get();
   }
 
   /// Telemetry, never journaled: checkpoints captured and the image bytes
@@ -481,19 +475,20 @@ class FastForward {
   /// Per sim::TwinGiveUp, by its value (kTwinGiveUpNames lists every
   /// reason after kNone in order); kNone's stays null.
   obs::Counter* gave_up_[std::size(sim::kTwinGiveUpNames) + 1] = {};
+  std::vector<std::unique_ptr<InjectionContext>> contexts_;  ///< by worker
   std::mutex mutex_;
-  std::vector<std::unique_ptr<InjectionContext>> free_;
   std::shared_ptr<const Snapshot> start_;  ///< checkpoint 0, shared
 };
 
-/// One injection. Campaign::run passes its golden run and fast-forward
-/// state; standalone replays pass neither.
+/// One injection. Campaign::run passes its golden run, its fast-forward
+/// state and the worker running the injection; standalone replays pass
+/// neither and set up a context of their own.
 Result<InjectionRecord> run_injection(
     const CampaignConfig& config, const sim::Profile& profile,
     u64 golden_dyn_instrs, std::size_t run_index,
     const sa::PruneMap* prune_map, bool* pruned_out, obs::Registry* metrics,
     std::optional<sim::InstrGroup> stratum, const Campaign::Golden* golden,
-    FastForward* ff) {
+    FastForward* ff, std::size_t worker) {
   Rng rng = Rng::for_stream(config.seed, run_index);
   auto site = sample_site(config, profile, golden_dyn_instrs, rng, stratum);
   if (!site.is_ok()) return site.status();
@@ -532,16 +527,18 @@ Result<InjectionRecord> run_injection(
     }
   }
 
-  auto acquired = ff ? ff->acquire() : make_context(config);
-  if (!acquired.is_ok()) return acquired.status();
-  std::unique_ptr<InjectionContext> context = std::move(acquired).take();
-  struct Release {
-    FastForward* ff;
-    std::unique_ptr<InjectionContext>& context;
-    ~Release() {
-      if (ff) ff->release(std::move(context));
-    }
-  } release{ff, context};
+  std::unique_ptr<InjectionContext> own;  // a standalone replay's
+  InjectionContext* context = nullptr;
+  if (ff) {
+    auto kept = ff->context(worker);
+    if (!kept.is_ok()) return kept.status();
+    context = kept.value();
+  } else {
+    auto made = make_context(config);
+    if (!made.is_ok()) return made.status();
+    own = std::move(made).take();
+    context = own.get();
+  }
   const wl::Workload& workload = *context->workload;
   sim::Device& device = context->device;
   const wl::LaunchSpec& spec = context->spec;
@@ -780,10 +777,6 @@ Result<InjectionRecord> run_injection(
 
 }  // namespace
 
-bool runs_in_strike_order(const CampaignConfig& config) {
-  return config.model.mode != InjectionMode::kMemory;
-}
-
 std::size_t strike_bucket(const CampaignConfig& config,
                           const Campaign::Golden& golden, u64 run_index,
                           const PlanEvent* alloc) {
@@ -806,11 +799,9 @@ std::vector<std::size_t> run_order(const CampaignConfig& config,
                                    const PlanEvent* alloc) {
   std::vector<std::pair<std::size_t, std::size_t>> keyed;  // bucket, pos
   keyed.reserve(indices.size());
-  const bool by_strike = runs_in_strike_order(config);
   for (std::size_t pos = 0; pos < indices.size(); ++pos) {
-    keyed.emplace_back(
-        by_strike ? strike_bucket(config, golden, indices[pos], alloc) : 0,
-        pos);
+    keyed.emplace_back(strike_bucket(config, golden, indices[pos], alloc),
+                       pos);
   }
   std::sort(keyed.begin(), keyed.end());
   std::vector<std::size_t> order;
@@ -826,7 +817,7 @@ Result<InjectionRecord> Campaign::run_single(
     std::optional<sim::InstrGroup> stratum) {
   return run_injection(config, profile, golden_dyn_instrs, run_index,
                        prune_map, pruned_out, metrics, stratum, nullptr,
-                       nullptr);
+                       nullptr, 0);
 }
 
 Result<sa::PruneMap> Campaign::build_prune_map(const CampaignConfig& config) {
@@ -1045,12 +1036,11 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
 
   std::vector<Status> errors(result.run_indices.size());
   std::vector<u8> pruned_flags(result.run_indices.size(), 0);
-  ThreadPool pool(config.threads);
   // Strike order (DESIGN.md §4.14): pending injections run by the grid
   // bucket of their strike, then index (run_order), so each worker's next
   // strike lies at or past the checkpoint its context kept. The order is
-  // the same on every tier; only armed launches keep checkpoints.
-  const bool by_strike = runs_in_strike_order(config);
+  // the same on every tier; only armed launches keep checkpoints. Memory
+  // mode strikes no instruction: every bucket is 0, so index order.
   FastForward ff(config, reg);
   // `slots` in run order.
   auto in_run_order = [&](std::vector<std::size_t> slots,
@@ -1069,9 +1059,10 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
     return order;
   };
 
-  // One injection slot: sample, simulate (or credit), journal, measure.
-  // `stratum` pins the instruction group under a stratified allocation.
-  auto run_slot = [&](std::size_t slot,
+  // One injection slot, run by `worker`: sample, simulate (or credit),
+  // journal, measure. `stratum` pins the instruction group under a
+  // stratified allocation.
+  auto run_slot = [&](std::size_t worker, std::size_t slot,
                       std::optional<sim::InstrGroup> stratum) {
     if (done[slot]) return;
     // Generic chaos site: "worker dies at the n-th injection it attempts"
@@ -1086,7 +1077,7 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
                                 result.golden_dyn_instrs,
                                 result.run_indices[slot],
                                 prune_map ? &*prune_map : nullptr, &pruned,
-                                &reg, stratum, &golden.value(), &ff);
+                                &reg, stratum, &golden.value(), &ff, worker);
     latency.observe(
         std::chrono::duration_cast<std::chrono::duration<f64, std::milli>>(
             std::chrono::steady_clock::now() - started)
@@ -1122,9 +1113,10 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
       if (!done[slot]) order.push_back(slot);
     }
     order = in_run_order(std::move(order), nullptr);
-    pool.parallel_for(order.size(), [&](std::size_t k) {
-      run_slot(order[k], std::nullopt);
-    });
+    parallel_for(config.threads, order.size(),
+                 [&](std::size_t worker, std::size_t k) {
+                   run_slot(worker, order[k], std::nullopt);
+                 });
     result.effective_injections = config.num_injections;
   } else {
     auto planner_or = Planner::create(config, result.profile);
@@ -1236,13 +1228,14 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
 
       const std::vector<std::size_t> order =
           in_run_order(block_slots, alloc ? &*alloc : nullptr);
-      pool.parallel_for(order.size(), [&](std::size_t b) {
-        const std::size_t slot = order[b];
-        run_slot(slot,
-                 alloc ? Planner::group_for(*alloc,
-                                            result.run_indices[slot] - b0)
-                       : std::nullopt);
-      });
+      parallel_for(config.threads, order.size(),
+                   [&](std::size_t worker, std::size_t b) {
+                     const std::size_t slot = order[b];
+                     run_slot(worker, slot,
+                              alloc ? Planner::group_for(
+                                          *alloc, result.run_indices[slot] - b0)
+                                    : std::nullopt);
+                   });
       for (const std::size_t slot : block_slots) {
         if (!errors[slot].is_ok()) return errors[slot];
       }
@@ -1328,10 +1321,10 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
   for (const Status& status : errors) {
     if (!status.is_ok()) return status;
   }
-  // Records were appended in strike order: the finished journal lists them
-  // as a run in index order appends them, the bytes a merge of its shards
-  // writes (exactly so under one worker, whose order is deterministic).
-  if (writer && by_strike) {
+  // Records were appended in run order, as the workers finished them: the
+  // finished journal lists them as a run in index order appends them, the
+  // bytes a merge of its shards writes.
+  if (writer) {
     writer.reset();
     if (Status sorted = Journal::sort_records(*config.journal_path);
         !sorted.is_ok()) {

@@ -2,12 +2,12 @@
 //   Phase 1 — golden run with the profiler: dynamic instruction counts per
 //             group, golden output, watchdog budget, and the golden tail
 //             (write-once words, final memory pages).
-//   Phase 2 — N independent injection runs fanned out over a host thread
-//             pool; every run strikes exactly one fault at a uniformly
-//             sampled eligible site and is classified against the golden
-//             outcome. Each worker sets the workload up once and restores
-//             it before every run. Where checkpoint images fit, runs go
-//             in strike order and each worker resumes from the
+//   Phase 2 — N independent injection runs fanned out over host workers
+//             (common/parallel_for.h); every run strikes exactly one fault
+//             at a uniformly sampled eligible site and is classified
+//             against the golden outcome. Each worker owns one context: it
+//             sets the workload up once and restores it before every run.
+//             Runs go in strike order and each worker resumes from the
 //             golden-prefix checkpoint its previous run kept, and an armed
 //             first attempt stops once its struck warp rejoins its golden
 //             twin (DESIGN.md §4.14).
@@ -146,7 +146,9 @@ struct CampaignConfig {
   std::optional<sim::InstrGroup> group;
   std::size_t num_injections = 1000;
   u64 seed = 0x5eed;
-  std::size_t threads = 0;  ///< worker threads; 0 = hardware concurrency
+  /// Workers, the calling thread among them (parallel_for); 0 = hardware
+  /// concurrency.
+  std::size_t threads = 0;
   /// Fixes the flipped bit index for all runs (bit-sensitivity sweeps);
   /// nullopt = uniform random bit per run.
   std::optional<u32> fixed_bit;
@@ -342,25 +344,20 @@ class Campaign {
 /// so never stop at reconvergence.
 [[nodiscard]] bool needs_golden_tail(const CampaignConfig& config);
 
-/// Whether Campaign::run takes its pending injections in strike order
-/// (DESIGN.md §4.14): in every mode but memory mode, which strikes no
-/// instruction and runs in index order. Every context of a strike-ordered
-/// campaign keeps golden-prefix checkpoints unless the campaign is pinned
-/// to kInstrumented.
-[[nodiscard]] bool runs_in_strike_order(const CampaignConfig& config);
-
 /// The strike-order key of global injection `run_index`, whose planner
 /// block has the stratified allocation `alloc` (null without one): how
 /// many marks of golden.grid lie before its strike, 0 when its site cannot
-/// be sampled.
+/// be sampled or strikes no instruction (memory mode).
 [[nodiscard]] std::size_t strike_bucket(const CampaignConfig& config,
                                         const Campaign::Golden& golden,
                                         u64 run_index, const PlanEvent* alloc);
 
 /// The order in which Campaign::run runs the pending global injections
 /// `indices` (ascending) of a flat slice or of one planner block with
-/// allocation `alloc`: positions into `indices`, by (strike_bucket, index)
-/// when it runs in strike order, else as given.
+/// allocation `alloc` (DESIGN.md §4.14): positions into `indices`, by
+/// (strike_bucket, index), so memory mode keeps them as given. Every
+/// context of a campaign keeps golden-prefix checkpoints of the armed
+/// launches it runs, unless the campaign is pinned to kInstrumented.
 [[nodiscard]] std::vector<std::size_t> run_order(
     const CampaignConfig& config, const Campaign::Golden& golden,
     std::span<const u64> indices, const PlanEvent* alloc);

@@ -1,13 +1,10 @@
 #include "fi/journal.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -775,39 +772,6 @@ Result<MergedCampaign> merge_journals(const std::vector<std::string>& paths,
   return merged;
 }
 
-namespace {
-
-/// Writes `content` to `path` through a temp file and a rename, so a crash
-/// never leaves a torn file there.
-Status write_atomically(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp-" + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::internal("cannot create " + tmp + ": " +
-                              std::strerror(errno));
-    }
-    out << content;
-    out.flush();
-    if (!out) {
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      return Status::internal("write to " + tmp + " failed: " +
-                              std::strerror(errno));
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return Status::internal("cannot rename " + tmp + " to " + path + ": " +
-                            ec.message());
-  }
-  return Status::ok();
-}
-
-}  // namespace
-
 Status write_merged_journal(const std::string& path,
                             const MergedCampaign& merged) {
   std::string out = Journal::header_line(merged.header) + '\n';
@@ -841,7 +805,7 @@ Status write_merged_journal(const std::string& path,
     out += plan_event_line(*event) + '\n';
   }
   if (stop != nullptr) out += plan_event_line(*stop) + '\n';
-  return write_atomically(path, out);
+  return jsonl::write_atomically(path, out);
 }
 
 Status Journal::sort_records(const std::string& path) {
@@ -892,7 +856,7 @@ Status Journal::sort_records(const std::string& path) {
   std::stable_sort(lines.begin(), lines.end());
   std::string out = data.substr(0, body);
   for (const Line& line : lines) out += line.text;
-  return write_atomically(path, out);
+  return jsonl::write_atomically(path, out);
 }
 
 }  // namespace gfi::fi

@@ -123,8 +123,8 @@ class Journal {
   /// Rewrites the complete journal at `path` with every run of record
   /// lines between plan lines in global index order (first-wins duplicates
   /// keep their order), unless it already is: the bytes a run in index
-  /// order writes. Campaign::run sorts a journal it ran in strike order
-  /// once the campaign is done.
+  /// order writes. Campaign::run sorts every journal it finishes, since it
+  /// appends records in run order as its workers finish them.
   static Status sort_records(const std::string& path);
 
   // Serialization primitives (exposed for tests and the merge tool).

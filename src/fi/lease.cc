@@ -1,10 +1,6 @@
 #include "fi/lease.h"
 
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -14,32 +10,6 @@ namespace gfi::fi {
 namespace {
 
 constexpr const char* kMagic = "gpufi-lease-v1";
-
-Status write_lease_file(const std::string& path, const Lease& lease) {
-  const std::string tmp = path + ".tmp-" + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::internal("cannot create " + tmp + ": " +
-                              std::strerror(errno));
-    }
-    out << lease_line(lease) << '\n';
-    out.flush();
-    if (!out) {
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      return Status::internal("write to " + tmp + " failed");
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return Status::internal("cannot rename " + tmp + " to " + path + ": " +
-                            ec.message());
-  }
-  return Status::ok();
-}
 
 }  // namespace
 
@@ -119,7 +89,7 @@ Status acquire_lease(const std::string& path, const Lease& lease,
     // readable expiry, but an operator can delete the file.
     return current.status();
   }
-  return write_lease_file(path, lease);
+  return jsonl::write_atomically(path, lease_line(lease) + '\n');
 }
 
 Status release_lease(const std::string& path, const std::string& owner) {

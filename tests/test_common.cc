@@ -1,21 +1,23 @@
 // Unit tests for src/common: RNG, bit utilities, statistics, tables,
-// histograms, thread pool, status.
+// histograms, parallel_for, status.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "common/bitutil.h"
 #include "common/histogram.h"
+#include "common/parallel_for.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/table.h"
-#include "common/thread_pool.h"
 
 namespace gfi {
 namespace {
@@ -430,69 +432,147 @@ TEST(Histogram, AsciiRenders) {
   EXPECT_NE(out.find("##########"), std::string::npos);
 }
 
-// ------------------------------------------------------------ threadpool --
+// ---------------------------------------------------------- parallel_for --
+
+// The worker pool's first contract checks, kept under the suite name they
+// were written with; the pool is now the free function parallel_for.
 
 TEST(ThreadPool, RunsAllJobs) {
-  ThreadPool pool(4);
   std::atomic<int> counter{0};
-  pool.parallel_for(1000, [&](std::size_t) { ++counter; });
+  parallel_for(4, 1000, [&](std::size_t, std::size_t) { ++counter; });
   EXPECT_EQ(counter.load(), 1000);
 }
 
 TEST(ThreadPool, ParallelForPassesIndices) {
-  ThreadPool pool(3);
-  std::vector<int> hits(64, 0);
-  pool.parallel_for(64, [&](std::size_t i) { hits[i] = static_cast<int>(i); });
+  std::vector<int> hits(64, -1);
+  parallel_for(3, 64, [&](std::size_t, std::size_t i) {
+    hits[i] = static_cast<int>(i);
+  });
   for (int i = 0; i < 64; ++i) EXPECT_EQ(hits[i], i);
 }
 
+/// An empty batch returns at once, running nothing.
 TEST(ThreadPool, WaitIdleWithNoWorkReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not deadlock
-  SUCCEED();
+  std::atomic<int> ran{0};
+  parallel_for(2, 0, [&](std::size_t, std::size_t) { ++ran; });
+  EXPECT_EQ(ran.load(), 0);
 }
 
-TEST(ThreadPool, ReusableAcrossBatches) {
-  ThreadPool pool(2);
+TEST(ParallelFor, RunsEveryIndexOnceOnAWorkerBelowTheCount) {
+  for (const std::size_t workers : {1u, 3u, 8u}) {
+    for (const std::size_t count : {0u, 2u, 1000u}) {
+      std::vector<std::atomic<int>> hits(count);
+      std::atomic<std::size_t> top_worker{0};
+      parallel_for(workers, count, [&](std::size_t worker, std::size_t i) {
+        ++hits[i];
+        std::size_t seen = top_worker.load();
+        while (worker > seen &&
+               !top_worker.compare_exchange_weak(seen, worker)) {
+        }
+      });
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << workers << " workers, index " << i;
+      }
+      if (count > 0) {
+        EXPECT_LT(top_worker.load(), std::min(workers, count)) << workers;
+      }
+    }
+  }
+}
+
+TEST(ParallelFor, OneWorkerRunsInOrderOnTheCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  bool elsewhere = false;
+  parallel_for(1, 100, [&](std::size_t worker, std::size_t i) {
+    EXPECT_EQ(worker, 0u);
+    elsewhere |= std::this_thread::get_id() != caller;
+    order.push_back(i);
+  });
+  EXPECT_FALSE(elsewhere);
+  ASSERT_EQ(order.size(), 100u);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(ParallelFor, ZeroWorkersMeansHardwareConcurrency) {
+  EXPECT_GE(worker_count(0), 1u);
+  EXPECT_EQ(worker_count(3), 3u);
   std::atomic<int> counter{0};
-  for (int batch = 0; batch < 5; ++batch) {
-    pool.parallel_for(100, [&](std::size_t) { ++counter; });
+  parallel_for(0, 64, [&](std::size_t worker, std::size_t) {
+    EXPECT_LT(worker, worker_count(0));
+    ++counter;
+  });
+  EXPECT_EQ(counter.load(), 64);
+}
+
+TEST(ParallelFor, ReusableAcrossCalls) {
+  std::atomic<int> counter{0};
+  for (int call = 0; call < 5; ++call) {
+    parallel_for(2, 100, [&](std::size_t, std::size_t) { ++counter; });
   }
   EXPECT_EQ(counter.load(), 500);
 }
 
-TEST(ThreadPool, ThrowingJobRethrownFromWaitIdle) {
-  // A throwing job used to escape worker_loop (std::terminate) and skip the
-  // in_flight_ decrement, deadlocking wait_idle() forever.
-  ThreadPool pool(2);
+/// A throw from the caller's own index drains the batch, joins the spawned
+/// workers and rethrows.
+TEST(ParallelFor, CallerThrowDrainsJoinsAndRethrows) {
+  const std::thread::id caller = std::this_thread::get_id();
   std::atomic<int> ran{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([&ran, i] {
-      ++ran;
-      if (i == 3) throw std::runtime_error("job 3 failed");
-    });
-  }
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 8);  // the rest of the batch still drained
-}
-
-TEST(ThreadPool, ParallelForPropagatesFirstException) {
-  ThreadPool pool(4);
+  std::atomic<bool> thrown{false};
   EXPECT_THROW(
-      pool.parallel_for(64,
-                        [](std::size_t i) {
-                          if (i % 16 == 0) throw std::runtime_error("boom");
-                        }),
+      parallel_for(4, 64,
+                   [&](std::size_t, std::size_t) {
+                     ++ran;
+                     if (std::this_thread::get_id() == caller) {
+                       if (!thrown.exchange(true)) {
+                         throw std::runtime_error("caller failed");
+                       }
+                     } else {
+                       // Leave the caller an index to throw from.
+                       while (!thrown.load()) std::this_thread::yield();
+                     }
+                   }),
       std::runtime_error);
+  EXPECT_EQ(ran.load(), 64);  // the rest of the batch still drained
 }
 
-TEST(ThreadPool, UsableAfterAJobThrew) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("once"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The exception slot was consumed; the pool keeps working.
+/// A throw from a spawned worker's index does the same, and the first of
+/// several exceptions is the one rethrown.
+TEST(ParallelFor, SpawnedWorkerThrowDrainsJoinsAndRethrows) {
+  std::atomic<int> ran{0};
+  std::atomic<bool> thrown{false};
+  std::atomic<bool> recorded{false};
+  try {
+    parallel_for(2, 64, [&](std::size_t worker, std::size_t) {
+      ++ran;
+      if (worker == 0) {
+        // Hold the caller's first index until the spawned worker has
+        // thrown and moved on to its next index, so its exception was
+        // recorded first.
+        while (!recorded.load()) std::this_thread::yield();
+        throw std::logic_error("later");
+      }
+      if (!thrown.exchange(true)) throw std::runtime_error("first");
+      recorded = true;
+    });
+    ADD_FAILURE() << "nothing was rethrown";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "first");
+  } catch (const std::logic_error&) {
+    ADD_FAILURE() << "a later exception was rethrown";
+  }
+  EXPECT_EQ(ran.load(), 64);
+}
+
+/// A call after one that threw starts clean.
+TEST(ParallelFor, UsableAfterAThrow) {
+  EXPECT_THROW(parallel_for(2, 1,
+                            [](std::size_t, std::size_t) {
+                              throw std::runtime_error("once");
+                            }),
+               std::runtime_error);
   std::atomic<int> counter{0};
-  pool.parallel_for(50, [&](std::size_t) { ++counter; });
+  parallel_for(2, 50, [&](std::size_t, std::size_t) { ++counter; });
   EXPECT_EQ(counter.load(), 50);
 }
 

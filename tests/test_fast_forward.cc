@@ -9,8 +9,9 @@
 // register-file ECC off and on), with one worker and with three; the IOV
 // and RF campaigns of kernels whose flips can die or leave by plain
 // global stores must stop some injections at reconvergence (DESIGN.md
-// §4.14). Journal line order is (strike bucket, index) on both
-// tiers, and a killed journal resumes to the same bytes. Transient
+// §4.14). Journals are appended in (strike bucket, index) order on both
+// tiers and finish in index order at any number of workers, and a killed
+// journal resumes to the same bytes. Transient
 // retries, the golden launch again, are answered from the golden run's
 // verdict: their journals must match the pin too, in memory, IOV and RF
 // modes, across a journal kill and resume, and under a watchdog too short
@@ -467,17 +468,32 @@ TEST(FastForwardMemory, ReusedDevicesMatchFreshOnes) {
 
 // ---- strike order -----------------------------------------------------------
 
-/// A campaign runs in strike order in every mode but memory mode, and
-/// then every context keeps checkpoints unless the campaign is pinned. The
-/// wide, shallow kernels keep one too: their images hold few live rows.
+/// Memory mode strikes no instruction, so every strike bucket is 0 and it
+/// runs in index order. In the other modes every context keeps
+/// checkpoints unless the campaign is pinned. The wide, shallow kernels
+/// keep one too: their images hold few live rows.
 TEST(StrikeOrder, EveryContextKeepsACheckpoint) {
   harden::register_hardened_workloads();
   fi::CampaignConfig config;
   config.machine = machine();
-  EXPECT_TRUE(fi::runs_in_strike_order(config));
-  config.model = {InjectionMode::kMemory, BitFlipModel::kDouble};
-  EXPECT_FALSE(fi::runs_in_strike_order(config))
-      << "memory mode has no strike";
+  {
+    fi::CampaignConfig memory = config;
+    memory.workload = "saxpy";
+    memory.model = {InjectionMode::kMemory, BitFlipModel::kDouble};
+    auto golden = fi::Campaign::golden_run(memory);
+    ASSERT_TRUE(golden.is_ok()) << golden.status().to_string();
+    std::vector<u64> indices(40);
+    for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
+    for (const u64 index : indices) {
+      EXPECT_EQ(fi::strike_bucket(memory, golden.value(), index, nullptr), 0u)
+          << "memory mode has no strike";
+    }
+    const std::vector<std::size_t> order =
+        fi::run_order(memory, golden.value(), indices, nullptr);
+    for (std::size_t pos = 0; pos < order.size(); ++pos) {
+      EXPECT_EQ(order[pos], pos) << "memory mode runs in index order";
+    }
+  }
 
   // Under one and four workers every context keeps checkpoints, the three
   // largest images included; the records still match the instrumented
@@ -576,7 +592,6 @@ TEST(StrikeOrder, JournalsFollowRunOrderOnBothTiers) {
     config.seed = 21;
     auto golden = fi::Campaign::golden_run(config);
     ASSERT_TRUE(golden.is_ok()) << golden.status().to_string();
-    ASSERT_TRUE(fi::runs_in_strike_order(config)) << workload;
     const fi::JournalContents cut = both_tiers(config, workload);
     ASSERT_EQ(cut.records.size(), config.num_injections - 1) << workload;
     std::vector<std::pair<std::size_t, u64>> keys;
@@ -633,6 +648,38 @@ TEST(StrikeOrder, JournalsFollowRunOrderOnBothTiers) {
   }
   EXPECT_EQ(order.size(), memory.num_injections - 1);
   EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+  fs::remove_all(dir);
+}
+
+/// Every finished journal is sorted into index order, so it does not depend
+/// on how many workers wrote it or on the order they finished in: a
+/// three-worker memory-mode campaign, which appends records as its workers
+/// complete them, writes the one-worker journal's bytes.
+TEST(StrikeOrder, FinishedJournalsDoNotDependOnWorkers) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "gfi_journal_workers";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  for (const char* workload : {"saxpy", "spmv"}) {
+    fi::CampaignConfig config;
+    config.workload = workload;
+    config.machine = arch::a100();
+    config.model = {InjectionMode::kMemory, BitFlipModel::kDouble};
+    config.max_retries = 3;
+    config.num_injections = 120;
+    config.seed = 2025;
+    std::vector<std::string> journals;
+    for (const u32 threads : {1u, 3u}) {
+      config.threads = threads;
+      config.journal_path =
+          (dir / (std::string(workload) + std::to_string(threads) + ".jsonl"))
+              .string();
+      auto result = fi::Campaign::run(config);
+      ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+      journals.push_back(read_file(*config.journal_path));
+    }
+    EXPECT_EQ(journals[1], journals[0]) << workload;
+  }
   fs::remove_all(dir);
 }
 

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "arch/arch.h"
-#include "common/thread_pool.h"
+#include "common/parallel_for.h"
 #include "fi/campaign.h"
 #include "fi/journal.h"
 #include "obs/heartbeat.h"
@@ -106,14 +106,13 @@ TEST(ObsRegistry, HandlesAreStableAndNamed) {
 
 TEST(ObsRegistry, ConcurrentUpdatesFromWorkerThreadsAreLossless) {
   // Mirrors the campaign's usage: handles acquired up front, then hammered
-  // from the injection thread pool. Run under GFI_SANITIZE this is also the
+  // from the injection workers. Run under GFI_SANITIZE this is also the
   // data-race check for the relaxed-atomic hot path.
   Registry registry;
   obs::Counter& counter = registry.counter("events");
   obs::LatencyHistogram& histogram = registry.histogram("lat", 0.0, 1.0, 8);
   constexpr std::size_t kJobs = 8000;
-  ThreadPool pool(8);
-  pool.parallel_for(kJobs, [&](std::size_t i) {
+  parallel_for(8, kJobs, [&](std::size_t, std::size_t i) {
     counter.inc();
     registry.counter("events_via_lookup").inc();
     histogram.observe(static_cast<f64>(i % 10) / 10.0);

@@ -35,11 +35,8 @@
 //
 // Flags are listed in tools/cli_flags.cc; `gpufi` with no arguments prints
 // them with their defaults.
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -49,6 +46,7 @@
 #include "analysis/report.h"
 #include "arch/arch.h"
 #include "cli_flags.h"
+#include "common/jsonl.h"
 #include "common/simd.h"
 #include "common/table.h"
 #include "fi/campaign.h"
@@ -224,26 +222,10 @@ int cmd_campaign(const Options& options) {
   if (options.metrics_out) {
     // Temp file + rename: a crash mid-write must never leave a torn JSON
     // snapshot for downstream tooling to choke on.
-    const std::string tmp =
-        *options.metrics_out + ".tmp-" + std::to_string(::getpid());
-    {
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      if (out) out << metrics.snapshot().to_json();
-      out.flush();
-      if (!out) {
-        std::fprintf(stderr, "cannot write metrics snapshot to %s\n",
-                     options.metrics_out->c_str());
-        std::error_code ec;
-        std::filesystem::remove(tmp, ec);
-        return 1;
-      }
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, *options.metrics_out, ec);
-    if (ec) {
-      std::fprintf(stderr, "cannot write metrics snapshot to %s: %s\n",
-                   options.metrics_out->c_str(), ec.message().c_str());
-      std::filesystem::remove(tmp, ec);
+    if (Status written = jsonl::write_atomically(
+            *options.metrics_out, metrics.snapshot().to_json());
+        !written.is_ok()) {
+      std::fprintf(stderr, "%s\n", written.to_string().c_str());
       return 1;
     }
     std::printf("metrics snapshot written to %s\n",
